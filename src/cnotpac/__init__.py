@@ -35,7 +35,7 @@ from .tableau import (
     is_symplectic,
     lambda_matrix,
 )
-from .cnot import CnotCircuit, cnot_to_tableau, synthesize_cnot_from_theta
+from .cnot import CnotCircuit, synthesize_cnot_from_theta
 from .samples import Sample, SampleSet
 from .formula import (
     Constant,

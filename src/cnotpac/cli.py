@@ -412,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reduce_p.add_argument("--seed", type=int, required=True)
     reduce_p.add_argument("--out", help="write the samples+instance JSON here")
-    reduce_p.add_argument(
-        "--canonical-order",
-        action="store_true",
-        help="number gadget vertices in expression order (this is the only "
-        "ordering implemented; the flag documents intent)",
-    )
     reduce_p.set_defaults(func=cmd_reduce)
 
     solve_p = sub.add_parser("solve", help="search for a consistent circuit")

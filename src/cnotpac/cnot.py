@@ -143,7 +143,3 @@ def synthesize_cnot_from_theta(theta: BitMatrix, q: int = 0) -> List[Gate]:
             gates.append(Gate("x", qubit=a))
     assert len(gates) <= n * n + n
     return gates
-
-
-def cnot_to_tableau(c: CnotCircuit) -> CliffordTableau:
-    return c.to_tableau()

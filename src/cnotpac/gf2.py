@@ -2,9 +2,17 @@
 
 A vector in F_2^n is an int whose bit j is coordinate j.  A matrix is a
 list of such row ints plus an explicit column count.  Elimination is
-plain XOR on ints, which keeps the hot paths allocation-free and lets
-augmented payloads (identity blocks, right-hand sides) ride along in the
-bits above the column count.
+plain XOR on ints, which keeps the hot paths allocation-free.
+
+This module holds the elimination kernel the rest of the package
+reduces through, in two halves: _rref brings a list of rows to reduced
+row echelon form, and _reduce/_insert reduce a vector against, or add
+it to, an echelon table (a dict from pivot position to row).  Both
+share one payload rule: bits at or above n_cols are never pivoted on
+but are XORed along with every row operation, so a payload records how
+a row was combined (identity blocks, right-hand sides, or which
+generators a group element is the product of).  Pivots are leading
+bits, highest column first.
 """
 
 from __future__ import annotations
@@ -21,20 +29,38 @@ class SingularMatrixError(ValueError):
     """Raised when an operation needs an invertible matrix and got none."""
 
 
-def _insert(table: dict, vec: int) -> bool:
+def _reduce(table: dict, vec: int, n_cols: Optional[int] = None) -> int:
     """Reduce ``vec`` against an echelon table keyed by pivot position.
 
-    If the reduced vector is nonzero it is inserted under its leading bit
-    and True is returned; a vector already in the span leaves the table
-    unchanged and returns False.
+    Stops as soon as the leading bit below n_cols has no table row, so
+    the matrix part of the result is zero exactly when ``vec`` lies in
+    the table's span.  Bits at or above n_cols are payload; without
+    n_cols every bit is matrix part.
     """
-    while vec:
-        p = vec.bit_length() - 1
-        if p not in table:
-            table[p] = vec
-            return True
-        vec ^= table[p]
-    return False
+    mask = -1 if n_cols is None else (1 << n_cols) - 1
+    key = vec & mask
+    while key:
+        row = table.get(key.bit_length() - 1)
+        if row is None:
+            break
+        vec ^= row
+        key = vec & mask
+    return vec
+
+
+def _insert(table: dict, vec: int, n_cols: Optional[int] = None) -> bool:
+    """Add ``vec`` to an echelon table if it is outside the table's span.
+
+    The reduced vector, payload included, is stored under its leading
+    matrix bit and True is returned; a vector already in the span leaves
+    the table unchanged and returns False.
+    """
+    vec = _reduce(table, vec, n_cols)
+    key = vec if n_cols is None else vec & ((1 << n_cols) - 1)
+    if not key:
+        return False
+    table[key.bit_length() - 1] = vec
+    return True
 
 
 def _rref(rows: list, n_cols: int) -> tuple:
@@ -89,21 +115,6 @@ class BitMatrix:
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls([1 << i for i in range(n)], n)
-
-    @classmethod
-    def from_dense(cls, entries) -> "BitMatrix":
-        """Build from a list of rows of 0/1 entries (entries[i][j] = row i, col j)."""
-        n_cols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, e in enumerate(row):
-                if e & 1:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(rows, n_cols)
 
     @classmethod
     def from_columns(cls, cols: Iterable[int], n_rows: int) -> "BitMatrix":
@@ -265,24 +276,18 @@ class AffineSubspace:
     def __init__(self, n: int, offset: int, vectors: Iterable[int] = ()):
         if offset < 0 or offset >> n:
             raise ValueError("offset outside F_2^%d" % n)
-        table: dict = {}
+        vectors = list(vectors)
         for v in vectors:
             if v < 0 or v >> n:
                 raise ValueError("vector outside F_2^%d" % n)
-            _insert(table, v)
-        pivots = sorted(table)
-        for p in pivots:  # ascending, so lower vectors are final when used
-            v = table[p]
-            for p2 in pivots:
-                if p2 < p and ((v >> p2) & 1):
-                    v ^= table[p2]
-            table[p] = v
-        for p in sorted(table, reverse=True):
+        rows, pivots = _rref(vectors, n)
+        basis = rows[: len(pivots)]
+        for row, p in zip(basis, pivots):
             if (offset >> p) & 1:
-                offset ^= table[p]
+                offset ^= row
         self.n = n
         self.offset = offset
-        self.basis = tuple(table[p] for p in sorted(table, reverse=True))
+        self.basis = tuple(basis)
 
     @classmethod
     def full(cls, n: int) -> "AffineSubspace":
@@ -353,12 +358,11 @@ class AffineSubspace:
         )
 
 
-def complete_to_basis(vectors, n: int, rng) -> list:
-    """Extend independent vectors to a full basis of F_2^n with random draws.
+def _complete(vectors, n: int, candidates) -> list:
+    """The input vectors followed by independent candidates, up to n.
 
-    Makes exactly one rng.randrange(1 << n) call per draw, accepted or
-    not, so callers can meter the draw count by wrapping the rng.
-    Returns the input vectors (in order) followed by the accepted draws.
+    ``candidates`` is an iterator, advanced only while the basis is
+    short, so no candidate is drawn that is not needed.
     """
     table: dict = {}
     out = []
@@ -369,25 +373,22 @@ def complete_to_basis(vectors, n: int, rng) -> list:
     if len(out) > n:
         raise ValueError("more vectors than the dimension")
     while len(out) < n:
-        draw = rng.randrange(1 << n)
-        if _insert(table, draw):
-            out.append(draw)
+        v = next(candidates)
+        if _insert(table, v):
+            out.append(v)
     return out
+
+
+def complete_to_basis(vectors, n: int, rng) -> list:
+    """Extend independent vectors to a full basis of F_2^n with random draws.
+
+    Makes exactly one rng.randrange(1 << n) call per draw, accepted or
+    not, so callers can meter the draw count by wrapping the rng.
+    Returns the input vectors (in order) followed by the accepted draws.
+    """
+    return _complete(vectors, n, iter(lambda: rng.randrange(1 << n), None))
 
 
 def deterministic_completion(vectors, n: int) -> list:
     """Like complete_to_basis but fills in greedily with unit vectors."""
-    table: dict = {}
-    out = []
-    for v in vectors:
-        if not _insert(table, v):
-            raise ValueError("input vectors are dependent")
-        out.append(v)
-    if len(out) > n:
-        raise ValueError("more vectors than the dimension")
-    for i in range(n):
-        if len(out) == n:
-            break
-        if _insert(table, 1 << i):
-            out.append(1 << i)
-    return out
+    return _complete(vectors, n, (1 << i for i in range(n)))

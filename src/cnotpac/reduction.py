@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .formula import Formula, WeightedDigraph, formula_to_graph, num_variables
-from .gf2 import BitMatrix, _insert, complete_to_basis, deterministic_completion, dot
+from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
 from .pauli import PauliOperator, z_power
 from .samples import Sample, SampleSet
 from .stabilizer import StabilizerState
@@ -124,12 +124,7 @@ def _pin_samples(
     for v in span:
         if not _insert(table, v):
             raise ValueError("span vectors are dependent")
-    reduced = offset
-    while reduced:
-        p = reduced.bit_length() - 1
-        if p not in table:
-            break
-        reduced ^= table[p]
+    reduced = _reduce(table, offset)
     if reduced == 0:
         head = span
         final = False

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
-from .gf2 import BitMatrix, _insert, dot
+from .gf2 import BitMatrix, _insert, _reduce, dot
 from .pauli import PauliOperator, z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
 from .samples import SampleSet
@@ -194,15 +194,6 @@ def _leaf_q_space(n, theta, groups, generic):
     return BitMatrix(qrows, n).solve_affine(qrhs)
 
 
-def _reduces_to_zero(table, v):
-    while v:
-        p = v.bit_length() - 1
-        if p not in table:
-            return False
-        v ^= table[p]
-    return True
-
-
 def _dfs_first(n, groups, generic, row0_candidates):
     """First consistent (theta, q) in row-lex order, restricted to the
     given row_0 candidates.  Returns (circuit or None, leaves examined)."""
@@ -222,7 +213,7 @@ def _dfs_first(n, groups, generic, row0_candidates):
         candidates = row0_candidates if r == 0 else range(1, 1 << n)
         mask = (1 << (r + 1)) - 1
         for v in candidates:
-            if _reduces_to_zero(table, v):
+            if _reduce(table, v) == 0:
                 continue
             new_knowns = []
             ok = True
@@ -315,7 +306,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
                     out.append(c)
             return
         for v in range(1, 1 << n):
-            if _reduces_to_zero(table, v):
+            if _reduce(table, v) == 0:
                 continue
             t2 = dict(table)
             _insert(t2, v)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import _insert, _reduce, _rref
 from .pauli import PauliOperator, z_power
 
 
@@ -27,9 +27,15 @@ class Membership(enum.Enum):
 
 
 class StabilizerGroup:
-    """Group generated by exactly n commuting independent signed Paulis."""
+    """Group generated by exactly n commuting independent signed Paulis.
 
-    __slots__ = ("n", "generators", "_echelon")
+    Group elements are tracked on ints key | (mask << 2n): the unsigned
+    symplectic key of a product of generators, with the generators it is
+    the product of as payload.  Signs are recovered from the payload with
+    element(), so the echelon table never multiplies Pauli objects.
+    """
+
+    __slots__ = ("n", "generators", "_table")
 
     def __init__(self, generators: Iterable[PauliOperator]):
         generators = list(generators)
@@ -47,28 +53,13 @@ class StabilizerGroup:
             for j in range(i + 1, n):
                 if not generators[i].commutes(generators[j]):
                     raise ValueError("generators %d and %d anticommute" % (i, j))
-        if BitMatrix([g.key() for g in generators], 2 * n).rank() != n:
-            raise ValueError("generators are dependent")
+        table: dict = {}
+        for i, g in enumerate(generators):
+            if not _insert(table, g.key() | (1 << (2 * n + i)), 2 * n):
+                raise ValueError("generators are dependent")
         self.n = n
         self.generators = generators
-        # echelon table of group elements, leading key bit descending; every
-        # entry is a product of generators so signs stay honest
-        table: List[PauliOperator] = []
-        for g in generators:
-            cur = g
-            placed = False
-            for idx, t in enumerate(table):
-                tk = t.key()
-                ck = cur.key()
-                if ck.bit_length() > tk.bit_length():
-                    table.insert(idx, cur)
-                    placed = True
-                    break
-                if ck.bit_length() == tk.bit_length():
-                    cur = cur.mul(t)
-            if not placed:
-                table.append(cur)
-        self._echelon = table
+        self._table = table
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
@@ -84,16 +75,12 @@ class StabilizerGroup:
             raise ValueError("qubit count mismatch")
         if p.is_identity():
             return Membership.PLUS if p.sign == 1 else Membership.ABSENT
-        k = p.key()
-        acc = PauliOperator.identity(self.n)
-        for t in self._echelon:
-            tk = t.key()
-            if k.bit_length() == tk.bit_length():
-                k ^= tk
-                acc = acc.mul(t)
-        if k != 0:
+        width = 2 * self.n
+        r = _reduce(self._table, p.key(), width)
+        if r & ((1 << width) - 1):
             return Membership.ABSENT
-        return Membership.PLUS if acc.sign_bit == p.sign_bit else Membership.MINUS
+        member = self.element(r >> width)
+        return Membership.PLUS if member.sign_bit == p.sign_bit else Membership.MINUS
 
     def members(self):
         """Iterate all 2^n group elements (small n only)."""
@@ -102,20 +89,11 @@ class StabilizerGroup:
 
     def canonical_signature(self) -> tuple:
         """Hashable canonical form: fully reduced echelon keys with signs."""
-        table = list(self._echelon)
-        # clear each table key's lower leading bits using the other entries
-        for i in range(len(table)):
-            changed = True
-            while changed:
-                changed = False
-                for j in range(len(table)):
-                    if i == j:
-                        continue
-                    pj = table[j].key().bit_length() - 1
-                    if (table[i].key() >> pj) & 1 and pj != table[i].key().bit_length() - 1:
-                        table[i] = table[i].mul(table[j])
-                        changed = True
-        return tuple(sorted((t.key(), t.sign_bit) for t in table))
+        width = 2 * self.n
+        rows, _ = _rref(self._table.values(), width)
+        return tuple(
+            sorted((r & ((1 << width) - 1), self.element(r >> width).sign_bit) for r in rows)
+        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -193,10 +193,6 @@ def _generator(n: int, r: int) -> PauliOperator:
     return z_power(n, 1 << (r // 2))
 
 
-def apply_gate(t: CliffordTableau, g: Gate) -> None:
-    t.apply_gate(g)
-
-
 def conjugate_pauli(t: CliffordTableau, p: PauliOperator, direction: str) -> PauliOperator:
     """Conjugate p through the circuit: 'inverse' gives C†PC, 'forward' CPC†."""
     if direction == "inverse":

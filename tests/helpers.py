@@ -9,7 +9,7 @@ import numpy as np
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
 from cnotpac.stabilizer import StabilizerState
-from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state, evaluate_sample
+from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _P = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -84,8 +84,3 @@ def all_cnot_circuits(n):
     for theta in invertible_matrices(n):
         for q in range(1 << n):
             yield CnotCircuit(theta.copy(), q)
-
-
-def consistent_with_all(circuit, samples):
-    t = circuit.to_tableau()
-    return all(evaluate_sample(t, s) == s.label for s in samples)

@@ -50,7 +50,7 @@ def test_reduce_formula_golden(tmp_path, capsys):
     out = tmp_path / "golden.json"
     code, stdout, _ = run(
         capsys, "reduce", "--formula", GOLDEN_FORMULA, "--seed", "7",
-        "--out", str(out), "--canonical-order",
+        "--out", str(out),
     )
     assert code == 0
     report = last_report(stdout)

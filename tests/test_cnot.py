@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cnotpac.cnot import CnotCircuit, cnot_to_tableau, synthesize_cnot_from_theta
+from cnotpac.cnot import CnotCircuit, synthesize_cnot_from_theta
 from cnotpac.gf2 import BitMatrix, SingularMatrixError, dot
 from cnotpac.pauli import z_power
 from cnotpac.tableau import Gate, is_symplectic
@@ -89,7 +89,7 @@ def test_tableau_blocks_of_a_cnot_circuit():
     for _ in range(30):
         n = rng.randrange(1, 4)
         c = CnotCircuit.from_gates(n, random_cnot_gates(rng, n, 8))
-        t = cnot_to_tableau(c)
+        t = c.to_tableau()
         assert is_symplectic(t.s_matrix(), n)
         inv_t = c.theta.inverse().transpose()
         for j in range(n):

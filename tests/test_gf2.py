@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.gf2 import (
     AffineSubspace,
     BitMatrix,
     SingularMatrixError,
     _insert,
+    _reduce,
     complete_to_basis,
     deterministic_completion,
     dot,
@@ -321,6 +323,19 @@ def test_complete_to_basis_draw_metering():
     assert BitMatrix(out, 5).rank() == 5
     # one randrange call per draw, accepted or rejected, and at least n draws
     assert rng.randrange_calls >= 5
+    # replaying the draws by hand gives the same basis and leaves the
+    # generator in the same state, so no draw is made after the last one
+    replay = random.Random(7)
+    want = []
+    draws = 0
+    while len(want) < 5:
+        v = replay.randrange(1 << 5)
+        draws += 1
+        if span_size(want + [v]) > span_size(want):
+            want.append(v)
+    assert out == want
+    assert rng.randrange_calls == draws
+    assert rng.random() == replay.random()
 
 
 def test_complete_to_basis_rejects_dependent_input():
@@ -337,3 +352,41 @@ def test_deterministic_completion():
     assert BitMatrix(out, 3).rank() == 3
     assert out == deterministic_completion([0b110], 3)
     assert deterministic_completion([], 4) == [1, 2, 4, 8]
+
+
+def xor_of(vectors, mask):
+    acc = 0
+    for i, v in enumerate(vectors):
+        if (mask >> i) & 1:
+            acc ^= v
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_and_insert_carry_the_payload_exactly(data):
+    n = data.draw(st.integers(1, 8))
+    vec = st.integers(0, (1 << n) - 1)
+    vectors = data.draw(st.lists(vec, max_size=10))
+    mask = (1 << n) - 1
+    table: dict = {}
+    plain: dict = {}  # the same inputs without payload or n_cols
+    for i, v in enumerate(vectors):
+        grows = span_size(vectors[: i + 1]) > span_size(vectors[:i])
+        assert _insert(table, v | (1 << (n + i)), n) == grows
+        assert _insert(plain, v) == grows
+    assert {p: row & mask for p, row in table.items()} == plain
+    assert 1 << len(table) == span_size(vectors)
+    for p, row in table.items():
+        # each row sits under its leading matrix bit and is the XOR of the
+        # inputs its payload names
+        assert (row & mask).bit_length() - 1 == p
+        assert row & mask == xor_of(vectors, row >> n)
+    probe = data.draw(vec)
+    r = _reduce(table, probe, n)
+    assert r & mask == _reduce(plain, probe)
+    assert r & mask == probe ^ xor_of(vectors, r >> n)
+    in_span = span_size(vectors + [probe]) == span_size(vectors)
+    assert (r & mask == 0) == in_span
+    if not in_span:
+        assert (r & mask).bit_length() - 1 not in table

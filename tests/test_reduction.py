@@ -18,9 +18,11 @@ from cnotpac.reduction import (
     reduce_sat_to_samples,
     validate_simplified,
 )
+from cnotpac.samples import SampleSet
+from cnotpac.search import check_consistent
 
 from formula_corpus import CORPUS, SMALL_FORMULAS, golden_formula
-from helpers import all_cnot_circuits, consistent_with_all
+from helpers import all_cnot_circuits
 
 # Adjacency family of the worked example, rows as packed ints (bit j = column j)
 GOLDEN_M0 = [0, 6, 4, 264, 272, 96, 64, 384, 257]
@@ -122,30 +124,30 @@ def test_pin_input_validation():
 def test_pin_matches_brute_force(x, v, w, sigma):
     rng = random.Random(x * 8 + sigma)
     target = z_power(3, x, sign=-1 if sigma else 1)
-    samples = constrain_pauli_samples(3, target, v, w, rng)
+    samples = SampleSet(3, constrain_pauli_samples(3, target, v, w, rng))
     allowed = {v} if w is None else {v, v ^ w}
     for c in all_cnot_circuits(3):
         truth = c.theta.mul_vec(x) in allowed and dot(c.q, x) == sigma
-        assert consistent_with_all(c, samples) == truth
+        assert check_consistent(c, samples) == truth
 
 
 def test_subspace_pin_matches_brute_force():
     # offset inside the span: the pin is the span itself and the final
     # label-0 sample is dropped
     span = [0b011, 0b101]
-    samples = _pin_samples(3, 0b110, 0, 0b110, span, random.Random(5))
+    samples = SampleSet(3, _pin_samples(3, 0b110, 0, 0b110, span, random.Random(5)))
     assert len(samples) == 2
     allowed = {0, 0b011, 0b101, 0b110}
     for c in all_cnot_circuits(3):
         truth = c.theta.mul_vec(0b110) in allowed and dot(c.q, 0b110) == 0
-        assert consistent_with_all(c, samples) == truth
+        assert check_consistent(c, samples) == truth
 
 
 def test_linked_columns_match_brute_force():
     rng = random.Random(21)
     v_cols = BitMatrix.from_columns([0b001, 0b010], 3)
     w_cols = BitMatrix.from_columns([0b110, 0b101], 3)
-    samples = constrain_submatrix_samples(3, [0, 2], v_cols, w_cols, rng)
+    samples = SampleSet(3, constrain_submatrix_samples(3, [0, 2], v_cols, w_cols, rng))
     assert len(samples) == 7  # kn + k - 1
     for c in all_cnot_circuits(3):
         truth = any(
@@ -153,7 +155,7 @@ def test_linked_columns_match_brute_force():
             and c.theta.mul_vec(4) == 0b010 ^ (0b101 if a else 0)
             for a in (0, 1)
         ) and (c.q & 0b101) == 0
-        assert consistent_with_all(c, samples) == truth
+        assert check_consistent(c, samples) == truth
 
 
 def test_submatrix_input_validation():
@@ -174,7 +176,7 @@ def test_unit_cnf_reduction_end_to_end():
     samples, inst = reduce_sat_to_samples([[1]], random.Random(31))
     assert inst.size == 3 and inst.num_vars == 1
     assert len(samples) == 11
-    hits = [c for c in all_cnot_circuits(3) if consistent_with_all(c, samples)]
+    hits = [c for c in all_cnot_circuits(3) if check_consistent(c, samples)]
     assert len(hits) == 1
     assert hits[0].theta.rows == [2, 6, 5] and hits[0].q == 0
     assert hits[0].theta == inst.matrix_at(1)
@@ -187,10 +189,10 @@ def test_repeated_unit_cnf_spot_checks():
     n = inst.size
     assert n == 5
     good = CnotCircuit(inst.matrix_at(1), 0)
-    assert consistent_with_all(good, samples)
+    assert check_consistent(good, samples)
     assert inst.determinant_at(0) == 0
     for q in range(1, 1 << n):
-        assert not consistent_with_all(CnotCircuit(inst.matrix_at(1), q), samples)
+        assert not check_consistent(CnotCircuit(inst.matrix_at(1), q), samples)
     rng = random.Random(33)
     rejected = 0
     while rejected < 50:
@@ -198,7 +200,7 @@ def test_repeated_unit_cnf_spot_checks():
         theta = BitMatrix(rows, n)
         if not theta.is_invertible() or theta == inst.matrix_at(1):
             continue
-        assert not consistent_with_all(CnotCircuit(theta, 0), samples)
+        assert not check_consistent(CnotCircuit(theta, 0), samples)
         rejected += 1
 
 
@@ -207,7 +209,7 @@ def test_unsatisfiable_formula_has_no_consistent_circuit():
     # small enough to sweep every circuit
     samples, inst = reduce_formula_to_samples(Constant(0), random.Random(33))
     assert inst.size == 3
-    assert not any(consistent_with_all(c, samples) for c in all_cnot_circuits(3))
+    assert not any(check_consistent(c, samples) for c in all_cnot_circuits(3))
 
 
 def test_contradiction_pair_for_dead_column():
@@ -217,7 +219,7 @@ def test_contradiction_pair_for_dead_column():
     a, b = samples[-2], samples[-1]
     assert a.state == b.state and a.measurement == b.measurement
     assert {a.label, b.label} == {Fraction(0), Fraction(1)}
-    assert not any(consistent_with_all(c, samples) for c in all_cnot_circuits(2))
+    assert not any(check_consistent(c, samples) for c in all_cnot_circuits(2))
 
 
 def test_sample_budget_and_binary_labels():

@@ -29,7 +29,7 @@ from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import Gate
 
 from formula_corpus import CORPUS, golden_formula
-from helpers import all_cnot_circuits, consistent_with_all, random_stabilizer_state
+from helpers import all_cnot_circuits, random_stabilizer_state
 
 
 def random_cnot_circuit(rng, n):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.stabilizer import (
@@ -11,6 +12,7 @@ from cnotpac.stabilizer import (
     dense_expectation_oracle,
     measurement_expectation,
 )
+from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
 
 def bell_group():
@@ -129,3 +131,62 @@ def test_state_dedup_via_hash():
     assert a == b and hash(a) == hash(b)
     # |000> written with a redundant-looking but independent basis
     assert c == StabilizerState.zero_state(3)
+
+
+@st.composite
+def stabilizer_groups(draw, max_n=3):
+    """Group of a random Clifford circuit applied to |0...0>."""
+    n = draw(st.integers(1, max_n))
+    one_qubit = st.builds(
+        lambda name, q: Gate(name, qubit=q),
+        st.sampled_from("hpxz"),
+        st.integers(0, n - 1),
+    )
+    gate = one_qubit
+    if n > 1:
+        cnot = st.permutations(range(n)).map(lambda p: Gate("cnot", control=p[0], target=p[1]))
+        gate = st.one_of(one_qubit, cnot)
+    t = CliffordTableau.identity(n)
+    for g in draw(st.lists(gate, max_size=4 * n * n)):
+        t.apply_gate(g)
+    return apply_circuit_to_state(t, StabilizerState.zero_state(n)).group
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilizer_groups())
+def test_group_contains_agrees_with_a_member_scan(group):
+    n = group.n
+    members = set(group.members())
+    assert len(members) == 1 << n
+    for xz in range(1, 1 << (2 * n)):
+        for sign in (1, -1):
+            p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
+            if p in members:
+                want = Membership.PLUS
+            elif -p in members:
+                want = Membership.MINUS
+            else:
+                want = Membership.ABSENT
+            assert group.group_contains(p) is want
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilizer_groups(), st.data())
+def test_rebased_generators_give_the_same_group(group, data):
+    n = group.n
+    # an invertible change of generators: row additions, then a shuffle
+    masks = [1 << i for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.lists(pairs, max_size=3 * n * n)):
+        if i != j:
+            masks[i] ^= masks[j]
+    masks = [masks[k] for k in data.draw(st.permutations(range(n)))]
+    rebased = [group.element(m) for m in masks]
+    other = StabilizerGroup(rebased)
+    assert other.canonical_signature() == group.canonical_signature()
+    assert other == group and hash(other) == hash(group)
+    # a sign flip on one generator always gives a different group
+    k = data.draw(st.integers(0, n - 1))
+    flipped = StabilizerGroup(rebased[:k] + [-rebased[k]] + rebased[k + 1:])
+    assert flipped.canonical_signature() != group.canonical_signature()
+    assert flipped != group
