@@ -4,9 +4,10 @@ Exit codes are uniform across subcommands: 0 means found/consistent/
 success, 1 means no witness exists (or the learner failed), 2 means any
 error (unreadable input, schema violation, size limit, bad parameters).
 The last stdout line of every run is a one-line JSON run report with the
-command name, a sha256 digest of the primary input, the seed, the
-outcome, counters, wall time, and the tool version.  Output files are
-written canonically, so identical inputs and seed give identical bytes.
+command name, a sha256 digest of the primary input, the seed (null for
+solve and verify), the outcome, counters, wall time, and the tool
+version.  Output files are written canonically, so identical inputs and
+seed give identical bytes.
 """
 
 import argparse
@@ -176,7 +177,7 @@ def cmd_solve(args) -> int:
         counts["assignments_examined"] = result.assignments_examined
         if not result.found:
             print("no satisfying assignment")
-            _report("solve", digest, args.seed, "none", counts, started)
+            _report("solve", digest, None, "none", counts, started)
             return 1
         if inst.determinant_at(result.assignment) != 1:
             raise CliError("internal check failed: witness determinant is 0")
@@ -184,7 +185,7 @@ def cmd_solve(args) -> int:
         witness = {"assignment": bits_to_string(result.assignment, k)}
         _write_out(args.out, dumps(witness))
         print("assignment: %s" % witness["assignment"])
-        _report("solve", digest, args.seed, "found", counts, started)
+        _report("solve", digest, None, "found", counts, started)
         return 0
     samples = _sample_set_from_file(args.input)
     counts["samples"] = len(samples.samples)
@@ -201,13 +202,13 @@ def cmd_solve(args) -> int:
         raise CliError(str(err))
     if not result.found:
         print("no consistent circuit")
-        _report("solve", digest, args.seed, "none", counts, started)
+        _report("solve", digest, None, "none", counts, started)
         return 1
     if not check_consistent(result.circuit, samples):
         raise CliError("internal check failed: witness is not consistent")
     _write_out(args.out, dumps(circuit_to_json(result.circuit)))
     print("consistent circuit found")
-    _report("solve", digest, args.seed, "found", counts, started)
+    _report("solve", digest, None, "found", counts, started)
     return 0
 
 
@@ -420,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("brute", "affine", "decision"), default="brute"
     )
     solve_p.add_argument("--workers", type=int, default=1)
-    solve_p.add_argument("--seed", type=int, default=None)
     solve_p.add_argument("--out", help="write the witness JSON here")
     solve_p.set_defaults(func=cmd_solve)
 

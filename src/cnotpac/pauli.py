@@ -4,9 +4,11 @@ An operator is sign * i^{|x & z|} X^x Z^z with sign in {+1, -1}, where x
 and z are packed bit vectors and each overlapping coordinate contributes
 one factor of i (so every stored operator is Hermitian: each Y carries
 its own i).  Products of anticommuting Hermitian Paulis are
-anti-Hermitian and therefore cannot be represented; multiplication goes
-through an internal (phase, x, z) form with phase an exponent of i, and
-the public product refuses anticommuting pairs.
+anti-Hermitian and therefore cannot be represented.  Products are
+taken in the raw form (e, x, z), meaning i^e X^x Z^z.  _fold is the only
+product loop; the public mul refuses anticommuting pairs and multiplies
+through the two-factor _raw_mul, so it stays an independent check of
+the fold.
 """
 
 from __future__ import annotations
@@ -29,6 +31,23 @@ def _raw_mul(a: tuple, b: tuple) -> tuple:
     e2, x2, z2 = b
     # moving Z^{z1} past X^{x2} costs (-1)^{z1 . x2}
     return ((e1 + e2 + 2 * dot(z1, x2)) % 4, x1 ^ x2, z1 ^ z2)
+
+
+def _fold(factors, mask: int, e: int = 0) -> tuple:
+    """Raw form (e, x, z) of i^e times the ordered product of the factors
+    (PauliOperators) whose indices are the set bits of mask."""
+    x = z = 0
+    while mask:
+        low = mask & -mask
+        f = factors[low.bit_length() - 1]
+        fx, fz = f.x, f.z
+        # f is i^{2 sign_bit + |fx & fz|} X^fx Z^fz, and moving the
+        # accumulated Z^z past X^fx costs (-1)^{z . fx}
+        e += 2 * (f.sign_bit + (z & fx).bit_count()) + (fx & fz).bit_count()
+        x ^= fx
+        z ^= fz
+        mask ^= low
+    return e % 4, x, z
 
 
 class PauliOperator:
@@ -79,8 +98,7 @@ class PauliOperator:
         self._check_n(other)
         if not self.commutes(other):
             raise ValueError("product of anticommuting Paulis is not Hermitian")
-        e, x, z = _raw_mul(self.raw(), other.raw())
-        return PauliOperator.from_raw(self.n, e, x, z)
+        return PauliOperator.from_raw(self.n, *_raw_mul(self.raw(), other.raw()))
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return self.mul(other)

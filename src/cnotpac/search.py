@@ -17,6 +17,7 @@ provides the naive scan for cross-checking at small n).
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +25,9 @@ from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix, _insert, _reduce, dot
-from .pauli import PauliOperator, z_power
+from .pauli import z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
 from .samples import SampleSet
-from .stabilizer import Membership
 from .tableau import evaluate_sample
 
 
@@ -96,16 +96,13 @@ class _ImageGroup:
 
 
 class _GenericSample:
-    """Any sample outside the full-Z fast path, with parts precomputed."""
+    """Any sample outside the full-Z fast path: its group, raw measurement, label."""
 
-    __slots__ = ("state", "px", "pz", "sigma", "y", "label")
+    __slots__ = ("group", "e", "px", "pz", "label")
 
     def __init__(self, sample):
-        self.state = sample.state
-        self.px = sample.measurement.x
-        self.pz = sample.measurement.z
-        self.sigma = sample.measurement.sign_bit
-        self.y = (self.px & self.pz).bit_count()
+        self.group = sample.state.group
+        self.e, self.px, self.pz = sample.measurement.raw()
         self.label = sample.label
 
 
@@ -177,20 +174,16 @@ def _leaf_q_space(n, theta, groups, generic):
     if generic:
         inv_t = theta.inverse().transpose()
         for gs in generic:
-            pxp = inv_t.mul_vec(gs.px)
-            pzp = theta.mul_vec(gs.pz)
-            yp = (pxp & pzp).bit_count()
-            plus = PauliOperator.from_raw(n, yp % 4, pxp, pzp)
-            membership = gs.state.group.group_contains(plus)
-            if membership is Membership.ABSENT:
+            # C†PC = (-1)^{q.pz} i^e X^{inv_t px} Z^{theta pz}: it is in the
+            # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
+            e_member = gs.group.member_phase(inv_t.mul_vec(gs.px) | theta.mul_vec(gs.pz) << n)
+            if e_member is None:
                 if gs.label != Fraction(1, 2):
                     return None
                 continue  # expectation is 1/2 for every q
             if gs.label == Fraction(1, 2):
                 return None
-            base = (gs.sigma + ((gs.y - yp) % 4) // 2) % 2
-            mu = 0 if membership is Membership.PLUS else 1
-            add(gs.pz, base ^ mu ^ (1 if gs.label == 0 else 0))
+            add(gs.pz, ((e_member - gs.e) % 4) // 2 ^ (1 if gs.label == 0 else 0))
     return BitMatrix(qrows, n).solve_affine(qrhs)
 
 
@@ -244,16 +237,24 @@ def _search_worker(args):
     return circuit.theta.rows, circuit.q, examined
 
 
+def _pool_size(workers: int, n: int, cpus: int) -> int:
+    """Processes worth starting: no more than the CPUs or the 2^n - 1 row_0 values."""
+    return min(workers, cpus, (1 << n) - 1)
+
+
 def brute_force_search(sample_set: SampleSet, workers: int = 1) -> SearchResult:
     """First consistent CNOT circuit in lexicographic (theta rows, q) order.
 
     The identity matrix is the lexicographically first invertible theta,
     so an unconstrained search returns the identity circuit.  With
-    workers > 1 the row_0 values are partitioned across processes; the
-    returned circuit is identical, though circuits_examined (leaves that
-    reached a full theta) can differ from the sequential count.
+    workers > 1 the row_0 values are split over at most one process per
+    CPU and per value; the circuit is identical, but circuits_examined
+    (leaves that reached a full theta) can differ from the sequential count.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1, got %d" % workers)
     n = sample_set.n
+    workers = _pool_size(workers, n, os.cpu_count() or 1)
     if n > 5:
         raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
     start = time.perf_counter()

@@ -165,16 +165,7 @@ def tableau_from_block(obj, n: int) -> CliffordTableau:
     s = BitMatrix([string_to_bits(r, 2 * n) for r in rows], 2 * n)
     if not is_symplectic(s, n):
         raise ValueError("tableau is not symplectic (S^T Lambda S != Lambda)")
-    phases = string_to_bits(obj.get("phases"), 2 * n)
-    cols = []
-    for j in range(2 * n):
-        col = s.column(j)
-        x = z = 0
-        for i in range(n):
-            x |= ((col >> (2 * i)) & 1) << i
-            z |= ((col >> (2 * i + 1)) & 1) << i
-        cols.append(PauliOperator(n, x, z, sign=-1 if (phases >> j) & 1 else 1))
-    return CliffordTableau(cols)
+    return CliffordTableau.from_s_matrix(s, string_to_bits(obj.get("phases"), 2 * n))
 
 
 def circuit_to_json(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .gf2 import _insert, _reduce, _rref
-from .pauli import PauliOperator, z_power
+from .gf2 import _insert, _reduce, _rref, dot
+from .pauli import PauliOperator, _fold, z_power
 
 
 class Membership(enum.Enum):
@@ -31,8 +31,9 @@ class StabilizerGroup:
 
     Group elements are tracked on ints key | (mask << 2n): the unsigned
     symplectic key of a product of generators, with the generators it is
-    the product of as payload.  Signs are recovered from the payload with
-    element(), so the echelon table never multiplies Pauli objects.
+    the product of as payload.  Phases are recovered from the payload by
+    folding the selected generators in raw form (pauli._fold), so neither
+    the echelon table nor a membership query multiplies Pauli objects.
     """
 
     __slots__ = ("n", "generators", "_table")
@@ -49,9 +50,12 @@ class StabilizerGroup:
                 raise ValueError("generator qubit count mismatch")
             if g.is_identity():
                 raise ValueError("identity cannot be a generator")
-        for i in range(n):
+        # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
+        swapped = [g.z | g.x << n for g in generators]
+        for i, g in enumerate(generators):
+            key = g.key()
             for j in range(i + 1, n):
-                if not generators[i].commutes(generators[j]):
+                if dot(key, swapped[j]):
                     raise ValueError("generators %d and %d anticommute" % (i, j))
         table: dict = {}
         for i, g in enumerate(generators):
@@ -63,11 +67,16 @@ class StabilizerGroup:
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
-        acc = PauliOperator.identity(self.n)
-        for i, g in enumerate(self.generators):
-            if (mask >> i) & 1:
-                acc = acc.mul(g)
-        return acc
+        return PauliOperator.from_raw(self.n, *_fold(self.generators, mask))
+
+    def member_phase(self, key: int) -> Optional[int]:
+        """Exponent of i in the raw form of the member with this symplectic
+        key (x | z << n), or None when no member has that key."""
+        width = 2 * self.n
+        r = _reduce(self._table, key, width)
+        if r & ((1 << width) - 1):
+            return None
+        return _fold(self.generators, r >> width)[0]
 
     def group_contains(self, p: PauliOperator) -> Membership:
         """Trichotomy membership for a signed Pauli probe."""
@@ -75,12 +84,10 @@ class StabilizerGroup:
             raise ValueError("qubit count mismatch")
         if p.is_identity():
             return Membership.PLUS if p.sign == 1 else Membership.ABSENT
-        width = 2 * self.n
-        r = _reduce(self._table, p.key(), width)
-        if r & ((1 << width) - 1):
+        e = self.member_phase(p.key())
+        if e is None:
             return Membership.ABSENT
-        member = self.element(r >> width)
-        return Membership.PLUS if member.sign_bit == p.sign_bit else Membership.MINUS
+        return Membership.PLUS if e == p.raw()[0] else Membership.MINUS
 
     def members(self):
         """Iterate all 2^n group elements (small n only)."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import BitMatrix
-from .pauli import PauliOperator, _raw_mul, x_power, z_power
+from .pauli import PauliOperator, _fold, x_power, z_power
 from .stabilizer import StabilizerGroup, StabilizerState
 
 _SINGLE_QUBIT_GATES = ("x", "z", "h", "p")
@@ -84,16 +84,26 @@ class CliffordTableau:
     def copy(self) -> "CliffordTableau":
         return CliffordTableau(list(self.cols))
 
+    @classmethod
+    def from_s_matrix(cls, s: BitMatrix, phases: int = 0) -> "CliffordTableau":
+        """Inverse of s_matrix()/phase_bits(): image r is column r of s,
+        negated when bit r of phases is set."""
+        n = s.n_rows // 2
+        if s.n_rows != 2 * n or s.n_cols != 2 * n:
+            raise ValueError("symplectic part must be 2n x 2n")
+        cols = []
+        for c in range(2 * n):
+            x = sum(((s.rows[2 * i] >> c) & 1) << i for i in range(n))
+            z = sum(((s.rows[2 * i + 1] >> c) & 1) << i for i in range(n))
+            cols.append(PauliOperator(n, x, z, sign=-1 if (phases >> c) & 1 else 1))
+        return cls(cols)
+
     def s_matrix(self) -> BitMatrix:
         """The 2n x 2n symplectic part: rows interleave x_i/z_i of each image."""
         rows = []
         for i in range(self.n):
-            rx = rz = 0
-            for c, p in enumerate(self.cols):
-                rx |= ((p.x >> i) & 1) << c
-                rz |= ((p.z >> i) & 1) << c
-            rows.append(rx)
-            rows.append(rz)
+            rows.append(sum(((p.x >> i) & 1) << c for c, p in enumerate(self.cols)))
+            rows.append(sum(((p.z >> i) & 1) << c for c, p in enumerate(self.cols)))
         return BitMatrix(rows, 2 * self.n)
 
     def phase_bits(self) -> int:
@@ -107,15 +117,9 @@ class CliffordTableau:
         """C† P C, by expanding P over the stored generator images."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        e, x, z = p.raw()
-        acc = (e, 0, 0)
-        for i in range(self.n):
-            if (x >> i) & 1:
-                acc = _raw_mul(acc, self.cols[2 * i].raw())
-        for i in range(self.n):
-            if (z >> i) & 1:
-                acc = _raw_mul(acc, self.cols[2 * i + 1].raw())
-        return PauliOperator.from_raw(self.n, *acc)
+        # images in key order: X_0 .. X_{n-1}, then Z_0 .. Z_{n-1}
+        images = self.cols[0::2] + self.cols[1::2]
+        return PauliOperator.from_raw(self.n, *_fold(images, p.key(), p.raw()[0]))
 
     def apply_gate(self, g: Gate) -> None:
         """Append gate g to the circuit (it acts after everything so far)."""
@@ -149,23 +153,14 @@ class CliffordTableau:
     def inverse_tableau(self) -> "CliffordTableau":
         """Tableau of C^{-1}; its inverse images are the forward images of C."""
         if self._inverse_cols is None:
-            n = self.n
-            s_inv = self.s_matrix().inverse()
-            cols = []
-            for r in range(2 * n):
-                x = z = 0
-                for i in range(n):
-                    x |= s_inv.entry(2 * i, r) << i
-                    z |= s_inv.entry(2 * i + 1, r) << i
-                candidate = PauliOperator(n, x, z)
-                target = _generator(n, r)
-                back = self.conjugate_inverse(candidate)
-                if back == target:
-                    cols.append(candidate)
-                elif back == -target:
-                    cols.append(-candidate)
-                else:
+            cols = CliffordTableau.from_s_matrix(self.s_matrix().inverse()).cols
+            for r, c in enumerate(cols):
+                back = self.conjugate_inverse(c)
+                # generator r of X_0, Z_0, X_1, ... has key bit r // 2 (X) or n + r // 2 (Z)
+                if back.key() != 1 << (r // 2 + self.n * (r & 1)):
                     raise ValueError("tableau is not a valid Clifford image")
+                if back.sign_bit:
+                    cols[r] = -c
             self._inverse_cols = cols
         return CliffordTableau(list(self._inverse_cols))
 
@@ -184,13 +179,6 @@ class CliffordTableau:
 
     def __repr__(self) -> str:
         return "CliffordTableau(n=%d, cols=%r)" % (self.n, self.cols)
-
-
-def _generator(n: int, r: int) -> PauliOperator:
-    """Canonical generator r in the interleaved order: X_0, Z_0, X_1, ..."""
-    if r % 2 == 0:
-        return x_power(n, 1 << (r // 2))
-    return z_power(n, 1 << (r // 2))
 
 
 def conjugate_pauli(t: CliffordTableau, p: PauliOperator, direction: str) -> PauliOperator:

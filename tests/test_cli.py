@@ -116,7 +116,8 @@ def test_solve_brute_and_verify(unit_reduction, tmp_path, capsys):
         "--out", str(witness),
     )
     assert code == 0
-    assert last_report(stdout)["outcome"] == "found"
+    report = last_report(stdout)
+    assert report["outcome"] == "found" and report["seed"] is None
     circuit = circuit_from_json(json.loads(witness.read_text()))
     assert isinstance(circuit, CnotCircuit)
     assert circuit.theta.rows == [2, 6, 5] and circuit.q == 0
@@ -163,6 +164,17 @@ def test_solve_workers_match(tmp_path, capsys):
     assert run(capsys, "solve", str(path), "--workers", "1", "--out", str(one))[0] == 0
     assert run(capsys, "solve", str(path), "--workers", "3", "--out", str(two))[0] == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_solve_rejects_bad_workers_and_seed(unit_reduction, capsys):
+    code, stdout, err = run(capsys, "solve", str(unit_reduction), "--workers", "0")
+    assert code == 2 and "workers must be at least 1" in err
+    assert "Traceback" not in err and stdout == ""
+    # solve is unseeded: the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(unit_reduction), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_inconsistent_reports_index(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import Constant, eval_formula, formula_to_graph
@@ -18,6 +19,7 @@ from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
+    _pool_size,
     affine_family_search,
     brute_force_decision,
     brute_force_search,
@@ -29,7 +31,7 @@ from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import Gate
 
 from formula_corpus import CORPUS, golden_formula
-from helpers import all_cnot_circuits, random_stabilizer_state
+from helpers import all_cnot_circuits, invertible_matrices, random_stabilizer_state
 
 
 def random_cnot_circuit(rng, n):
@@ -97,14 +99,62 @@ def test_brute_finds_consistent_on_random_sets():
             assert check_consistent(r.circuit, samples)
 
 
-def test_brute_is_lex_first_against_full_scan():
-    rng = random.Random(73)
-    for _ in range(4):
-        samples, _ = random_consistent_set(rng, 3, 8)
-        hits = enumerate_consistent_circuits(samples)
-        r = brute_force_search(samples)
-        assert hits, "witness exists"
+_GL = {n: list(invertible_matrices(n)) for n in (1, 2, 3)}
+_LABELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@st.composite
+def labeled_sets(draw):
+    """(samples, hidden, flipped): n <= 3 samples labeled by a hidden CNOT
+    circuit, mixing full-Z samples (the compiled image groups) with
+    generic ones, and sometimes with one label changed afterwards."""
+    n = draw(st.integers(1, 3))
+    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, (1 << n) - 1)))
+    t = hidden.to_tableau()
+    samples = []
+    for _ in range(draw(st.integers(1, 3 * n))):
+        if draw(st.booleans()):
+            basis = draw(st.sampled_from(_GL[n])).rows
+            state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
+            x, z = 0, draw(st.integers(1, (1 << n) - 1))
+        else:
+            state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
+            xz = draw(st.integers(1, (1 << (2 * n)) - 1))
+            x, z = xz & ((1 << n) - 1), xz >> n
+        meas = PauliOperator(n, x, z, sign=draw(st.sampled_from((1, -1))))
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+    flipped = draw(st.booleans())
+    if flipped:
+        k = draw(st.integers(0, len(samples) - 1))
+        s = samples[k]
+        label = draw(st.sampled_from([v for v in _LABELS if v != s.label]))
+        samples[k] = Sample(s.state, s.measurement, label)
+    return SampleSet(n, samples), hidden, flipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_sets())
+def test_brute_is_lex_first_against_full_scan(case):
+    samples, hidden, flipped = case
+    hits = enumerate_consistent_circuits(samples)
+    if not flipped:
+        assert (hidden.theta, hidden.q) in [(c.theta, c.q) for c in hits]
+    r = brute_force_search(samples)
+    assert r.found == bool(hits)
+    if hits:
         assert r.circuit.theta == hits[0].theta and r.circuit.q == hits[0].q
+
+
+def test_pool_size_is_bounded_by_cpus_and_row0_values():
+    assert _pool_size(1, 3, 8) == 1
+    assert _pool_size(4, 3, 8) == 4
+    assert _pool_size(10 ** 9, 3, 8) == 7  # 2^3 - 1 row_0 values
+    assert _pool_size(10 ** 9, 5, 2) == 2  # one process per CPU
+    assert _pool_size(6, 1, 4) == 1  # n = 1 has a single row_0 value
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        brute_force_search(SampleSet(2), workers=0)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        brute_force_search(SampleSet(2), workers=-3)
 
 
 def test_pin_search_lands_in_claimed_set():

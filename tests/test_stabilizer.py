@@ -53,6 +53,9 @@ def test_generator_validation():
         StabilizerGroup([x_power(1, 1), z_power(1, 1)])  # wrong count for n=1
     with pytest.raises(ValueError):
         StabilizerGroup([x_power(2, 0b01), z_power(2, 0b01)])  # anticommute
+    # the first anticommuting pair in (i, j) order is the one named
+    with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
+        StabilizerGroup([x_power(3, 0b001), z_power(3, 0b010), z_power(3, 0b011)])
     with pytest.raises(ValueError):
         StabilizerGroup([z_power(2, 0b11), z_power(2, 0b11, sign=-1)])  # dependent
     with pytest.raises(ValueError):
@@ -156,9 +159,19 @@ def stabilizer_groups(draw, max_n=3):
 @given(stabilizer_groups())
 def test_group_contains_agrees_with_a_member_scan(group):
     n = group.n
-    members = set(group.members())
+    # the members by PauliOperator.mul chains, not through the group's own
+    # product (members() and element() share the fold under test)
+    members = set()
+    for mask in range(1 << n):
+        acc = PauliOperator.identity(n)
+        for i, g in enumerate(group.generators):
+            if (mask >> i) & 1:
+                acc = acc.mul(g)
+        members.add(acc)
     assert len(members) == 1 << n
+    phase = {m.key(): m.raw()[0] for m in members}
     for xz in range(1, 1 << (2 * n)):
+        assert group.member_phase(xz) == phase.get(xz)
         for sign in (1, -1):
             p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
             if p in members:

@@ -19,7 +19,7 @@ from cnotpac.tableau import (
     lambda_matrix,
 )
 
-from helpers import circuit_unitary, random_gates, random_stabilizer_state
+from helpers import circuit_unitary, random_gates, random_stabilizer_state, random_tableau
 
 N_TRIALS = 40
 
@@ -223,3 +223,15 @@ def test_s_matrix_layout():
     assert s.entry(0, 0) == 1  # X_0 image has x_0
     assert s.entry(2, 3) == 1  # Z_1 image is X_1 after H
     assert s.entry(3, 2) == 1  # X_1 image is Z_1 after H
+
+
+def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
+    rng = random.Random(95)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            t = random_tableau(rng, n)
+            back = CliffordTableau.from_s_matrix(t.s_matrix(), t.phase_bits())
+            assert back == t
+            assert CliffordTableau.from_s_matrix(t.s_matrix()).phase_bits() == 0
+    with pytest.raises(ValueError):
+        CliffordTableau.from_s_matrix(BitMatrix.identity(3))
