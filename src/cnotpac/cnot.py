@@ -13,7 +13,7 @@ appending X(a) flips q_a.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Callable, Iterable, List
 
 from .gf2 import BitMatrix, SingularMatrixError, dot
 from .pauli import x_power, z_power
@@ -84,14 +84,7 @@ class CnotCircuit:
 
     def to_tableau(self) -> CliffordTableau:
         """Tableau columns: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j}."""
-        n = self.n
-        inv_t = self.theta.inverse().transpose()
-        cols = []
-        for j in range(n):
-            cols.append(x_power(n, inv_t.mul_vec(1 << j)))
-            sign = -1 if (self.q >> j) & 1 else 1
-            cols.append(z_power(n, self.theta.mul_vec(1 << j), sign=sign))
-        return CliffordTableau(cols)
+        return cnot_tableaus(self.theta)(self.q)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,6 +99,29 @@ class CnotCircuit:
 
     def __repr__(self) -> str:
         return "CnotCircuit(theta=%r, q=%d)" % (self.theta, self.q)
+
+
+def cnot_tableaus(theta: BitMatrix) -> Callable[[int], CliffordTableau]:
+    """The tableau of (theta, q) as a function of q, with theta's images
+    built once: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j}.
+
+    The X images and both signs of every Z image are made up front, so a
+    call only picks each Z image's sign from the bits of q.  Raises
+    SingularMatrixError when theta is singular.
+    """
+    n = theta.n_rows
+    # theta^{-T} e_j is row j of theta^{-1}; theta e_j is column j of theta
+    xs = [x_power(n, r) for r in theta.inverse().rows]
+    zs = [(z_power(n, c), z_power(n, c, sign=-1)) for c in theta.transpose().rows]
+
+    def at(q: int) -> CliffordTableau:
+        cols = []
+        for j in range(n):
+            cols.append(xs[j])
+            cols.append(zs[j][(q >> j) & 1])
+        return CliffordTableau(cols)
+
+    return at
 
 
 def synthesize_cnot_from_theta(theta: BitMatrix, q: int = 0) -> List[Gate]:

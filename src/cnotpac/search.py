@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
-from .cnot import CnotCircuit
+from .cnot import CnotCircuit, cnot_tableaus
 from .gf2 import BitMatrix, _insert, _reduce, dot
 from .pauli import z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
@@ -69,11 +69,16 @@ def check_consistent(h, sample_set: SampleSet) -> bool:
     if t.n != sample_set.n:
         raise ValueError("hypothesis acts on %d qubits, samples on %d" % (t.n, sample_set.n))
     if isinstance(h, CnotCircuit):
-        for j in range(t.n):
-            xi = t.cols[2 * j]
-            if xi.z != 0 or xi.sign_bit:
-                raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
+        _check_cnot_shape(t)
     return all(evaluate_sample(t, s) == s.label for s in sample_set)
+
+
+def _check_cnot_shape(t) -> None:
+    """Raise unless every X image of the tableau is X-type with sign +."""
+    for j in range(t.n):
+        xi = t.cols[2 * j]
+        if xi.z != 0 or xi.sign_bit:
+            raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
 
 
 class _ImageGroup:
@@ -96,14 +101,16 @@ class _ImageGroup:
 
 
 class _GenericSample:
-    """Any sample outside the full-Z fast path: its group, raw measurement, label."""
+    """Any sample outside the full-Z fast path: its group, raw measurement,
+    and its label as two bits, half (label 1/2) and flip (label 0)."""
 
-    __slots__ = ("group", "e", "px", "pz", "label")
+    __slots__ = ("group", "e", "px", "pz", "half", "flip")
 
     def __init__(self, sample):
         self.group = sample.state.group
         self.e, self.px, self.pz = sample.measurement.raw()
-        self.label = sample.label
+        self.half = sample.label == Fraction(1, 2)
+        self.flip = 1 if sample.label == 0 else 0
 
 
 def _full_z_form(state):
@@ -156,8 +163,13 @@ def _compile(sample_set: SampleSet):
     return groups, generic
 
 
-def _leaf_q_space(n, theta, groups, generic):
-    """Affine set of q values consistent at this theta, or None."""
+def _leaf_q_space(n, theta, table, groups, generic):
+    """Affine set of q values consistent at this theta, or None.
+
+    table is the DFS echelon table of theta's rows, row r inserted with
+    payload 1 << (n + r): reducing a vector v through it leaves the
+    coordinates of v in the row basis, theta^{-T} v, as the payload.
+    """
     qrows = []
     qrhs = 0
 
@@ -171,26 +183,33 @@ def _leaf_q_space(n, theta, groups, generic):
         if g.pts is None and not g.space.contains(u):
             return None
         add(g.x, g.c0 ^ dot(g.t0, u))
-    if generic:
-        inv_t = theta.inverse().transpose()
-        for gs in generic:
-            # C†PC = (-1)^{q.pz} i^e X^{inv_t px} Z^{theta pz}: it is in the
-            # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
-            e_member = gs.group.member_phase(inv_t.mul_vec(gs.px) | theta.mul_vec(gs.pz) << n)
-            if e_member is None:
-                if gs.label != Fraction(1, 2):
-                    return None
-                continue  # expectation is 1/2 for every q
-            if gs.label == Fraction(1, 2):
+    for gs in generic:
+        # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in the
+        # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
+        key = (_reduce(table, gs.px, n) >> n) | (theta.mul_vec(gs.pz) << n)
+        e_member = gs.group.member_phase(key)
+        if e_member is None:
+            if not gs.half:
                 return None
-            add(gs.pz, ((e_member - gs.e) % 4) // 2 ^ (1 if gs.label == 0 else 0))
+            continue  # expectation is 1/2 for every q
+        if gs.half:
+            return None
+        add(gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip)
     return BitMatrix(qrows, n).solve_affine(qrhs)
+
+
+def _with_row(table, v, r, n):
+    """Copy of the DFS row table with row r = v added, payload 1 << (n + r)."""
+    table = dict(table)
+    _insert(table, v | 1 << (n + r), n)
+    return table
 
 
 def _dfs_first(n, groups, generic, row0_candidates):
     """First consistent (theta, q) in row-lex order, restricted to the
     given row_0 candidates.  Returns (circuit or None, leaves examined)."""
     small = [g for g in groups if g.pts is not None]
+    full = (1 << n) - 1
     examined = 0
 
     def rec(rows, table, knowns):
@@ -199,14 +218,14 @@ def _dfs_first(n, groups, generic, row0_candidates):
         if r == n:
             examined += 1
             theta = BitMatrix(list(rows), n)
-            q_space = _leaf_q_space(n, theta, groups, generic)
+            q_space = _leaf_q_space(n, theta, table, groups, generic)
             if q_space is None:
                 return None
             return CnotCircuit(theta, q_space.offset)
         candidates = row0_candidates if r == 0 else range(1, 1 << n)
         mask = (1 << (r + 1)) - 1
         for v in candidates:
-            if _reduce(table, v) == 0:
+            if _reduce(table, v, n) & full == 0:
                 continue
             new_knowns = []
             ok = True
@@ -218,9 +237,7 @@ def _dfs_first(n, groups, generic, row0_candidates):
                 new_knowns.append(k)
             if not ok:
                 continue
-            t2 = dict(table)
-            _insert(t2, v)
-            hit = rec(rows + [v], t2, new_knowns)
+            hit = rec(rows + [v], _with_row(table, v, r, n), new_knowns)
             if hit is not None:
                 return hit
         return None
@@ -250,11 +267,15 @@ def brute_force_search(sample_set: SampleSet, workers: int = 1) -> SearchResult:
     workers > 1 the row_0 values are split over at most one process per
     CPU and per value; the circuit is identical, but circuits_examined
     (leaves that reached a full theta) can differ from the sequential count.
+    Where the fork start method is unavailable the search runs
+    sequentially whatever workers asks for.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1, got %d" % workers)
     n = sample_set.n
     workers = _pool_size(workers, n, os.cpu_count() or 1)
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        workers = 1  # no fork start method: the sequential DFS finds the same witness
     if n > 5:
         raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
     start = time.perf_counter()
@@ -290,7 +311,10 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
 
     Kept deliberately independent of the pruned search: every candidate
     goes through the tableau evaluation path, so this is the reference
-    the fast search is checked against.
+    the fast search is checked against.  Each theta's images are built
+    once (cnot_tableaus) and checked for the CNOT class shape once; the
+    2^n tableaus that differ only in q are then scored by check_consistent.
+    Only hits become circuits, each with its own copy of theta.
     """
     n = sample_set.n
     if n > 4:
@@ -301,10 +325,11 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
         r = len(rows)
         if r == n:
             theta = BitMatrix(list(rows), n)
+            tableau_at = cnot_tableaus(theta)
+            _check_cnot_shape(tableau_at(0))
             for q in range(1 << n):
-                c = CnotCircuit(theta.copy(), q)
-                if check_consistent(c, sample_set):
-                    out.append(c)
+                if check_consistent(tableau_at(q), sample_set):
+                    out.append(CnotCircuit(theta.copy(), q))
             return
         for v in range(1, 1 << n):
             if _reduce(table, v) == 0:

@@ -162,16 +162,21 @@ class StabilizerState:
         return hash(self.group)
 
 
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+
 def measurement_expectation(state: StabilizerState, p: PauliOperator) -> Fraction:
     """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
     if p.is_identity():
         raise ValueError("identity is not a useful measurement")
     m = state.group.group_contains(p)
     if m is Membership.PLUS:
-        return Fraction(1)
+        return _ONE
     if m is Membership.MINUS:
-        return Fraction(0)
-    return Fraction(1, 2)
+        return _ZERO
+    return _HALF
 
 
 def dense_expectation_oracle(state: StabilizerState, p: PauliOperator) -> float:

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from cnotpac.cnot import CnotCircuit, synthesize_cnot_from_theta
+from cnotpac.cnot import CnotCircuit, cnot_tableaus, synthesize_cnot_from_theta
 from cnotpac.gf2 import BitMatrix, SingularMatrixError, dot
 from cnotpac.pauli import z_power
-from cnotpac.tableau import Gate, is_symplectic
+from cnotpac.search import _check_cnot_shape
+from cnotpac.tableau import CliffordTableau, Gate, is_symplectic
 
 from helpers import basis_index, circuit_unitary, random_gates
 
@@ -100,6 +101,22 @@ def test_tableau_blocks_of_a_cnot_circuit():
             assert z_img.x == 0
             assert z_img.x == 0 and z_img.z == c.theta.mul_vec(1 << j)
             assert z_img.sign_bit == (c.q >> j) & 1
+
+
+def test_one_tableau_helper_call_serves_every_q_of_gl3():
+    count = 0
+    for theta in all_gl(3):
+        tableau_at = cnot_tableaus(theta)
+        for q in range(8):
+            t = tableau_at(q)
+            assert t == CnotCircuit(theta.copy(), q).to_tableau()
+            replay = CliffordTableau.identity(3)
+            for g in synthesize_cnot_from_theta(theta, q):
+                replay.apply_gate(g)
+            assert t == replay
+            _check_cnot_shape(t)
+            count += 1
+    assert count == 168 * 8
 
 
 def test_synthesis_round_trips_all_gl2_with_phases():

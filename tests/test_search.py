@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import Constant, eval_formula, formula_to_graph
-from cnotpac.gf2 import BitMatrix, complete_to_basis, dot
+from cnotpac.gf2 import BitMatrix, _reduce, complete_to_basis, dot
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import (
     NonSingularityInstance,
@@ -20,6 +22,7 @@ from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
     _pool_size,
+    _with_row,
     affine_family_search,
     brute_force_decision,
     brute_force_search,
@@ -155,6 +158,60 @@ def test_pool_size_is_bounded_by_cpus_and_row0_values():
         brute_force_search(SampleSet(2), workers=0)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         brute_force_search(SampleSet(2), workers=-3)
+
+
+def test_no_fork_falls_back_to_the_sequential_search(monkeypatch):
+    rng = random.Random(78)
+    samples, _ = random_consistent_set(rng, 3, 8)
+    seq = brute_force_search(samples)
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_context)
+    par = brute_force_search(samples, workers=2)
+    assert (par.found, par.circuit) == (seq.found, seq.circuit)
+    assert par.circuits_examined == seq.circuits_examined
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 1 << 32))
+def test_row_table_payload_is_the_inverse_transpose(n, seed):
+    rng = random.Random(seed)
+    while True:
+        theta = BitMatrix([rng.randrange(1, 1 << n) for _ in range(n)], n)
+        if theta.is_invertible():
+            break
+    full = (1 << n) - 1
+    table = {}
+    for r, v in enumerate(theta.rows):
+        # the prune: v reduces to a zero matrix part iff it is in the span so far
+        for w in range(1 << n):
+            in_span = BitMatrix(theta.rows[:r] + [w], n).rank() == r
+            assert (_reduce(table, w, n) & full == 0) == in_span
+        table = _with_row(table, v, r, n)
+    inv_t = theta.inverse().transpose()
+    for px in range(1 << n):
+        reduced = _reduce(table, px, n)
+        assert reduced & full == 0
+        assert reduced >> n == inv_t.mul_vec(px)
+
+
+def test_enumerate_hits_match_a_per_circuit_scan_and_share_no_theta():
+    rng = random.Random(79)
+    samples, hidden = random_consistent_set(rng, 3, 2)
+    hits = enumerate_consistent_circuits(samples)
+    assert len(hits) > 2 and hidden in hits
+    assert hits == [c for c in all_cnot_circuits(3) if check_consistent(c, samples)]
+    before = [(list(h.theta.rows), h.q) for h in hits]
+    hits[0].append(Gate("cnot", control=0, target=1))
+    hits[-1].append(Gate("cnot", control=2, target=0))
+    for h, (rows, q) in list(zip(hits, before))[1:-1]:
+        assert h.theta.rows == rows and h.q == q
+    assert hits[0].theta.rows != before[0][0]
+    assert hits[-1].theta.rows != before[-1][0]
 
 
 def test_pin_search_lands_in_claimed_set():
