@@ -6,8 +6,9 @@ error (unreadable input, schema violation, size limit, bad parameters).
 The last stdout line of every run is a one-line JSON run report with the
 command name, a sha256 digest of the primary input, the seed (null for
 solve and verify), the outcome, counters, wall time, and the tool
-version.  Output files are written canonically, so identical inputs and
-seed give identical bytes.
+version.  Output files are compact canonical JSON (sorted keys, no
+whitespace, trailing newline), so identical inputs and seed give
+identical bytes; input files may use any JSON layout.
 """
 
 import argparse

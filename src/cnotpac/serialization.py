@@ -6,11 +6,14 @@ Conventions shared by every schema:
   (so qubit 0 / matrix column 0 comes first in the string).
 * Labels serialize as the strings "0", "1/2", "1"; floats would not
   round-trip one half exactly.
-* Serialization is canonical: sorted keys, two-space indent, trailing
-  newline.  Equal objects produce byte-identical files.
+* Serialization is canonical: sorted keys, compact separators (no
+  whitespace), trailing newline.  Equal objects produce byte-identical
+  files.  The loaders take any JSON layout, so files written indented
+  still load.
 
-Schema violations raise ValueError with a message naming the offending
-field; DIMACS problems raise DimacsError carrying the line number.
+Schema violations, wrong-typed values included (JSON true is not an
+integer), raise ValueError with a message naming the offending field;
+DIMACS problems raise DimacsError carrying the line number.
 """
 
 import json
@@ -38,26 +41,38 @@ _LABELS = {Fraction(0): "0", Fraction(1, 2): "1/2", Fraction(1): "1"}
 _LABELS_BACK = {text: value for value, text in _LABELS.items()}
 
 
+# A gate list, unlike a bit string, does not grow with n, yet building
+# its circuit costs O(n^3 / 64) (about 3 s at n = 4096); the reduction's
+# circuits stay far below this.
+_MAX_CIRCUIT_QUBITS = 1024
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def bits_to_string(v: int, n: int) -> str:
     if v < 0 or v >> n:
         raise ValueError("value does not fit in %d bits" % n)
-    return "".join("1" if (v >> k) & 1 else "0" for k in range(n))
+    # the sentinel bit n keeps leading zeros and gives "" for n = 0
+    return format(v | 1 << n, "b")[:0:-1]
 
 
 def string_to_bits(s: str, n: Optional[int] = None) -> int:
-    if not isinstance(s, str) or any(ch not in "01" for ch in s) or not s:
+    # int() alone would also take "+1", " 1", "1_0" and non-ASCII digits
+    if not isinstance(s, str) or not s or s.strip("01"):
         raise ValueError("expected a nonempty string of 0s and 1s, got %r" % (s,))
     if n is not None and len(s) != n:
         raise ValueError("expected %d bits, got %d" % (n, len(s)))
-    v = 0
-    for k, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << k
-    return v
+    return int(s[::-1], 2)
+
+
+def _positive_int(obj: dict, field: str, what: str) -> int:
+    """obj[field] as a positive int; JSON true is not an integer."""
+    value = obj.get(field)
+    if type(value) is not int or value < 1:
+        raise ValueError("%s field %r must be a positive integer" % (what, field))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +91,9 @@ def pauli_to_json(p: PauliOperator) -> dict:
 def pauli_from_json(obj) -> PauliOperator:
     if not isinstance(obj, dict):
         raise ValueError("Pauli must be an object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("Pauli field 'n' must be a positive integer")
+    n = _positive_int(obj, "n", "Pauli")
     sign = obj.get("sign")
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError("Pauli field 'sign' must be 1 or -1")
     x = string_to_bits(obj.get("x"), n)
     z = string_to_bits(obj.get("z"), n)
@@ -104,7 +117,7 @@ def sample_from_json(obj) -> Sample:
     state = StabilizerState(StabilizerGroup([pauli_from_json(g) for g in gens]))
     measurement = pauli_from_json(obj.get("measurement"))
     label = obj.get("label")
-    if label not in _LABELS_BACK:
+    if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
     return Sample(state, measurement, _LABELS_BACK[label])
 
@@ -116,9 +129,7 @@ def sample_set_to_json(ss: SampleSet) -> dict:
 def sample_set_from_json(obj) -> SampleSet:
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("sample set field 'n' must be a positive integer")
+    n = _positive_int(obj, "n", "sample set")
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
@@ -139,6 +150,12 @@ def gate_from_json(obj, n: int) -> Gate:
     if not isinstance(obj, dict) or "name" not in obj:
         raise ValueError("gate must be an object with a 'name'")
     name = obj["name"]
+    if not isinstance(name, str):
+        raise ValueError("gate field 'name' must be a string")
+    fields = ("control", "target") if name == "cnot" else ("qubit",)
+    for field in fields:
+        if field in obj and type(obj[field]) is not int:
+            raise ValueError("gate field %r must be an integer" % field)
     if name == "cnot":
         gate = Gate("cnot", control=obj.get("control"), target=obj.get("target"))
     else:
@@ -199,9 +216,9 @@ def circuit_from_json(obj) -> Union[CnotCircuit, CliffordTableau]:
     """
     if not isinstance(obj, dict):
         raise ValueError("circuit must be an object")
-    n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("circuit field 'n' must be a positive integer")
+    n = _positive_int(obj, "n", "circuit")
+    if n > _MAX_CIRCUIT_QUBITS:
+        raise ValueError("circuit field 'n' exceeds %d qubits" % _MAX_CIRCUIT_QUBITS)
     gates = obj.get("gates")
     block = obj.get("tableau")
     if gates is None and block is None:
@@ -252,9 +269,7 @@ def instance_to_json(inst: NonSingularityInstance) -> dict:
 def instance_from_json(obj) -> NonSingularityInstance:
     if not isinstance(obj, dict):
         raise ValueError("instance must be an object")
-    size = obj.get("size")
-    if not isinstance(size, int) or size < 1:
-        raise ValueError("instance field 'size' must be a positive integer")
+    size = _positive_int(obj, "size", "instance")
     m0 = matrix_from_json(obj.get("m0"), size)
     ms = obj.get("ms")
     if not isinstance(ms, list):

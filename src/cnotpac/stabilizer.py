@@ -11,12 +11,13 @@ entirely (Absent).  The expectation of a two-outcome measurement
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .gf2 import _insert, _reduce, _rref, dot
+from .gf2 import _insert, _reduce, _rref
 from .pauli import PauliOperator, _fold, z_power
 
 
@@ -24,6 +25,30 @@ class Membership(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
     ABSENT = "absent"
+
+
+@functools.lru_cache(maxsize=1024)
+def _echelon_table(n: int, keys: tuple) -> dict:
+    """Validated echelon table of n generator keys (x | z << n).
+
+    Commutation and independence depend on the keys alone, not on the
+    signs, so groups that differ only in signs share one table.  The
+    table is cached and shared: callers must only read it.  A failed
+    validation raises, and lru_cache caches no exception, so a bad key
+    tuple raises on every call.
+    """
+    mask = (1 << n) - 1
+    # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
+    swapped = [k >> n | (k & mask) << n for k in keys]
+    for i, key in enumerate(keys):
+        for j in range(i + 1, n):
+            if (key & swapped[j]).bit_count() & 1:
+                raise ValueError("generators %d and %d anticommute" % (i, j))
+    table: dict = {}
+    for i, key in enumerate(keys):
+        if not _insert(table, key | (1 << (2 * n + i)), 2 * n):
+            raise ValueError("generators are dependent")
+    return table
 
 
 class StabilizerGroup:
@@ -34,6 +59,8 @@ class StabilizerGroup:
     the product of as payload.  Phases are recovered from the payload by
     folding the selected generators in raw form (pauli._fold), so neither
     the echelon table nor a membership query multiplies Pauli objects.
+    The table is validated once per tuple of generator keys and shared,
+    read-only, by every group with those keys (_echelon_table).
     """
 
     __slots__ = ("n", "generators", "_table")
@@ -50,20 +77,9 @@ class StabilizerGroup:
                 raise ValueError("generator qubit count mismatch")
             if g.is_identity():
                 raise ValueError("identity cannot be a generator")
-        # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
-        swapped = [g.z | g.x << n for g in generators]
-        for i, g in enumerate(generators):
-            key = g.key()
-            for j in range(i + 1, n):
-                if dot(key, swapped[j]):
-                    raise ValueError("generators %d and %d anticommute" % (i, j))
-        table: dict = {}
-        for i, g in enumerate(generators):
-            if not _insert(table, g.key() | (1 << (2 * n + i)), 2 * n):
-                raise ValueError("generators are dependent")
+        self._table = _echelon_table(n, tuple(g.key() for g in generators))
         self.n = n
         self.generators = generators
-        self._table = table
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""

@@ -1,6 +1,5 @@
 """Dense numpy oracles shared by the test modules."""
 
-import itertools
 import math
 import random
 
@@ -73,11 +72,23 @@ def random_stabilizer_state(rng, n):
 
 
 def invertible_matrices(n):
-    """All of GL(n, F_2), as BitMatrix values (use only for n <= 4)."""
-    for rows in itertools.product(range(1 << n), repeat=n):
-        m = BitMatrix(list(rows), n)
-        if m.is_invertible():
-            yield m
+    """All of GL(n, F_2), as BitMatrix values (use only for n <= 4).
+
+    Rows are chosen one at a time, skipping any row in the span of the
+    rows before it; the span is a plain set, so this oracle uses nothing
+    from gf2.  Matrices come in the lexicographic order of their row
+    tuples, as itertools.product(range(1 << n), repeat=n) would list them.
+    """
+
+    def extend(rows, span):
+        if len(rows) == n:
+            yield BitMatrix(rows, n)
+            return
+        for r in range(1 << n):
+            if r not in span:
+                yield from extend(rows + [r], span | {v ^ r for v in span})
+
+    yield from extend([], {0})
 
 
 def all_cnot_circuits(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -10,9 +11,12 @@ from cnotpac.pauli import z_power
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     circuit_from_json,
+    circuit_to_json,
     dumps,
+    instance_from_json,
     pauli_to_json,
     sample_set_to_json,
+    string_to_bits,
 )
 from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import is_symplectic
@@ -349,3 +353,64 @@ def test_complexity_frozen_and_monotone(capsys):
     assert code == 2
     code, _, err = run(capsys, "complexity", "--epsilon", "0.1", "--delta", "0.1")
     assert code == 2 and "--depth" in err
+
+
+def test_malformed_fields_exit_2_not_1(unit_reduction, tmp_path, capsys):
+    # exit 1 means "no witness"; a wrong-typed field is an input error
+    payload = json.loads(unit_reduction.read_text())
+    payload["samples"]["samples"][0]["label"] = ["1"]
+    bad_samples = tmp_path / "bad_label.json"
+    bad_samples.write_text(dumps(payload))
+    code, _, err = run(capsys, "solve", str(bad_samples))
+    assert code == 2 and err.startswith("error:") and "label" in err
+    bad_gate = tmp_path / "bad_gate.json"
+    for gate in ({"name": "h", "qubit": "0"}, {"name": "cnot", "control": [0], "target": 1}):
+        bad_gate.write_text(dumps({"n": 3, "gates": [gate]}))
+        code, _, err = run(capsys, "verify", str(bad_gate), str(unit_reduction))
+        assert code == 2 and err.startswith("error:") and "gate field" in err
+
+
+# sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the
+# earlier two-space-indent layout, json.dumps(obj, sort_keys=True, indent=2)
+GOLDEN_INDENTED_SHA256 = "956824f524fb98c00fb77f85dcb58cc5917f46ebbf69f1490cdb0dc3627e692c"
+
+
+def test_compact_output_matches_the_indented_layout(tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    run(capsys, "reduce", "--formula", GOLDEN_FORMULA, "--seed", "7", "--out", str(out))
+    text = out.read_text()
+    payload = json.loads(text)
+    assert text == dumps(payload) and "\n" not in text[:-1]
+    indented = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == GOLDEN_INDENTED_SHA256
+    # files in the indented layout still load: solve and verify take them
+    old = tmp_path / "golden_indented.json"
+    old.write_text(indented)
+    witness = tmp_path / "assignment.json"
+    code, stdout, _ = run(
+        capsys, "solve", str(old), "--strategy", "affine", "--out", str(witness)
+    )
+    assert code == 0 and last_report(stdout)["outcome"] == "found"
+    inst = instance_from_json(payload["instance"])
+    a = string_to_bits(json.loads(witness.read_text())["assignment"], inst.num_vars)
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(
+        json.dumps(circuit_to_json(CnotCircuit(inst.matrix_at(a), 0)), indent=2)
+    )
+    code, stdout, _ = run(capsys, "verify", str(circuit), str(old))
+    assert code == 0 and last_report(stdout)["outcome"] == "consistent"
+
+
+def test_indented_sample_set_solves_like_the_compact_one(unit_reduction, tmp_path, capsys):
+    payload = json.loads(unit_reduction.read_text())
+    old = tmp_path / "unit_indented.json"
+    old.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    outs = []
+    for path in (unit_reduction, old):
+        witness = tmp_path / ("w%d.json" % len(outs))
+        code, stdout, _ = run(capsys, "solve", str(path), "--out", str(witness))
+        assert code == 0
+        outs.append((witness.read_bytes(), last_report(stdout)["counts"]))
+        code, _, _ = run(capsys, "verify", str(witness), str(path))
+        assert code == 0
+    assert outs[0] == outs[1]

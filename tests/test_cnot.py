@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from cnotpac.pauli import z_power
 from cnotpac.search import _check_cnot_shape
 from cnotpac.tableau import CliffordTableau, Gate, is_symplectic
 
-from helpers import basis_index, circuit_unitary, random_gates
+from helpers import basis_index, circuit_unitary, invertible_matrices, random_gates
 
 
 def random_cnot_gates(rng, n, count):
@@ -158,3 +159,17 @@ def test_gates_method_round_trip():
         n = rng.randrange(1, 5)
         c = CnotCircuit.from_gates(n, random_cnot_gates(rng, n, 10))
         assert CnotCircuit.from_gates(n, c.gates()) == c
+
+
+def test_gl_oracle_matches_the_product_and_rank_definition():
+    for n in (1, 2, 3):
+        old = [
+            list(rows)
+            for rows in itertools.product(range(1 << n), repeat=n)
+            if BitMatrix(list(rows), n).is_invertible()
+        ]
+        assert [m.rows for m in invertible_matrices(n)] == old
+    # |GL(4, 2)| = (16 - 1)(16 - 2)(16 - 4)(16 - 8)
+    gl4 = [m.rows for m in invertible_matrices(4)]
+    assert len(gl4) == 20160 == len(set(map(tuple, gl4)))
+    assert gl4 == sorted(gl4)

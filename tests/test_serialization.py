@@ -1,8 +1,10 @@
+import copy
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
@@ -16,6 +18,7 @@ from cnotpac.serialization import (
     circuit_from_json,
     circuit_to_json,
     dumps,
+    gate_from_json,
     instance_from_json,
     instance_to_json,
     parse_dimacs,
@@ -54,6 +57,27 @@ def test_bitstring_convention():
         string_to_bits("011", 4)
     with pytest.raises(ValueError):
         string_to_bits("")
+
+
+def test_bit_codec_round_trips_and_rejects_what_int_would_take():
+    rng = random.Random(118)
+    assert bits_to_string(0, 0) == ""
+    for n in range(1, 65):
+        for v in (0, 1, 1 << (n - 1), (1 << n) - 1, rng.randrange(1 << n)):
+            text = bits_to_string(v, n)
+            assert len(text) == n and set(text) <= {"0", "1"}
+            assert text == "".join(str((v >> k) & 1) for k in range(n))
+            assert string_to_bits(text, n) == v and string_to_bits(text) == v
+    # int(..., 2) would take the signs, blanks, underscore and non-ASCII digit
+    for text in ("", "+1", "-1", " 1", "1 ", "1_0", "\u0661", "0b1", None, 1, ["1"]):
+        with pytest.raises(ValueError, match="nonempty string of 0s and 1s"):
+            string_to_bits(text)
+    for text, n in (("01", 3), ("0110", 3), ("1", 2)):
+        with pytest.raises(ValueError, match="expected %d bits, got %d" % (n, len(text))):
+            string_to_bits(text, n)
+    for v, n in ((-1, 3), (8, 3), (1, 0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            bits_to_string(v, n)
 
 
 def test_pauli_round_trip():
@@ -249,3 +273,150 @@ def test_tableau_block_shape():
     block = tableau_block(t)
     assert len(block["s"]) == 4 and all(len(r) == 4 for r in block["s"])
     assert block["phases"] == "0000"
+
+
+def test_dumps_is_compact_and_canonical():
+    samples, inst = reduce_sat_to_samples([[1, -2]], random.Random(119))
+    payload = {"samples": sample_set_to_json(samples), "instance": instance_to_json(inst)}
+    text = dumps(payload)
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    assert ": " not in text and ", " not in text
+    assert json.loads(text) == payload
+    # key order does not matter: equal objects give equal bytes
+    assert dumps(dict(reversed(list(payload.items())))) == text
+
+
+def _pauli(**changes):
+    obj = pauli_to_json(z_power(2, 1))
+    obj.update(changes)
+    return obj
+
+
+def _sample(**changes):
+    state = StabilizerState.computational_basis(2, 1)
+    obj = sample_to_json(Sample(state, z_power(2, 1), Fraction(0)))
+    obj.update(changes)
+    return obj
+
+
+def _gate_on_3(obj):
+    return gate_from_json(obj, 3)
+
+
+@pytest.mark.parametrize(
+    "loader, obj, field",
+    [
+        (pauli_from_json, _pauli(n=True), "'n'"),
+        (pauli_from_json, _pauli(n=2.0), "'n'"),
+        (pauli_from_json, _pauli(sign=True), "'sign'"),
+        (pauli_from_json, _pauli(sign=-1.0), "'sign'"),
+        (sample_from_json, _sample(label=["1"]), "label"),
+        (sample_from_json, _sample(label={"1": 1}), "label"),
+        (sample_from_json, _sample(label=1), "label"),
+        (sample_set_from_json, {"n": True, "samples": []}, "'n'"),
+        (_gate_on_3, {"name": "h", "qubit": "0"}, "'qubit'"),
+        (_gate_on_3, {"name": "x", "qubit": True}, "'qubit'"),
+        (_gate_on_3, {"name": "cnot", "control": [0], "target": 1}, "'control'"),
+        (_gate_on_3, {"name": "cnot", "control": 0, "target": False}, "'target'"),
+        (_gate_on_3, {"name": ["h"], "qubit": 0}, "'name'"),
+        (circuit_from_json, {"n": True, "gates": []}, "'n'"),
+        (circuit_from_json, {"n": 2, "gates": [{"name": "h", "qubit": "0"}]}, "'qubit'"),
+        (circuit_from_json, {"n": 10 ** 18, "gates": []}, "'n'"),
+        (instance_from_json, {"size": True, "m0": ["1"], "ms": []}, "'size'"),
+    ],
+)
+def test_loaders_reject_wrong_typed_fields(loader, obj, field):
+    with pytest.raises(ValueError, match=field):
+        loader(obj)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON loaders: every failure must be a ValueError
+
+_FIELDS = sorted(
+    {"n", "sign", "x", "z", "state", "measurement", "label", "samples", "name",
+     "qubit", "control", "target", "gates", "tableau", "s", "phases", "size",
+     "m0", "ms"}
+)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.sampled_from(["0", "1", "01", "1/2", "h", "x", "cnot"]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), kids, max_size=5),
+    max_leaves=16,
+)
+
+_LOADERS = [
+    pauli_from_json,
+    sample_from_json,
+    sample_set_from_json,
+    _gate_on_3,
+    circuit_from_json,
+    instance_from_json,
+]
+
+
+def _load_or_value_error(loader, obj):
+    try:
+        loader(obj)
+    except ValueError:
+        pass
+
+
+def _valid_documents():
+    rng = random.Random(123)
+    samples, inst = reduce_sat_to_samples([[1]], rng)
+    gates = [Gate("h", qubit=0), Gate("cnot", control=0, target=1), Gate("p", qubit=1)]
+    replayed = CliffordTableau.identity(2)
+    for g in gates:
+        replayed.apply_gate(g)
+    small, _ = random_consistent_set(rng, 2, 3)
+    return [
+        (sample_set_from_json, sample_set_to_json(small)),
+        (sample_set_from_json, sample_set_to_json(SampleSet(3, samples.samples[:3]))),
+        (circuit_from_json, circuit_to_json(random_cnot_circuit(rng, 3))),
+        (circuit_from_json, circuit_to_json(replayed, gates=gates)),
+        (instance_from_json, instance_to_json(inst)),
+    ]
+
+
+_VALID = _valid_documents()
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_loaders_raise_only_value_error_on_arbitrary_json(obj):
+    for loader in _LOADERS:
+        _load_or_value_error(loader, obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(_VALID))), st.data())
+def test_loaders_raise_only_value_error_on_mutated_documents(which, data):
+    loader, doc = _VALID[which]
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        if data.draw(st.booleans()):
+            node[key] = data.draw(json_trees)
+        elif isinstance(node, dict):
+            del node[key]
+        else:
+            node.pop(key)
+    _load_or_value_error(loader, doc)

@@ -9,6 +9,7 @@ from cnotpac.stabilizer import (
     Membership,
     StabilizerGroup,
     StabilizerState,
+    _echelon_table,
     dense_expectation_oracle,
     measurement_expectation,
 )
@@ -203,3 +204,49 @@ def test_rebased_generators_give_the_same_group(group, data):
     flipped = StabilizerGroup(rebased[:k] + [-rebased[k]] + rebased[k + 1:])
     assert flipped.canonical_signature() != group.canonical_signature()
     assert flipped != group
+
+
+def test_failed_validation_raises_on_every_attempt():
+    # the echelon table is cached per key tuple; a failure is not cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="generators 0 and 1 anticommute"):
+            StabilizerGroup([x_power(2, 0b01), z_power(2, 0b01)])
+        with pytest.raises(ValueError, match="dependent"):
+            StabilizerGroup([z_power(2, 0b11), z_power(2, 0b11, sign=-1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(stabilizer_groups(), st.data())
+def test_sign_variants_share_one_table_and_stay_distinct(group, data):
+    n = group.n
+    signs = data.draw(st.integers(1, (1 << n) - 1))
+    flipped = StabilizerGroup(
+        [-g if (signs >> i) & 1 else g for i, g in enumerate(group.generators)]
+    )
+    assert flipped._table is group._table
+    snapshot = dict(group._table)
+    assert flipped.canonical_signature() != group.canonical_signature()
+    assert group != flipped
+    for g in (group, flipped):
+        list(g.members())
+        g.element(signs)
+        hash(g)
+    probes = [
+        PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
+        for xz in range(1, 1 << (2 * n))
+        for sign in (1, -1)
+    ]
+    for g in (group, flipped):
+        for p in probes:
+            g.group_contains(p)
+    # no group method writes to the shared table
+    assert group._table == snapshot
+    # groups built on a cold cache answer every query the same way
+    _echelon_table.cache_clear()
+    for g in (group, flipped):
+        fresh = StabilizerGroup(g.generators)
+        assert fresh._table is not g._table
+        assert fresh.canonical_signature() == g.canonical_signature()
+        for p in probes:
+            assert fresh.member_phase(p.key()) == g.member_phase(p.key())
+            assert fresh.group_contains(p) is g.group_contains(p)
