@@ -22,7 +22,6 @@ from .stabilizer import (
     Membership,
     StabilizerGroup,
     StabilizerState,
-    dense_expectation_oracle,
     measurement_expectation,
 )
 from .tableau import (
@@ -30,7 +29,6 @@ from .tableau import (
     Gate,
     apply_circuit_to_state,
     compose_tableaus,
-    conjugate_pauli,
     evaluate_sample,
     is_symplectic,
     lambda_matrix,

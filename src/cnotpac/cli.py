@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
     counts["samples"] = len(samples.samples)
     try:
         if args.strategy == "brute":
-            result = brute_force_search(samples, workers=args.workers)
+            result = brute_force_search(samples)
             counts["circuits_examined"] = result.circuits_examined
         else:
             result = search_from_decision(brute_force_decision, samples)
@@ -258,12 +258,12 @@ def _learn_pac(args, rng):
         if (
             not isinstance(weights, list)
             or len(weights) != len(pool)
-            or any(not isinstance(w, (int, float)) or w < 0 for w in weights)
+            or any(type(w) not in (int, float) or w < 0 for w in weights)
             or not any(weights)
         ):
             raise CliError("weights must be nonnegative numbers matching the samples")
     s = obj.get("s", len(pool))
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise CliError("support bound 's' must be a positive integer")
 
     def draw(r):
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument(
         "--strategy", choices=("brute", "affine", "decision"), default="brute"
     )
-    solve_p.add_argument("--workers", type=int, default=1)
     solve_p.add_argument("--out", help="write the witness JSON here")
     solve_p.set_defaults(func=cmd_solve)
 

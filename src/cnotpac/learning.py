@@ -25,6 +25,11 @@ from .stabilizer import StabilizerState
 from .tableau import CliffordTableau, Gate
 
 
+# draw_constant and s come from user input; 10^6 draws take about 4 s on an
+# 11-sample pool, and far more is a runaway rather than a learning run
+_MAX_DRAWS = 10**6
+
+
 class EmptyIntersectionError(ValueError):
     """No hypothesis satisfies every constraint in the batch."""
 
@@ -109,9 +114,14 @@ def sample_complexity(p: LearningParameters) -> int:
     guarantee.
     """
     a = p.depth * p.d**4 * p.size**2
-    inner = a * math.log(p.size) / ((p.beta - p.alpha) * p.epsilon)
-    m = a * math.log(p.depth) * math.log(inner) ** 2 + math.log(1.0 / p.delta)
-    return math.ceil(m / p.epsilon)
+    try:
+        inner = a * math.log(p.size) / ((p.beta - p.alpha) * p.epsilon)
+        m = a * math.log(p.depth) * math.log(inner) ** 2 + math.log(1.0 / p.delta)
+        return math.ceil(m / p.epsilon)
+    except OverflowError:
+        raise ValueError(
+            "sample-size bound overflows a float: depth, d or size is too large"
+        ) from None
 
 
 @dataclass
@@ -143,15 +153,25 @@ def pac_learner(
 
     draw(rng) must yield one labeled sample from the hidden distribution;
     s bounds the support size.  Draws ceil(draw_constant * s * ln s)
-    samples (at least one), deduplicates them preserving draw order, and
-    runs the consistency search on the observed set.  When full_set is
-    given, the decision protocol's acceptance bit is also computed:
-    accept iff a hypothesis was found and it is consistent with the full
-    hidden set.
+    samples (at least one; more than _MAX_DRAWS is an error),
+    deduplicates them preserving draw order, and runs the consistency
+    search on the observed set.  When full_set is given, the decision
+    protocol's acceptance bit is also computed: accept iff a hypothesis
+    was found and it is consistent with the full hidden set.
     """
     if s < 1:
         raise ValueError("support bound s must be positive")
-    count = max(1, math.ceil(draw_constant * s * math.log(s)))
+    if not (math.isfinite(draw_constant) and draw_constant > 0):
+        raise ValueError("draw_constant must be finite and positive, got %r" % draw_constant)
+    try:
+        expected = draw_constant * s * math.log(s)
+    except OverflowError:
+        expected = math.inf
+    if expected > _MAX_DRAWS:
+        raise ValueError(
+            "draw_constant * s * ln s exceeds the limit of %d draws" % _MAX_DRAWS
+        )
+    count = max(1, math.ceil(expected))
     seen = set()
     observed: List[Sample] = []
     n = None
@@ -194,7 +214,7 @@ class SingleMeasurementBatch:
         for state, label in samples:
             if state.group.n != self.n:
                 raise ValueError("state dimension mismatch")
-            if label not in (0, 1):
+            if isinstance(label, bool) or label not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
         self.measurement = measurement
         self.samples = list(samples)

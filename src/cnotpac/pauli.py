@@ -13,16 +13,7 @@ the fold.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gf2 import dot
-
-_SINGLE_DENSE = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
 
 
 def _raw_mul(a: tuple, b: tuple) -> tuple:
@@ -109,13 +100,6 @@ class PauliOperator:
     def key(self) -> int:
         """Unsigned symplectic key x | z << n, used for span bookkeeping."""
         return self.x | (self.z << self.n)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; qubit 0 is the most significant index bit."""
-        acc = np.array([[1]], dtype=complex)
-        for i in range(self.n):
-            acc = np.kron(acc, _SINGLE_DENSE[((self.x >> i) & 1, (self.z >> i) & 1)])
-        return self.sign * acc
 
     def __eq__(self, other) -> bool:
         return (

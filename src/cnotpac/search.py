@@ -16,8 +16,6 @@ provides the naive scan for cross-checking at small n).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,9 +203,9 @@ def _with_row(table, v, r, n):
     return table
 
 
-def _dfs_first(n, groups, generic, row0_candidates):
-    """First consistent (theta, q) in row-lex order, restricted to the
-    given row_0 candidates.  Returns (circuit or None, leaves examined)."""
+def _dfs_first(n, groups, generic):
+    """First consistent (theta, q) in row-lex order, as (circuit or None,
+    leaves examined)."""
     small = [g for g in groups if g.pts is not None]
     full = (1 << n) - 1
     examined = 0
@@ -222,9 +220,8 @@ def _dfs_first(n, groups, generic, row0_candidates):
             if q_space is None:
                 return None
             return CnotCircuit(theta, q_space.offset)
-        candidates = row0_candidates if r == 0 else range(1, 1 << n)
         mask = (1 << (r + 1)) - 1
-        for v in candidates:
+        for v in range(1, 1 << n):
             if _reduce(table, v, n) & full == 0:
                 continue
             new_knowns = []
@@ -246,36 +243,14 @@ def _dfs_first(n, groups, generic, row0_candidates):
     return circuit, examined
 
 
-def _search_worker(args):
-    n, groups, generic, row0_list = args
-    circuit, examined = _dfs_first(n, groups, generic, row0_list)
-    if circuit is None:
-        return None, None, examined
-    return circuit.theta.rows, circuit.q, examined
-
-
-def _pool_size(workers: int, n: int, cpus: int) -> int:
-    """Processes worth starting: no more than the CPUs or the 2^n - 1 row_0 values."""
-    return min(workers, cpus, (1 << n) - 1)
-
-
-def brute_force_search(sample_set: SampleSet, workers: int = 1) -> SearchResult:
+def brute_force_search(sample_set: SampleSet) -> SearchResult:
     """First consistent CNOT circuit in lexicographic (theta rows, q) order.
 
     The identity matrix is the lexicographically first invertible theta,
-    so an unconstrained search returns the identity circuit.  With
-    workers > 1 the row_0 values are split over at most one process per
-    CPU and per value; the circuit is identical, but circuits_examined
-    (leaves that reached a full theta) can differ from the sequential count.
-    Where the fork start method is unavailable the search runs
-    sequentially whatever workers asks for.
+    so an unconstrained search returns the identity circuit.
+    circuits_examined counts the leaves that reached a full theta.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1, got %d" % workers)
     n = sample_set.n
-    workers = _pool_size(workers, n, os.cpu_count() or 1)
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        workers = 1  # no fork start method: the sequential DFS finds the same witness
     if n > 5:
         raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
     start = time.perf_counter()
@@ -283,20 +258,7 @@ def brute_force_search(sample_set: SampleSet, workers: int = 1) -> SearchResult:
     if compiled is None:
         return SearchResult(False, None, 0, time.perf_counter() - start)
     groups, generic = compiled
-    if workers <= 1:
-        circuit, examined = _dfs_first(n, groups, generic, range(1, 1 << n))
-    else:
-        row0 = list(range(1, 1 << n))
-        chunks = [(n, groups, generic, row0[i::workers]) for i in range(workers)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_search_worker, chunks)
-        examined = sum(r[2] for r in results)
-        hits = [(rows, q) for rows, q, _ in results if rows is not None]
-        circuit = None
-        if hits:
-            rows, q = min(hits)
-            circuit = CnotCircuit(BitMatrix(rows, n), q)
+    circuit, examined = _dfs_first(n, groups, generic)
     elapsed = time.perf_counter() - start
     return SearchResult(circuit is not None, circuit, examined, elapsed)
 

@@ -281,13 +281,20 @@ def instance_from_json(obj) -> NonSingularityInstance:
 # DIMACS
 
 
+def _is_digits(token: str) -> bool:
+    """True iff token is one or more ASCII digits (int() also takes '+',
+    '_', surrounding spaces and non-ASCII digits)."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_dimacs(text: str) -> List[List[int]]:
     """Read a DIMACS CNF file with at most 3 literals per clause.
 
     Comment lines start with 'c'; the header is 'p cnf VARS CLAUSES';
     clauses are whitespace-separated literals terminated by 0 and may
-    span lines.  Variable indices must stay within the declared count
-    and the clause count must match the header.
+    span lines.  Counts are ASCII digits and literals ASCII digits with
+    an optional leading '-'.  Variable indices must stay within the
+    declared count and the clause count must match the header.
     """
     n_vars = n_clauses = None
     clauses: List[List[int]] = []
@@ -303,20 +310,16 @@ def parse_dimacs(text: str) -> List[List[int]]:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError("header must be 'p cnf VARS CLAUSES'", lineno)
-            try:
-                n_vars, n_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError("header counts must be integers", lineno)
-            if n_vars < 0 or n_clauses < 0:
-                raise DimacsError("header counts must be nonnegative", lineno)
+            if not all(_is_digits(t) for t in parts[2:]):
+                raise DimacsError("header counts must be unsigned integers", lineno)
+            n_vars, n_clauses = int(parts[2]), int(parts[3])
             continue
         if n_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
+            if not _is_digits(token[1:] if token.startswith("-") else token):
                 raise DimacsError("bad literal %r" % token, lineno)
+            lit = int(token)
             if lit == 0:
                 clauses.append(current)
                 current = []

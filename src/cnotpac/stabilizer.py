@@ -15,8 +15,6 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .gf2 import _insert, _reduce, _rref
 from .pauli import PauliOperator, _fold, z_power
 
@@ -162,15 +160,6 @@ class StabilizerState:
     def expectation(self, p: PauliOperator) -> Fraction:
         return measurement_expectation(self, p)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        if n > 10:
-            raise ValueError("dense form limited to 10 qubits")
-        acc = np.zeros((1 << n, 1 << n), dtype=complex)
-        for g in self.group.members():
-            acc += g.to_dense()
-        return acc / (1 << n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, StabilizerState) and self.group == other.group
 
@@ -193,11 +182,3 @@ def measurement_expectation(state: StabilizerState, p: PauliOperator) -> Fractio
     if m is Membership.MINUS:
         return _ZERO
     return _HALF
-
-
-def dense_expectation_oracle(state: StabilizerState, p: PauliOperator) -> float:
-    """Same trace computed with dense numpy matrices (n <= 10)."""
-    rho = state.to_dense()
-    eye = np.eye(rho.shape[0], dtype=complex)
-    val = np.trace((eye + p.to_dense()) @ rho / 2)
-    return float(val.real)

@@ -181,15 +181,6 @@ class CliffordTableau:
         return "CliffordTableau(n=%d, cols=%r)" % (self.n, self.cols)
 
 
-def conjugate_pauli(t: CliffordTableau, p: PauliOperator, direction: str) -> PauliOperator:
-    """Conjugate p through the circuit: 'inverse' gives C†PC, 'forward' CPC†."""
-    if direction == "inverse":
-        return t.conjugate_inverse(p)
-    if direction == "forward":
-        return t.inverse_tableau().conjugate_inverse(p)
-    raise ValueError("direction must be 'forward' or 'inverse'")
-
-
 def compose_tableaus(first: CliffordTableau, second: CliffordTableau) -> CliffordTableau:
     """Tableau of (second after first): images (SF)†G(SF) = F†(S†GS)F."""
     if first.n != second.n:

@@ -15,11 +15,45 @@ _P = np.array([[1, 0], [0, 1j]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SINGLE = {"h": _H, "p": _P, "x": _X, "z": _Z}
+# Pauli factors keyed by (x bit, z bit); a Y carries its own i
+_PAULI = {
+    (0, 0): np.eye(2, dtype=complex),
+    (1, 0): _X,
+    (0, 1): _Z,
+    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
+}
 
 
 def basis_index(t, n):
     """Dense index of |t>; qubit 0 is the most significant index bit."""
     return sum(((t >> i) & 1) << (n - 1 - i) for i in range(n))
+
+
+def pauli_dense(p):
+    """Dense 2^n x 2^n matrix of a PauliOperator; qubit 0 is the most
+    significant index bit."""
+    acc = np.array([[1]], dtype=complex)
+    for i in range(p.n):
+        acc = np.kron(acc, _PAULI[((p.x >> i) & 1, (p.z >> i) & 1)])
+    return p.sign * acc
+
+
+def state_dense(state):
+    """Density matrix 2^{-n} sum of the group elements (n <= 10)."""
+    n = state.n
+    if n > 10:
+        raise ValueError("dense form limited to 10 qubits")
+    acc = np.zeros((1 << n, 1 << n), dtype=complex)
+    for g in state.group.members():
+        acc += pauli_dense(g)
+    return acc / (1 << n)
+
+
+def dense_expectation(state, p):
+    """tr[(I + P)/2 rho] computed with dense matrices (n <= 10)."""
+    rho = state_dense(state)
+    eye = np.eye(rho.shape[0], dtype=complex)
+    return float(np.trace((eye + pauli_dense(p)) @ rho / 2).real)
 
 
 def gate_unitary(g, n):

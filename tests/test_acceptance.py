@@ -44,16 +44,13 @@ from cnotpac.search import (
     enumerate_consistent_circuits,
     search_from_decision,
 )
-from cnotpac.stabilizer import (
-    StabilizerState,
-    dense_expectation_oracle,
-    measurement_expectation,
-)
+from cnotpac.stabilizer import StabilizerState, measurement_expectation
 from cnotpac.tableau import CliffordTableau, is_symplectic
 
 from formula_corpus import CORPUS, golden_formula
 from helpers import (
     all_cnot_circuits,
+    dense_expectation,
     invertible_matrices,
     random_gates,
     random_stabilizer_state,
@@ -117,7 +114,7 @@ def test_03_expectation_trichotomy_matches_dense_oracle():
             for st in states:
                 e = measurement_expectation(st, p)
                 assert e in allowed
-                assert abs(float(e) - dense_expectation_oracle(st, p)) < 1e-9
+                assert abs(float(e) - dense_expectation(st, p)) < 1e-9
                 checked += 1
     assert checked == 126 * 50
     _done(3, t0, 30.0, "126 signed Paulis x 50 states agree with the dense trace")

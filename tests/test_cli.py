@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cnotpac
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.pauli import z_power
@@ -113,6 +117,33 @@ def unit_reduction(tmp_path, capsys):
     return out
 
 
+# numpy is a test dependency only; None in sys.modules makes any import of it raise
+_NO_NUMPY_PIPELINE = """
+import sys
+sys.modules["numpy"] = None
+src, tmp = sys.argv[1:]
+sys.path.insert(0, src)
+from cnotpac.cli import main
+codes = [
+    main(["reduce", "--cnf", tmp + "/unit.cnf", "--seed", "7", "--out", tmp + "/unit.json"]),
+    main(["solve", tmp + "/unit.json", "--strategy", "brute", "--out", tmp + "/witness.json"]),
+    main(["verify", tmp + "/witness.json", tmp + "/unit.json"]),
+]
+assert codes == [0, 0, 0], codes
+assert "multiprocessing" not in sys.modules
+"""
+
+
+def test_cli_pipeline_runs_without_numpy_or_multiprocessing(tmp_path):
+    (tmp_path / "unit.cnf").write_text(UNIT_CNF)
+    src = os.path.dirname(os.path.dirname(cnotpac.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PIPELINE, src, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_solve_brute_and_verify(unit_reduction, tmp_path, capsys):
     witness = tmp_path / "witness.json"
     code, stdout, _ = run(
@@ -159,26 +190,13 @@ def test_solve_enumeration_limit(tmp_path, capsys):
     assert code == 2 and "enumeration limit" in err
 
 
-def test_solve_workers_match(tmp_path, capsys):
-    samples, _ = random_consistent_set(random.Random(120), 4, 8)
-    path = tmp_path / "samples.json"
-    path.write_text(dumps(sample_set_to_json(samples)))
-    one = tmp_path / "w1.json"
-    two = tmp_path / "w2.json"
-    assert run(capsys, "solve", str(path), "--workers", "1", "--out", str(one))[0] == 0
-    assert run(capsys, "solve", str(path), "--workers", "3", "--out", str(two))[0] == 0
-    assert one.read_bytes() == two.read_bytes()
-
-
 def test_solve_rejects_bad_workers_and_seed(unit_reduction, capsys):
-    code, stdout, err = run(capsys, "solve", str(unit_reduction), "--workers", "0")
-    assert code == 2 and "workers must be at least 1" in err
-    assert "Traceback" not in err and stdout == ""
-    # solve is unseeded: the flag is gone
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(unit_reduction), "--seed", "1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    # solve runs in one process and is unseeded: both flags are gone
+    for flag, value in (("--workers", "2"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(unit_reduction), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_verify_inconsistent_reports_index(tmp_path, capsys):
@@ -368,6 +386,54 @@ def test_malformed_fields_exit_2_not_1(unit_reduction, tmp_path, capsys):
         bad_gate.write_text(dumps({"n": 3, "gates": [gate]}))
         code, _, err = run(capsys, "verify", str(bad_gate), str(unit_reduction))
         assert code == 2 and err.startswith("error:") and "gate field" in err
+
+
+_HUGE = "1" + "0" * 89  # 90 digits: finite as an int, too large for a float
+_COMPLEXITY = ["complexity", "--epsilon", "0.1", "--delta", "0.1"]
+
+
+def _pac_argv(tmp_path, *flags, **fields):
+    samples, _ = random_consistent_set(random.Random(123), 3, 10)
+    path = tmp_path / "pool.json"
+    path.write_text(dumps(dict(sample_set_to_json(samples), **fields)))
+    return ["learn", "--mode", "pac", "--input", str(path), "--seed", "1", *flags]
+
+
+def _single_bool_label_argv(tmp_path):
+    path = batch_fixture(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["samples"][0]["label"] = True
+    path.write_text(dumps(obj))
+    return ["learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "make_argv, field",
+    [
+        (lambda tmp: _pac_argv(tmp, "--draw-constant", "inf"), "draw_constant"),
+        (lambda tmp: _pac_argv(tmp, "--draw-constant", "nan"), "draw_constant"),
+        (lambda tmp: _pac_argv(tmp, "--draw-constant", "-1"), "draw_constant"),
+        (lambda tmp: _pac_argv(tmp, "--draw-constant", "1e9"), "draw_constant"),
+        (lambda tmp: _pac_argv(tmp, s=True), "'s'"),
+        (lambda tmp: _pac_argv(tmp, s=10**400), "draw_constant * s * ln s"),
+        (lambda tmp: _pac_argv(tmp, weights=[True] + [1] * 9), "weights"),
+        (_single_bool_label_argv, "label"),
+        (lambda tmp: _COMPLEXITY + ["--cnot-n", _HUGE], "depth, d or size"),
+        (
+            lambda tmp: _COMPLEXITY + ["--depth", "3", "--size", "64", "--d", _HUGE],
+            "depth, d or size",
+        ),
+    ],
+    ids=[
+        "draw-constant-inf", "draw-constant-nan", "draw-constant-negative",
+        "draw-constant-1e9", "s-true", "s-huge", "weights-true", "single-label-true",
+        "complexity-huge-cnot-n", "complexity-huge-d",
+    ],
+)
+def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys):
+    code, stdout, err = run(capsys, *make_argv(tmp_path))
+    assert code == 2 and err.startswith("error:") and field in err, err
+    assert "Traceback" not in err
 
 
 # sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the

@@ -11,6 +11,8 @@ from cnotpac.pauli import (
     z_power,
 )
 
+from helpers import pauli_dense
+
 
 def random_pauli(rng, n):
     return PauliOperator(
@@ -19,29 +21,29 @@ def random_pauli(rng, n):
 
 
 def test_single_qubit_dense_matrices():
-    x = PauliOperator(1, 1, 0).to_dense()
-    z = PauliOperator(1, 0, 1).to_dense()
-    y = PauliOperator(1, 1, 1).to_dense()
+    x = pauli_dense(PauliOperator(1, 1, 0))
+    z = pauli_dense(PauliOperator(1, 0, 1))
+    y = pauli_dense(PauliOperator(1, 1, 1))
     assert np.array_equal(x, np.array([[0, 1], [1, 0]]))
     assert np.array_equal(z, np.array([[1, 0], [0, -1]]))
     assert np.array_equal(y, np.array([[0, -1j], [1j, 0]]))
-    assert np.array_equal((-PauliOperator(1, 0, 1)).to_dense(), -z)
+    assert np.array_equal(pauli_dense(-PauliOperator(1, 0, 1)), -z)
 
 
 def test_qubit_zero_is_most_significant():
     # Z on qubit 0 of two qubits: diag(1, 1, -1, -1)
     p = z_power(2, 0b01)
-    assert np.array_equal(np.diag(p.to_dense()), np.array([1, 1, -1, -1]))
+    assert np.array_equal(np.diag(pauli_dense(p)), np.array([1, 1, -1, -1]))
     # Z on qubit 1: diag(1, -1, 1, -1)
     q = z_power(2, 0b10)
-    assert np.array_equal(np.diag(q.to_dense()), np.array([1, -1, 1, -1]))
+    assert np.array_equal(np.diag(pauli_dense(q)), np.array([1, -1, 1, -1]))
 
 
 def test_every_stored_pauli_is_hermitian():
     rng = random.Random(201)
     for _ in range(100):
         n = rng.randrange(1, 4)
-        d = random_pauli(rng, n).to_dense()
+        d = pauli_dense(random_pauli(rng, n))
         assert np.allclose(d, d.conj().T)
 
 
@@ -54,7 +56,7 @@ def test_mul_matches_dense_product_for_commuting_pairs():
         if not a.commutes(b):
             continue
         prod = a.mul(b)
-        assert np.allclose(prod.to_dense(), a.to_dense() @ b.to_dense())
+        assert np.allclose(pauli_dense(prod), pauli_dense(a) @ pauli_dense(b))
         checked += 1
 
 
@@ -71,7 +73,7 @@ def test_commutes_matches_dense_commutator():
     for _ in range(150):
         n = rng.randrange(1, 4)
         a, b = random_pauli(rng, n), random_pauli(rng, n)
-        ad, bd = a.to_dense(), b.to_dense()
+        ad, bd = pauli_dense(a), pauli_dense(b)
         dense_commutes = np.allclose(ad @ bd, bd @ ad)
         assert a.commutes(b) == dense_commutes
 

@@ -1,5 +1,3 @@
-import multiprocessing
-import os
 import random
 from fractions import Fraction
 
@@ -21,7 +19,6 @@ from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
-    _pool_size,
     _with_row,
     affine_family_search,
     brute_force_decision,
@@ -100,6 +97,9 @@ def test_brute_finds_consistent_on_random_sets():
             r = brute_force_search(samples)
             assert r.found, "hidden circuit is a consistent witness"
             assert check_consistent(r.circuit, samples)
+    samples, _ = random_consistent_set(random.Random(77), 4, 10)
+    r = brute_force_search(samples)
+    assert r.found and check_consistent(r.circuit, samples)
 
 
 _GL = {n: list(invertible_matrices(n)) for n in (1, 2, 3)}
@@ -146,34 +146,6 @@ def test_brute_is_lex_first_against_full_scan(case):
     assert r.found == bool(hits)
     if hits:
         assert r.circuit.theta == hits[0].theta and r.circuit.q == hits[0].q
-
-
-def test_pool_size_is_bounded_by_cpus_and_row0_values():
-    assert _pool_size(1, 3, 8) == 1
-    assert _pool_size(4, 3, 8) == 4
-    assert _pool_size(10 ** 9, 3, 8) == 7  # 2^3 - 1 row_0 values
-    assert _pool_size(10 ** 9, 5, 2) == 2  # one process per CPU
-    assert _pool_size(6, 1, 4) == 1  # n = 1 has a single row_0 value
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        brute_force_search(SampleSet(2), workers=0)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        brute_force_search(SampleSet(2), workers=-3)
-
-
-def test_no_fork_falls_back_to_the_sequential_search(monkeypatch):
-    rng = random.Random(78)
-    samples, _ = random_consistent_set(rng, 3, 8)
-    seq = brute_force_search(samples)
-
-    def no_context(*args, **kwargs):
-        raise AssertionError("a process pool was requested")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_context)
-    par = brute_force_search(samples, workers=2)
-    assert (par.found, par.circuit) == (seq.found, seq.circuit)
-    assert par.circuits_examined == seq.circuits_examined
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,13 +211,14 @@ def test_pin_search_lands_in_claimed_set():
 
 
 def test_contradictory_pair_unsatisfiable():
-    state = StabilizerState.zero_state(3)
-    probe = z_power(3, 0b010)
-    samples = SampleSet(
-        3, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
-    )
-    r = brute_force_search(samples)
-    assert not r.found and r.circuits_examined == 0
+    for n, v in ((3, 0b010), (4, 0b0001)):
+        state = StabilizerState.zero_state(n)
+        probe = z_power(n, v)
+        samples = SampleSet(
+            n, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
+        )
+        r = brute_force_search(samples)
+        assert not r.found and r.circuits_examined == 0
 
 
 def test_full_z_half_label_unsatisfiable():
@@ -272,23 +245,6 @@ def test_unsat_reductions_return_none():
         samples, inst = reduce_formula_to_samples(f, random.Random(75))
         assert inst.size <= 4
         assert not brute_force_search(samples).found
-
-
-def test_workers_match_sequential():
-    rng = random.Random(77)
-    samples, _ = random_consistent_set(rng, 4, 10)
-    seq = brute_force_search(samples)
-    par = brute_force_search(samples, workers=3)
-    assert par.found == seq.found
-    assert par.circuit.theta == seq.circuit.theta and par.circuit.q == seq.circuit.q
-    bad = SampleSet(
-        4,
-        [
-            Sample(StabilizerState.zero_state(4), z_power(4, 1), Fraction(1)),
-            Sample(StabilizerState.zero_state(4), z_power(4, 1), Fraction(0)),
-        ],
-    )
-    assert not brute_force_search(bad, workers=2).found
 
 
 def test_enumeration_limits():

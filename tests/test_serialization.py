@@ -1,11 +1,13 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
 from cnotpac.pauli import PauliOperator, z_power
@@ -266,6 +268,76 @@ def test_long_clause_cites_starting_line():
     with pytest.raises(DimacsError) as err:
         parse_dimacs(text)
     assert err.value.line == 2
+
+
+def test_parse_dimacs_takes_only_ascii_digits():
+    cases = [
+        ("p cnf 10 1\n1_0 \u0663 0\n", 2),
+        ("p cnf +3 1\n1 0\n", 1),
+        ("p cnf 3 +1\n1 0\n", 1),
+        ("p cnf -3 1\n1 0\n", 1),
+        ("p cnf 3 1\n+1 0\n", 2),
+        ("p cnf 3 1\n1 \u00b2 0\n", 2),
+        ("p cnf 3 1\n1 --2 0\n", 2),
+        ("p cnf 3 1\n- 0\n", 2),
+        ("p cnf \uff13 1\n1 0\n", 1),
+    ]
+    for text, line in cases:
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert err.value.line == line, text
+    assert parse_dimacs("p cnf 7 1\n-3 007 0\n") == [[-3, 7]]
+
+
+_DIMACS_CHARS = "0123456789 -+_\npc\t\u00b2x."
+# digits that int() reads as ASCII ones: Arabic-Indic and fullwidth
+_LOOKALIKES = {str(d): (chr(0x660 + d), chr(0xFF10 + d)) for d in range(10)}
+
+
+@st.composite
+def mutated_cnfs(draw):
+    """A valid CNF with one to three token edits: a character inserted or
+    deleted, a '+' prefix, or a digit swapped for a non-ASCII lookalike."""
+    n = draw(st.integers(1, 12))
+    lit = st.tuples(st.integers(1, n), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+    clauses = draw(st.lists(st.lists(lit, max_size=3), max_size=4))
+    lines = [["c", "fuzz"], ["p", "cnf", str(n), str(len(clauses))]]
+    lines += [[str(v) for v in c] + ["0"] for c in clauses]
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = lines[draw(st.integers(1, len(lines) - 1))]
+        j = draw(st.integers(0, len(tokens) - 1))
+        t = tokens[j]
+        k = draw(st.integers(0, len(t)))
+        ch = draw(st.sampled_from(_DIMACS_CHARS))
+        edits = [t[:k] + ch + t[k:], t[:k] + t[k + 1:], "+" + t]
+        edits += [t[:k] + alt + t[k + 1:] for alt in _LOOKALIKES.get(t[k:k + 1], ())]
+        tokens[j] = draw(st.sampled_from(edits))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(st.text(st.characters(blacklist_categories=("Cs",))), mutated_cnfs()))
+def test_parse_dimacs_raises_only_dimacs_error_on_fuzzed_text(tmp_path, text):
+    """parse_dimacs raises only DimacsError, and `reduce --cnf` on an input
+    it rejects exits 2; an accepted input has only ASCII-digit tokens."""
+    try:
+        parse_dimacs(text)
+    except DimacsError:
+        cnf = tmp_path / "fuzz.cnf"
+        cnf.write_bytes(text.encode("utf-8"))
+        assert main(["reduce", "--cnf", str(cnf), "--seed", "1"]) == 2
+        return
+    for line in text.splitlines():
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("c"):
+            continue
+        if tokens[0].startswith("p"):
+            assert all(re.fullmatch("[0-9]+", t) for t in tokens[2:]), line
+        else:
+            assert all(re.fullmatch("-?[0-9]+", t) for t in tokens), line
 
 
 def test_tableau_block_shape():

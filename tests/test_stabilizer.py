@@ -10,10 +10,11 @@ from cnotpac.stabilizer import (
     StabilizerGroup,
     StabilizerState,
     _echelon_table,
-    dense_expectation_oracle,
     measurement_expectation,
 )
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
+
+from helpers import dense_expectation, state_dense
 
 
 def bell_group():
@@ -90,7 +91,7 @@ def test_expectation_rejects_identity():
 
 
 def test_zero_state_dense_matrix():
-    rho = StabilizerState.zero_state(2).to_dense()
+    rho = state_dense(StabilizerState.zero_state(2))
     want = np.zeros((4, 4))
     want[0, 0] = 1
     assert np.allclose(rho, want)
@@ -111,13 +112,13 @@ def test_dense_oracle_agrees_on_handmade_states():
             for sign in (1, -1):
                 p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
                 sym = measurement_expectation(state, p)
-                dense = dense_expectation_oracle(state, p)
+                dense = dense_expectation(state, p)
                 assert abs(float(sym) - dense) < 1e-9
                 assert sym in (Fraction(0), Fraction(1, 2), Fraction(1))
     for xz in range(1, 16):
         for sign in (1, -1):
             p = PauliOperator(2, xz & 0b11, xz >> 2, sign=sign)
-            assert abs(float(bell.expectation(p)) - dense_expectation_oracle(bell, p)) < 1e-9
+            assert abs(float(bell.expectation(p)) - dense_expectation(bell, p)) < 1e-9
 
 
 def test_from_z_generators_signs():
