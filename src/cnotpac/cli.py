@@ -14,6 +14,7 @@ identical bytes; input files may use any JSON layout.
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -135,24 +136,21 @@ def cmd_reduce(args) -> int:
     if (args.cnf is None) == (args.formula is None):
         raise CliError("give exactly one of --cnf or --formula")
     rng = random.Random(args.seed)
-    if args.cnf is not None:
-        data = _read(args.cnf)
-        digest = _digest(data)
-        try:
+    try:
+        if args.cnf is not None:
+            data = _read(args.cnf)
+            digest = _digest(data)
             clauses = parse_dimacs(data.decode("utf-8", "replace"))
-        except DimacsError as err:
-            raise CliError("%s: %s" % (args.cnf, err))
-        try:
             samples, inst = reduce_sat_to_samples(clauses, rng)
-        except ValueError as err:
-            raise CliError(str(err))
-    else:
-        digest = _digest(args.formula.encode())
-        try:
-            formula = parse_formula(args.formula)
-            samples, inst = reduce_formula_to_samples(formula, rng)
-        except ValueError as err:
-            raise CliError(str(err))
+        else:
+            digest = _digest(args.formula.encode())
+            samples, inst = reduce_formula_to_samples(parse_formula(args.formula), rng)
+    except DimacsError as err:
+        raise CliError("%s: %s" % (args.cnf, err))
+    except ValueError as err:
+        raise CliError(str(err))
+    except RecursionError:  # the parser and the graph encoder recurse per nesting level
+        raise CliError("formula nests deeper than the recursion limit %d" % sys.getrecursionlimit())
     payload = {
         "samples": sample_set_to_json(samples),
         "instance": instance_to_json(inst),
@@ -258,10 +256,11 @@ def _learn_pac(args, rng):
         if (
             not isinstance(weights, list)
             or len(weights) != len(pool)
-            or any(type(w) not in (int, float) or w < 0 for w in weights)
+            or any(type(w) not in (int, float) or not 0 <= w <= sys.float_info.max for w in weights)
             or not any(weights)
+            or not math.isfinite(sum(map(float, weights)))  # random.choices needs a finite total
         ):
-            raise CliError("weights must be nonnegative numbers matching the samples")
+            raise CliError("weights must be finite nonnegative numbers matching the samples")
     s = obj.get("s", len(pool))
     if type(s) is not int or s < 1:
         raise CliError("support bound 's' must be a positive integer")

@@ -198,8 +198,8 @@ def formula_to_graph(f: Formula) -> WeightedDigraph:
 def parse_formula(text: str) -> Formula:
     """Parse '+', '*', parentheses, constants, and x<i> variables.
 
-    '*' binds tighter than '+'; both associate left.  Whitespace is
-    ignored.  Uses the smart constructors, so written constants fold.
+    '*' binds tighter than '+'; both associate left; indices are ASCII
+    digits; whitespace is ignored.  The smart constructors fold constants.
     """
     tokens = []
     i = 0
@@ -215,7 +215,7 @@ def parse_formula(text: str) -> Formula:
             i += 1
         elif ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             if j == i + 1:
                 raise ValueError("variable needs an index at position %d" % i)

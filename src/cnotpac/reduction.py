@@ -64,6 +64,12 @@ class NonSingularityInstance:
         return "NonSingularityInstance(size=%d, vars=%d)" % (self.size, self.num_vars)
 
 
+# graph_to_instance allocates one size x size matrix per variable up to the
+# highest index, so an index alone is a memory request: it is checked before
+# anything is allocated.  The limit matches the 1024-qubit circuit limit.
+_MAX_VARIABLE_INDEX = 1024
+
+
 def graph_to_instance(
     g: WeightedDigraph, num_vars: Optional[int] = None
 ) -> NonSingularityInstance:
@@ -73,6 +79,8 @@ def graph_to_instance(
     k = g.num_vars if num_vars is None else num_vars
     if k < g.num_vars:
         raise ValueError("num_vars below the highest edge weight")
+    if k > _MAX_VARIABLE_INDEX:
+        raise ValueError("variable index %d exceeds the limit of %d" % (k, _MAX_VARIABLE_INDEX))
     size = g.num_vertices
     m0 = BitMatrix.zeros(size, size)
     ms = [BitMatrix.zeros(size, size) for _ in range(k)]

@@ -8,10 +8,11 @@ ints and q innermost, and return the first consistent hypothesis.
 brute_force_search organizes that walk as a depth-first search over
 independent rows.  Samples whose state is a full Z-basis stabilizer
 state and whose measurement is Z-type compile into affine constraints
-on single images theta x; those prune row prefixes, and the leftover
-freedom in q is solved exactly at each leaf instead of enumerated.  The
-result is identical to the naive scan (enumerate_consistent_circuits
-provides the naive scan for cross-checking at small n).
+on single images theta x; every such group prunes every row prefix, so
+a leaf's images are already permitted, and the leftover freedom in q is
+solved exactly at each leaf instead of enumerated.  The result is
+identical to the naive scan (enumerate_consistent_circuits provides the
+naive scan for cross-checking at small n).
 """
 
 from __future__ import annotations
@@ -84,18 +85,19 @@ class _ImageGroup:
 
     Each such sample reads q.x + t.u = c with u = theta x, t the state's
     sign character and c the label/sign bit.  Differences against the
-    first sample leave an affine set of permitted u; the first sample's
-    (t0, c0) supplies the one q equation per group at a leaf.
+    first sample leave an affine set of permitted u; prefixes[r] holds the
+    low r + 1 bits (those rows 0..r of theta fix) of every permitted u.
+    The first sample's (t0, c0) supplies the one q equation per group at
+    a leaf.
     """
 
-    __slots__ = ("x", "t0", "c0", "space", "pts")
+    __slots__ = ("x", "t0", "c0", "prefixes")
 
-    def __init__(self, x, t0, c0, space, pts):
+    def __init__(self, x, t0, c0, prefixes):
         self.x = x
         self.t0 = t0
         self.c0 = c0
-        self.space = space
-        self.pts = pts
+        self.prefixes = prefixes
 
 
 class _GenericSample:
@@ -156,17 +158,19 @@ def _compile(sample_set: SampleSet):
             return None
         if space.dim == 0 and space.offset == 0:
             return None  # theta x = 0 has no invertible solution
-        pts = sorted(space.points()) if space.dim <= 2 else None
-        groups.append(_ImageGroup(x, t0, c0, space, pts))
+        # at most 2^5 permitted points: brute refuses n > 5
+        prefixes = [{p & ((2 << r) - 1) for p in space.points()} for r in range(n)]
+        groups.append(_ImageGroup(x, t0, c0, prefixes))
     return groups, generic
 
 
-def _leaf_q_space(n, theta, table, groups, generic):
+def _leaf_q_space(n, theta, table, groups, images, generic):
     """Affine set of q values consistent at this theta, or None.
 
-    table is the DFS echelon table of theta's rows, row r inserted with
-    payload 1 << (n + r): reducing a vector v through it leaves the
-    coordinates of v in the row basis, theta^{-T} v, as the payload.
+    images holds each group's permitted u = theta x, from the DFS.  table
+    is the DFS echelon table of theta's rows, row r inserted with payload
+    1 << (n + r): reducing a vector v through it leaves the coordinates of
+    v in the row basis, theta^{-T} v, as the payload.
     """
     qrows = []
     qrhs = 0
@@ -176,10 +180,7 @@ def _leaf_q_space(n, theta, table, groups, generic):
         qrhs |= bit << len(qrows)
         qrows.append(row)
 
-    for g in groups:
-        u = theta.mul_vec(g.x)
-        if g.pts is None and not g.space.contains(u):
-            return None
+    for g, u in zip(groups, images):
         add(g.x, g.c0 ^ dot(g.t0, u))
     for gs in generic:
         # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in the
@@ -205,8 +206,9 @@ def _with_row(table, v, r, n):
 
 def _dfs_first(n, groups, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
-    leaves examined)."""
-    small = [g for g in groups if g.pts is not None]
+    leaves examined).  knowns[i] holds the bits of groups[i]'s u = theta x
+    that the rows so far fix, always a prefix of a permitted u; at a leaf
+    it is u itself."""
     full = (1 << n) - 1
     examined = 0
 
@@ -216,30 +218,26 @@ def _dfs_first(n, groups, generic):
         if r == n:
             examined += 1
             theta = BitMatrix(list(rows), n)
-            q_space = _leaf_q_space(n, theta, table, groups, generic)
+            q_space = _leaf_q_space(n, theta, table, groups, knowns, generic)
             if q_space is None:
                 return None
             return CnotCircuit(theta, q_space.offset)
-        mask = (1 << (r + 1)) - 1
         for v in range(1, 1 << n):
             if _reduce(table, v, n) & full == 0:
                 continue
             new_knowns = []
-            ok = True
-            for g, k in zip(small, knowns):
+            for g, k in zip(groups, knowns):
                 k |= dot(v, g.x) << r
-                if not any((p & mask) == k for p in g.pts):
-                    ok = False
+                if k not in g.prefixes[r]:
                     break
                 new_knowns.append(k)
-            if not ok:
-                continue
-            hit = rec(rows + [v], _with_row(table, v, r, n), new_knowns)
-            if hit is not None:
-                return hit
+            else:
+                hit = rec(rows + [v], _with_row(table, v, r, n), new_knowns)
+                if hit is not None:
+                    return hit
         return None
 
-    circuit = rec([], {}, [0] * len(small))
+    circuit = rec([], {}, [0] * len(groups))
     return circuit, examined
 
 

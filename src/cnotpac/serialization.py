@@ -17,6 +17,7 @@ DIMACS problems raise DimacsError carrying the line number.
 """
 
 import json
+import re
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -185,24 +186,17 @@ def tableau_from_block(obj, n: int) -> CliffordTableau:
     return CliffordTableau.from_s_matrix(s, string_to_bits(obj.get("phases"), 2 * n))
 
 
-def circuit_to_json(
-    c: Union[CnotCircuit, CliffordTableau],
-    gates: Optional[List[Gate]] = None,
-    include_tableau: bool = True,
-) -> dict:
+def circuit_to_json(c: Union[CnotCircuit, CliffordTableau]) -> dict:
     """Serialize a hypothesis.
 
-    CnotCircuit inputs emit their synthesized gate list; raw tableaux
-    emit only the tableau block (their gate history is unknown).  An
-    explicit gates list overrides the synthesized one.
+    CnotCircuit inputs emit their synthesized gate list and the tableau
+    block; raw tableaux emit only the tableau block (their gate history
+    is unknown).
     """
     out = {"n": c.n}
     if isinstance(c, CnotCircuit):
-        out["gates"] = [gate_to_json(g) for g in (gates if gates is not None else c.gates())]
-    elif gates is not None:
-        out["gates"] = [gate_to_json(g) for g in gates]
-    if include_tableau or not isinstance(c, CnotCircuit):
-        out["tableau"] = tableau_block(c.to_tableau())
+        out["gates"] = [gate_to_json(g) for g in c.gates()]
+    out["tableau"] = tableau_block(c.to_tableau())
     return out
 
 
@@ -287,6 +281,10 @@ def _is_digits(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+# a run of anything but ASCII whitespace; '\n' never reaches it
+_ASCII_TOKEN = re.compile(r"[^ \t\r\x0b\x0c]+")
+
+
 def parse_dimacs(text: str) -> List[List[int]]:
     """Read a DIMACS CNF file with at most 3 literals per clause.
 
@@ -294,29 +292,34 @@ def parse_dimacs(text: str) -> List[List[int]]:
     clauses are whitespace-separated literals terminated by 0 and may
     span lines.  Counts are ASCII digits and literals ASCII digits with
     an optional leading '-'.  Variable indices must stay within the
-    declared count and the clause count must match the header.
+    declared count and the clause count must match the header.  Lines
+    end at '\\n' only (a trailing '\\r' is dropped) and tokens split at
+    ASCII whitespace only, so line numbers match an editor's and other
+    Unicode separators are part of a (bad) token.
     """
     n_vars = n_clauses = None
     clauses: List[List[int]] = []
     current: List[int] = []
     current_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the text ends with a newline, not an empty line
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = _ASCII_TOKEN.findall(raw)
+        if not tokens or tokens[0].startswith("c"):
             continue
-        if line.startswith("p"):
+        if tokens[0].startswith("p"):
             if n_vars is not None:
                 raise DimacsError("duplicate header", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
                 raise DimacsError("header must be 'p cnf VARS CLAUSES'", lineno)
-            if not all(_is_digits(t) for t in parts[2:]):
+            if not all(_is_digits(t) for t in tokens[2:]):
                 raise DimacsError("header counts must be unsigned integers", lineno)
-            n_vars, n_clauses = int(parts[2]), int(parts[3])
+            n_vars, n_clauses = int(tokens[2]), int(tokens[3])
             continue
         if n_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)
-        for token in line.split():
+        for token in tokens:
             if not _is_digits(token[1:] if token.startswith("-") else token):
                 raise DimacsError("bad literal %r" % token, lineno)
             lit = int(token)
@@ -334,7 +337,7 @@ def parse_dimacs(text: str) -> List[List[int]]:
             current.append(lit)
             if len(current) > 3:
                 raise DimacsError("clause has more than 3 literals", current_line)
-    last = len(text.splitlines()) or 1
+    last = len(lines) or 1
     if n_vars is None:
         raise DimacsError("missing 'p cnf' header", 1)
     if current:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -106,6 +107,49 @@ def test_reduce_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "reduce", "--cnf", str(tmp_path / "nope.cnf"), "--seed", "0")
     assert code == 2 and "cannot read" in err
+
+
+def _reduce_argv(tmp_path, formula, cnf):
+    if cnf is None:
+        return ["reduce", "--formula", formula, "--seed", "0"]
+    path = tmp_path / "in.cnf"
+    path.write_text(cnf)
+    return ["reduce", "--cnf", str(path), "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "formula, cnf, fragment",
+    [
+        ("x1025", None, "exceeds the limit of 1024"),
+        (None, "p cnf 1025 1\n-1025 0\n", "exceeds the limit of 1024"),
+        ("x\u0661 + x\u0662", None, "variable needs an index"),
+        ("x\u00b2", None, "variable needs an index"),
+    ],
+    ids=["formula-index-1025", "dimacs-literal-1025", "arabic-indic-digits", "superscript-two"],
+)
+def test_reduce_rejects_bad_variable_indices(formula, cnf, fragment, tmp_path, capsys):
+    code, stdout, err = run(capsys, *_reduce_argv(tmp_path, formula, cnf))
+    assert code == 2 and err.startswith("error:") and fragment in err, err
+    assert stdout == ""
+
+
+def test_reduce_takes_the_highest_allowed_variable_index(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "reduce", "--formula", "x1024", "--seed", "0")
+    assert code == 0 and last_report(stdout)["counts"]["instance_size"] == 3
+
+
+@pytest.mark.parametrize(
+    "formula, cnf",
+    [
+        ("+".join(["x1"] * 1200), None),
+        ("(" * 5000 + "x1" + ")" * 5000, None),
+        (None, "p cnf 1 1500\n" + "1 0\n" * 1500),
+    ],
+    ids=["1200-term-sum", "5000-parentheses", "1500-unit-clauses"],
+)
+def test_reduce_of_a_too_deep_formula_exits_2(formula, cnf, tmp_path, capsys):
+    code, _, err = run(capsys, *_reduce_argv(tmp_path, formula, cnf))
+    assert code == 2 and err.startswith("error:") and "nests deeper than the recursion limit" in err, err
 
 
 @pytest.fixture
@@ -389,6 +433,8 @@ def test_malformed_fields_exit_2_not_1(unit_reduction, tmp_path, capsys):
 
 
 _HUGE = "1" + "0" * 89  # 90 digits: finite as an int, too large for a float
+# the CLI's own message; random.choices says "Total of weights must be finite"
+_BAD_WEIGHTS = "weights must be finite nonnegative"
 _COMPLEXITY = ["complexity", "--epsilon", "0.1", "--delta", "0.1"]
 
 
@@ -417,6 +463,10 @@ def _single_bool_label_argv(tmp_path):
         (lambda tmp: _pac_argv(tmp, s=True), "'s'"),
         (lambda tmp: _pac_argv(tmp, s=10**400), "draw_constant * s * ln s"),
         (lambda tmp: _pac_argv(tmp, weights=[True] + [1] * 9), "weights"),
+        (lambda tmp: _pac_argv(tmp, weights=[math.nan] + [1] * 9), _BAD_WEIGHTS),
+        (lambda tmp: _pac_argv(tmp, weights=[math.inf] + [1] * 9), _BAD_WEIGHTS),
+        (lambda tmp: _pac_argv(tmp, weights=[1e308] * 10), _BAD_WEIGHTS),
+        (lambda tmp: _pac_argv(tmp, weights=[10**400] + [1] * 9), _BAD_WEIGHTS),
         (_single_bool_label_argv, "label"),
         (lambda tmp: _COMPLEXITY + ["--cnot-n", _HUGE], "depth, d or size"),
         (
@@ -426,7 +476,8 @@ def _single_bool_label_argv(tmp_path):
     ],
     ids=[
         "draw-constant-inf", "draw-constant-nan", "draw-constant-negative",
-        "draw-constant-1e9", "s-true", "s-huge", "weights-true", "single-label-true",
+        "draw-constant-1e9", "s-true", "s-huge", "weights-true", "weights-nan",
+        "weights-infinity", "weights-total-overflows", "weights-huge-int", "single-label-true",
         "complexity-huge-cnot-n", "complexity-huge-d",
     ],
 )

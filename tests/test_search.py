@@ -102,7 +102,7 @@ def test_brute_finds_consistent_on_random_sets():
     assert r.found and check_consistent(r.circuit, samples)
 
 
-_GL = {n: list(invertible_matrices(n)) for n in (1, 2, 3)}
+_GL = {n: list(invertible_matrices(n)) for n in (1, 2, 3, 4)}
 _LABELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
@@ -146,6 +146,72 @@ def test_brute_is_lex_first_against_full_scan(case):
     assert r.found == bool(hits)
     if hits:
         assert r.circuit.theta == hits[0].theta and r.circuit.q == hits[0].q
+
+
+@st.composite
+def grouped_sets(draw):
+    """(samples, flipped) at n = 2..4, labeled by a hidden CNOT circuit:
+    full-Z samples on one or two measurement supports, so that image
+    groups repeat, plus generic samples; sometimes one label is flipped."""
+    n = draw(st.integers(2, 4))
+    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, (1 << n) - 1)))
+    t = hidden.to_tableau()
+    supports = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=2, unique=True))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2 * n))):
+        basis = draw(st.sampled_from(_GL[n])).rows
+        state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
+        pairs.append((state, z_power(n, draw(st.sampled_from(supports)))))
+    for _ in range(draw(st.integers(0, 2))):
+        state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
+        xz = draw(st.integers(1, (1 << (2 * n)) - 1))
+        pairs.append((state, PauliOperator(n, xz & ((1 << n) - 1), xz >> n)))
+    samples = []
+    for state, p in pairs:
+        meas = p if draw(st.booleans()) else -p
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+    flipped = n < 4 and draw(st.booleans())  # a miss at n = 4 walks all of GL(4, 2)
+    if flipped:
+        k = draw(st.integers(0, len(samples) - 1))
+        s = samples[k]
+        label = draw(st.sampled_from([v for v in _LABELS if v != s.label]))
+        samples[k] = Sample(s.state, s.measurement, label)
+    return SampleSet(n, samples), flipped
+
+
+def _permitted_images(n, group):
+    """Every u != 0 for which one sign bit b, the bit q.x, makes
+    expectation((-1)^b s Z^u) equal each label of the group, whose
+    measurements are s Z^x (an invertible theta never maps x to 0)."""
+    return {
+        u
+        for u in range(1, 1 << n)
+        for b in (1, -1)
+        if all(
+            s.state.expectation(z_power(n, u, sign=b * s.measurement.sign)) == s.label
+            for s in group
+        )
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_sets())
+def test_leaves_are_exactly_the_thetas_every_group_permits(case):
+    samples, flipped = case
+    n = samples.n
+    groups: dict = {}
+    for s in samples:
+        if s.measurement.x == 0 and all(g.x == 0 for g in s.state.group.generators):
+            groups.setdefault(s.measurement.z, []).append(s)
+    permitted = [(x, _permitted_images(n, g)) for x, g in groups.items()]
+    r = brute_force_search(samples)
+    assert r.found or flipped
+    count = 0
+    for theta in _GL[n]:
+        count += all(theta.mul_vec(x) in p for x, p in permitted)
+        if r.found and theta == r.circuit.theta:
+            break
+    assert r.circuits_examined == count
 
 
 @settings(max_examples=80, deadline=None)

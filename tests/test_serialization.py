@@ -21,6 +21,7 @@ from cnotpac.serialization import (
     circuit_to_json,
     dumps,
     gate_from_json,
+    gate_to_json,
     instance_from_json,
     instance_to_json,
     parse_dimacs,
@@ -241,6 +242,7 @@ def test_parse_dimacs_good():
     assert clauses == [[1, -2], [2, 3, -4], [-1]]
     # empty clause is representable
     assert parse_dimacs("p cnf 1 1\n0\n") == [[]]
+    assert parse_dimacs("p cnf 2 2\r\n1 0\r\n-2 0\r\n") == [[1], [-2]]
 
 
 def test_parse_dimacs_errors():
@@ -255,6 +257,10 @@ def test_parse_dimacs_errors():
         ("p cnf 5 1\n1 2 3 4 0\n", 2, "more than 3"),
         ("p cnf 2 1\n1 2\n", 2, "unterminated"),
         ("p cnf 2 2\n1 0\n", 2, "declares"),
+        # lines end at \n only and tokens split at ASCII whitespace only
+        ("p cnf 2 2\n1 0\x1c2 0\n", 2, "literal"),
+        ("p cnf 1 2\n1 0\u2028 1 0\nq 0\n", 2, "literal"),
+        ("p cnf 1 2\n1 0\x0c1 0\nq 0\n", 3, "literal"),
     ]
     for text, line, fragment in cases:
         with pytest.raises(DimacsError) as err:
@@ -442,12 +448,18 @@ def _valid_documents():
     replayed = CliffordTableau.identity(2)
     for g in gates:
         replayed.apply_gate(g)
+    # a tableau document that also carries the gates it was replayed from
+    replayed_doc = {
+        "n": 2,
+        "gates": [gate_to_json(g) for g in gates],
+        "tableau": tableau_block(replayed),
+    }
     small, _ = random_consistent_set(rng, 2, 3)
     return [
         (sample_set_from_json, sample_set_to_json(small)),
         (sample_set_from_json, sample_set_to_json(SampleSet(3, samples.samples[:3]))),
         (circuit_from_json, circuit_to_json(random_cnot_circuit(rng, 3))),
-        (circuit_from_json, circuit_to_json(replayed, gates=gates)),
+        (circuit_from_json, replayed_doc),
         (instance_from_json, instance_to_json(inst)),
     ]
 
