@@ -43,6 +43,7 @@ from .search import (
     search_from_decision,
 )
 from .serialization import (
+    _MAX_CIRCUIT_QUBITS,
     DimacsError,
     bits_to_string,
     circuit_from_json,
@@ -317,6 +318,8 @@ def _learn_single(args, rng):
 def _learn_trivial(args, rng):
     if args.n is None:
         raise CliError("trivial mode needs --n")
+    if args.n > _MAX_CIRCUIT_QUBITS:  # verify would refuse to load the circuit
+        raise CliError("--n exceeds %d qubits" % _MAX_CIRCUIT_QUBITS)
     tableau = trivial_uniform_learner(args.n, rng)
     if not is_symplectic(tableau.s_matrix(), tableau.n):
         raise CliError("internal check failed: tableau is not symplectic")

@@ -240,8 +240,18 @@ def constrain_submatrix_samples(
     return out
 
 
+# instance_to_samples emits up to n(n + 1) samples of n generators each,
+# so its work and output grow as n^4 (size 82 took 6.3 s and 111 MB, size
+# 302 did not finish in 120 s); a short formula must not ask for that.
+_MAX_INSTANCE_SIZE = 64
+
+
 def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
     """Sample set consistent exactly with {theta = M(a) invertible, q = 0}."""
+    if inst.size > _MAX_INSTANCE_SIZE:
+        raise ValueError(
+            "instance size %d exceeds the limit of %d" % (inst.size, _MAX_INSTANCE_SIZE)
+        )
     if not validate_simplified(inst):
         raise ValueError("instance does not satisfy the simplified shape")
     n = inst.size

@@ -7,10 +7,11 @@ ints and q innermost, and return the first consistent hypothesis.
 
 brute_force_search organizes that walk as a depth-first search over
 independent rows.  Samples whose state is a full Z-basis stabilizer
-state and whose measurement is Z-type compile into affine constraints
-on single images theta x; every such group prunes every row prefix, so
-a leaf's images are already permitted, and the leftover freedom in q is
-solved exactly at each leaf instead of enumerated.  The result is
+state and whose measurement is Z-type are linear equations in the bits
+of (theta, q); they compile into one echelon table, whose rows led by
+theta row r prune every row prefix at depth r exactly, and whose rows
+led by a q bit join the generic samples in an exact solve for q at each
+leaf instead of an enumeration.  The result is
 identical to the naive scan (enumerate_consistent_circuits provides the
 naive scan for cross-checking at small n).
 """
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit, cnot_tableaus
-from .gf2 import BitMatrix, _insert, _reduce, dot
+from .gf2 import BitMatrix, _insert, _reduce
 from .pauli import z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
 from .samples import SampleSet
@@ -80,26 +81,6 @@ def _check_cnot_shape(t) -> None:
             raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
 
 
-class _ImageGroup:
-    """Full-Z samples sharing a measurement support x.
-
-    Each such sample reads q.x + t.u = c with u = theta x, t the state's
-    sign character and c the label/sign bit.  Differences against the
-    first sample leave an affine set of permitted u; prefixes[r] holds the
-    low r + 1 bits (those rows 0..r of theta fix) of every permitted u.
-    The first sample's (t0, c0) supplies the one q equation per group at
-    a leaf.
-    """
-
-    __slots__ = ("x", "t0", "c0", "prefixes")
-
-    def __init__(self, x, t0, c0, prefixes):
-        self.x = x
-        self.t0 = t0
-        self.c0 = c0
-        self.prefixes = prefixes
-
-
 class _GenericSample:
     """Any sample outside the full-Z fast path: its group, raw measurement,
     and its label as two bits, half (label 1/2) and flip (label 0)."""
@@ -126,62 +107,62 @@ def _full_z_form(state):
 
 
 def _compile(sample_set: SampleSet):
-    """Sort samples into image groups and generic leftovers.
+    """Stack every full-Z sample into one echelon table over (theta, q).
 
-    Returns (groups, generic) or None when no CNOT circuit can match:
-    a full-Z sample labeled 1/2, contradictory sign equations on one
-    image, or an image pinned to {0}.
+    A full-Z sample reads q.x + t.(theta x) = c, with x its measurement
+    support, t the state's sign character and c the label/sign bit.  It
+    is packed as one row: bit r n + j is theta[r][j], bit n^2 + j is q_j
+    and the payload bit n^2 + n is c.  The table's rows are split by
+    leading bit: blocks[r] (r < n) holds the rows led by a bit of theta
+    row r, which involve rows 0..r only, and blocks[n] the rows led by a
+    q bit.  Every other sample is generic and is checked at the leaf.
+
+    Returns (blocks, generic) or None when no CNOT circuit can match:
+    a full-Z sample labeled 1/2, an equation that reduces to 0 = 1, or a
+    forced theta x = 0.
     """
     n = sample_set.n
-    raw: dict = {}
+    top = n * n + n
+    table: dict = {}
+    supports = set()
     generic: List[_GenericSample] = []
     for s in sample_set:
         zform = _full_z_form(s.state)
         if zform is not None and s.measurement.x == 0:
             if s.label == Fraction(1, 2):
-                return None  # Z-type images always land in a full Z group
+                return None  # a full Z state gives every Z-type image 0 or 1
             zs, signs = zform
             t = BitMatrix(zs, n).solve(signs)
+            x = s.measurement.z
             c = s.measurement.sign_bit ^ (1 if s.label == 0 else 0)
-            raw.setdefault(s.measurement.z, []).append((t, c))
+            row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
+            if not _insert(table, row, top) and _reduce(table, row, top):
+                return None  # the equation reduces to 0 = 1
+            supports.add(x)
         else:
             generic.append(_GenericSample(s))
-    groups = []
-    for x, pairs in raw.items():
-        t0, c0 = pairs[0]
-        rows = [t ^ t0 for t, _ in pairs[1:]]
-        rhs = 0
-        for j, (_, c) in enumerate(pairs[1:]):
-            rhs |= (c ^ c0) << j
-        space = BitMatrix(rows, n).solve_affine(rhs)
-        if space is None:
-            return None
-        if space.dim == 0 and space.offset == 0:
+    for x in supports:
+        if all(_reduce(table, x << r * n, top) == 0 for r in range(n)):
             return None  # theta x = 0 has no invertible solution
-        # at most 2^5 permitted points: brute refuses n > 5
-        prefixes = [{p & ((2 << r) - 1) for p in space.points()} for r in range(n)]
-        groups.append(_ImageGroup(x, t0, c0, prefixes))
-    return groups, generic
+    blocks: List[List[int]] = [[] for _ in range(n + 1)]
+    for lead, row in table.items():
+        blocks[lead // n].append(row)
+    return blocks, generic
 
 
-def _leaf_q_space(n, theta, table, groups, images, generic):
+def _leaf_q_space(n, theta, table, equations, packed, generic):
     """Affine set of q values consistent at this theta, or None.
 
-    images holds each group's permitted u = theta x, from the DFS.  table
-    is the DFS echelon table of theta's rows, row r inserted with payload
-    1 << (n + r): reducing a vector v through it leaves the coordinates of
-    v in the row basis, theta^{-T} v, as the payload.
+    equations are the table rows led by a q bit.  With theta substituted
+    each is one equation on q, whose right side is the parity of the row
+    AND packed (theta in the table's layout with the payload bit set, as
+    the DFS carries it).  table is the DFS echelon table of theta's rows,
+    row r inserted with payload 1 << (n + r): reducing a vector v through
+    it leaves the coordinates of v in the row basis, theta^{-T} v, as the
+    payload.
     """
-    qrows = []
-    qrhs = 0
-
-    def add(row, bit):
-        nonlocal qrhs
-        qrhs |= bit << len(qrows)
-        qrows.append(row)
-
-    for g, u in zip(groups, images):
-        add(g.x, g.c0 ^ dot(g.t0, u))
+    full = (1 << n) - 1
+    pairs = [(eq >> n * n & full, (eq & packed).bit_count() & 1) for eq in equations]
     for gs in generic:
         # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in the
         # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
@@ -193,8 +174,9 @@ def _leaf_q_space(n, theta, table, groups, images, generic):
             continue  # expectation is 1/2 for every q
         if gs.half:
             return None
-        add(gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip)
-    return BitMatrix(qrows, n).solve_affine(qrhs)
+        pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
+    rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
+    return BitMatrix([row for row, _ in pairs], n).solve_affine(rhs)
 
 
 def _with_row(table, v, r, n):
@@ -204,40 +186,40 @@ def _with_row(table, v, r, n):
     return table
 
 
-def _dfs_first(n, groups, generic):
+def _dfs_first(n, blocks, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
-    leaves examined).  knowns[i] holds the bits of groups[i]'s u = theta x
-    that the rows so far fix, always a prefix of a permitted u; at a leaf
-    it is u itself."""
+    leaves examined).  packed holds the rows chosen so far in the table's
+    layout with the payload bit set, so an equation holds iff its AND with
+    packed has even parity.  Row v at depth r is kept only if every
+    equation of blocks[r] holds: the pivots being distinct, that is
+    exactly when rows 0..r extend to a solution of every full-Z equation."""
     full = (1 << n) - 1
     examined = 0
 
-    def rec(rows, table, knowns):
+    def rec(r, table, packed):
         nonlocal examined
-        r = len(rows)
         if r == n:
             examined += 1
-            theta = BitMatrix(list(rows), n)
-            q_space = _leaf_q_space(n, theta, table, groups, knowns, generic)
+            theta = BitMatrix([packed >> i * n & full for i in range(n)], n)
+            q_space = _leaf_q_space(n, theta, table, blocks[n], packed, generic)
             if q_space is None:
                 return None
             return CnotCircuit(theta, q_space.offset)
+        block = blocks[r]
         for v in range(1, 1 << n):
             if _reduce(table, v, n) & full == 0:
                 continue
-            new_knowns = []
-            for g, k in zip(groups, knowns):
-                k |= dot(v, g.x) << r
-                if k not in g.prefixes[r]:
+            p = packed | v << r * n
+            for eq in block:
+                if (eq & p).bit_count() & 1:
                     break
-                new_knowns.append(k)
             else:
-                hit = rec(rows + [v], _with_row(table, v, r, n), new_knowns)
+                hit = rec(r + 1, _with_row(table, v, r, n), p)
                 if hit is not None:
                     return hit
         return None
 
-    circuit = rec([], {}, [0] * len(groups))
+    circuit = rec(0, {}, 1 << (n * n + n))
     return circuit, examined
 
 
@@ -246,7 +228,8 @@ def brute_force_search(sample_set: SampleSet) -> SearchResult:
 
     The identity matrix is the lexicographically first invertible theta,
     so an unconstrained search returns the identity circuit.
-    circuits_examined counts the leaves that reached a full theta.
+    circuits_examined counts the leaves: the invertible thetas, up to the
+    witness, for which the full-Z equations have a q solution.
     """
     n = sample_set.n
     if n > 5:
@@ -255,8 +238,8 @@ def brute_force_search(sample_set: SampleSet) -> SearchResult:
     compiled = _compile(sample_set)
     if compiled is None:
         return SearchResult(False, None, 0, time.perf_counter() - start)
-    groups, generic = compiled
-    circuit, examined = _dfs_first(n, groups, generic)
+    blocks, generic = compiled
+    circuit, examined = _dfs_first(n, blocks, generic)
     elapsed = time.perf_counter() - start
     return SearchResult(circuit is not None, circuit, examined, elapsed)
 

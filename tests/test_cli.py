@@ -124,8 +124,12 @@ def _reduce_argv(tmp_path, formula, cnf):
         (None, "p cnf 1025 1\n-1025 0\n", "exceeds the limit of 1024"),
         ("x\u0661 + x\u0662", None, "variable needs an index"),
         ("x\u00b2", None, "variable needs an index"),
+        ("+".join(["x1"] * 300), None, "instance size 302 exceeds the limit of 64"),
     ],
-    ids=["formula-index-1025", "dimacs-literal-1025", "arabic-indic-digits", "superscript-two"],
+    ids=[
+        "formula-index-1025", "dimacs-literal-1025", "arabic-indic-digits", "superscript-two",
+        "300-term-sum",
+    ],
 )
 def test_reduce_rejects_bad_variable_indices(formula, cnf, fragment, tmp_path, capsys):
     code, stdout, err = run(capsys, *_reduce_argv(tmp_path, formula, cnf))
@@ -468,6 +472,7 @@ def _single_bool_label_argv(tmp_path):
         (lambda tmp: _pac_argv(tmp, weights=[1e308] * 10), _BAD_WEIGHTS),
         (lambda tmp: _pac_argv(tmp, weights=[10**400] + [1] * 9), _BAD_WEIGHTS),
         (_single_bool_label_argv, "label"),
+        (lambda tmp: ["learn", "--mode", "trivial", "--n", "1025", "--seed", "1"], "--n"),
         (lambda tmp: _COMPLEXITY + ["--cnot-n", _HUGE], "depth, d or size"),
         (
             lambda tmp: _COMPLEXITY + ["--depth", "3", "--size", "64", "--d", _HUGE],
@@ -478,6 +483,7 @@ def _single_bool_label_argv(tmp_path):
         "draw-constant-inf", "draw-constant-nan", "draw-constant-negative",
         "draw-constant-1e9", "s-true", "s-huge", "weights-true", "weights-nan",
         "weights-infinity", "weights-total-overflows", "weights-huge-int", "single-label-true",
+        "trivial-n-1025",
         "complexity-huge-cnot-n", "complexity-huge-d",
     ],
 )

@@ -239,3 +239,9 @@ def test_deterministic_without_rng():
     first, _ = reduce_formula_to_samples(golden_formula(), None)
     second, _ = reduce_formula_to_samples(golden_formula(), None)
     assert first.samples == second.samples
+
+
+def test_instance_size_above_the_limit_is_refused_before_any_sample():
+    inst = NonSingularityInstance(65, BitMatrix.identity(65), [])
+    with pytest.raises(ValueError, match="instance size 65 exceeds the limit of 64"):
+        instance_to_samples(inst, None)

@@ -10,6 +10,7 @@ from cnotpac.gf2 import BitMatrix, _reduce, complete_to_basis, dot
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import (
     NonSingularityInstance,
+    _pin_samples,
     constrain_pauli_samples,
     graph_to_instance,
     reduce_formula_to_samples,
@@ -19,6 +20,7 @@ from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
+    _compile,
     _with_row,
     affine_family_search,
     brute_force_decision,
@@ -214,6 +216,92 @@ def test_leaves_are_exactly_the_thetas_every_group_permits(case):
     assert r.circuits_examined == count
 
 
+@st.composite
+def linked_sets(draw):
+    """(samples, flipped) at n = 2..4, labeled by a hidden CNOT circuit:
+    full-Z samples on the supports x1, x2 and x1 ^ x2, whose sign bits
+    q.x are linked (q.x1 ^ q.x2 = q.(x1 ^ x2)), plus generic samples;
+    sometimes one label is flipped (n < 4 only)."""
+    n = draw(st.integers(2, 4))
+    full = (1 << n) - 1
+    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    t = hidden.to_tableau()
+    x1 = draw(st.integers(1, full))
+    x2 = draw(st.integers(1, full).filter(lambda v: v != x1))
+    pairs = []
+    for x in (x1, x2, x1 ^ x2):
+        for _ in range(draw(st.integers(1, 2))):
+            basis = draw(st.sampled_from(_GL[n])).rows
+            state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, full)))
+            pairs.append((state, z_power(n, x)))
+    for _ in range(draw(st.integers(0, 2))):
+        state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
+        xz = draw(st.integers(1, (1 << (2 * n)) - 1))
+        pairs.append((state, PauliOperator(n, xz & full, xz >> n)))
+    samples = []
+    for state, p in draw(st.permutations(pairs)):
+        meas = p if draw(st.booleans()) else -p
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+    flipped = n < 4 and draw(st.booleans())  # a miss at n = 4 walks all of GL(4, 2)
+    if flipped:
+        k = draw(st.integers(0, len(samples) - 1))
+        s = samples[k]
+        label = draw(st.sampled_from([v for v in _LABELS if v != s.label]))
+        samples[k] = Sample(s.state, s.measurement, label)
+    return SampleSet(n, samples), flipped
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_sets())
+def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
+    samples, flipped = case
+    n = samples.n
+    full_z = [
+        s
+        for s in samples
+        if s.measurement.x == 0 and all(g.x == 0 for g in s.state.group.generators)
+    ]
+    # allowed[x][u]: the bits b = q.x for which expectation((-1)^b s Z^u)
+    # equals the label of every sample measuring s Z^x, with u = theta x
+    allowed: dict = {}
+    for s in full_z:
+        per_image = allowed.setdefault(s.measurement.z, {u: {0, 1} for u in range(1, 1 << n)})
+        for u, bits in per_image.items():
+            for b in (0, 1):
+                if s.state.expectation(z_power(n, u, sign=(-1) ** b * s.measurement.sign)) != s.label:
+                    bits.discard(b)
+    r = brute_force_search(samples)
+    assert r.found or flipped
+    count = 0
+    for theta in _GL[n]:
+        bits = [(x, per_image[theta.mul_vec(x)]) for x, per_image in allowed.items()]
+        count += any(all(dot(q, x) in b for x, b in bits) for q in range(1 << n))
+        if r.found and theta == r.circuit.theta:
+            break
+    assert r.circuits_examined == count
+
+
+def test_compiled_reduction_solves_to_exactly_the_family_at_q_zero():
+    # the paper's contract, read off the linear system at any n: the
+    # solution set of compile(reduce(F)) is {(M(a), q = 0)} for all a
+    for name, f, _ in CORPUS:
+        samples, inst = reduce_formula_to_samples(f, random.Random(83))
+        n = inst.size
+        top = n * n + n
+        compiled = _compile(samples)
+        assert compiled is not None, name
+        blocks, generic = compiled
+        assert generic == [], name
+        rows = [eq for block in blocks for eq in block]
+        assert top - len(rows) == sum(1 for m in inst.ms if any(m.rows)), name
+        for a in range(1 << inst.num_vars):
+            packed = 0
+            for i, row in enumerate(inst.matrix_at(a).rows):
+                packed |= row << i * n
+            for eq in rows:
+                assert ((eq & packed).bit_count() ^ eq >> top) & 1 == 0, (name, a)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 1 << 32))
 def test_row_table_payload_is_the_inverse_transpose(n, seed):
@@ -280,11 +368,13 @@ def test_contradictory_pair_unsatisfiable():
     for n, v in ((3, 0b010), (4, 0b0001)):
         state = StabilizerState.zero_state(n)
         probe = z_power(n, v)
-        samples = SampleSet(
-            n, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
-        )
-        r = brute_force_search(samples)
-        assert not r.found and r.circuits_examined == 0
+        pair = [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
+        # theta e_0 pinned to {0}: the forced theta x = 0 exit, with no leaf
+        zero_pin = _pin_samples(n, 1, 0, 0, [], None)
+        for samples in (SampleSet(n, pair), SampleSet(n, zero_pin)):
+            assert _compile(samples) is None
+            r = brute_force_search(samples)
+            assert not r.found and r.circuits_examined == 0
 
 
 def test_full_z_half_label_unsatisfiable():
