@@ -57,7 +57,7 @@ from .serialization import (
     sample_set_to_json,
 )
 from .stabilizer import StabilizerGroup, StabilizerState
-from .tableau import evaluate_sample, is_symplectic
+from .tableau import is_symplectic, sample_code
 
 
 class CliError(Exception):
@@ -231,7 +231,7 @@ def cmd_verify(args) -> int:
     t = hypothesis.to_tableau()
     counts = {"samples": len(samples.samples)}
     for index, sample in enumerate(samples.samples):
-        if evaluate_sample(t, sample) != sample.label:
+        if sample_code(t, sample) != sample.code:
             print("inconsistent at sample %d" % index)
             counts["first_violation"] = index
             _report("verify", digest, None, "inconsistent", counts, started)

@@ -138,7 +138,7 @@ def _sample_key(s: Sample) -> tuple:
         (g.x, g.z, g.sign_bit) for g in s.state.group.generators
     )
     m = s.measurement
-    return (gens, m.x, m.z, m.sign_bit, s.label)
+    return (gens, m.x, m.z, m.sign_bit, s.code)
 
 
 def pac_learner(

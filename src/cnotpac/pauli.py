@@ -24,6 +24,14 @@ def _raw_mul(a: tuple, b: tuple) -> tuple:
     return ((e1 + e2 + 2 * dot(z1, x2)) % 4, x1 ^ x2, z1 ^ z2)
 
 
+def _raw_sign_bit(e: int, x: int, z: int) -> int:
+    """Sign bit of the raw form i^e X^x Z^z; raises unless it is Hermitian."""
+    y = (x & z).bit_count()
+    if (e - y) % 2:
+        raise ValueError("phase i^%d with %d overlaps is not Hermitian" % (e, y))
+    return (e - y) % 4 // 2
+
+
 def _fold(factors, mask: int, e: int = 0) -> tuple:
     """Raw form (e, x, z) of i^e times the ordered product of the factors
     (PauliOperators) whose indices are the set bits of mask."""
@@ -69,10 +77,7 @@ class PauliOperator:
     @classmethod
     def from_raw(cls, n: int, e: int, x: int, z: int) -> "PauliOperator":
         """Build from i^e X^x Z^z; e must make the operator Hermitian."""
-        y = (x & z).bit_count()
-        if (e - y) % 2:
-            raise ValueError("phase i^%d with %d overlaps is not Hermitian" % (e, y))
-        return cls(n, x, z, sign=1 if (e - y) % 4 == 0 else -1)
+        return cls(n, x, z, sign=-1 if _raw_sign_bit(e, x, z) else 1)
 
     def raw(self) -> tuple:
         return ((2 * self.sign_bit + (self.x & self.z).bit_count()) % 4, self.x, self.z)

@@ -7,23 +7,35 @@ from fractions import Fraction
 from typing import Iterable, List
 
 from .pauli import PauliOperator
-from .stabilizer import StabilizerState
+from .stabilizer import LABELS, StabilizerState
 
-LABELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+# label code by the label's (numerator, denominator): cheaper than hashing
+# or comparing Fractions, and Sample builds one code per sample
+_CODES = {(v.numerator, v.denominator): code for code, v in enumerate(LABELS)}
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One training example: the expectation of (I+P)/2 against a state."""
+    """One training example: the expectation of (I+P)/2 against a state.
+
+    label is the Fraction seen at the API and JSON boundary; code is its
+    index into LABELS (0 -> 0, 1 -> 1/2, 2 -> 1), which every internal
+    comparison uses.  code is derived, so it takes no part in equality,
+    hashing or repr.
+    """
 
     state: StabilizerState
     measurement: PauliOperator
     label: Fraction
+    code: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "label", Fraction(self.label))
-        if self.label not in LABELS:
+        label = Fraction(self.label)
+        code = _CODES.get((label.numerator, label.denominator))
+        if code is None:
             raise ValueError("label must be 0, 1/2, or 1")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "code", code)
         if self.measurement.is_identity():
             raise ValueError("measurement must not be the identity")
         if self.measurement.n != self.state.n:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit, cnot_tableaus
@@ -28,7 +27,7 @@ from .gf2 import BitMatrix, _insert, _reduce
 from .pauli import z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
 from .samples import SampleSet
-from .tableau import evaluate_sample
+from .tableau import sample_code
 
 
 class EnumerationLimitError(ValueError):
@@ -70,7 +69,7 @@ def check_consistent(h, sample_set: SampleSet) -> bool:
         raise ValueError("hypothesis acts on %d qubits, samples on %d" % (t.n, sample_set.n))
     if isinstance(h, CnotCircuit):
         _check_cnot_shape(t)
-    return all(evaluate_sample(t, s) == s.label for s in sample_set)
+    return all(sample_code(t, s) == s.code for s in sample_set)
 
 
 def _check_cnot_shape(t) -> None:
@@ -90,8 +89,8 @@ class _GenericSample:
     def __init__(self, sample):
         self.group = sample.state.group
         self.e, self.px, self.pz = sample.measurement.raw()
-        self.half = sample.label == Fraction(1, 2)
-        self.flip = 1 if sample.label == 0 else 0
+        self.half = sample.code == 1
+        self.flip = 1 if sample.code == 0 else 0
 
 
 def _full_z_form(state):
@@ -129,12 +128,12 @@ def _compile(sample_set: SampleSet):
     for s in sample_set:
         zform = _full_z_form(s.state)
         if zform is not None and s.measurement.x == 0:
-            if s.label == Fraction(1, 2):
+            if s.code == 1:
                 return None  # a full Z state gives every Z-type image 0 or 1
             zs, signs = zform
             t = BitMatrix(zs, n).solve(signs)
             x = s.measurement.z
-            c = s.measurement.sign_bit ^ (1 if s.label == 0 else 0)
+            c = s.measurement.sign_bit ^ (1 if s.code == 0 else 0)
             row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
             if not _insert(table, row, top) and _reduce(table, row, top):
                 return None  # the equation reduces to 0 = 1

@@ -18,14 +18,13 @@ DIMACS problems raise DimacsError carrying the line number.
 
 import json
 import re
-from fractions import Fraction
 from typing import List, Optional, Union
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix
 from .pauli import PauliOperator
 from .reduction import NonSingularityInstance
-from .samples import Sample, SampleSet
+from .samples import LABELS, Sample, SampleSet
 from .stabilizer import StabilizerGroup, StabilizerState
 from .tableau import CliffordTableau, Gate, is_symplectic
 
@@ -38,8 +37,9 @@ class DimacsError(ValueError):
         self.line = line
 
 
-_LABELS = {Fraction(0): "0", Fraction(1, 2): "1/2", Fraction(1): "1"}
-_LABELS_BACK = {text: value for value, text in _LABELS.items()}
+# label text by label code (index into samples.LABELS)
+_LABEL_TEXT = ("0", "1/2", "1")
+_LABELS_BACK = dict(zip(_LABEL_TEXT, LABELS))
 
 
 # A gate list, unlike a bit string, does not grow with n, yet building
@@ -105,7 +105,7 @@ def sample_to_json(s: Sample) -> dict:
     return {
         "state": [pauli_to_json(g) for g in s.state.group.generators],
         "measurement": pauli_to_json(s.measurement),
-        "label": _LABELS[s.label],
+        "label": _LABEL_TEXT[s.code],
     }
 
 

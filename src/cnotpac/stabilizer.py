@@ -6,6 +6,9 @@ Membership queries answer with a trichotomy: the probe is in the group
 (Plus), its negation is (Minus), or its unsigned support is absent
 entirely (Absent).  The expectation of a two-outcome measurement
 (I + P)/2 against the state is then 1, 0, or 1/2 respectively.
+StabilizerGroup.expectation_code is the one mapping from membership to
+that value: it returns the value's index into LABELS (0 -> 0, 1 -> 1/2,
+2 -> 1) from a raw phase and key, so scoring needs no Pauli object.
 """
 
 from __future__ import annotations
@@ -19,10 +22,18 @@ from .gf2 import _insert, _reduce, _rref
 from .pauli import PauliOperator, _fold, z_power
 
 
+# expectation values of (I + P)/2, indexed by label code
+LABELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
 class Membership(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
     ABSENT = "absent"
+
+
+# membership by label code: -P in the group, P absent, P in the group
+_MEMBERSHIP = (Membership.MINUS, Membership.ABSENT, Membership.PLUS)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -92,16 +103,22 @@ class StabilizerGroup:
             return None
         return _fold(self.generators, r >> width)[0]
 
+    def expectation_code(self, e: int, key: int) -> int:
+        """Label code of tr[(I + P)/2 rho] for the Hermitian, nonidentity
+        P = i^e X^x Z^z with key x | z << n: 2 when P is a member, 0 when
+        -P is, 1 when neither is."""
+        member = self.member_phase(key)
+        if member is None:
+            return 1
+        return 2 if member == e else 0
+
     def group_contains(self, p: PauliOperator) -> Membership:
         """Trichotomy membership for a signed Pauli probe."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
         if p.is_identity():
             return Membership.PLUS if p.sign == 1 else Membership.ABSENT
-        e = self.member_phase(p.key())
-        if e is None:
-            return Membership.ABSENT
-        return Membership.PLUS if e == p.raw()[0] else Membership.MINUS
+        return _MEMBERSHIP[self.expectation_code(p.raw()[0], p.key())]
 
     def members(self):
         """Iterate all 2^n group elements (small n only)."""
@@ -167,18 +184,10 @@ class StabilizerState:
         return hash(self.group)
 
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
-
-
 def measurement_expectation(state: StabilizerState, p: PauliOperator) -> Fraction:
     """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
     if p.is_identity():
         raise ValueError("identity is not a useful measurement")
-    m = state.group.group_contains(p)
-    if m is Membership.PLUS:
-        return _ONE
-    if m is Membership.MINUS:
-        return _ZERO
-    return _HALF
+    if p.n != state.n:
+        raise ValueError("qubit count mismatch")
+    return LABELS[state.group.expectation_code(p.raw()[0], p.key())]

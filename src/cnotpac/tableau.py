@@ -4,8 +4,11 @@ For a circuit C the tableau stores, in the interleaved generator order
 (X_0, Z_0, X_1, Z_1, ...), the inverse images C† G_r C as signed Paulis.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
-is scored against a sample without ever inverting anything.  Forward
-conjugation C P C† is served by a lazily built inverse tableau.
+is scored against a sample without ever inverting anything.  Scoring
+stays in raw form (sample_code): the measurement is folded over the
+images and the result looked up in the state's group, with no Pauli
+object made.  Forward conjugation C P C† is served by a lazily built
+inverse tableau.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import BitMatrix
-from .pauli import PauliOperator, _fold, x_power, z_power
-from .stabilizer import StabilizerGroup, StabilizerState
+from .pauli import PauliOperator, _fold, _raw_sign_bit, x_power, z_power
+from .stabilizer import LABELS, StabilizerGroup, StabilizerState
 
 _SINGLE_QUBIT_GATES = ("x", "z", "h", "p")
 
@@ -113,13 +116,17 @@ class CliffordTableau:
             acc |= p.sign_bit << r
         return acc
 
-    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        """C† P C, by expanding P over the stored generator images."""
+    def conjugate_raw(self, p: PauliOperator) -> tuple:
+        """Raw form (e, x, z) of C† P C, by expanding P over the stored
+        generator images; no Hermiticity check (see conjugate_inverse)."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
         # images in key order: X_0 .. X_{n-1}, then Z_0 .. Z_{n-1}
-        images = self.cols[0::2] + self.cols[1::2]
-        return PauliOperator.from_raw(self.n, *_fold(images, p.key(), p.raw()[0]))
+        return _fold(self.cols[0::2] + self.cols[1::2], p.key(), p.raw()[0])
+
+    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
+        """C† P C; raises unless it is Hermitian (the tableau is invalid)."""
+        return PauliOperator.from_raw(self.n, *self.conjugate_raw(p))
 
     def apply_gate(self, g: Gate) -> None:
         """Append gate g to the circuit (it acts after everything so far)."""
@@ -127,28 +134,28 @@ class CliffordTableau:
             raise ValueError("gate acts outside %d qubits" % self.n)
         self._inverse_cols = None
         n = self.n
+        cols = self.cols
         if g.name == "x":
             a = g.qubit
-            self.cols[2 * a + 1] = -self.cols[2 * a + 1]
+            cols[2 * a + 1] = -cols[2 * a + 1]
         elif g.name == "z":
             a = g.qubit
-            self.cols[2 * a] = -self.cols[2 * a]
+            cols[2 * a] = -cols[2 * a]
         elif g.name == "h":
             a = g.qubit
-            self.cols[2 * a], self.cols[2 * a + 1] = (
-                self.cols[2 * a + 1],
-                self.cols[2 * a],
-            )
+            cols[2 * a], cols[2 * a + 1] = cols[2 * a + 1], cols[2 * a]
         elif g.name == "p":
+            # C†(-Y_a)C: -Y_a = i^3 X_a Z_a, folded over the two images it touches
             a = g.qubit
-            minus_y = PauliOperator(n, 1 << a, 1 << a, sign=-1)
-            self.cols[2 * a] = self.conjugate_inverse(minus_y)
+            cols[2 * a] = PauliOperator.from_raw(n, *_fold((cols[2 * a], cols[2 * a + 1]), 3, 3))
         else:  # cnot
+            # C†(X_a X_b)C and C†(Z_a Z_b)C, each factor pair in key order
             a, b = g.control, g.target
-            new_x = self.conjugate_inverse(x_power(n, (1 << a) | (1 << b)))
-            new_z = self.conjugate_inverse(z_power(n, (1 << a) | (1 << b)))
-            self.cols[2 * a] = new_x
-            self.cols[2 * b + 1] = new_z
+            lo, hi = min(a, b), max(a, b)
+            new_x = PauliOperator.from_raw(n, *_fold((cols[2 * lo], cols[2 * hi]), 3))
+            new_z = PauliOperator.from_raw(n, *_fold((cols[2 * lo + 1], cols[2 * hi + 1]), 3))
+            cols[2 * a] = new_x
+            cols[2 * b + 1] = new_z
 
     def inverse_tableau(self) -> "CliffordTableau":
         """Tableau of C^{-1}; its inverse images are the forward images of C."""
@@ -195,14 +202,28 @@ def apply_circuit_to_state(t: CliffordTableau, state: StabilizerState) -> Stabil
     return StabilizerState(StabilizerGroup(gens))
 
 
+def sample_code(t: CliffordTableau, sample) -> int:
+    """Label code (index into LABELS) that the tableau t assigns to one
+    sample: rho's expectation of t†Pt, computed in raw form.
+
+    Raises ValueError, as conjugating and measuring through Pauli objects
+    would, on a qubit-count mismatch, a non-Hermitian image of P (t is
+    not a valid Clifford tableau) and an identity image of P.
+    """
+    e, x, z = t.conjugate_raw(sample.measurement)
+    _raw_sign_bit(e, x, z)
+    if not x | z:
+        raise ValueError("identity is not a useful measurement")
+    return sample.state.group.expectation_code(e, x | z << t.n)
+
+
 def evaluate_sample(h, sample) -> Fraction:
     """Expectation the hypothesis circuit h assigns to one labeled sample.
 
     h may be a CliffordTableau or anything with to_tableau().  The value
     is tr[(I + P)/2 h rho h†] computed as rho's expectation of h†Ph.
     """
-    t = h.to_tableau()
-    return sample.state.expectation(t.conjugate_inverse(sample.measurement))
+    return LABELS[sample_code(h.to_tableau(), sample)]
 
 
 def lambda_matrix(n: int) -> BitMatrix:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from cnotpac.learning import (
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import brute_force_search, check_consistent
+from cnotpac.serialization import circuit_to_json, dumps
 from cnotpac.stabilizer import Membership, StabilizerState
 from cnotpac.tableau import is_symplectic
 
@@ -299,6 +301,13 @@ def test_trivial_learner_seed_sensitivity():
     assert distinct == 100
     again = trivial_uniform_learner(3, random.Random(0))
     assert again == trivial_uniform_learner(3, random.Random(0))
+
+
+def test_trivial_learner_output_is_pinned():
+    # gate updates fold only the images they touch; the circuit must not move
+    t = trivial_uniform_learner(64, random.Random(7))
+    digest = hashlib.sha256(dumps(circuit_to_json(t)).encode()).hexdigest()
+    assert digest == "b82f282db17a1df37f44f1a31140e1716a36953d7048f8f4efc1b3f0cd3632ab"
 
 
 def test_random_signed_pauli_properties():

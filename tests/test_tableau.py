@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.gf2 import BitMatrix, dot
 from cnotpac.pauli import PauliOperator, x_power, z_power
-from cnotpac.samples import Sample
+from cnotpac.samples import LABELS, Sample, SampleSet
+from cnotpac.search import check_consistent
 from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import (
     CliffordTableau,
@@ -173,6 +175,55 @@ def test_evaluate_sample_matches_dense_trace():
         eye = np.eye(rho.shape[0])
         dense = float(np.trace((eye + pauli_dense(p)) @ rho / 2).real)
         assert abs(float(label) - dense) < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 12),
+    st.integers(0, 1 << 32),
+    st.sampled_from(LABELS),
+)
+def test_sample_code_matches_dense_oracle(n, depth, seed, label):
+    rng = random.Random(seed)
+    gates = random_gates(rng, n, depth)
+    t = CliffordTableau.identity(n)
+    for g in gates:
+        t.apply_gate(g)
+    u = circuit_unitary(gates, n)
+    state = random_stabilizer_state(rng, n)
+    p = random_pauli(rng, n)
+    while p.is_identity():
+        p = random_pauli(rng, n)
+    s = Sample(state, p, label)
+    assert s.code == LABELS.index(label)
+    value = evaluate_sample(t, s)
+    rho = u @ state_dense(state) @ u.conj().T
+    dense = float(np.trace((np.eye(rho.shape[0]) + pauli_dense(p)) @ rho / 2).real)
+    assert abs(float(value) - dense) < 1e-9
+    assert check_consistent(t, SampleSet(n, [s])) == (value == label)
+
+
+def test_scoring_keeps_the_conjugation_checks():
+    # X_0 imaged to X twice is no Clifford: C†YC = i X X comes out non-Hermitian
+    bad = CliffordTableau([x_power(1, 1), x_power(1, 1)])
+    y = Sample(StabilizerState.zero_state(1), PauliOperator(1, 1, 1), Fraction(1, 2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evaluate_sample(bad, y)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_consistent(bad, SampleSet(1, [y]))
+    # X_0 and X_1 share an image, so C†(X_0 X_1)C is the identity
+    t = CliffordTableau([x_power(2, 1), z_power(2, 1), x_power(2, 1), z_power(2, 2)])
+    xx = Sample(StabilizerState.zero_state(2), x_power(2, 0b11), Fraction(1, 2))
+    with pytest.raises(ValueError, match="identity is not a useful measurement"):
+        evaluate_sample(t, xx)
+    with pytest.raises(ValueError, match="identity is not a useful measurement"):
+        check_consistent(t, SampleSet(2, [xx]))
+    other = Sample(StabilizerState.zero_state(3), z_power(3, 1), Fraction(1))
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        evaluate_sample(CliffordTableau.identity(2), other)
+    with pytest.raises(ValueError):
+        check_consistent(CliffordTableau.identity(2), SampleSet(3, [other]))
 
 
 def symplectic_oracle(s, n):
