@@ -45,6 +45,8 @@ from .search import (
 from .serialization import (
     _MAX_CIRCUIT_QUBITS,
     DimacsError,
+    _pauli_decoder,
+    _state_from_json,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -52,11 +54,9 @@ from .serialization import (
     instance_from_json,
     instance_to_json,
     parse_dimacs,
-    pauli_from_json,
     sample_set_from_json,
     sample_set_to_json,
 )
-from .stabilizer import StabilizerGroup, StabilizerState
 from .tableau import is_symplectic, sample_code
 
 
@@ -290,19 +290,20 @@ def _learn_single(args, rng):
     if not isinstance(obj, dict):
         raise CliError("batch input must be an object")
     try:
-        measurement = pauli_from_json(obj.get("measurement"))
+        decode = _pauli_decoder()
+        measurement = decode(obj.get("measurement"))
         entries = obj.get("samples")
         if not isinstance(entries, list) or not entries:
             raise ValueError("field 'samples' must be a nonempty list")
         pairs = []
         for entry in entries:
-            gens = [pauli_from_json(g) for g in entry["state"]]
+            state = _state_from_json(entry, decode)
             label = entry.get("label")
             if label in ("0", "1"):
                 label = int(label)
-            pairs.append((StabilizerState(StabilizerGroup(gens)), label))
+            pairs.append((state, label))
         batch = SingleMeasurementBatch(measurement, pairs)
-    except (ValueError, KeyError, TypeError) as err:
+    except ValueError as err:
         raise CliError("%s: %s" % (args.input, err))
     counts = {"samples": len(batch.samples)}
     try:

@@ -19,7 +19,7 @@ from .formula import Formula, WeightedDigraph, formula_to_graph, num_variables
 from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
 from .pauli import PauliOperator, z_power
 from .samples import Sample, SampleSet
-from .stabilizer import StabilizerState
+from .stabilizer import StabilizerGroup, StabilizerState
 
 
 class NonSingularityInstance:
@@ -144,29 +144,20 @@ def _pin_samples(
     else:
         basis = complete_to_basis(head, n, rng)
     measurement = z_power(n, x, sign=-1 if sigma else 1)
-    out = [
-        Sample(
-            StabilizerState.from_z_generators(n, basis, signs=0),
-            measurement,
-            Fraction(1),
-        )
-    ]
+    # the states share the basis generators Z^{basis[k]}; each flipped
+    # state negates one of them
+    gens = [z_power(n, v) for v in basis]
+
+    def flipped(j: int) -> StabilizerState:
+        signed = gens[:]
+        signed[j] = -gens[j]
+        return StabilizerState(StabilizerGroup(signed))
+
+    out = [Sample(StabilizerState(StabilizerGroup(gens)), measurement, Fraction(1))]
     for j in range(len(head), n):
-        out.append(
-            Sample(
-                StabilizerState.from_z_generators(n, basis, signs=1 << j),
-                measurement,
-                Fraction(1),
-            )
-        )
+        out.append(Sample(flipped(j), measurement, Fraction(1)))
     if final:
-        out.append(
-            Sample(
-                StabilizerState.from_z_generators(n, basis, signs=1),
-                measurement,
-                Fraction(0),
-            )
-        )
+        out.append(Sample(flipped(0), measurement, Fraction(0)))
     return out
 
 

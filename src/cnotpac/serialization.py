@@ -101,40 +101,96 @@ def pauli_from_json(obj) -> PauliOperator:
     return PauliOperator(n, x, z, sign=sign)
 
 
-def sample_to_json(s: Sample) -> dict:
+def _pauli_decoder():
+    """pauli_from_json with a memo that lives as long as the returned function.
+
+    Each distinct value is parsed once and shared: a repeat returns the
+    same PauliOperator object.  The memo only decides whether to call
+    pauli_from_json, never what it accepts.  A value is keyed only once
+    its fields have the exact JSON types pauli_from_json requires (True
+    and 1.0 hash like 1, so a type check must come first), and only a
+    parsed value is stored, so a bad entry raises at every occurrence.
+    """
+    memo: dict = {}
+
+    def decode(obj) -> PauliOperator:
+        if type(obj) is dict:
+            key = (obj.get("n"), obj.get("sign"), obj.get("x"), obj.get("z"))
+            n, sign, x, z = key
+            if type(n) is int and type(sign) is int and type(x) is str and type(z) is str:
+                p = memo.get(key)
+                if p is None:
+                    p = memo[key] = pauli_from_json(obj)
+                return p
+        return pauli_from_json(obj)
+
+    return decode
+
+
+def _sample_to_json(s: Sample, encode) -> dict:
     return {
-        "state": [pauli_to_json(g) for g in s.state.group.generators],
-        "measurement": pauli_to_json(s.measurement),
+        "state": [encode(g) for g in s.state.group.generators],
+        "measurement": encode(s.measurement),
         "label": _LABEL_TEXT[s.code],
     }
 
 
-def sample_from_json(obj) -> Sample:
+def sample_to_json(s: Sample) -> dict:
+    return _sample_to_json(s, pauli_to_json)
+
+
+def _state_from_json(obj, decode) -> StabilizerState:
+    """The state of a sample or batch entry, whose field 'state' lists
+    the generators; decode is pauli_from_json or a _pauli_decoder."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     gens = obj.get("state")
     if not isinstance(gens, list) or not gens:
         raise ValueError("sample field 'state' must list the generators")
-    state = StabilizerState(StabilizerGroup([pauli_from_json(g) for g in gens]))
-    measurement = pauli_from_json(obj.get("measurement"))
+    return StabilizerState(StabilizerGroup([decode(g) for g in gens]))
+
+
+def _sample_from_json(obj, decode) -> Sample:
+    state = _state_from_json(obj, decode)
+    measurement = decode(obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
     return Sample(state, measurement, _LABELS_BACK[label])
 
 
+def sample_from_json(obj) -> Sample:
+    return _sample_from_json(obj, pauli_from_json)
+
+
 def sample_set_to_json(ss: SampleSet) -> dict:
-    return {"n": ss.n, "samples": [sample_to_json(s) for s in ss.samples]}
+    """Equal Paulis share one dict in the returned tree, which json.dumps
+    writes the same at every occurrence; deep-copy the tree before
+    editing a Pauli in place."""
+    memo: dict = {}
+
+    def encode(p: PauliOperator) -> dict:
+        # the fields PauliOperator.__eq__ compares, without its Python-level
+        # __hash__ and __eq__
+        key = (p.n, p.x, p.z, p.sign_bit)
+        obj = memo.get(key)
+        if obj is None:
+            obj = memo[key] = pauli_to_json(p)
+        return obj
+
+    return {"n": ss.n, "samples": [_sample_to_json(s, encode) for s in ss.samples]}
 
 
 def sample_set_from_json(obj) -> SampleSet:
+    """Load a sample set; one load shares one PauliOperator per distinct value."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    return SampleSet(n, [sample_from_json(s) for s in samples])
+    decode = _pauli_decoder()
+    return SampleSet(n, [_sample_from_json(s, decode) for s in samples])
 
 
 # ---------------------------------------------------------------------------

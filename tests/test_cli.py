@@ -28,6 +28,7 @@ from cnotpac.tableau import is_symplectic
 
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
+from test_serialization import TWIN_IDS, TWINS, twin_sample_set
 
 
 def run(capsys, *argv):
@@ -537,3 +538,53 @@ def test_indented_sample_set_solves_like_the_compact_one(unit_reduction, tmp_pat
         code, _, _ = run(capsys, "verify", str(witness), str(path))
         assert code == 0
     assert outs[0] == outs[1]
+
+
+# sha256 of two reduce outputs as written before the sample-set dumper shared
+# one dict per distinct Pauli; sharing must not change a byte
+GOLDEN_SHA256 = "490419e2a852a0c2cefe824cd508282f42b1e6c48df41fc5779f7121cfc43a9d"
+UNIT_SHA256 = "8909da1f24724d36efd1f0f3aa69bfd1e8bf3c1691e8e4d8bf7a86a283e05074"
+
+
+def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    run(capsys, "reduce", "--formula", GOLDEN_FORMULA, "--seed", "7", "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
+    assert hashlib.sha256(unit_reduction.read_bytes()).hexdigest() == UNIT_SHA256
+
+
+@pytest.mark.parametrize("field, value", TWINS, ids=TWIN_IDS)
+def test_a_twin_of_a_valid_pauli_exits_2(field, value, tmp_path, capsys):
+    obj = twin_sample_set(field, value, "state")
+    path = tmp_path / "twin.json"
+    path.write_text(dumps(obj))
+    code, _, err = run(capsys, "solve", str(path), "--strategy", "brute")
+    assert code == 2 and err.startswith("error:") and "Pauli field '%s'" % field in err, err
+    batch = tmp_path / "twin_batch.json"
+    entries = [{"state": s["state"], "label": "1"} for s in obj["samples"]]
+    batch.write_text(dumps({"measurement": obj["samples"][0]["measurement"], "samples": entries}))
+    code, _, err = run(
+        capsys, "learn", "--mode", "single-measurement", "--input", str(batch), "--seed", "1"
+    )
+    assert code == 2 and err.startswith("error:") and "Pauli field '%s'" % field in err, err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"label": "1"}, "sample field 'state' must list the generators"),
+        ({"state": [], "label": "1"}, "sample field 'state' must list the generators"),
+        (3, "sample must be an object"),
+    ],
+    ids=["no-state", "empty-state", "not-an-object"],
+)
+def test_learn_single_measurement_names_the_bad_entry_field(entry, message, tmp_path, capsys):
+    path = batch_fixture(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["samples"].append(entry)
+    path.write_text(dumps(obj))
+    code, stdout, err = run(
+        capsys, "learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"
+    )
+    assert code == 2 and err == "error: %s: %s\n" % (path, message)
+    assert stdout == ""

@@ -245,3 +245,20 @@ def test_instance_size_above_the_limit_is_refused_before_any_sample():
     inst = NonSingularityInstance(65, BitMatrix.identity(65), [])
     with pytest.raises(ValueError, match="instance size 65 exceeds the limit of 64"):
         instance_to_samples(inst, None)
+
+
+def test_states_of_one_pin_share_their_unflipped_generators():
+    samples, _ = reduce_formula_to_samples(golden_formula(), random.Random(53))
+    # every pin builds one measurement for all its samples; a link sample or
+    # the dead-column pair is a group of its own
+    pins = {}
+    for s in samples:
+        pins.setdefault(id(s.measurement), []).append(s.state.group.generators)
+    assert max(len(states) for states in pins.values()) == samples.n + 1
+    for states in pins.values():
+        base = states[0]
+        for gens in states[1:]:
+            moved = [k for k, (g, b) in enumerate(zip(gens, base)) if g is not b]
+            assert len(moved) == 1
+            k = moved[0]
+            assert gens[k] == -base[k]

@@ -11,7 +11,7 @@ from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
 from cnotpac.pauli import PauliOperator, z_power
-from cnotpac.reduction import graph_to_instance, reduce_sat_to_samples
+from cnotpac.reduction import graph_to_instance, reduce_formula_to_samples, reduce_sat_to_samples
 from cnotpac.formula import formula_to_graph
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
@@ -37,7 +37,7 @@ from cnotpac.serialization import (
 from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import CliffordTableau, Gate
 
-from formula_corpus import golden_formula
+from formula_corpus import CORPUS, golden_formula
 from helpers import random_tableau
 from test_search import random_cnot_circuit, random_consistent_set
 
@@ -225,6 +225,68 @@ def test_reduction_output_serializes():
     parsed = json.loads(text)
     assert sample_set_from_json(parsed["samples"]).n == inst.size
     assert instance_from_json(parsed["instance"]).size == 3
+
+
+def _unshared_json(ss):
+    """sample_set_to_json with one fresh pauli_to_json dict per entry."""
+    return {
+        "n": ss.n,
+        "samples": [
+            {
+                "state": [pauli_to_json(g) for g in s.state.group.generators],
+                "measurement": pauli_to_json(s.measurement),
+                "label": str(s.label),
+            }
+            for s in ss.samples
+        ],
+    }
+
+
+def test_corpus_reductions_round_trip_byte_for_byte():
+    for name, f, n_vars in CORPUS:
+        ss, _ = reduce_formula_to_samples(f, random.Random(120), num_vars=n_vars)
+        text = dumps(sample_set_to_json(ss))
+        assert text == dumps(_unshared_json(ss)), name
+        back = sample_set_from_json(json.loads(text))
+        assert back.n == ss.n and back.samples == ss.samples, name
+        for s, t in zip(ss.samples, back.samples):
+            assert s.state.group.generators == t.state.group.generators, name
+
+
+def test_one_load_shares_one_pauli_per_distinct_value():
+    ss, _ = reduce_formula_to_samples(golden_formula(), random.Random(121))
+    obj = _unshared_json(ss)
+    back = sample_set_from_json(obj)
+    entries = {json.dumps(g, sort_keys=True) for s in obj["samples"] for g in s["state"]}
+    objects = {id(g) for s in back.samples for g in s.state.group.generators}
+    assert len(entries) < sum(len(s["state"]) for s in obj["samples"])
+    assert len(objects) == len(entries)
+    measurements = {json.dumps(s["measurement"], sort_keys=True) for s in obj["samples"]}
+    assert len({id(s.measurement) for s in back.samples}) == len(measurements)
+
+
+def twin_sample_set(field, value, where):
+    """A sample set whose second sample repeats a Pauli of the first, with
+    field set to value: a twin that hashes like the valid original."""
+    n = 3 if value == 3.0 else 1
+    first = sample_to_json(Sample(StabilizerState.zero_state(n), z_power(n, 1), Fraction(1)))
+    second = copy.deepcopy(first)
+    if where == "state":
+        second["state"][0][field] = value
+    else:
+        second["measurement"][field] = value
+    return {"n": n, "samples": [first, second]}
+
+
+TWINS = [("sign", True), ("n", True), ("n", 3.0)]
+TWIN_IDS = ["sign-true", "n-true", "n-float"]
+
+
+@pytest.mark.parametrize("where", ["state", "measurement"])
+@pytest.mark.parametrize("field, value", TWINS, ids=TWIN_IDS)
+def test_a_twin_of_a_loaded_pauli_is_still_validated(field, value, where):
+    with pytest.raises(ValueError, match="Pauli field '%s'" % field):
+        sample_set_from_json(twin_sample_set(field, value, where))
 
 
 GOOD_DIMACS = """c a comment
