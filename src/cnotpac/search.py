@@ -11,9 +11,11 @@ state and whose measurement is Z-type are linear equations in the bits
 of (theta, q); they compile into one echelon table, whose rows led by
 theta row r prune every row prefix at depth r exactly, and whose rows
 led by a q bit join the generic samples in an exact solve for q at each
-leaf instead of an enumeration.  The result is
-identical to the naive scan (enumerate_consistent_circuits provides the
-naive scan for cross-checking at small n).
+leaf instead of an enumeration.  A node tests a candidate row against
+those equations before it reduces the row, once, against the rows
+chosen so far; a leaf tests the generic samples before it solves for q.
+The result is identical to the naive scan (enumerate_consistent_circuits
+provides the naive scan for cross-checking at small n).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class _GenericSample:
 
 
 def _full_z_form(state):
-    """(z supports, packed sign bits) when every generator is Z-type, else None."""
+    """(z supports tuple, packed sign bits) when every generator is Z-type, else None."""
     zs = []
     signs = 0
     for k, g in enumerate(state.group.generators):
@@ -102,7 +104,7 @@ def _full_z_form(state):
             return None
         zs.append(g.z)
         signs |= g.sign_bit << k
-    return zs, signs
+    return tuple(zs), signs
 
 
 def _compile(sample_set: SampleSet):
@@ -111,7 +113,9 @@ def _compile(sample_set: SampleSet):
     A full-Z sample reads q.x + t.(theta x) = c, with x its measurement
     support, t the state's sign character and c the label/sign bit.  It
     is packed as one row: bit r n + j is theta[r][j], bit n^2 + j is q_j
-    and the payload bit n^2 + n is c.  The table's rows are split by
+    and the payload bit n^2 + n is c.  t solves Z t = signs, Z the
+    state's z supports as rows; each distinct tuple of supports is
+    inverted once per call.  The table's rows are split by
     leading bit: blocks[r] (r < n) holds the rows led by a bit of theta
     row r, which involve rows 0..r only, and blocks[n] the rows led by a
     q bit.  Every other sample is generic and is checked at the leaf.
@@ -123,6 +127,7 @@ def _compile(sample_set: SampleSet):
     n = sample_set.n
     top = n * n + n
     table: dict = {}
+    inverses: dict = {}  # z supports -> the inverse that solves for t
     supports = set()
     generic: List[_GenericSample] = []
     for s in sample_set:
@@ -131,7 +136,10 @@ def _compile(sample_set: SampleSet):
             if s.code == 1:
                 return None  # a full Z state gives every Z-type image 0 or 1
             zs, signs = zform
-            t = BitMatrix(zs, n).solve(signs)
+            inverse = inverses.get(zs)
+            if inverse is None:
+                inverse = inverses[zs] = BitMatrix(zs, n).inverse()
+            t = inverse.mul_vec(signs)
             x = s.measurement.z
             c = s.measurement.sign_bit ^ (1 if s.code == 0 else 0)
             row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
@@ -149,39 +157,52 @@ def _compile(sample_set: SampleSet):
     return blocks, generic
 
 
-def _leaf_q_space(n, theta, table, equations, packed, generic):
-    """Affine set of q values consistent at this theta, or None.
+def _leaf_q(n, table, equations, packed, generic):
+    """Least q consistent at the leaf theta, or None.
 
-    equations are the table rows led by a q bit.  With theta substituted
-    each is one equation on q, whose right side is the parity of the row
-    AND packed (theta in the table's layout with the payload bit set, as
-    the DFS carries it).  table is the DFS echelon table of theta's rows,
-    row r inserted with payload 1 << (n + r): reducing a vector v through
-    it leaves the coordinates of v in the row basis, theta^{-T} v, as the
-    payload.
+    packed is theta in the table's layout with the payload bit set, as the
+    DFS carries it.  table is the DFS echelon table of theta's rows, row r
+    inserted with payload 1 << (n + r), so reducing v through it leaves
+    theta^{-T} v as the payload.  The generic samples come first, since
+    most leaves fail one: each rejects theta or gives one equation on q.
+    Then each of equations (the table rows led by a q bit) gives one, its
+    right side the parity of the row AND packed.  The solve is fully
+    reduced, so the order of the equations does not change the least q.
     """
     full = (1 << n) - 1
-    pairs = [(eq >> n * n & full, (eq & packed).bit_count() & 1) for eq in equations]
+    pairs = []
     for gs in generic:
         # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in the
         # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
-        key = (_reduce(table, gs.px, n) >> n) | (theta.mul_vec(gs.pz) << n)
-        e_member = gs.group.member_phase(key)
+        pz = gs.pz
+        image = 0
+        for i in range(n):
+            image |= ((packed >> i * n & pz).bit_count() & 1) << i
+        e_member = gs.group.member_phase(_reduce(table, gs.px, n) >> n | image << n)
         if e_member is None:
             if not gs.half:
                 return None
             continue  # expectation is 1/2 for every q
         if gs.half:
             return None
-        pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
+        pairs.append((pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
+    for eq in equations:
+        pairs.append((eq >> n * n & full, (eq & packed).bit_count() & 1))
     rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
-    return BitMatrix([row for row, _ in pairs], n).solve_affine(rhs)
+    q_space = BitMatrix([row for row, _ in pairs], n).solve_affine(rhs)
+    return None if q_space is None else q_space.offset
 
 
 def _with_row(table, v, r, n):
-    """Copy of the DFS row table with row r = v added, payload 1 << (n + r)."""
+    """Copy of the DFS row table with row r = v added, payload 1 << (n + r),
+    or None when v is in the span of the rows already there.  The one
+    reduction of v is both the span test and the row that is stored."""
+    row = _reduce(table, v | 1 << (n + r), n)
+    key = row & ((1 << n) - 1)
+    if not key:
+        return None
     table = dict(table)
-    _insert(table, v | 1 << (n + r), n)
+    table[key.bit_length() - 1] = row
     return table
 
 
@@ -189,33 +210,39 @@ def _dfs_first(n, blocks, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
     leaves examined).  packed holds the rows chosen so far in the table's
     layout with the payload bit set, so an equation holds iff its AND with
-    packed has even parity.  Row v at depth r is kept only if every
-    equation of blocks[r] holds: the pivots being distinct, that is
-    exactly when rows 0..r extend to a solution of every full-Z equation."""
+    packed has even parity.
+
+    A node at depth r first checks row v against the equations of
+    blocks[r], with bit operations on packed: the pivots being distinct,
+    they all hold exactly when rows 0..r extend to a solution of every
+    full-Z equation.  Then _with_row reduces v once, which drops a v
+    dependent on rows 0..r-1.  A leaf is _leaf_q, and only the witness
+    becomes a circuit."""
     full = (1 << n) - 1
+    equations = blocks[n]
     examined = 0
 
     def rec(r, table, packed):
         nonlocal examined
         if r == n:
             examined += 1
-            theta = BitMatrix([packed >> i * n & full for i in range(n)], n)
-            q_space = _leaf_q_space(n, theta, table, blocks[n], packed, generic)
-            if q_space is None:
+            q = _leaf_q(n, table, equations, packed, generic)
+            if q is None:
                 return None
-            return CnotCircuit(theta, q_space.offset)
+            return CnotCircuit(BitMatrix([packed >> i * n & full for i in range(n)], n), q)
         block = blocks[r]
+        shift = r * n
         for v in range(1, 1 << n):
-            if _reduce(table, v, n) & full == 0:
-                continue
-            p = packed | v << r * n
+            p = packed | v << shift
             for eq in block:
                 if (eq & p).bit_count() & 1:
                     break
             else:
-                hit = rec(r + 1, _with_row(table, v, r, n), p)
-                if hit is not None:
-                    return hit
+                child = _with_row(table, v, r, n)
+                if child is not None:
+                    hit = rec(r + 1, child, p)
+                    if hit is not None:
+                        return hit
         return None
 
     circuit = rec(0, {}, 1 << (n * n + n))

@@ -81,12 +81,15 @@ class StabilizerGroup:
         n = generators[0].n
         if len(generators) != n:
             raise ValueError("a pure state on %d qubits needs exactly %d generators" % (n, n))
+        keys = []
         for g in generators:
             if g.n != n:
                 raise ValueError("generator qubit count mismatch")
-            if g.is_identity():
+            key = g.x | g.z << n
+            if not key:
                 raise ValueError("identity cannot be a generator")
-        self._table = _echelon_table(n, tuple(g.key() for g in generators))
+            keys.append(key)
+        self._table = _echelon_table(n, tuple(keys))
         self.n = n
         self.generators = generators
 

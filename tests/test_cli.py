@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import cnotpac
+from cnotpac import cli
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.pauli import z_power
@@ -246,6 +247,26 @@ def test_solve_rejects_bad_workers_and_seed(unit_reduction, capsys):
             main(["solve", str(unit_reduction), flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def test_back_to_back_main_calls_share_no_arguments(unit_reduction, tmp_path, capsys, monkeypatch):
+    # one parser serves every in-process call; each call parses afresh
+    first = tmp_path / "first.json"
+    code, _, _ = run(capsys, "solve", str(unit_reduction), "--strategy", "affine", "--out", str(first))
+    assert code == 0 and first.exists()
+    first.unlink()
+    code, stdout, _ = run(capsys, "solve", str(unit_reduction))
+    assert code == 0 and not first.exists()
+    assert stdout.startswith('{"gates"')  # the witness went to stdout, not to the first --out
+    assert "circuits_examined" in last_report(stdout)["counts"]  # the default strategy
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(unit_reduction), "--strategy", "exhaustive"])
+    assert exc.value.code == 2 and "--strategy" in capsys.readouterr().err
+    code, stdout, _ = run(capsys, "solve", str(unit_reduction), "--strategy", "decision")
+    assert code == 0 and "oracle_queries" in last_report(stdout)["counts"]
+    # a command function replaced after the parser was built is the one called
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+    assert main(["solve", str(unit_reduction)]) == 7
 
 
 def test_verify_inconsistent_reports_index(tmp_path, capsys):

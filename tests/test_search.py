@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import Constant, eval_formula, formula_to_graph
-from cnotpac.gf2 import BitMatrix, _reduce, complete_to_basis, dot
+from cnotpac.gf2 import BitMatrix, _insert, _reduce, complete_to_basis, dot
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import (
     NonSingularityInstance,
@@ -281,6 +282,57 @@ def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
     assert r.circuits_examined == count
 
 
+def _learn_shaped_sets(n=4, pools=16):
+    """Seeded pools shaped like a PAC learner's input: generic samples
+    labelled 0 or 1 (a generic state measured on the hidden circuit's
+    image of one of its group elements), one random measurement of a
+    generic state (mostly labelled 1/2), then full-Z samples sharing one
+    measurement support.  Every other pool has its first label flipped,
+    and each pool is yielded in both orders."""
+    for seed in range(pools):
+        rng = random.Random("brute-pin/%d" % seed)
+        hidden = random_cnot_circuit(rng, n)
+        t = hidden.to_tableau()
+        inv = t.inverse_tableau()
+        pairs = []
+        for _ in range(6):
+            state = random_stabilizer_state(rng, n)
+            g = state.group.element(rng.randrange(1, 1 << n))
+            pairs.append((state, inv.conjugate_inverse(-g if rng.randrange(2) else g)))
+        xz = rng.randrange(1, 1 << (2 * n))
+        pairs.append((random_stabilizer_state(rng, n), PauliOperator(n, xz & ((1 << n) - 1), xz >> n)))
+        x = rng.randrange(1, 1 << n)
+        for _ in range(3):
+            basis = complete_to_basis([], n, rng)
+            state = StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+            pairs.append((state, z_power(n, x, sign=rng.choice((1, -1)))))
+        samples = [Sample(s, p, s.expectation(t.conjugate_inverse(p))) for s, p in pairs]
+        if seed % 2:
+            s = samples[0]
+            samples[0] = Sample(s.state, s.measurement, 1 - s.label)
+        yield SampleSet(n, samples)
+        yield SampleSet(n, samples[::-1])
+
+
+# sha256 of the brute results (found, witness rows, q, circuits_examined)
+# on _learn_shaped_sets, taken from a DFS that ran a row's span test before
+# its equations and a leaf's q equations before its generic samples: the
+# order of those checks must not change a witness or a leaf count
+BRUTE_PIN_SHA256 = "60d9000a293d56c13c58e2c8174080b6bdcfa08e7ff8263a5f4e432b9addace1"
+
+
+def test_brute_results_are_pinned_on_learn_shaped_pools():
+    results = []
+    for samples in _learn_shaped_sets():
+        r = brute_force_search(samples)
+        c = r.circuit
+        results.append((r.found, c and tuple(c.theta.rows), c and c.q, r.circuits_examined))
+    assert {found for found, *_ in results} == {True, False}
+    assert len({examined for *_, examined in results}) > 8
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == BRUTE_PIN_SHA256, results
+
+
 def test_compiled_reduction_solves_to_exactly_the_family_at_q_zero():
     # the paper's contract, read off the linear system at any n: the
     # solution set of compile(reduce(F)) is {(M(a), q = 0)} for all a
@@ -300,6 +352,44 @@ def test_compiled_reduction_solves_to_exactly_the_family_at_q_zero():
                 packed |= row << i * n
             for eq in rows:
                 assert ((eq & packed).bit_count() ^ eq >> top) & 1 == 0, (name, a)
+
+
+def _rows_solved_per_sample(samples):
+    """The full-Z rows of _compile's table, each sign character t from its
+    own BitMatrix(zs, n).solve(signs)."""
+    n = samples.n
+    top = n * n + n
+    table: dict = {}
+    for s in samples:
+        gens = s.state.group.generators
+        if s.measurement.x or any(g.x for g in gens):
+            continue
+        signs = sum(g.sign_bit << k for k, g in enumerate(gens))
+        t = BitMatrix([g.z for g in gens], n).solve(signs)
+        x = s.measurement.z
+        c = s.measurement.sign_bit ^ (s.code == 0)
+        _insert(table, sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top, top)
+    return sorted(table.values())
+
+
+def test_compile_inverts_each_support_tuple_once_with_the_same_table():
+    cases = [reduce_formula_to_samples(f, random.Random(89))[0] for _, f, _ in CORPUS]
+    rng = random.Random(97)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        hidden = random_cnot_circuit(rng, n)
+        t = hidden.to_tableau()
+        bases = [complete_to_basis([], n, rng) for _ in range(rng.randrange(1, 4))]
+        samples = []
+        for _ in range(rng.randrange(1, 4 * n)):
+            state = StabilizerState.from_z_generators(n, rng.choice(bases), rng.randrange(1 << n))
+            meas = z_power(n, rng.randrange(1, 1 << n), sign=rng.choice((1, -1)))
+            samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+        cases.append(SampleSet(n, samples))
+    for samples in cases:
+        blocks, generic = _compile(samples)
+        assert generic == []
+        assert sorted(row for block in blocks for row in block) == _rows_solved_per_sample(samples)
 
 
 @settings(max_examples=80, deadline=None)
