@@ -17,7 +17,7 @@ from .gf2 import (
     deterministic_completion,
     dot,
 )
-from .pauli import PauliOperator, decode_pauli, encode_pauli, x_power, z_power
+from .pauli import PauliOperator, x_power, z_power
 from .stabilizer import (
     Membership,
     StabilizerGroup,

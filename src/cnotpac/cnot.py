@@ -106,7 +106,8 @@ def cnot_tableaus(theta: BitMatrix) -> Callable[[int], CliffordTableau]:
     built once: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j}.
 
     The X images and both signs of every Z image are made up front, so a
-    call only picks each Z image's sign from the bits of q.  Raises
+    call only picks each Z image's sign from the bits of q, and builds its
+    tableau without re-checking images made here.  Raises
     SingularMatrixError when theta is singular.
     """
     n = theta.n_rows
@@ -119,7 +120,7 @@ def cnot_tableaus(theta: BitMatrix) -> Callable[[int], CliffordTableau]:
         for j in range(n):
             cols.append(xs[j])
             cols.append(zs[j][(q >> j) & 1])
-        return CliffordTableau(cols)
+        return CliffordTableau._unchecked(n, cols)
 
     return at
 

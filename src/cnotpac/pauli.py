@@ -139,23 +139,3 @@ def z_power(n: int, v: int, sign: int = 1) -> PauliOperator:
     """Z^v = product of Z_i over the set bits of v."""
     return PauliOperator(n, 0, v, sign=sign)
 
-
-def encode_pauli(p: PauliOperator) -> str:
-    """Encode as 2n+1 chars: char 2i = x_i, char 2i+1 = z_i, sign bit last."""
-    out = []
-    for i in range(p.n):
-        out.append(str((p.x >> i) & 1))
-        out.append(str((p.z >> i) & 1))
-    out.append(str(p.sign_bit))
-    return "".join(out)
-
-
-def decode_pauli(s: str) -> PauliOperator:
-    if len(s) < 3 or len(s) % 2 == 0 or set(s) - {"0", "1"}:
-        raise ValueError("encoding must be 2n+1 bits of 0/1")
-    n = (len(s) - 1) // 2
-    x = z = 0
-    for i in range(n):
-        x |= int(s[2 * i]) << i
-        z |= int(s[2 * i + 1]) << i
-    return PauliOperator(n, x, z, sign=-1 if s[-1] == "1" else 1)

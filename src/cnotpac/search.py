@@ -13,9 +13,13 @@ theta row r prune every row prefix at depth r exactly, and whose rows
 led by a q bit join the generic samples in an exact solve for q at each
 leaf instead of an enumeration.  A node tests a candidate row against
 those equations before it reduces the row, once, against the rows
-chosen so far; a leaf tests the generic samples before it solves for q.
-The result is identical to the naive scan (enumerate_consistent_circuits
-provides the naive scan for cross-checking at small n).
+chosen so far.  The parent of the leaves runs them in one loop with no
+table of their own: its table has n - 1 pivots, so reducing through it
+stops at zero or at the one non-pivot column, and each generic sample's
+work on rows 0..n-2 is done once for all its leaves.  A leaf tests the
+generic samples before it solves for q.  The result is identical to the
+naive scan (enumerate_consistent_circuits provides the naive scan for
+cross-checking at small n).
 """
 
 from __future__ import annotations
@@ -157,42 +161,6 @@ def _compile(sample_set: SampleSet):
     return blocks, generic
 
 
-def _leaf_q(n, table, equations, packed, generic):
-    """Least q consistent at the leaf theta, or None.
-
-    packed is theta in the table's layout with the payload bit set, as the
-    DFS carries it.  table is the DFS echelon table of theta's rows, row r
-    inserted with payload 1 << (n + r), so reducing v through it leaves
-    theta^{-T} v as the payload.  The generic samples come first, since
-    most leaves fail one: each rejects theta or gives one equation on q.
-    Then each of equations (the table rows led by a q bit) gives one, its
-    right side the parity of the row AND packed.  The solve is fully
-    reduced, so the order of the equations does not change the least q.
-    """
-    full = (1 << n) - 1
-    pairs = []
-    for gs in generic:
-        # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in the
-        # group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
-        pz = gs.pz
-        image = 0
-        for i in range(n):
-            image |= ((packed >> i * n & pz).bit_count() & 1) << i
-        e_member = gs.group.member_phase(_reduce(table, gs.px, n) >> n | image << n)
-        if e_member is None:
-            if not gs.half:
-                return None
-            continue  # expectation is 1/2 for every q
-        if gs.half:
-            return None
-        pairs.append((pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
-    for eq in equations:
-        pairs.append((eq >> n * n & full, (eq & packed).bit_count() & 1))
-    rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
-    q_space = BitMatrix([row for row, _ in pairs], n).solve_affine(rhs)
-    return None if q_space is None else q_space.offset
-
-
 def _with_row(table, v, r, n):
     """Copy of the DFS row table with row r = v added, payload 1 << (n + r),
     or None when v is in the span of the rows already there.  The one
@@ -210,39 +178,88 @@ def _dfs_first(n, blocks, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
     leaves examined).  packed holds the rows chosen so far in the table's
     layout with the payload bit set, so an equation holds iff its AND with
-    packed has even parity.
+    packed has even parity.  table is the echelon table of those rows, row
+    r inserted with payload 1 << (n + r), so a vector that reduces through
+    a full table leaves theta^{-T} of it as the payload.
 
     A node at depth r first checks row v against the equations of
     blocks[r], with bit operations on packed: the pivots being distinct,
     they all hold exactly when rows 0..r extend to a solution of every
-    full-Z equation.  Then _with_row reduces v once, which drops a v
-    dependent on rows 0..r-1.  A leaf is _leaf_q, and only the witness
-    becomes a circuit."""
+    full-Z equation.  Below depth n - 1, _with_row then reduces v once,
+    which drops a v dependent on rows 0..r-1, and the search recurses.
+
+    Depth n - 1, the parent of the leaves, runs each leaf in the same
+    loop and builds no child table: row = v reduced against the parent's
+    table is the span test and the last row.  The parent's table has
+    n - 1 pivots, so a reduction through it stops at zero or at the one
+    non-pivot column.  For each generic sample, on first use at the node
+    (most leaves fail the first one), it keeps the image bits 0..n-2 of
+    theta pz and res, px reduced against its table.  A leaf adds the top
+    image bit, the parity of v AND pz, and when res stopped at the
+    non-pivot column it reduces res ^ row, in which that column cancels,
+    leaving theta^{-T} px.  Each generic sample rejects theta or gives
+    one equation on q; then each table row led by a q bit gives one, its
+    right side the parity of the row AND packed.  The solve is fully
+    reduced, so the order of the equations does not change the least q.
+    Only the witness becomes a circuit."""
     full = (1 << n) - 1
+    last = n - 1
+    top = 1 << (n + last)
     equations = blocks[n]
     examined = 0
 
     def rec(r, table, packed):
         nonlocal examined
-        if r == n:
-            examined += 1
-            q = _leaf_q(n, table, equations, packed, generic)
-            if q is None:
-                return None
-            return CnotCircuit(BitMatrix([packed >> i * n & full for i in range(n)], n), q)
         block = blocks[r]
         shift = r * n
+        shared = [None] * len(generic)
         for v in range(1, 1 << n):
             p = packed | v << shift
             for eq in block:
                 if (eq & p).bit_count() & 1:
                     break
             else:
-                child = _with_row(table, v, r, n)
-                if child is not None:
-                    hit = rec(r + 1, child, p)
-                    if hit is not None:
-                        return hit
+                if r < last:
+                    child = _with_row(table, v, r, n)
+                    if child is not None:
+                        hit = rec(r + 1, child, p)
+                        if hit is not None:
+                            return hit
+                    continue
+                row = _reduce(table, v | top, n)
+                if not row & full:
+                    continue  # v is in the span of rows 0..n-2
+                examined += 1
+                pairs = []
+                for k, gs in enumerate(generic):
+                    node = shared[k]
+                    if node is None:
+                        low = 0
+                        for i in range(last):
+                            low |= ((packed >> i * n & gs.pz).bit_count() & 1) << i
+                        node = shared[k] = (low, _reduce(table, gs.px, n))
+                    low, res = node
+                    if res & full:
+                        res = _reduce(table, res ^ row, n)
+                    # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in
+                    # the group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
+                    image = low | ((v & gs.pz).bit_count() & 1) << last
+                    e_member = gs.group.member_phase(res >> n | image << n)
+                    if e_member is None:
+                        if not gs.half:
+                            break
+                        continue  # expectation is 1/2 for every q
+                    if gs.half:
+                        break
+                    pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
+                else:
+                    for eq in equations:
+                        pairs.append((eq >> n * n & full, (eq & p).bit_count() & 1))
+                    rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
+                    q_space = BitMatrix([a for a, _ in pairs], n).solve_affine(rhs)
+                    if q_space is not None:
+                        theta = BitMatrix([p >> i * n & full for i in range(n)], n)
+                        return CnotCircuit(theta, q_space.offset)
         return None
 
     circuit = rec(0, {}, 1 << (n * n + n))
@@ -281,9 +298,12 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     Kept deliberately independent of the pruned search: every candidate
     goes through the tableau evaluation path, so this is the reference
     the fast search is checked against.  Each theta's images are built
-    once (cnot_tableaus) and checked for the CNOT class shape once; the
-    2^n tableaus that differ only in q are then scored by check_consistent.
-    Only hits become circuits, each with its own copy of theta.
+    once (cnot_tableaus) and checked for the CNOT class shape once; each
+    of the 2^n tableaus that differ only in q is then scored sample by
+    sample with sample_code, as check_consistent would, but without its
+    per-call qubit-count and type checks: theta has the sample set's n
+    by construction.  Only hits become circuits, each with its own copy
+    of theta.
     """
     n = sample_set.n
     if n > 4:
@@ -297,7 +317,8 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
             tableau_at = cnot_tableaus(theta)
             _check_cnot_shape(tableau_at(0))
             for q in range(1 << n):
-                if check_consistent(tableau_at(q), sample_set):
+                t = tableau_at(q)
+                if all(sample_code(t, s) == s.code for s in sample_set):
                     out.append(CnotCircuit(theta.copy(), q))
             return
         for v in range(1, 1 << n):

@@ -49,7 +49,8 @@ _MAX_CIRCUIT_QUBITS = 1024
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # sample trees share dicts but never contain themselves
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def bits_to_string(v: int, n: int) -> str:

@@ -77,6 +77,16 @@ class CliffordTableau:
         self._inverse_cols = None
 
     @classmethod
+    def _unchecked(cls, n: int, cols: list) -> "CliffordTableau":
+        """Tableau that takes cols, a fresh list of 2n images on n qubits
+        built by the caller, as it is: __init__'s copy and checks skipped."""
+        t = cls.__new__(cls)
+        t.n = n
+        t.cols = cols
+        t._inverse_cols = None
+        return t
+
+    @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
         cols = []
         for i in range(n):

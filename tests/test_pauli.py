@@ -5,8 +5,6 @@ import pytest
 
 from cnotpac.pauli import (
     PauliOperator,
-    decode_pauli,
-    encode_pauli,
     x_power,
     z_power,
 )
@@ -94,22 +92,6 @@ def test_raw_round_trip():
         p = random_pauli(rng, 3)
         e, x, z = p.raw()
         assert PauliOperator.from_raw(3, e, x, z) == p
-
-
-def test_encode_decode_round_trip_and_frozen_example():
-    # -Z on one qubit: x=0 z=1 sign=1 -> "011"
-    assert encode_pauli(z_power(1, 1, sign=-1)) == "011"
-    assert decode_pauli("011") == z_power(1, 1, sign=-1)
-    # +X: "100"
-    assert encode_pauli(x_power(1, 1)) == "100"
-    rng = random.Random(205)
-    for _ in range(100):
-        p = random_pauli(rng, rng.randrange(1, 5))
-        assert decode_pauli(encode_pauli(p)) == p
-    with pytest.raises(ValueError):
-        decode_pauli("0110")  # even length
-    with pytest.raises(ValueError):
-        decode_pauli("01a")
 
 
 def test_power_constructors_and_key():

@@ -252,10 +252,9 @@ def linked_sets(draw):
     return SampleSet(n, samples), flipped
 
 
-@settings(max_examples=100, deadline=None)
-@given(linked_sets())
-def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
-    samples, flipped = case
+def _leaves_up_to(samples, witness):
+    """The invertible thetas, in lex order up to the witness theta (all
+    of them for None), for which some q satisfies every full-Z sample."""
     n = samples.n
     full_z = [
         s
@@ -271,15 +270,115 @@ def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
             for b in (0, 1):
                 if s.state.expectation(z_power(n, u, sign=(-1) ** b * s.measurement.sign)) != s.label:
                     bits.discard(b)
-    r = brute_force_search(samples)
-    assert r.found or flipped
     count = 0
     for theta in _GL[n]:
         bits = [(x, per_image[theta.mul_vec(x)]) for x, per_image in allowed.items()]
         count += any(all(dot(q, x) in b for x, b in bits) for q in range(1 << n))
-        if r.found and theta == r.circuit.theta:
+        if theta == witness:
             break
-    assert r.circuits_examined == count
+    return count
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_sets())
+def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
+    samples, flipped = case
+    r = brute_force_search(samples)
+    assert r.found or flipped
+    assert r.circuits_examined == _leaves_up_to(samples, r.circuit and r.circuit.theta)
+
+
+def _state_holding(rng, n, q):
+    """A random pure state whose group holds q or -q: a random state with
+    q measured on it, outcome +1, unless q is in its group up to sign."""
+    gens = list(random_stabilizer_state(rng, n).group.generators)
+    hit = [k for k, g in enumerate(gens) if not g.commutes(q)]
+    if hit:
+        k = hit[0]
+        for j in hit[1:]:
+            gens[j] = gens[j].mul(gens[k])
+        gens[k] = q
+    return StabilizerState(StabilizerGroup(gens))
+
+
+@st.composite
+def leaf_parent_sets(draw, ns):
+    """(samples, flipped) with n drawn from ns, labeled by a hidden CNOT
+    circuit, for the DFS's last depth.  Generic samples have an X support
+    px inside or outside the span of the hidden theta's rows 0..n-2, on a
+    random state (mostly labeled 1/2) or one that holds the measurement's
+    image up to sign (labeled 0 or 1; always at n = 4, where the full scan
+    makes a circuit of every hit).  There are zero to two full-Z samples,
+    sometimes a generic sample labeled 1/2 placed first, and sometimes one
+    label flipped."""
+    n = draw(st.sampled_from(ns))
+    full = (1 << n) - 1
+    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    t = hidden.to_tableau()
+    rows = hidden.theta.rows
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        mask = draw(st.integers(0, full >> 1))
+        px = 0
+        for r in range(n - 1):
+            if mask >> r & 1:
+                px ^= rows[r]
+        if draw(st.booleans()):
+            px ^= rows[n - 1]  # outside the span of rows 0..n-2
+        p = PauliOperator(n, px, draw(st.integers(0 if px else 1, full)))
+        if n == 4 or draw(st.booleans()):
+            state = _state_holding(rng, n, t.conjugate_inverse(p))
+        else:
+            state = random_stabilizer_state(rng, n)
+        pairs.append((state, p))
+    for _ in range(draw(st.integers(0, 2))):
+        basis = draw(st.sampled_from(_GL[n])).rows
+        state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, full)))
+        pairs.append((state, z_power(n, draw(st.integers(1, full)))))
+    samples = []
+    for state, p in draw(st.permutations(pairs)):
+        meas = p if draw(st.booleans()) else -p
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+    if draw(st.booleans()):
+        while True:
+            state = random_stabilizer_state(rng, n)
+            xz = rng.randrange(1, 1 << (2 * n))
+            meas = PauliOperator(n, xz & full, xz >> n)
+            label = state.expectation(t.conjugate_inverse(meas))
+            if label == Fraction(1, 2):
+                samples.insert(0, Sample(state, meas, label))
+                break
+    flipped = draw(st.booleans())
+    if flipped:
+        k = draw(st.integers(0, len(samples) - 1))
+        s = samples[k]
+        label = draw(st.sampled_from([v for v in _LABELS if v != s.label]))
+        samples[k] = Sample(s.state, s.measurement, label)
+    return SampleSet(n, samples), flipped
+
+
+def _check_against_the_full_scan(samples, flipped):
+    hits = enumerate_consistent_circuits(samples)
+    r = brute_force_search(samples)
+    assert r.found == bool(hits)
+    assert r.found or flipped
+    if hits:
+        assert r.circuit.theta == hits[0].theta and r.circuit.q == hits[0].q
+    assert r.circuits_examined == _leaves_up_to(samples, r.circuit and r.circuit.theta)
+
+
+# n = 1 makes the root the parent of the leaves
+@settings(max_examples=60, deadline=None)
+@given(leaf_parent_sets((1, 2, 3)))
+def test_brute_witness_and_leaves_match_the_full_scan(case):
+    _check_against_the_full_scan(*case)
+
+
+@settings(max_examples=2, deadline=None)
+@given(leaf_parent_sets((4,)))
+def test_brute_witness_and_leaves_match_the_full_scan_at_n_4(case):
+    _check_against_the_full_scan(*case)
 
 
 def _learn_shaped_sets(n=4, pools=16):
