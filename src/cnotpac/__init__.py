@@ -28,7 +28,6 @@ from .tableau import (
     CliffordTableau,
     Gate,
     apply_circuit_to_state,
-    compose_tableaus,
     evaluate_sample,
     is_symplectic,
     lambda_matrix,

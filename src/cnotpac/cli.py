@@ -34,9 +34,7 @@ from .learning import (
     trivial_uniform_learner,
 )
 from .reduction import reduce_formula_to_samples, reduce_sat_to_samples
-from .samples import SampleSet
 from .search import (
-    EnumerationLimitError,
     affine_family_search,
     brute_force_decision,
     brute_force_search,
@@ -77,12 +75,21 @@ def _read(path: str) -> bytes:
         raise CliError("cannot read %s: %s" % (path, err))
 
 
-def _load_json(path: str):
-    data = _read(path)
+def _load(path: str, data: bytes, from_json, field=None):
+    """from_json of the JSON in data, the bytes read from path.  Given a
+    field, a reduce output ({"samples", "instance"}) yields that member;
+    a bare sample set also has "samples" and is told apart by its "n".
+    A decode or schema error names the file."""
     try:
-        return json.loads(data), data
+        obj = json.loads(data)
     except json.JSONDecodeError as err:
         raise CliError("%s is not valid JSON: %s" % (path, err))
+    if isinstance(obj, dict) and field in obj and not (field == "samples" and "n" in obj):
+        obj = obj[field]
+    try:
+        return from_json(obj)
+    except ValueError as err:
+        raise CliError("%s: %s" % (path, err))
 
 
 def _write_out(path, text: str) -> None:
@@ -109,26 +116,6 @@ def _report(command, digest, seed, outcome, counts, started) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _sample_set_from_file(path: str) -> SampleSet:
-    obj, _ = _load_json(path)
-    if isinstance(obj, dict) and "samples" in obj and "n" not in obj:
-        obj = obj["samples"]
-    try:
-        return sample_set_from_json(obj)
-    except ValueError as err:
-        raise CliError("%s: %s" % (path, err))
-
-
-def _instance_from_file(path: str):
-    obj, _ = _load_json(path)
-    if isinstance(obj, dict) and "instance" in obj:
-        obj = obj["instance"]
-    try:
-        return instance_from_json(obj)
-    except ValueError as err:
-        raise CliError("%s: %s" % (path, err))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -149,8 +136,6 @@ def cmd_reduce(args) -> int:
             samples, inst = reduce_formula_to_samples(parse_formula(args.formula), rng)
     except DimacsError as err:
         raise CliError("%s: %s" % (args.cnf, err))
-    except ValueError as err:
-        raise CliError(str(err))
     except RecursionError:  # the parser and the graph encoder recurse per nesting level
         raise CliError("formula nests deeper than the recursion limit %d" % sys.getrecursionlimit())
     payload = {
@@ -167,14 +152,12 @@ def cmd_reduce(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    digest = _digest(_read(args.input))
+    data = _read(args.input)
+    digest = _digest(data)
     counts = {}
     if args.strategy == "affine":
-        inst = _instance_from_file(args.input)
-        try:
-            result = affine_family_search(inst)
-        except EnumerationLimitError as err:
-            raise CliError(str(err))
+        inst = _load(args.input, data, instance_from_json, "instance")
+        result = affine_family_search(inst)
         counts["assignments_examined"] = result.assignments_examined
         if not result.found:
             print("no satisfying assignment")
@@ -188,19 +171,16 @@ def cmd_solve(args) -> int:
         print("assignment: %s" % witness["assignment"])
         _report("solve", digest, None, "found", counts, started)
         return 0
-    samples = _sample_set_from_file(args.input)
+    samples = _load(args.input, data, sample_set_from_json, "samples")
     counts["samples"] = len(samples.samples)
-    try:
-        if args.strategy == "brute":
-            result = brute_force_search(samples)
-            counts["circuits_examined"] = result.circuits_examined
-        else:
-            result = search_from_decision(brute_force_decision, samples)
-            counts["oracle_queries"] = result.queries
-            if result.oracle_fault:
-                raise CliError("decision oracle contradicted itself")
-    except EnumerationLimitError as err:
-        raise CliError(str(err))
+    if args.strategy == "brute":
+        result = brute_force_search(samples)
+        counts["circuits_examined"] = result.circuits_examined
+    else:
+        result = search_from_decision(brute_force_decision, samples)
+        counts["oracle_queries"] = result.queries
+        if result.oracle_fault:
+            raise CliError("decision oracle contradicted itself")
     if not result.found:
         print("no consistent circuit")
         _report("solve", digest, None, "none", counts, started)
@@ -218,12 +198,8 @@ def cmd_verify(args) -> int:
     circuit_bytes = _read(args.circuit)
     samples_bytes = _read(args.samples)
     digest = _digest(circuit_bytes + samples_bytes)
-    obj, _ = _load_json(args.circuit)
-    try:
-        hypothesis = circuit_from_json(obj)
-    except ValueError as err:
-        raise CliError("%s: %s" % (args.circuit, err))
-    samples = _sample_set_from_file(args.samples)
+    hypothesis = _load(args.circuit, circuit_bytes, circuit_from_json)
+    samples = _load(args.samples, samples_bytes, sample_set_from_json, "samples")
     if hypothesis.n != samples.n:
         raise CliError(
             "qubit count mismatch: circuit has %d, samples have %d"
@@ -242,14 +218,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _learn_pac(args, rng):
-    obj, data = _load_json(args.input)
+def _pac_input(obj):
+    """A pac input object and its pool as a sample set."""
     if not isinstance(obj, dict):
         raise CliError("pac input must be an object")
-    try:
-        pool_set = sample_set_from_json({"n": obj.get("n"), "samples": obj.get("samples")})
-    except ValueError as err:
-        raise CliError("%s: %s" % (args.input, err))
+    return obj, sample_set_from_json(obj)
+
+
+def _learn_pac(args, rng):
+    data = _read(args.input)
+    obj, pool_set = _load(args.input, data, _pac_input)
     pool = pool_set.samples
     if not pool:
         raise CliError("pac input needs at least one sample")
@@ -286,26 +264,27 @@ def _learn_pac(args, rng):
     return 0, _digest(data), outcome, counts, dumps(circuit_to_json(result.circuit))
 
 
-def _learn_single(args, rng):
-    obj, data = _load_json(args.input)
+def _batch_from_json(obj) -> SingleMeasurementBatch:
     if not isinstance(obj, dict):
         raise CliError("batch input must be an object")
-    try:
-        decode = _pauli_decoder()
-        measurement = decode(obj.get("measurement"))
-        entries = obj.get("samples")
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("field 'samples' must be a nonempty list")
-        pairs = []
-        for entry in entries:
-            state = _state_from_json(entry, decode)
-            label = entry.get("label")
-            if label in ("0", "1"):
-                label = int(label)
-            pairs.append((state, label))
-        batch = SingleMeasurementBatch(measurement, pairs)
-    except ValueError as err:
-        raise CliError("%s: %s" % (args.input, err))
+    decode = _pauli_decoder()
+    measurement = decode(obj.get("measurement"))
+    entries = obj.get("samples")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("field 'samples' must be a nonempty list")
+    pairs = []
+    for entry in entries:
+        state = _state_from_json(entry, decode)
+        label = entry.get("label")
+        if label in ("0", "1"):
+            label = int(label)
+        pairs.append((state, label))
+    return SingleMeasurementBatch(measurement, pairs)
+
+
+def _learn_single(args, rng):
+    data = _read(args.input)
+    batch = _load(args.input, data, _batch_from_json)
     counts = {"samples": len(batch.samples)}
     try:
         circuit = learn_single_measurement(batch, rng)
@@ -350,33 +329,30 @@ def cmd_learn(args) -> int:
 
 def cmd_complexity(args) -> int:
     started = time.monotonic()
-    try:
-        if args.cnot_n is not None:
-            params = cnot_defaults(
-                args.cnot_n, args.epsilon, args.delta, depth_constant=args.depth_constant
+    if args.cnot_n is not None:
+        params = cnot_defaults(
+            args.cnot_n, args.epsilon, args.delta, depth_constant=args.depth_constant
+        )
+    else:
+        missing = [
+            name
+            for name, value in (
+                ("--depth", args.depth),
+                ("--size", args.size),
             )
-        else:
-            missing = [
-                name
-                for name, value in (
-                    ("--depth", args.depth),
-                    ("--size", args.size),
-                )
-                if value is None
-            ]
-            if missing:
-                raise CliError("need --cnot-n or explicit %s" % " ".join(missing))
-            params = LearningParameters(
-                epsilon=args.epsilon,
-                delta=args.delta,
-                alpha=args.alpha,
-                beta=args.beta,
-                d=args.d,
-                depth=args.depth,
-                size=args.size,
-            )
-    except ValueError as err:
-        raise CliError(str(err))
+            if value is None
+        ]
+        if missing:
+            raise CliError("need --cnot-n or explicit %s" % " ".join(missing))
+        params = LearningParameters(
+            epsilon=args.epsilon,
+            delta=args.delta,
+            alpha=args.alpha,
+            beta=args.beta,
+            d=args.d,
+            depth=args.depth,
+            size=args.size,
+        )
     m = sample_complexity(params)
     digest = _digest(
         json.dumps(
@@ -475,10 +451,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except CliError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except (DimacsError, EnumerationLimitError, ValueError) as err:
+    except (CliError, ValueError) as err:  # DimacsError and EnumerationLimitError too
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -71,14 +71,6 @@ class CnotCircuit:
         """C|v> = |theta^T v xor q>."""
         return self.theta.premul_vec(v) ^ self.q
 
-    def compose(self, second: "CnotCircuit") -> "CnotCircuit":
-        """The circuit (second after self)."""
-        if self.n != second.n:
-            raise ValueError("qubit count mismatch")
-        theta = self.theta.matmul(second.theta)
-        q = second.q ^ second.theta.premul_vec(self.q)
-        return CnotCircuit(theta, q)
-
     def gates(self) -> List[Gate]:
         return synthesize_cnot_from_theta(self.theta, self.q)
 

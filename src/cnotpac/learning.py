@@ -214,7 +214,7 @@ class SingleMeasurementBatch:
         for state, label in samples:
             if state.group.n != self.n:
                 raise ValueError("state dimension mismatch")
-            if isinstance(label, bool) or label not in (0, 1):
+            if type(label) is not int or label not in (0, 1):
                 raise ValueError("labels must be 0 or 1")
         self.measurement = measurement
         self.samples = list(samples)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .formula import Formula, WeightedDigraph, formula_to_graph, num_variables
+from .formula import Formula, WeightedDigraph, arithmetize_cnf, formula_to_graph, num_variables
 from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
 from .pauli import PauliOperator, z_power
 from .samples import Sample, SampleSet
@@ -282,8 +282,6 @@ def reduce_formula_to_samples(f: Formula, rng, num_vars: Optional[int] = None):
 
 def reduce_sat_to_samples(clauses, rng):
     """Full pipeline for a CNF given as clauses of signed 1-based literals."""
-    from .formula import arithmetize_cnf
-
     f = arithmetize_cnf(clauses)
     highest = max((abs(l) for clause in clauses for l in clause), default=0)
     return reduce_formula_to_samples(f, rng, num_vars=max(highest, num_variables(f)))

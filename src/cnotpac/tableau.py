@@ -198,13 +198,6 @@ class CliffordTableau:
         return "CliffordTableau(n=%d, cols=%r)" % (self.n, self.cols)
 
 
-def compose_tableaus(first: CliffordTableau, second: CliffordTableau) -> CliffordTableau:
-    """Tableau of (second after first): images (SF)†G(SF) = F†(S†GS)F."""
-    if first.n != second.n:
-        raise ValueError("qubit count mismatch")
-    return CliffordTableau([first.conjugate_inverse(c) for c in second.cols])
-
-
 def apply_circuit_to_state(t: CliffordTableau, state: StabilizerState) -> StabilizerState:
     """The state C rho C†, by conjugating every generator forward."""
     inv = t.inverse_tableau()

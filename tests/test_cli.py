@@ -13,13 +13,16 @@ import cnotpac
 from cnotpac import cli
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
+from cnotpac.formula import parse_formula
 from cnotpac.pauli import z_power
+from cnotpac.reduction import reduce_formula_to_samples
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     circuit_from_json,
     circuit_to_json,
     dumps,
     instance_from_json,
+    instance_to_json,
     pauli_to_json,
     sample_set_to_json,
     string_to_bits,
@@ -194,7 +197,24 @@ def test_cli_pipeline_runs_without_numpy_or_multiprocessing(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_solve_brute_and_verify(unit_reduction, tmp_path, capsys):
+def _sha256(*paths):
+    return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+
+def _count_opens(monkeypatch):
+    """The paths the cli module opens, one entry per open."""
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    return opened
+
+
+def test_solve_brute_and_verify(unit_reduction, tmp_path, capsys, monkeypatch):
+    opened = _count_opens(monkeypatch)
     witness = tmp_path / "witness.json"
     code, stdout, _ = run(
         capsys, "solve", str(unit_reduction), "--strategy", "brute",
@@ -203,11 +223,16 @@ def test_solve_brute_and_verify(unit_reduction, tmp_path, capsys):
     assert code == 0
     report = last_report(stdout)
     assert report["outcome"] == "found" and report["seed"] is None
+    assert report["input_digest"] == _sha256(unit_reduction)
+    assert opened == [str(unit_reduction), str(witness)]  # one read, one write
     circuit = circuit_from_json(json.loads(witness.read_text()))
     assert isinstance(circuit, CnotCircuit)
     assert circuit.theta.rows == [2, 6, 5] and circuit.q == 0
+    opened.clear()
     code, stdout, _ = run(capsys, "verify", str(witness), str(unit_reduction))
     assert code == 0 and "consistent" in stdout
+    assert last_report(stdout)["input_digest"] == _sha256(witness, unit_reduction)
+    assert opened == [str(witness), str(unit_reduction)]
 
 
 def test_solve_decision_query_count(unit_reduction, capsys):
@@ -216,10 +241,12 @@ def test_solve_decision_query_count(unit_reduction, capsys):
     assert last_report(stdout)["counts"]["oracle_queries"] == 13
 
 
-def test_solve_affine(unit_reduction, tmp_path, capsys):
+def test_solve_affine(unit_reduction, tmp_path, capsys, monkeypatch):
+    opened = _count_opens(monkeypatch)
     code, stdout, _ = run(capsys, "solve", str(unit_reduction), "--strategy", "affine")
-    assert code == 0
+    assert code == 0 and opened == [str(unit_reduction)]
     report = last_report(stdout)
+    assert report["input_digest"] == _sha256(unit_reduction)
     assert report["counts"]["assignments_examined"] == 2
     assert "assignment: 1" in stdout
 
@@ -471,14 +498,37 @@ def _pac_argv(tmp_path, *flags, **fields):
     return ["learn", "--mode", "pac", "--input", str(path), "--seed", "1", *flags]
 
 
-def _single_bool_label_argv(tmp_path):
+def _single_label_argv(tmp_path, label):
     path = batch_fixture(tmp_path)
     obj = json.loads(path.read_text())
-    obj["samples"][0]["label"] = True
+    obj["samples"][0]["label"] = label
     path.write_text(dumps(obj))
     return ["learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"]
 
 
+def _reduce_cnf_argv(tmp_path, *flags):
+    path = tmp_path / "in.cnf"
+    path.write_text("p cnf 1 1\n+1 0\n")
+    return ["reduce", "--cnf", str(path), "--seed", "0", *flags]
+
+
+def _golden_brute_argv(tmp_path):
+    samples, inst = reduce_formula_to_samples(parse_formula(GOLDEN_FORMULA), random.Random(7))
+    path = tmp_path / "golden.json"
+    path.write_text(dumps({"samples": sample_set_to_json(samples), "instance": instance_to_json(inst)}))
+    return ["solve", str(path), "--strategy", "brute"]
+
+
+def _solve_list_label_argv(tmp_path):
+    samples, _ = random_consistent_set(random.Random(123), 3, 10)
+    obj = sample_set_to_json(samples)
+    obj["samples"][0]["label"] = ["1"]
+    path = tmp_path / "samples.json"
+    path.write_text(dumps(obj))
+    return ["solve", str(path)]
+
+
+# a parameter starting "error: " is the whole of stderr, with {tmp} for tmp_path
 @pytest.mark.parametrize(
     "make_argv, field",
     [
@@ -493,26 +543,51 @@ def _single_bool_label_argv(tmp_path):
         (lambda tmp: _pac_argv(tmp, weights=[math.inf] + [1] * 9), _BAD_WEIGHTS),
         (lambda tmp: _pac_argv(tmp, weights=[1e308] * 10), _BAD_WEIGHTS),
         (lambda tmp: _pac_argv(tmp, weights=[10**400] + [1] * 9), _BAD_WEIGHTS),
-        (_single_bool_label_argv, "label"),
+        (lambda tmp: _single_label_argv(tmp, True), "label"),
+        (lambda tmp: _single_label_argv(tmp, 1.0), "labels must be 0 or 1"),
         (lambda tmp: ["learn", "--mode", "trivial", "--n", "1025", "--seed", "1"], "--n"),
         (lambda tmp: _COMPLEXITY + ["--cnot-n", _HUGE], "depth, d or size"),
         (
             lambda tmp: _COMPLEXITY + ["--depth", "3", "--size", "64", "--d", _HUGE],
             "depth, d or size",
         ),
+        (
+            lambda tmp: _reduce_cnf_argv(tmp, "--formula", "x1"),
+            "error: give exactly one of --cnf or --formula\n",
+        ),
+        (
+            lambda tmp: ["reduce", "--seed", "0"],
+            "error: give exactly one of --cnf or --formula\n",
+        ),
+        (_reduce_cnf_argv, "error: {tmp}/in.cnf: line 2: bad literal '+1'\n"),
+        (_golden_brute_argv, "error: enumeration limit: n = 9 exceeds 5\n"),
+        (
+            _solve_list_label_argv,
+            "error: {tmp}/samples.json: label must be one of '0', '1/2', '1'; got ['1']\n",
+        ),
+        (
+            lambda tmp: ["reduce", "--formula", "+".join(["x1"] * 300), "--seed", "0"],
+            "error: instance size 302 exceeds the limit of 64\n",
+        ),
     ],
     ids=[
         "draw-constant-inf", "draw-constant-nan", "draw-constant-negative",
         "draw-constant-1e9", "s-true", "s-huge", "weights-true", "weights-nan",
         "weights-infinity", "weights-total-overflows", "weights-huge-int", "single-label-true",
+        "single-label-float",
         "trivial-n-1025",
         "complexity-huge-cnot-n", "complexity-huge-d",
+        "reduce-cnf-and-formula", "reduce-neither", "dimacs-bad-literal",
+        "solve-enumeration-limit", "solve-list-label", "reduce-64-qubit-limit",
     ],
 )
 def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys):
     code, stdout, err = run(capsys, *make_argv(tmp_path))
-    assert code == 2 and err.startswith("error:") and field in err, err
-    assert "Traceback" not in err
+    assert code == 2 and "Traceback" not in err
+    if field.startswith("error: "):
+        assert err == field.format(tmp=tmp_path) and stdout == "", err
+    else:
+        assert err.startswith("error:") and field in err, err
 
 
 # sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the

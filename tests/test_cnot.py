@@ -146,19 +146,6 @@ def test_synthesis_rejects_singular():
         synthesize_cnot_from_theta(BitMatrix([0b01, 0b01], 2), 0)
 
 
-def test_compose_matches_gate_concatenation():
-    rng = random.Random(504)
-    for _ in range(40):
-        n = rng.randrange(1, 4)
-        g1 = random_cnot_gates(rng, n, rng.randrange(1, 8))
-        g2 = random_cnot_gates(rng, n, rng.randrange(1, 8))
-        c1 = CnotCircuit.from_gates(n, g1)
-        c2 = CnotCircuit.from_gates(n, g2)
-        assert c1.compose(c2) == CnotCircuit.from_gates(n, g1 + g2)
-        v = rng.randrange(1 << n)
-        assert c1.compose(c2).basis_image(v) == c2.basis_image(c1.basis_image(v))
-
-
 def test_gates_method_round_trip():
     rng = random.Random(505)
     for _ in range(20):

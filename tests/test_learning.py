@@ -274,6 +274,9 @@ def test_batch_validation():
         SingleMeasurementBatch(
             z_power(2, 0b01), [(StabilizerState.zero_state(2), 2)]
         )
+    for label in (True, 1.0, 0.0, "1"):  # labels are JSON integers, not lookalikes
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            SingleMeasurementBatch(z_power(2, 0b01), [(StabilizerState.zero_state(2), label)])
     with pytest.raises(ValueError):
         learn_single_measurement(
             SingleMeasurementBatch(z_power(2, 0b01), []), random.Random(0)

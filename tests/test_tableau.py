@@ -14,7 +14,6 @@ from cnotpac.tableau import (
     CliffordTableau,
     Gate,
     apply_circuit_to_state,
-    compose_tableaus,
     evaluate_sample,
     is_symplectic,
     lambda_matrix,
@@ -122,24 +121,6 @@ def test_forward_then_inverse_is_identity():
             t.apply_gate(g)
         p = random_pauli(rng, n)
         assert t.conjugate_inverse(t.inverse_tableau().conjugate_inverse(p)) == p
-
-
-def test_compose_tableaus_matches_sequential_application():
-    rng = random.Random(304)
-    for _ in range(N_TRIALS):
-        n = rng.randrange(1, 4)
-        g1 = random_gates(rng, n, rng.randrange(1, 8))
-        g2 = random_gates(rng, n, rng.randrange(1, 8))
-        t1 = CliffordTableau.identity(n)
-        for g in g1:
-            t1.apply_gate(g)
-        t2 = CliffordTableau.identity(n)
-        for g in g2:
-            t2.apply_gate(g)
-        both = CliffordTableau.identity(n)
-        for g in g1 + g2:
-            both.apply_gate(g)
-        assert compose_tableaus(t1, t2) == both
 
 
 def test_apply_circuit_to_state_matches_dense():
