@@ -79,10 +79,11 @@ def _load(path: str, data: bytes, from_json, field=None):
     """from_json of the JSON in data, the bytes read from path.  Given a
     field, a reduce output ({"samples", "instance"}) yields that member;
     a bare sample set also has "samples" and is told apart by its "n".
-    A decode or schema error names the file."""
+    A decode or schema error names the file: bytes that are not UTF-8
+    and nesting deeper than the recursion limit are decode errors too."""
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise CliError("%s is not valid JSON: %s" % (path, err))
     if isinstance(obj, dict) and field in obj and not (field == "samples" and "n" in obj):
         obj = obj[field]

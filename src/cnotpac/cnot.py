@@ -13,7 +13,7 @@ appending X(a) flips q_a.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from typing import Iterable, List
 
 from .gf2 import BitMatrix, SingularMatrixError, dot
 from .pauli import x_power, z_power
@@ -36,6 +36,16 @@ class CnotCircuit:
         self.n = n
         self.theta = theta
         self.q = q
+
+    @classmethod
+    def _unchecked(cls, theta: BitMatrix, q: int) -> "CnotCircuit":
+        """Circuit that takes theta, known invertible, and q, known to fit
+        in its n bits, as they are: __init__'s checks skipped."""
+        c = cls.__new__(cls)
+        c.n = theta.n_rows
+        c.theta = theta
+        c.q = q
+        return c
 
     @classmethod
     def identity(cls, n: int) -> "CnotCircuit":
@@ -75,8 +85,16 @@ class CnotCircuit:
         return synthesize_cnot_from_theta(self.theta, self.q)
 
     def to_tableau(self) -> CliffordTableau:
-        """Tableau columns: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j}."""
-        return cnot_tableaus(self.theta)(self.q)
+        """Tableau columns: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j},
+        made here, so the tableau takes them without re-checking them.
+        Raises SingularMatrixError when theta is singular."""
+        n, theta, q = self.n, self.theta, self.q
+        # theta^{-T} e_j is row j of theta^{-1}; theta e_j is column j of theta
+        cols = []
+        for j, r in enumerate(theta.inverse().rows):
+            cols.append(x_power(n, r))
+            cols.append(z_power(n, theta.column(j), sign=-1 if (q >> j) & 1 else 1))
+        return CliffordTableau._unchecked(n, cols)
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,30 +109,6 @@ class CnotCircuit:
 
     def __repr__(self) -> str:
         return "CnotCircuit(theta=%r, q=%d)" % (self.theta, self.q)
-
-
-def cnot_tableaus(theta: BitMatrix) -> Callable[[int], CliffordTableau]:
-    """The tableau of (theta, q) as a function of q, with theta's images
-    built once: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j}.
-
-    The X images and both signs of every Z image are made up front, so a
-    call only picks each Z image's sign from the bits of q, and builds its
-    tableau without re-checking images made here.  Raises
-    SingularMatrixError when theta is singular.
-    """
-    n = theta.n_rows
-    # theta^{-T} e_j is row j of theta^{-1}; theta e_j is column j of theta
-    xs = [x_power(n, r) for r in theta.inverse().rows]
-    zs = [(z_power(n, c), z_power(n, c, sign=-1)) for c in theta.transpose().rows]
-
-    def at(q: int) -> CliffordTableau:
-        cols = []
-        for j in range(n):
-            cols.append(xs[j])
-            cols.append(zs[j][(q >> j) & 1])
-        return CliffordTableau._unchecked(n, cols)
-
-    return at
 
 
 def synthesize_cnot_from_theta(theta: BitMatrix, q: int = 0) -> List[Gate]:

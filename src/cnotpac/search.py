@@ -18,8 +18,10 @@ table of their own: its table has n - 1 pivots, so reducing through it
 stops at zero or at the one non-pivot column, and each generic sample's
 work on rows 0..n-2 is done once for all its leaves.  A leaf tests the
 generic samples before it solves for q.  The result is identical to the
-naive scan (enumerate_consistent_circuits provides the naive scan for
-cross-checking at small n).
+naive scan, enumerate_consistent_circuits, the reference for
+cross-checking at small n: it walks every invertible theta, builds its
+q = 0 tableau and scores all 2^n sign vectors q at once as a bitmask,
+since q moves only the phase of a measurement's image, by 2 |q & z|.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .cnot import CnotCircuit, cnot_tableaus
+from .cnot import CnotCircuit
 from .gf2 import BitMatrix, _insert, _reduce
-from .pauli import z_power
+from .pauli import _fold, _raw_sign_bit, z_power
 from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
 from .samples import SampleSet
 from .tableau import sample_code
@@ -295,38 +297,69 @@ def brute_force_decision(sample_set: SampleSet) -> bool:
 def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     """Naive full scan of GL(n, F_2) x F_2^n in lexicographic order.
 
-    Kept deliberately independent of the pruned search: every candidate
-    goes through the tableau evaluation path, so this is the reference
-    the fast search is checked against.  Each theta's images are built
-    once (cnot_tableaus) and checked for the CNOT class shape once; each
-    of the 2^n tableaus that differ only in q is then scored sample by
-    sample with sample_code, as check_consistent would, but without its
-    per-call qubit-count and type checks: theta has the sample set's n
-    by construction.  Only hits become circuits, each with its own copy
-    of theta.
+    Kept deliberately independent of the pruned search: every theta goes
+    through the tableau evaluation path, so this is the reference the
+    fast search is checked against.  Each (theta, q) gets the label code
+    sample_code gives its tableau, but all 2^n q of a theta are scored
+    at once, as a bitmask alive whose bit q stays set while (theta, q)
+    matches every sample so far.  That is exact because pauli._fold adds
+    a factor's sign bit to the phase only as 2 sign_bit, and the only
+    factors that depend on q are the Z images that the measurement's z
+    bits select, Z image j with sign bit q_j: e(q) = e(0) + 2 |q & z|
+    mod 4, and the image's x and z do not depend on q.  So a theta folds
+    each sample once over its q = 0 tableau, with sample_code's checks,
+    and looks the image up once.  An absent image has code 1 for every
+    q; a member's phase, Hermitian like e(0) on the same key, is e(0) or
+    e(0) + 2, so code 2 goes to the q of one parity of |q & z| and code
+    0 to the rest.  A theta stops at the first sample that leaves no q,
+    so a check raises when sample_code's would for some q.  Rows are
+    taken outside the span of the rows before them, so theta is
+    invertible; hits come in ascending q, each with its own theta copy.
     """
     n = sample_set.n
     if n > 4:
         raise EnumerationLimitError("full scan limited to n <= 4")
+    every_q = (1 << (1 << n)) - 1
+    # odd[m]: bit q set iff |q & m| is odd
+    odd = [sum(1 << q for q in range(1 << n) if (q & m).bit_count() & 1) for m in range(1 << n)]
+    samples = [
+        (s.measurement.key(), s.measurement.raw()[0], s.state.group, s.code, odd[s.measurement.z])
+        for s in sample_set
+    ]
     out = []
 
+    def score(theta):
+        t = CnotCircuit._unchecked(theta, 0).to_tableau()
+        _check_cnot_shape(t)
+        images = t.cols[0::2] + t.cols[1::2]  # key order: X_0 .. X_{n-1}, Z_0 .. Z_{n-1}
+        alive = every_q
+        for key, e, group, code, flips in samples:
+            e, x, z = _fold(images, key, e)
+            _raw_sign_bit(e, x, z)
+            if not x | z:
+                raise ValueError("identity is not a useful measurement")
+            member = group.member_phase(x | z << n)
+            if (member is None) != (code == 1):
+                return  # an absent image has code 1 for every q, a member for none
+            if member is not None:
+                # code 2 iff e(q) == member, which holds for the even q iff e(0) does
+                alive &= flips if (member == e) != (code == 2) else every_q ^ flips
+                if not alive:
+                    return
+        for q in range(1 << n):
+            if (alive >> q) & 1:
+                out.append(CnotCircuit._unchecked(theta.copy(), q))
+
     def rec(rows, table):
-        r = len(rows)
-        if r == n:
-            theta = BitMatrix(list(rows), n)
-            tableau_at = cnot_tableaus(theta)
-            _check_cnot_shape(tableau_at(0))
-            for q in range(1 << n):
-                t = tableau_at(q)
-                if all(sample_code(t, s) == s.code for s in sample_set):
-                    out.append(CnotCircuit(theta.copy(), q))
-            return
         for v in range(1, 1 << n):
             if _reduce(table, v) == 0:
                 continue
-            t2 = dict(table)
-            _insert(t2, v)
-            rec(rows + [v], t2)
+            if len(rows) == n - 1:
+                score(BitMatrix(rows + [v], n))
+            else:
+                child = dict(table)
+                _insert(child, v)
+                rec(rows + [v], child)
 
     rec([], {})
     return out

@@ -519,6 +519,23 @@ def _golden_brute_argv(tmp_path):
     return ["solve", str(path), "--strategy", "brute"]
 
 
+def _solve_non_utf8_argv(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"n": 1, "samples": [\x80]}')
+    return ["solve", str(path), "--strategy", "brute"]
+
+
+def _deep_json_argv(tmp_path, command):
+    # json.loads recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    if command == "solve":
+        return ["solve", str(path), "--strategy", "brute"]
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(1))))
+    return ["verify", str(circuit), str(path)]
+
+
 def _solve_list_label_argv(tmp_path):
     samples, _ = random_consistent_set(random.Random(123), 3, 10)
     obj = sample_set_to_json(samples)
@@ -562,6 +579,19 @@ def _solve_list_label_argv(tmp_path):
         (_reduce_cnf_argv, "error: {tmp}/in.cnf: line 2: bad literal '+1'\n"),
         (_golden_brute_argv, "error: enumeration limit: n = 9 exceeds 5\n"),
         (
+            _solve_non_utf8_argv,
+            "error: {tmp}/latin.json is not valid JSON: 'utf-8' codec can't decode"
+            " byte 0x80 in position 21: invalid start byte\n",
+        ),
+        (
+            lambda tmp: _deep_json_argv(tmp, "solve"),
+            "deep.json is not valid JSON: maximum recursion depth exceeded",
+        ),
+        (
+            lambda tmp: _deep_json_argv(tmp, "verify"),
+            "deep.json is not valid JSON: maximum recursion depth exceeded",
+        ),
+        (
             _solve_list_label_argv,
             "error: {tmp}/samples.json: label must be one of '0', '1/2', '1'; got ['1']\n",
         ),
@@ -578,7 +608,8 @@ def _solve_list_label_argv(tmp_path):
         "trivial-n-1025",
         "complexity-huge-cnot-n", "complexity-huge-d",
         "reduce-cnf-and-formula", "reduce-neither", "dimacs-bad-literal",
-        "solve-enumeration-limit", "solve-list-label", "reduce-64-qubit-limit",
+        "solve-enumeration-limit", "solve-non-utf8", "solve-deep-json", "verify-deep-json",
+        "solve-list-label", "reduce-64-qubit-limit",
     ],
 )
 def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys):

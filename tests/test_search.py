@@ -375,7 +375,7 @@ def test_brute_witness_and_leaves_match_the_full_scan(case):
     _check_against_the_full_scan(*case)
 
 
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(leaf_parent_sets((4,)))
 def test_brute_witness_and_leaves_match_the_full_scan_at_n_4(case):
     _check_against_the_full_scan(*case)
@@ -514,15 +514,20 @@ def test_row_table_payload_is_the_inverse_transpose(n, seed):
         assert reduced >> n == inv_t.mul_vec(px)
 
 
-def test_enumerate_hits_match_a_per_circuit_scan_and_share_no_theta():
-    rng = random.Random(79)
-    samples, hidden = random_consistent_set(rng, 3, 2)
+# check_consistent scores each candidate through its own tableau, one q at
+# a time: the bitmask scan over all q of a theta must give the same hits
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(labeled_sets(), leaf_parent_sets((1, 2, 3))).map(lambda case: case[0]))
+def test_enumerate_hits_match_a_per_circuit_scan_and_share_no_theta(samples):
+    n = samples.n
     hits = enumerate_consistent_circuits(samples)
-    assert len(hits) > 2 and hidden in hits
-    assert hits == [c for c in all_cnot_circuits(3) if check_consistent(c, samples)]
+    assert hits == [c for c in all_cnot_circuits(n) if check_consistent(c, samples)]
+    assert len({id(h.theta) for h in hits}) == len(hits)
+    if n < 2 or len(hits) < 3:
+        return
     before = [(list(h.theta.rows), h.q) for h in hits]
     hits[0].append(Gate("cnot", control=0, target=1))
-    hits[-1].append(Gate("cnot", control=2, target=0))
+    hits[-1].append(Gate("cnot", control=n - 1, target=0))
     for h, (rows, q) in list(zip(hits, before))[1:-1]:
         assert h.theta.rows == rows and h.q == q
     assert hits[0].theta.rows != before[0][0]
