@@ -104,6 +104,18 @@ def _write_out(path, text: str) -> None:
         raise CliError("cannot write %s: %s" % (path, err))
 
 
+def _reject_unused(args, flags, where) -> None:
+    """Exit 2 on the first of ``flags`` given where it would not be read."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise CliError("%s is not read %s" % (flag, where))
+
+
+def _or(value, default):
+    """A flag's value, or its default when the flag was not given."""
+    return default if value is None else value
+
+
 def _report(command, digest, seed, outcome, counts, started) -> None:
     record = {
         "command": command,
@@ -250,7 +262,7 @@ def _learn_pac(args, rng):
         return r.choices(pool, weights=weights, k=1)[0]
 
     result = pac_learner(
-        draw, s, brute_force_search, rng, draw_constant=args.draw_constant,
+        draw, s, brute_force_search, rng, draw_constant=_or(args.draw_constant, 3.0),
         full_set=pool_set,
     )
     counts = {
@@ -313,6 +325,12 @@ def _learn_trivial(args, rng):
 def cmd_learn(args) -> int:
     started = time.monotonic()
     rng = random.Random(args.seed)
+    unused = {
+        "pac": ("--n",),
+        "single-measurement": ("--n", "--draw-constant"),
+        "trivial": ("--input", "--draw-constant"),
+    }[args.mode]
+    _reject_unused(args, unused, "in %s mode" % args.mode)
     if args.mode in ("pac", "single-measurement") and args.input is None:
         raise CliError("%s mode needs --input" % args.mode)
     if args.mode == "pac":
@@ -331,10 +349,12 @@ def cmd_learn(args) -> int:
 def cmd_complexity(args) -> int:
     started = time.monotonic()
     if args.cnot_n is not None:
+        _reject_unused(args, ("--alpha", "--beta", "--d", "--depth", "--size"), "with --cnot-n")
         params = cnot_defaults(
-            args.cnot_n, args.epsilon, args.delta, depth_constant=args.depth_constant
+            args.cnot_n, args.epsilon, args.delta, depth_constant=_or(args.depth_constant, 1)
         )
     else:
+        _reject_unused(args, ("--depth-constant",), "without --cnot-n")
         missing = [
             name
             for name, value in (
@@ -348,9 +368,9 @@ def cmd_complexity(args) -> int:
         params = LearningParameters(
             epsilon=args.epsilon,
             delta=args.delta,
-            alpha=args.alpha,
-            beta=args.beta,
-            d=args.d,
+            alpha=_or(args.alpha, 0.0),
+            beta=_or(args.beta, 0.5),
+            d=_or(args.d, 2),
             depth=args.depth,
             size=args.size,
         )
@@ -418,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn_p.add_argument("--input", help="mode-specific input JSON")
     learn_p.add_argument("--n", type=int, help="qubit count (trivial mode)")
     learn_p.add_argument("--seed", type=int, required=True)
-    learn_p.add_argument("--draw-constant", type=float, default=3.0)
+    learn_p.add_argument("--draw-constant", type=float, help="pac mode; default 3")
     learn_p.add_argument("--out", help="write the hypothesis JSON here")
 
     complexity_p = sub.add_parser(
@@ -429,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     complexity_p.add_argument(
         "--cnot-n", type=int, help="use CNOT-class defaults for this qubit count"
     )
-    complexity_p.add_argument("--depth-constant", type=int, default=1)
-    complexity_p.add_argument("--alpha", type=float, default=0.0)
-    complexity_p.add_argument("--beta", type=float, default=0.5)
-    complexity_p.add_argument("--d", type=int, default=2)
+    complexity_p.add_argument("--depth-constant", type=int, help="with --cnot-n; default 1")
+    complexity_p.add_argument("--alpha", type=float, help="without --cnot-n; default 0")
+    complexity_p.add_argument("--beta", type=float, help="without --cnot-n; default 0.5")
+    complexity_p.add_argument("--d", type=int, help="without --cnot-n; default 2")
     complexity_p.add_argument("--depth", type=int)
     complexity_p.add_argument("--size", type=int)
 

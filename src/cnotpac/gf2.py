@@ -4,15 +4,15 @@ A vector in F_2^n is an int whose bit j is coordinate j.  A matrix is a
 list of such row ints plus an explicit column count.  Elimination is
 plain XOR on ints, which keeps the hot paths allocation-free.
 
-This module holds the elimination kernel the rest of the package
-reduces through, in two halves: _rref brings a list of rows to reduced
-row echelon form, and _reduce/_insert reduce a vector against, or add
-it to, an echelon table (a dict from pivot position to row).  Both
-share one payload rule: bits at or above n_cols are never pivoted on
-but are XORed along with every row operation, so a payload records how
-a row was combined (identity blocks, right-hand sides, or which
-generators a group element is the product of).  Pivots are leading
-bits, highest column first.
+This module holds the one elimination kernel the rest of the package
+reduces through: _reduce/_insert reduce a vector against, or add it
+to, an echelon table (a dict from pivot position to row), pivoting on
+leading bits, highest column first.  _echelon back-substitutes such a
+table to fully reduced form, the canonical rows that solutions,
+kernels, affine subspaces and group signatures are read from.  Bits at
+or above n_cols are a payload: never pivoted on but XORed along with
+every row operation, it records how a row was combined (an identity
+block, a right-hand side, or the generators of a group element).
 """
 
 from __future__ import annotations
@@ -63,32 +63,23 @@ def _insert(table: dict, vec: int, n_cols: Optional[int] = None) -> bool:
     return True
 
 
-def _rref(rows: list, n_cols: int) -> tuple:
-    """Reduced row echelon form, pivoting on the highest column first.
-
-    Bits at positions >= n_cols are treated as an augmentation payload
-    and transformed along with the matrix part.  Returns (rows, pivots)
-    where pivots[r] is the pivot column of row r; rows beyond len(pivots)
-    have zero matrix part.
+def _echelon(rows: Iterable[int], n_cols: Optional[int] = None) -> dict:
+    """Fully reduced echelon table of ``rows``: the span's reduced row
+    echelon form, keyed by pivot ascending.  The rows go in with
+    _insert; then each row, lowest pivot first, is cleared of every
+    lower pivot q by adding q's row, whose only pivot bit is q.
     """
-    rows = list(rows)
-    pivots = []
-    r = 0
-    for col in range(n_cols - 1, -1, -1):
-        pick = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                pick = i
-                break
-        if pick is None:
-            continue
-        rows[r], rows[pick] = rows[pick], rows[r]
-        for i in range(len(rows)):
-            if i != r and ((rows[i] >> col) & 1):
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+    table: dict = {}
+    for row in rows:
+        _insert(table, row, n_cols)
+    reduced: dict = {}
+    for p in sorted(table):
+        row = table[p]
+        for q, low in reduced.items():
+            if row >> q & 1:
+                row ^= low
+        reduced[p] = row
+    return reduced
 
 
 class BitMatrix:
@@ -183,8 +174,8 @@ class BitMatrix:
             self.rows[i] ^= ((r >> src) & 1) << dst
 
     def rank(self) -> int:
-        _, pivots = _rref(self.rows, self.n_cols)
-        return len(pivots)
+        table: dict = {}
+        return sum(_insert(table, r) for r in self.rows)
 
     def determinant(self) -> int:
         if self.n_rows != self.n_cols:
@@ -198,14 +189,13 @@ class BitMatrix:
         if self.n_rows != self.n_cols:
             raise SingularMatrixError("non-square matrix")
         n = self.n_cols
-        aug = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        red, pivots = _rref(aug, n)
-        if len(pivots) < n:
-            raise SingularMatrixError("matrix is singular")
-        inv = [0] * n
-        for r, p in enumerate(pivots):
-            inv[p] = red[r] >> n
-        return BitMatrix(inv, n)
+        # row i carries payload bit n + i, so reducing e_j through the
+        # full table names the rows that sum to e_j: row j of the inverse
+        table: dict = {}
+        for i, r in enumerate(self.rows):
+            if not _insert(table, r | 1 << (n + i), n):
+                raise SingularMatrixError("matrix is singular")
+        return BitMatrix([_reduce(table, 1 << j, n) >> n for j in range(n)], n)
 
     def solve(self, b: int) -> int:
         """Unique solution of M x = b; raises SingularMatrixError otherwise."""
@@ -216,34 +206,36 @@ class BitMatrix:
 
     def solve_affine(self, b: int) -> Optional["AffineSubspace"]:
         """All solutions of M x = b as an affine subspace, or None if inconsistent."""
+        if b < 0 or b >> self.n_rows:
+            raise ValueError("right-hand side outside F_2^%d" % self.n_rows)
         n = self.n_cols
-        aug = [self.rows[i] | (((b >> i) & 1) << n) for i in range(self.n_rows)]
-        red, pivots = _rref(aug, n)
         mask = (1 << n) - 1
-        for r in range(len(pivots), self.n_rows):
-            if red[r] >> n:
-                return None
+        table: dict = {}
+        for i, r in enumerate(self.rows):
+            r = _reduce(table, r | (b >> i & 1) << n, n)
+            if r & mask:
+                table[(r & mask).bit_length() - 1] = r
+            elif r:
+                return None  # 0 = 1
+        table = _echelon(table.values(), n)
         x0 = 0
-        for r, p in enumerate(pivots):
-            if red[r] >> n:
-                x0 |= 1 << p
-        return AffineSubspace(n, x0, self._null_basis(red, pivots))
+        for p, row in table.items():
+            x0 |= (row >> n) << p
+        return AffineSubspace(n, x0, self._null_basis(table))
 
     def null_space(self) -> list:
         """Basis (list of packed vectors) of the kernel {x : M x = 0}."""
-        red, pivots = _rref(self.rows, self.n_cols)
-        return self._null_basis(red, pivots)
+        return self._null_basis(_echelon(self.rows, self.n_cols))
 
-    def _null_basis(self, red: list, pivots: list) -> list:
+    def _null_basis(self, table: dict) -> list:
+        """Per free column f, highest first: e_f + the pivots whose row has bit f."""
         basis = []
-        pivot_set = set(pivots)
         for f in range(self.n_cols - 1, -1, -1):
-            if f in pivot_set:
+            if f in table:
                 continue
             v = 1 << f
-            for r, p in enumerate(pivots):
-                if (red[r] >> f) & 1:
-                    v |= 1 << p
+            for p, row in table.items():
+                v |= (row >> f & 1) << p
             basis.append(v)
         return basis
 
@@ -280,14 +272,13 @@ class AffineSubspace:
         for v in vectors:
             if v < 0 or v >> n:
                 raise ValueError("vector outside F_2^%d" % n)
-        rows, pivots = _rref(vectors, n)
-        basis = rows[: len(pivots)]
-        for row, p in zip(basis, pivots):
-            if (offset >> p) & 1:
+        table = _echelon(vectors, n)
+        for p, row in table.items():
+            if offset >> p & 1:
                 offset ^= row
         self.n = n
         self.offset = offset
-        self.basis = tuple(basis)
+        self.basis = tuple(reversed(table.values()))
 
     @classmethod
     def full(cls, n: int) -> "AffineSubspace":
@@ -302,34 +293,21 @@ class AffineSubspace:
         return len(self.basis)
 
     def contains(self, x: int) -> bool:
-        r = x ^ self.offset
-        for v in self.basis:
-            if (r >> (v.bit_length() - 1)) & 1:
-                r ^= v
-        return r == 0
+        table = {v.bit_length() - 1: v for v in self.basis}
+        return _reduce(table, x ^ self.offset) == 0
 
     def points(self) -> Iterator[int]:
         """Iterate all 2^dim members (intended for small dimensions)."""
+        span = BitMatrix(self.basis, self.n)
         for mask in range(1 << len(self.basis)):
-            x = self.offset
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    x ^= self.basis[i]
-                m >>= 1
-                i += 1
-            yield x
+            yield self.offset ^ span.premul_vec(mask)
 
     def constraints(self) -> tuple:
         """A linear system (C, d) with self == {x : C x = d}."""
         span = BitMatrix(list(self.basis), self.n)
         c_rows = span.null_space() if self.basis else [1 << i for i in range(self.n)]
         c = BitMatrix(c_rows, self.n)
-        d = 0
-        for i, row in enumerate(c_rows):
-            d |= dot(row, self.offset) << i
-        return c, d
+        return c, c.mul_vec(self.offset)
 
     def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
         if self.n != other.n:

@@ -18,7 +18,7 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf2 import _insert, _reduce, _rref
+from .gf2 import _echelon, _insert, _reduce
 from .pauli import PauliOperator, _fold, z_power
 
 
@@ -131,7 +131,7 @@ class StabilizerGroup:
     def canonical_signature(self) -> tuple:
         """Hashable canonical form: fully reduced echelon keys with signs."""
         width = 2 * self.n
-        rows, _ = _rref(self._table.values(), width)
+        rows = _echelon(self._table.values(), width).values()
         return tuple(
             sorted((r & ((1 << width) - 1), self.element(r >> width).sign_bit) for r in rows)
         )

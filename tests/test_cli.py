@@ -470,6 +470,22 @@ def test_complexity_frozen_and_monotone(capsys):
     assert code == 2 and "--depth" in err
 
 
+def test_complexity_defaults_apply_where_read(capsys):
+    # an omitted flag reads as its default: same m, same digest
+    for omitted, given in (
+        (["--cnot-n", "8"], ["--cnot-n", "8", "--depth-constant", "1"]),
+        (["--depth", "3", "--size", "64"],
+         ["--depth", "3", "--size", "64", "--alpha", "0", "--beta", "0.5", "--d", "2"]),
+    ):
+        reports = []
+        for flags in (omitted, given):
+            code, stdout, _ = run(capsys, *_COMPLEXITY, *flags)
+            assert code == 0
+            report = last_report(stdout)
+            reports.append((report["counts"], report["input_digest"]))
+        assert reports[0] == reports[1]
+
+
 def test_malformed_fields_exit_2_not_1(unit_reduction, tmp_path, capsys):
     # exit 1 means "no witness"; a wrong-typed field is an input error
     payload = json.loads(unit_reduction.read_text())
@@ -569,6 +585,52 @@ def _solve_list_label_argv(tmp_path):
             "depth, d or size",
         ),
         (
+            lambda tmp: _COMPLEXITY + ["--cnot-n", "8", "--alpha", "0.4", "--d", "3"],
+            "error: --alpha is not read with --cnot-n\n",
+        ),
+        (
+            lambda tmp: _COMPLEXITY + ["--cnot-n", "8", "--beta", "0.45"],
+            "error: --beta is not read with --cnot-n\n",
+        ),
+        (
+            lambda tmp: _COMPLEXITY + ["--cnot-n", "8", "--d", "3"],
+            "error: --d is not read with --cnot-n\n",
+        ),
+        (
+            lambda tmp: _COMPLEXITY + ["--cnot-n", "8", "--depth", "9", "--size", "100"],
+            "error: --depth is not read with --cnot-n\n",
+        ),
+        (
+            lambda tmp: _COMPLEXITY + ["--cnot-n", "8", "--size", "100"],
+            "error: --size is not read with --cnot-n\n",
+        ),
+        (
+            lambda tmp: _COMPLEXITY + ["--depth", "3", "--size", "64", "--depth-constant", "2"],
+            "error: --depth-constant is not read without --cnot-n\n",
+        ),
+        (
+            lambda tmp: ["learn", "--mode", "trivial", "--n", "2", "--seed", "1",
+                         "--input", "/nonexistent"],
+            "error: --input is not read in trivial mode\n",
+        ),
+        (
+            lambda tmp: ["learn", "--mode", "trivial", "--n", "2", "--seed", "1",
+                         "--draw-constant", "2"],
+            "error: --draw-constant is not read in trivial mode\n",
+        ),
+        (
+            lambda tmp: _pac_argv(tmp, "--n", "3"),
+            "error: --n is not read in pac mode\n",
+        ),
+        (
+            lambda tmp: _single_label_argv(tmp, "1") + ["--n", "3"],
+            "error: --n is not read in single-measurement mode\n",
+        ),
+        (
+            lambda tmp: _single_label_argv(tmp, "1") + ["--draw-constant", "2"],
+            "error: --draw-constant is not read in single-measurement mode\n",
+        ),
+        (
             lambda tmp: _reduce_cnf_argv(tmp, "--formula", "x1"),
             "error: give exactly one of --cnf or --formula\n",
         ),
@@ -607,6 +669,9 @@ def _solve_list_label_argv(tmp_path):
         "single-label-float",
         "trivial-n-1025",
         "complexity-huge-cnot-n", "complexity-huge-d",
+        "complexity-cnot-n-alpha", "complexity-cnot-n-beta", "complexity-cnot-n-d",
+        "complexity-cnot-n-depth", "complexity-cnot-n-size", "complexity-depth-constant-alone",
+        "trivial-input", "trivial-draw-constant", "pac-n", "single-n", "single-draw-constant",
         "reduce-cnf-and-formula", "reduce-neither", "dimacs-bad-literal",
         "solve-enumeration-limit", "solve-non-utf8", "solve-deep-json", "verify-deep-json",
         "solve-list-label", "reduce-64-qubit-limit",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from cnotpac.gf2 import (
     deterministic_completion,
     dot,
 )
+
+from helpers import random_stabilizer_state
 
 
 def span_size(rows):
@@ -191,6 +194,20 @@ def test_solve_unique_and_failure_modes():
         BitMatrix([0b11, 0b11], 2).solve(0b01)  # inconsistent
     with pytest.raises(SingularMatrixError):
         BitMatrix([0b11, 0b11], 2).solve(0b11)  # underdetermined
+
+
+def test_solve_rejects_a_right_hand_side_outside_the_rows():
+    # bits of b at or above n_rows name no equation
+    with pytest.raises(ValueError, match="right-hand side outside F_2\\^1"):
+        BitMatrix([1], 1).solve_affine(0b10)
+    with pytest.raises(ValueError, match="right-hand side outside F_2\\^2"):
+        BitMatrix([0b11, 0b01], 2).solve(0b100)
+    with pytest.raises(ValueError, match="right-hand side"):
+        BitMatrix([0b11, 0b01], 2).solve_affine(-1)
+    with pytest.raises(ValueError, match="right-hand side outside F_2\\^0"):
+        BitMatrix([], 2).solve_affine(1)
+    assert BitMatrix([0b11, 0b01], 2).solve(0b11) == 0b01
+    assert set(BitMatrix([], 2).solve_affine(0).points()) == {0, 1, 2, 3}
 
 
 def test_null_space_is_kernel_basis():
@@ -390,3 +407,43 @@ def test_reduce_and_insert_carry_the_payload_exactly(data):
     assert (r & mask == 0) == in_span
     if not in_span:
         assert (r & mask).bit_length() - 1 not in table
+
+
+def kernel_outputs():
+    """Lines of exact reprs of every elimination result, over a seeded corpus.
+
+    Matrices are 1-6 rows by 1-6 columns with uniform random rows, so
+    singular and non-square ones are common; groups are random stabilizer
+    states' groups on 1-4 qubits.
+    """
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(1500):
+        n_rows = rng.randrange(1, 7)
+        n_cols = n_rows if rng.randrange(2) else rng.randrange(1, 7)
+        m = random_matrix(rng, n_rows, n_cols)
+        try:
+            inv = repr(m.inverse())
+        except SingularMatrixError as err:
+            inv = "singular: %s" % err
+        # one right-hand side at random, one in the column space
+        sols = []
+        for b in (rng.randrange(1 << n_rows), m.mul_vec(rng.randrange(1 << n_cols))):
+            sol = m.solve_affine(b)
+            sols.append(None if sol is None else (sol.offset, sol.basis))
+        space = AffineSubspace(n_cols, rng.randrange(1 << n_cols), m.rows)
+        lines.append(repr((m, m.rank(), inv, m.null_space(), sols, space)))
+    for _ in range(150):
+        group = random_stabilizer_state(rng, rng.randrange(1, 5)).group
+        lines.append(repr(group.canonical_signature()))
+    return lines
+
+
+def test_kernel_outputs_are_frozen():
+    # a fixed digest: any change to these outputs fails here, basis order
+    # included (learn_single_measurement takes its witness from the first
+    # admissible point of space.points())
+    blob = "\n".join(kernel_outputs()).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5a6b6ddc65972a9e27d51b33450dd945b08b9f45d8f4a7f7669ff09a7620de39"
+    )
