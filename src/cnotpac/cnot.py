@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .gf2 import BitMatrix, SingularMatrixError, dot
-from .pauli import x_power, z_power
+from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce, dot
+from .pauli import PauliOperator
 from .tableau import CliffordTableau, Gate
 
 
@@ -88,12 +88,17 @@ class CnotCircuit:
         """Tableau columns: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j},
         made here, so the tableau takes them without re-checking them.
         Raises SingularMatrixError when theta is singular."""
-        n, theta, q = self.n, self.theta, self.q
-        # theta^{-T} e_j is row j of theta^{-1}; theta e_j is column j of theta
+        n, rows, q = self.n, self.theta.rows, self.q
+        # theta^{-T} e_j is row j of theta^{-1}, read off the one table of
+        # theta's rows; theta e_j is column j of theta
+        table = _inverse_table(rows, n)
         cols = []
-        for j, r in enumerate(theta.inverse().rows):
-            cols.append(x_power(n, r))
-            cols.append(z_power(n, theta.column(j), sign=-1 if (q >> j) & 1 else 1))
+        for j in range(n):
+            z = 0
+            for i, r in enumerate(rows):
+                z |= (r >> j & 1) << i
+            cols.append(PauliOperator(n, _reduce(table, 1 << j, n) >> n, 0))
+            cols.append(PauliOperator(n, 0, z, -1 if q >> j & 1 else 1))
         return CliffordTableau._unchecked(n, cols)
 
     def __eq__(self, other) -> bool:

@@ -82,6 +82,20 @@ def _echelon(rows: Iterable[int], n_cols: Optional[int] = None) -> dict:
     return reduced
 
 
+def _inverse_table(rows: list, n: int) -> dict:
+    """Echelon table of the n x n matrix ``rows``, row i inserted with
+    payload bit n + i.  Reducing e_j through it leaves payload bits that
+    name the rows summing to e_j, so ``_reduce(table, 1 << j, n) >> n``
+    is row j of the inverse.  Raises SingularMatrixError when a row
+    falls in the span of the rows before it.
+    """
+    table: dict = {}
+    for i, r in enumerate(rows):
+        if not _insert(table, r | 1 << (n + i), n):
+            raise SingularMatrixError("matrix is singular")
+    return table
+
+
 class BitMatrix:
     """Dense F_2 matrix stored as a list of packed row ints."""
 
@@ -189,12 +203,7 @@ class BitMatrix:
         if self.n_rows != self.n_cols:
             raise SingularMatrixError("non-square matrix")
         n = self.n_cols
-        # row i carries payload bit n + i, so reducing e_j through the
-        # full table names the rows that sum to e_j: row j of the inverse
-        table: dict = {}
-        for i, r in enumerate(self.rows):
-            if not _insert(table, r | 1 << (n + i), n):
-                raise SingularMatrixError("matrix is singular")
+        table = _inverse_table(self.rows, n)
         return BitMatrix([_reduce(table, 1 << j, n) >> n for j in range(n)], n)
 
     def solve(self, b: int) -> int:

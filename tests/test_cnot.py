@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from cnotpac.cnot import CnotCircuit, synthesize_cnot_from_theta
 from cnotpac.gf2 import BitMatrix, SingularMatrixError, dot
 from cnotpac.pauli import z_power
 from cnotpac.search import _check_cnot_shape
+from cnotpac.serialization import circuit_to_json, dumps
 from cnotpac.tableau import CliffordTableau, Gate, is_symplectic
 
 from helpers import (
@@ -122,6 +124,58 @@ def test_to_tableau_matches_gate_replay_on_every_pair_of_gl3():
             _check_cnot_shape(t)
             count += 1
     assert count == 168 * 8
+
+
+# sha256 over dumps(circuit_to_json(c)) of the circuits below, recorded
+# before to_tableau read both image blocks off one echelon table
+TO_TABLEAU_N4_8_SHA256 = (
+    "8b305b026170f7131741b9806459f2100d0ab1d8d6dd24869778ecd5c1383c68"
+)
+
+
+def test_to_tableau_matches_gate_replay_at_n4_to_8():
+    rng = random.Random(516)
+    digest = hashlib.sha256()
+    for n in range(4, 9):
+        for _ in range(12):
+            theta = BitMatrix([rng.randrange(1 << n) for _ in range(n)], n)
+            while not theta.is_invertible():
+                theta = BitMatrix([rng.randrange(1 << n) for _ in range(n)], n)
+            q = rng.randrange(1 << n)
+            c = CnotCircuit(theta.copy(), q)
+            t = c.to_tableau()
+            replay = CliffordTableau.identity(n)
+            for g in synthesize_cnot_from_theta(theta, q):
+                replay.apply_gate(g)
+            assert t == replay
+            _check_cnot_shape(t)
+            digest.update(dumps(circuit_to_json(c)).encode())
+    assert digest.hexdigest() == TO_TABLEAU_N4_8_SHA256
+
+
+def test_to_tableau_raises_on_singular_theta():
+    # the reference scan relies on this: a singular theta never scores
+    for n in (1, 2, 3):
+        invertible = {tuple(m.rows) for m in invertible_matrices(n)}
+        singular = [rows for rows in itertools.product(range(1 << n), repeat=n)
+                    if rows not in invertible]
+        for rows in singular:
+            for q in range(1 << n):
+                with pytest.raises(SingularMatrixError):
+                    CnotCircuit._unchecked(BitMatrix(list(rows), n), q).to_tableau()
+    assert len(singular) == 512 - 168
+    rng = random.Random(517)
+    for n in (4, 5, 6):
+        for _ in range(40):
+            rows = [rng.randrange(1 << n) for _ in range(n)]
+            k = rng.randrange(n)
+            # row k becomes the sum of a random subset of the other rows
+            rows[k] = 0
+            for i in range(n):
+                if i != k and rng.randrange(2):
+                    rows[k] ^= rows[i]
+            with pytest.raises(SingularMatrixError):
+                CnotCircuit._unchecked(BitMatrix(rows, n), rng.randrange(1 << n)).to_tableau()
 
 
 def test_synthesis_round_trips_all_gl2_with_phases():

@@ -20,7 +20,7 @@ from cnotpac.learning import (
 )
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.samples import Sample, SampleSet
-from cnotpac.search import brute_force_search, check_consistent
+from cnotpac.search import SearchResult, brute_force_search, check_consistent
 from cnotpac.serialization import circuit_to_json, dumps
 from cnotpac.stabilizer import Membership, StabilizerState
 from cnotpac.tableau import is_symplectic
@@ -144,6 +144,37 @@ def test_pac_learner_unsatisfiable_support():
     )
     assert not result.found and result.circuit is None
     assert result.accepted is False
+
+
+def test_pac_learner_all_seen_rate_matches_the_coupon_collector():
+    # s distinct samples drawn uniformly m = ceil(s ln s) times: all s are
+    # seen with probability sum_j (-1)^j C(s, j) (1 - j/s)^m
+    s, runs = 6, 2000
+    state = StabilizerState.zero_state(3)
+    pool = []
+    for v in range(1, s + 1):
+        probe = z_power(3, v)
+        pool.append(Sample(state, probe, state.expectation(probe)))
+    m = math.ceil(s * math.log(s))
+    exact = sum(
+        (-1) ** j * math.comb(s, j) * (1 - Fraction(j, s)) ** m for j in range(s + 1)
+    )
+    assert m == 11 and abs(float(exact) - 0.3562) < 1e-4
+
+    def not_found(sample_set):
+        assert len(sample_set) <= s
+        return SearchResult(False, None, 0, 0.0)
+
+    all_seen = 0
+    for seed in range(runs):
+        result = pac_learner(
+            lambda r: r.choice(pool), s, not_found, random.Random(seed), draw_constant=1
+        )
+        assert result.draws == m and result.distinct <= s
+        assert not result.found and result.circuit is None
+        all_seen += result.distinct == s
+    p = float(exact)
+    assert abs(all_seen / runs - p) <= 5 * math.sqrt(p * (1 - p) / runs)
 
 
 def test_pac_learner_rejects_bad_support_bound():
