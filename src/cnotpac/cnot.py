@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce, dot
+from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce
 from .pauli import PauliOperator
 from .tableau import CliffordTableau, Gate
 
@@ -73,31 +73,22 @@ class CnotCircuit:
         else:
             raise ValueError("CNOT circuits admit only x and cnot gates")
 
-    def conjugate_z(self, u: int) -> tuple:
-        """C† Z^u C as (sign_bit, support): (q.u, theta u)."""
-        return dot(self.q, u), self.theta.mul_vec(u)
-
-    def basis_image(self, v: int) -> int:
-        """C|v> = |theta^T v xor q>."""
-        return self.theta.premul_vec(v) ^ self.q
-
     def gates(self) -> List[Gate]:
         return synthesize_cnot_from_theta(self.theta, self.q)
 
     def to_tableau(self) -> CliffordTableau:
-        """Tableau columns: X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j},
-        made here, so the tableau takes them without re-checking them.
+        """Tableau images X_j -> X^{theta^{-T} e_j}, Z_j -> (-1)^{q_j} Z^{theta e_j},
+        made here in key order, so the tableau takes them without re-checking them.
         Raises SingularMatrixError when theta is singular."""
         n, rows, q = self.n, self.theta.rows, self.q
         # theta^{-T} e_j is row j of theta^{-1}, read off the one table of
         # theta's rows; theta e_j is column j of theta
         table = _inverse_table(rows, n)
-        cols = []
+        cols = [PauliOperator(n, _reduce(table, 1 << j, n) >> n, 0) for j in range(n)]
         for j in range(n):
             z = 0
             for i, r in enumerate(rows):
                 z |= (r >> j & 1) << i
-            cols.append(PauliOperator(n, _reduce(table, 1 << j, n) >> n, 0))
             cols.append(PauliOperator(n, 0, z, -1 if q >> j & 1 else 1))
         return CliffordTableau._unchecked(n, cols)
 

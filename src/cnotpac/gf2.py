@@ -230,6 +230,8 @@ class BitMatrix:
         x0 = 0
         for p, row in table.items():
             x0 |= (row >> n) << p
+        # x0 clears the equations' pivots, not the kernel's: AffineSubspace
+        # clears those, making the offset the least solution (the search's q)
         return AffineSubspace(n, x0, self._null_basis(table))
 
     def null_space(self) -> list:
@@ -289,21 +291,9 @@ class AffineSubspace:
         self.offset = offset
         self.basis = tuple(reversed(table.values()))
 
-    @classmethod
-    def full(cls, n: int) -> "AffineSubspace":
-        return cls(n, 0, [1 << i for i in range(n)])
-
-    @classmethod
-    def single(cls, n: int, point: int) -> "AffineSubspace":
-        return cls(n, point)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, x: int) -> bool:
-        table = {v.bit_length() - 1: v for v in self.basis}
-        return _reduce(table, x ^ self.offset) == 0
 
     def points(self) -> Iterator[int]:
         """Iterate all 2^dim members (intended for small dimensions)."""

@@ -82,8 +82,7 @@ def check_consistent(h, sample_set: SampleSet) -> bool:
 
 def _check_cnot_shape(t) -> None:
     """Raise unless every X image of the tableau is X-type with sign +."""
-    for j in range(t.n):
-        xi = t.cols[2 * j]
+    for xi in t.cols[: t.n]:
         if xi.z != 0 or xi.sign_bit:
             raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
 
@@ -331,10 +330,9 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     def score(theta):
         t = CnotCircuit._unchecked(theta, 0).to_tableau()
         _check_cnot_shape(t)
-        images = t.cols[0::2] + t.cols[1::2]  # key order: X_0 .. X_{n-1}, Z_0 .. Z_{n-1}
         alive = every_q
         for key, e, group, code, flips in samples:
-            e, x, z = _fold(images, key, e)
+            e, x, z = _fold(t.cols, key, e)
             _raw_sign_bit(e, x, z)
             if not x | z:
                 raise ValueError("identity is not a useful measurement")

@@ -1,7 +1,11 @@
 """Clifford circuits as tableaus of conjugated generator images.
 
-For a circuit C the tableau stores, in the interleaved generator order
-(X_0, Z_0, X_1, Z_1, ...), the inverse images C† G_r C as signed Paulis.
+For a circuit C the tableau stores the inverse images C† G_r C as signed
+Paulis in key order: image r is that of the generator whose symplectic
+key is 1 << r, so X_0 .. X_{n-1} come first, then Z_0 .. Z_{n-1}, and
+conjugation folds the stored list as it is.  Only s_matrix, phase_bits
+and from_s_matrix convert to and from the external interleaved layout
+(X_0, Z_0, X_1, Z_1, ...) of the symplectic matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
@@ -58,7 +62,7 @@ class Gate:
 
 
 class CliffordTableau:
-    """Mutable tableau of the 2n inverse generator images."""
+    """Mutable tableau of the 2n inverse generator images, in key order."""
 
     __slots__ = ("n", "cols", "_inverse_cols")
 
@@ -88,19 +92,16 @@ class CliffordTableau:
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        cols = []
-        for i in range(n):
-            cols.append(x_power(n, 1 << i))
-            cols.append(z_power(n, 1 << i))
-        return cls(cols)
+        return cls([x_power(n, 1 << i) for i in range(n)] + [z_power(n, 1 << i) for i in range(n)])
 
     def copy(self) -> "CliffordTableau":
         return CliffordTableau(list(self.cols))
 
     @classmethod
     def from_s_matrix(cls, s: BitMatrix, phases: int = 0) -> "CliffordTableau":
-        """Inverse of s_matrix()/phase_bits(): image r is column r of s,
-        negated when bit r of phases is set."""
+        """Inverse of s_matrix()/phase_bits(): the image of the generator
+        in interleaved column c is column c of s, negated when bit c of
+        phases is set."""
         n = s.n_rows // 2
         if s.n_rows != 2 * n or s.n_cols != 2 * n:
             raise ValueError("symplectic part must be 2n x 2n")
@@ -109,21 +110,27 @@ class CliffordTableau:
             x = sum(((s.rows[2 * i] >> c) & 1) << i for i in range(n))
             z = sum(((s.rows[2 * i + 1] >> c) & 1) << i for i in range(n))
             cols.append(PauliOperator(n, x, z, sign=-1 if (phases >> c) & 1 else 1))
-        return cls(cols)
+        return cls(cols[0::2] + cols[1::2])
+
+    def _interleaved(self) -> list:
+        """The images in the external order X_0, Z_0, X_1, Z_1, ..."""
+        return [p for pair in zip(self.cols[: self.n], self.cols[self.n :]) for p in pair]
 
     def s_matrix(self) -> BitMatrix:
-        """The 2n x 2n symplectic part: rows interleave x_i/z_i of each image."""
+        """The 2n x 2n symplectic part: column c holds the image of the
+        interleaved generator c, and rows interleave x_i/z_i of each image."""
+        images = self._interleaved()
         rows = []
         for i in range(self.n):
-            rows.append(sum(((p.x >> i) & 1) << c for c, p in enumerate(self.cols)))
-            rows.append(sum(((p.z >> i) & 1) << c for c, p in enumerate(self.cols)))
+            rows.append(sum(((p.x >> i) & 1) << c for c, p in enumerate(images)))
+            rows.append(sum(((p.z >> i) & 1) << c for c, p in enumerate(images)))
         return BitMatrix(rows, 2 * self.n)
 
     def phase_bits(self) -> int:
-        """Sign bits of the stored images, bit r for generator r."""
+        """Sign bits of the images, bit c for interleaved generator c."""
         acc = 0
-        for r, p in enumerate(self.cols):
-            acc |= p.sign_bit << r
+        for c, p in enumerate(self._interleaved()):
+            acc |= p.sign_bit << c
         return acc
 
     def conjugate_raw(self, p: PauliOperator) -> tuple:
@@ -131,8 +138,7 @@ class CliffordTableau:
         generator images; no Hermiticity check (see conjugate_inverse)."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        # images in key order: X_0 .. X_{n-1}, then Z_0 .. Z_{n-1}
-        return _fold(self.cols[0::2] + self.cols[1::2], p.key(), p.raw()[0])
+        return _fold(self.cols, p.key(), p.raw()[0])
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
         """C† P C; raises unless it is Hermitian (the tableau is invalid)."""
@@ -147,25 +153,25 @@ class CliffordTableau:
         cols = self.cols
         if g.name == "x":
             a = g.qubit
-            cols[2 * a + 1] = -cols[2 * a + 1]
+            cols[n + a] = -cols[n + a]
         elif g.name == "z":
             a = g.qubit
-            cols[2 * a] = -cols[2 * a]
+            cols[a] = -cols[a]
         elif g.name == "h":
             a = g.qubit
-            cols[2 * a], cols[2 * a + 1] = cols[2 * a + 1], cols[2 * a]
+            cols[a], cols[n + a] = cols[n + a], cols[a]
         elif g.name == "p":
             # C†(-Y_a)C: -Y_a = i^3 X_a Z_a, folded over the two images it touches
             a = g.qubit
-            cols[2 * a] = PauliOperator.from_raw(n, *_fold((cols[2 * a], cols[2 * a + 1]), 3, 3))
+            cols[a] = PauliOperator.from_raw(n, *_fold((cols[a], cols[n + a]), 3, 3))
         else:  # cnot
             # C†(X_a X_b)C and C†(Z_a Z_b)C, each factor pair in key order
             a, b = g.control, g.target
             lo, hi = min(a, b), max(a, b)
-            new_x = PauliOperator.from_raw(n, *_fold((cols[2 * lo], cols[2 * hi]), 3))
-            new_z = PauliOperator.from_raw(n, *_fold((cols[2 * lo + 1], cols[2 * hi + 1]), 3))
-            cols[2 * a] = new_x
-            cols[2 * b + 1] = new_z
+            new_x = PauliOperator.from_raw(n, *_fold((cols[lo], cols[hi]), 3))
+            new_z = PauliOperator.from_raw(n, *_fold((cols[n + lo], cols[n + hi]), 3))
+            cols[a] = new_x
+            cols[n + b] = new_z
 
     def inverse_tableau(self) -> "CliffordTableau":
         """Tableau of C^{-1}; its inverse images are the forward images of C."""
@@ -173,8 +179,7 @@ class CliffordTableau:
             cols = CliffordTableau.from_s_matrix(self.s_matrix().inverse()).cols
             for r, c in enumerate(cols):
                 back = self.conjugate_inverse(c)
-                # generator r of X_0, Z_0, X_1, ... has key bit r // 2 (X) or n + r // 2 (Z)
-                if back.key() != 1 << (r // 2 + self.n * (r & 1)):
+                if back.key() != 1 << r:
                     raise ValueError("tableau is not a valid Clifford image")
                 if back.sign_bit:
                     cols[r] = -c

@@ -129,8 +129,8 @@ def test_04_every_cnot_circuit_round_trips_through_its_tableau():
             c = CnotCircuit(theta, q)
             t = c.to_tableau()
             for i in range(3):
-                xi = t.cols[2 * i]
-                zi = t.cols[2 * i + 1]
+                xi = t.cols[i]
+                zi = t.cols[3 + i]
                 assert xi.z == 0 and xi.sign == 1
                 assert xi.x == inv_t.mul_vec(1 << i)
                 assert zi.x == 0

@@ -72,7 +72,7 @@ def test_conjugate_z_matches_tableau_and_dense():
         u = circuit_unitary(gates, n)
         for _ in range(5):
             v = rng.randrange(1, 1 << n)
-            sign_bit, support = c.conjugate_z(v)
+            sign_bit, support = dot(c.q, v), c.theta.mul_vec(v)
             via_tableau = t.conjugate_inverse(z_power(n, v))
             assert via_tableau == z_power(n, support, sign=-1 if sign_bit else 1)
             dense = u.conj().T @ pauli_dense(z_power(n, v)) @ u
@@ -87,7 +87,7 @@ def test_basis_image_matches_dense_action():
         c = CnotCircuit.from_gates(n, gates)
         u = circuit_unitary(gates, n)
         for v in range(1 << n):
-            out = c.basis_image(v)
+            out = c.theta.premul_vec(v) ^ c.q
             vec = np.zeros(1 << n)
             vec[basis_index(v, n)] = 1
             image = u @ vec
@@ -103,8 +103,8 @@ def test_tableau_blocks_of_a_cnot_circuit():
         assert is_symplectic(t.s_matrix(), n)
         inv_t = c.theta.inverse().transpose()
         for j in range(n):
-            x_img = t.cols[2 * j]
-            z_img = t.cols[2 * j + 1]
+            x_img = t.cols[j]
+            z_img = t.cols[n + j]
             assert x_img.z == 0 and x_img.sign == 1  # B = 0, p = 0
             assert x_img.x == inv_t.mul_vec(1 << j)  # A = theta^{-T}
             assert z_img.x == 0

@@ -181,6 +181,7 @@ def test_solve_affine_matches_brute_enumeration():
         else:
             assert sol is not None
             assert set(sol.points()) == brute
+            assert sol.offset == min(brute)
 
 
 def test_solve_unique_and_failure_modes():
@@ -246,20 +247,6 @@ def test_affine_subspace_canonical_form_is_representation_independent():
         assert len(pts) == len(set(pts)) == 1 << a.dim
 
 
-def test_affine_contains_matches_membership():
-    rng = random.Random(111)
-    for _ in range(100):
-        n = rng.randrange(1, 5)
-        a = AffineSubspace(
-            n,
-            rng.randrange(1 << n),
-            [rng.randrange(1 << n) for _ in range(rng.randrange(0, n + 1))],
-        )
-        pts = set(a.points())
-        for x in range(1 << n):
-            assert a.contains(x) == (x in pts)
-
-
 def test_affine_constraints_cut_out_the_subspace():
     rng = random.Random(112)
     for _ in range(100):
@@ -306,13 +293,6 @@ def test_affine_intersection_pinned_example():
     assert got.dim == 0 and got.offset == 0b11
     # two distinct points never intersect
     assert AffineSubspace(1, 0).intersect(AffineSubspace(1, 1)) is None
-
-
-def test_full_and_single_constructors():
-    f = AffineSubspace.full(3)
-    assert f.dim == 3 and set(f.points()) == set(range(8))
-    s = AffineSubspace.single(3, 5)
-    assert s.dim == 0 and list(s.points()) == [5]
 
 
 def test_complete_to_basis_properties():

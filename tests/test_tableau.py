@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix, dot
 from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.samples import LABELS, Sample, SampleSet
@@ -51,8 +52,8 @@ def test_gate_constructor_validation():
 def test_identity_tableau_columns():
     t = CliffordTableau.identity(2)
     assert t.cols[0] == x_power(2, 0b01)
-    assert t.cols[1] == z_power(2, 0b01)
-    assert t.cols[2] == x_power(2, 0b10)
+    assert t.cols[1] == x_power(2, 0b10)
+    assert t.cols[2] == z_power(2, 0b01)
     assert t.cols[3] == z_power(2, 0b10)
     assert t.phase_bits() == 0
 
@@ -75,10 +76,24 @@ def test_single_gate_images_frozen():
     t.apply_gate(Gate("cnot", control=0, target=1))
     assert t.cols == [
         x_power(2, 0b11),
-        z_power(2, 0b01),
         x_power(2, 0b10),
+        z_power(2, 0b01),
         z_power(2, 0b11),
     ]
+
+
+def test_image_r_is_the_image_of_key_bit_r():
+    # cols[r] is C† G C for the generator G whose symplectic key is 1 << r
+    rng = random.Random(310)
+    for n in range(1, 5):
+        mask = (1 << n) - 1
+        tableaus = [random_tableau(rng, n) for _ in range(10)]
+        cnot = CnotCircuit.from_gates(n, random_gates(rng, n, 8, names=("cnot", "x")))
+        tableaus.append(cnot.to_tableau())
+        for t in tableaus:
+            for r in range(2 * n):
+                g = PauliOperator(n, (1 << r) & mask, (1 << r) >> n)
+                assert t.cols[r] == t.conjugate_inverse(g), (n, r)
 
 
 def test_conjugate_inverse_matches_dense():
@@ -194,7 +209,7 @@ def test_scoring_keeps_the_conjugation_checks():
     with pytest.raises(ValueError, match="not Hermitian"):
         check_consistent(bad, SampleSet(1, [y]))
     # X_0 and X_1 share an image, so C†(X_0 X_1)C is the identity
-    t = CliffordTableau([x_power(2, 1), z_power(2, 1), x_power(2, 1), z_power(2, 2)])
+    t = CliffordTableau([x_power(2, 1), x_power(2, 1), z_power(2, 1), z_power(2, 2)])
     xx = Sample(StabilizerState.zero_state(2), x_power(2, 0b11), Fraction(1, 2))
     with pytest.raises(ValueError, match="identity is not a useful measurement"):
         evaluate_sample(t, xx)
