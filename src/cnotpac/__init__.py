@@ -18,12 +18,7 @@ from .gf2 import (
     dot,
 )
 from .pauli import PauliOperator, x_power, z_power
-from .stabilizer import (
-    Membership,
-    StabilizerGroup,
-    StabilizerState,
-    measurement_expectation,
-)
+from .stabilizer import Membership, StabilizerGroup, StabilizerState
 from .tableau import (
     CliffordTableau,
     Gate,
@@ -94,8 +89,6 @@ from .serialization import (
     parse_dimacs,
     pauli_from_json,
     pauli_to_json,
-    sample_from_json,
     sample_set_from_json,
     sample_set_to_json,
-    sample_to_json,
 )

@@ -375,20 +375,7 @@ def cmd_complexity(args) -> int:
             size=args.size,
         )
     m = sample_complexity(params)
-    digest = _digest(
-        json.dumps(
-            {
-                "epsilon": params.epsilon,
-                "delta": params.delta,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "d": params.d,
-                "depth": params.depth,
-                "size": params.size,
-            },
-            sort_keys=True,
-        ).encode()
-    )
+    digest = _digest(json.dumps(vars(params), sort_keys=True).encode())
     print("m = %d" % m)
     print("note: all big-O constants are set to 1; treat m as a scale, not a guarantee")
     _report("complexity", digest, None, "ok", {"m": m}, started)

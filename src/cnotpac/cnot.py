@@ -58,9 +58,6 @@ class CnotCircuit:
             c.append(g)
         return c
 
-    def copy(self) -> "CnotCircuit":
-        return CnotCircuit(self.theta.copy(), self.q)
-
     def append(self, g: Gate) -> None:
         if g.max_qubit() >= self.n:
             raise ValueError("gate acts outside %d qubits" % self.n)

@@ -136,9 +136,6 @@ class BitMatrix:
     def copy(self) -> "BitMatrix":
         return BitMatrix(list(self.rows), self.n_cols)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def column(self, j: int) -> int:
         acc = 0
         for i, r in enumerate(self.rows):

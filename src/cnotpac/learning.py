@@ -52,7 +52,6 @@ class LearningParameters:
         d: int,
         depth: int,
         size: int,
-        s: Optional[int] = None,
     ):
         if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -66,8 +65,6 @@ class LearningParameters:
             raise ValueError("depth must be at least 1")
         if size < 2:
             raise ValueError("gate-set size must be at least 2")
-        if s is not None and s < 1:
-            raise ValueError("sample-support size s must be positive")
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.alpha = float(alpha)
@@ -75,7 +72,6 @@ class LearningParameters:
         self.d = d
         self.depth = depth
         self.size = size
-        self.s = s
 
 
 def cnot_defaults(

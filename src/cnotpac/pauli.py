@@ -71,10 +71,6 @@ class PauliOperator:
         return -1 if self.sign_bit else 1
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, 0, 0)
-
-    @classmethod
     def from_raw(cls, n: int, e: int, x: int, z: int) -> "PauliOperator":
         """Build from i^e X^x Z^z; e must make the operator Hermitian."""
         return cls(n, x, z, sign=-1 if _raw_sign_bit(e, x, z) else 1)

@@ -32,8 +32,8 @@ from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix, _insert, _reduce
-from .pauli import _fold, _raw_sign_bit, z_power
-from .reduction import NonSingularityInstance, _pin_samples, constrain_pauli_samples
+from .pauli import _fold, _raw_sign_bit
+from .reduction import NonSingularityInstance, _pin_samples
 from .samples import SampleSet
 from .tableau import sample_code
 
@@ -438,8 +438,7 @@ def search_from_decision(
                 u |= 1 << j
         columns.append(u)
         q |= b << c
-        target = z_power(n, x, sign=-1 if b else 1)
-        extra.extend(constrain_pauli_samples(n, target, u, None, None))
+        extra.extend(_pin_samples(n, x, b, u, [], None))
     theta = BitMatrix.from_columns(columns, n)
     if not theta.is_invertible():
         return DecisionSearchResult(False, None, queries, True)

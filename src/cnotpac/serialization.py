@@ -136,10 +136,6 @@ def _sample_to_json(s: Sample, encode) -> dict:
     }
 
 
-def sample_to_json(s: Sample) -> dict:
-    return _sample_to_json(s, pauli_to_json)
-
-
 def _state_from_json(obj, decode) -> StabilizerState:
     """The state of a sample or batch entry, whose field 'state' lists
     the generators; decode is pauli_from_json or a _pauli_decoder."""
@@ -158,10 +154,6 @@ def _sample_from_json(obj, decode) -> Sample:
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
     return Sample(state, measurement, _LABELS_BACK[label])
-
-
-def sample_from_json(obj) -> Sample:
-    return _sample_from_json(obj, pauli_from_json)
 
 
 def sample_set_to_json(ss: SampleSet) -> dict:

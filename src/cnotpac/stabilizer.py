@@ -75,7 +75,7 @@ class StabilizerGroup:
     __slots__ = ("n", "generators", "_table")
 
     def __init__(self, generators: Iterable[PauliOperator]):
-        generators = list(generators)
+        generators = tuple(generators)
         if not generators:
             raise ValueError("need at least one generator")
         n = generators[0].n
@@ -178,19 +178,15 @@ class StabilizerState:
         return cls.computational_basis(n, 0)
 
     def expectation(self, p: PauliOperator) -> Fraction:
-        return measurement_expectation(self, p)
+        """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
+        if p.is_identity():
+            raise ValueError("identity is not a useful measurement")
+        if p.n != self.n:
+            raise ValueError("qubit count mismatch")
+        return LABELS[self.group.expectation_code(p.raw()[0], p.key())]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, StabilizerState) and self.group == other.group
 
     def __hash__(self):
         return hash(self.group)
-
-
-def measurement_expectation(state: StabilizerState, p: PauliOperator) -> Fraction:
-    """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
-    if p.is_identity():
-        raise ValueError("identity is not a useful measurement")
-    if p.n != state.n:
-        raise ValueError("qubit count mismatch")
-    return LABELS[state.group.expectation_code(p.raw()[0], p.key())]

@@ -11,8 +11,9 @@ tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
 stays in raw form (sample_code): the measurement is folded over the
 images and the result looked up in the state's group, with no Pauli
-object made.  Forward conjugation C P C† is served by a lazily built
-inverse tableau.
+object made.  Forward conjugation C P C† goes through inverse_tableau,
+whose images are read off one echelon table of the stored image keys
+(gf2._inverse_table) on every call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _inverse_table, _reduce
 from .pauli import PauliOperator, _fold, _raw_sign_bit, x_power, z_power
 from .stabilizer import LABELS, StabilizerGroup, StabilizerState
 
@@ -64,7 +65,7 @@ class Gate:
 class CliffordTableau:
     """Mutable tableau of the 2n inverse generator images, in key order."""
 
-    __slots__ = ("n", "cols", "_inverse_cols")
+    __slots__ = ("n", "cols")
 
     def __init__(self, cols: Iterable[PauliOperator]):
         cols = list(cols)
@@ -78,7 +79,6 @@ class CliffordTableau:
                 raise ValueError("image qubit count mismatch")
         self.n = n
         self.cols = cols
-        self._inverse_cols = None
 
     @classmethod
     def _unchecked(cls, n: int, cols: list) -> "CliffordTableau":
@@ -87,15 +87,11 @@ class CliffordTableau:
         t = cls.__new__(cls)
         t.n = n
         t.cols = cols
-        t._inverse_cols = None
         return t
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
         return cls([x_power(n, 1 << i) for i in range(n)] + [z_power(n, 1 << i) for i in range(n)])
-
-    def copy(self) -> "CliffordTableau":
-        return CliffordTableau(list(self.cols))
 
     @classmethod
     def from_s_matrix(cls, s: BitMatrix, phases: int = 0) -> "CliffordTableau":
@@ -148,7 +144,6 @@ class CliffordTableau:
         """Append gate g to the circuit (it acts after everything so far)."""
         if g.max_qubit() >= self.n:
             raise ValueError("gate acts outside %d qubits" % self.n)
-        self._inverse_cols = None
         n = self.n
         cols = self.cols
         if g.name == "x":
@@ -174,17 +169,23 @@ class CliffordTableau:
             cols[n + b] = new_z
 
     def inverse_tableau(self) -> "CliffordTableau":
-        """Tableau of C^{-1}; its inverse images are the forward images of C."""
-        if self._inverse_cols is None:
-            cols = CliffordTableau.from_s_matrix(self.s_matrix().inverse()).cols
-            for r, c in enumerate(cols):
-                back = self.conjugate_inverse(c)
-                if back.key() != 1 << r:
-                    raise ValueError("tableau is not a valid Clifford image")
-                if back.sign_bit:
-                    cols[r] = -c
-            self._inverse_cols = cols
-        return CliffordTableau(list(self._inverse_cols))
+        """Tableau of C^{-1}; its inverse images are the forward images of C.
+
+        The key of forward image r names the stored images whose keys sum
+        to 1 << r: the payload left by reducing 1 << r through one table
+        of the stored keys.  Its sign is read off conjugating it back.
+        """
+        n, width = self.n, 2 * self.n
+        table = _inverse_table([c.key() for c in self.cols], width)
+        cols = []
+        for r in range(width):
+            key = _reduce(table, 1 << r, width) >> width
+            c = PauliOperator(n, key & ((1 << n) - 1), key >> n)
+            back = self.conjugate_inverse(c)
+            if back.key() != 1 << r:
+                raise ValueError("tableau is not a valid Clifford image")
+            cols.append(-c if back.sign_bit else c)
+        return CliffordTableau._unchecked(n, cols)
 
     def to_tableau(self) -> "CliffordTableau":
         return self

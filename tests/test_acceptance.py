@@ -44,7 +44,7 @@ from cnotpac.search import (
     enumerate_consistent_circuits,
     search_from_decision,
 )
-from cnotpac.stabilizer import StabilizerState, measurement_expectation
+from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import CliffordTableau, is_symplectic
 
 from formula_corpus import CORPUS, golden_formula
@@ -112,7 +112,7 @@ def test_03_expectation_trichotomy_matches_dense_oracle():
         for sign in (1, -1):
             p = PauliOperator(3, x, z, sign=sign)
             for st in states:
-                e = measurement_expectation(st, p)
+                e = st.expectation(p)
                 assert e in allowed
                 assert abs(float(e) - dense_expectation(st, p)) < 1e-9
                 checked += 1
@@ -320,7 +320,7 @@ def test_11_informative_measurements_are_rare():
     hits = 0
     for _ in range(draws):
         p = random_signed_pauli(6, rng)
-        if measurement_expectation(state, p) != Fraction(1, 2):
+        if state.expectation(p) != Fraction(1, 2):
             hits += 1
     freq = hits / draws
     center = 1.0 / 64

@@ -125,11 +125,11 @@ def test_matmul_and_transpose_against_dense():
         for i in range(a_rows):
             for j in range(b_cols):
                 want = sum(ad[i][k] * bd[k][j] for k in range(inner)) & 1
-                assert prod.entry(i, j) == want
+                assert (prod.rows[i] >> j) & 1 == want
         t = a.transpose()
         for i in range(a_rows):
             for j in range(inner):
-                assert t.entry(j, i) == a.entry(i, j)
+                assert (t.rows[j] >> i) & 1 == (a.rows[i] >> j) & 1
 
 
 def test_vector_products():

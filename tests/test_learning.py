@@ -78,7 +78,6 @@ def test_parameter_validation():
         dict(good, d=1),
         dict(good, depth=0),
         dict(good, size=1),
-        dict(good, s=0),
     ):
         with pytest.raises(ValueError):
             LearningParameters(**bad)

@@ -101,7 +101,7 @@ def test_power_constructors_and_key():
     assert (q.x, q.z, q.sign) == (0b011, 0, -1)
     assert p.key() == 0b101 << 3
     assert q.key() == 0b011
-    assert PauliOperator.identity(3).is_identity()
+    assert PauliOperator(3, 0, 0).is_identity()
 
 
 def test_z_products_compose_supports():

@@ -27,10 +27,8 @@ from cnotpac.serialization import (
     parse_dimacs,
     pauli_from_json,
     pauli_to_json,
-    sample_from_json,
     sample_set_from_json,
     sample_set_to_json,
-    sample_to_json,
     string_to_bits,
     tableau_block,
 )
@@ -111,6 +109,16 @@ def test_pauli_round_trip():
             pauli_from_json(bad)
 
 
+def sample_to_json(s):
+    """One sample's JSON entry, as a sample set file holds it."""
+    return json.loads(dumps(sample_set_to_json(SampleSet(s.state.n, [s]))))["samples"][0]
+
+
+def sample_from_json(obj, n=2):
+    """obj loaded as the only sample of an n-qubit sample set."""
+    return sample_set_from_json({"n": n, "samples": [obj]}).samples[0]
+
+
 def test_sample_round_trip_label_strings():
     rng = random.Random(112)
     samples, _ = random_consistent_set(rng, 3, 20)
@@ -118,7 +126,7 @@ def test_sample_round_trip_label_strings():
     for s in samples.samples:
         obj = sample_to_json(s)
         seen.add(obj["label"])
-        back = sample_from_json(obj)
+        back = sample_from_json(obj, 3)
         assert back.label == s.label
         assert back.measurement == s.measurement
         assert back.state.group.generators == s.state.group.generators

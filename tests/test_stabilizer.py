@@ -10,7 +10,6 @@ from cnotpac.stabilizer import (
     StabilizerGroup,
     StabilizerState,
     _echelon_table,
-    measurement_expectation,
 )
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
@@ -35,13 +34,13 @@ def test_bell_group_membership_table():
     assert g.group_contains(x_power(2, 0b01)) is Membership.ABSENT
     assert g.group_contains(z_power(2, 0b10)) is Membership.ABSENT
     # identity probes: +I is always in, -I never
-    assert g.group_contains(PauliOperator.identity(2)) is Membership.PLUS
-    assert g.group_contains(-PauliOperator.identity(2)) is Membership.ABSENT
+    assert g.group_contains(PauliOperator(2, 0, 0)) is Membership.PLUS
+    assert g.group_contains(-PauliOperator(2, 0, 0)) is Membership.ABSENT
 
 
 def test_element_products():
     g = bell_group()
-    assert g.element(0b00) == PauliOperator.identity(2)
+    assert g.element(0b00) == PauliOperator(2, 0, 0)
     assert g.element(0b01) == x_power(2, 0b11)
     assert g.element(0b11) == PauliOperator(2, 0b11, 0b11, sign=-1)
     members = {repr(p) for p in g.members()}
@@ -61,7 +60,7 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         StabilizerGroup([z_power(2, 0b11), z_power(2, 0b11, sign=-1)])  # dependent
     with pytest.raises(ValueError):
-        StabilizerGroup([PauliOperator.identity(2), z_power(2, 0b11)])
+        StabilizerGroup([PauliOperator(2, 0, 0), z_power(2, 0b11)])
 
 
 def test_group_equality_is_generator_independent():
@@ -87,7 +86,7 @@ def test_computational_basis_expectations():
 def test_expectation_rejects_identity():
     state = StabilizerState.zero_state(2)
     with pytest.raises(ValueError):
-        state.expectation(PauliOperator.identity(2))
+        state.expectation(PauliOperator(2, 0, 0))
 
 
 def test_zero_state_dense_matrix():
@@ -111,7 +110,7 @@ def test_dense_oracle_agrees_on_handmade_states():
         for xz in range(1, 1 << (2 * n)):
             for sign in (1, -1):
                 p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
-                sym = measurement_expectation(state, p)
+                sym = state.expectation(p)
                 dense = dense_expectation(state, p)
                 assert abs(float(sym) - dense) < 1e-9
                 assert sym in (Fraction(0), Fraction(1, 2), Fraction(1))
@@ -165,7 +164,7 @@ def test_group_contains_agrees_with_a_member_scan(group):
     # product (members() and element() share the fold under test)
     members = set()
     for mask in range(1 << n):
-        acc = PauliOperator.identity(n)
+        acc = PauliOperator(n, 0, 0)
         for i, g in enumerate(group.generators):
             if (mask >> i) & 1:
                 acc = acc.mul(g)
@@ -251,3 +250,14 @@ def test_sign_variants_share_one_table_and_stay_distinct(group, data):
         for p in probes:
             assert fresh.member_phase(p.key()) == g.member_phase(p.key())
             assert fresh.group_contains(p) is g.group_contains(p)
+
+
+def test_generators_cannot_be_edited_in_place():
+    # the echelon table is built from the generators once, so an edit
+    # would leave it describing the old group
+    g = StabilizerGroup([z_power(2, 0b01), z_power(2, 0b10)])
+    with pytest.raises(TypeError):
+        g.generators[0] = x_power(2, 0b01)
+    assert g.generators == (z_power(2, 0b01), z_power(2, 0b10))
+    assert g.group_contains(z_power(2, 0b01)) is Membership.PLUS
+    assert g.group_contains(x_power(2, 0b01)) is Membership.ABSENT

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -271,9 +272,9 @@ def test_s_matrix_layout():
     t.apply_gate(Gate("h", qubit=1))
     s = t.s_matrix()
     # row 2i holds x_i of every image, row 2i+1 holds z_i
-    assert s.entry(0, 0) == 1  # X_0 image has x_0
-    assert s.entry(2, 3) == 1  # Z_1 image is X_1 after H
-    assert s.entry(3, 2) == 1  # X_1 image is Z_1 after H
+    assert (s.rows[0] >> 0) & 1 == 1  # X_0 image has x_0
+    assert (s.rows[2] >> 3) & 1 == 1  # Z_1 image is X_1 after H
+    assert (s.rows[3] >> 2) & 1 == 1  # X_1 image is Z_1 after H
 
 
 def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
@@ -286,3 +287,53 @@ def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
             assert CliffordTableau.from_s_matrix(t.s_matrix()).phase_bits() == 0
     with pytest.raises(ValueError):
         CliffordTableau.from_s_matrix(BitMatrix.identity(3))
+
+
+def _forward_transcript():
+    """Reprs of inverse_tableau(), its own inverse and apply_circuit_to_state
+    for seeded random tableaus at n = 1..6, then the inverse or the error
+    (type and message) for seeded random image lists."""
+    rng = random.Random(1807)
+    lines = []
+    for n in range(1, 7):
+        for _ in range(40):
+            t = random_tableau(rng, n)
+            inv = t.inverse_tableau()
+            state = random_stabilizer_state(rng, n)
+            lines.append(repr(inv))
+            lines.append(repr(inv.inverse_tableau()))
+            lines.append(repr(list(apply_circuit_to_state(t, state).group.generators)))
+        for _ in range(100):
+            t = CliffordTableau([random_pauli(rng, n) for _ in range(2 * n)])
+            try:
+                lines.append(repr(t.inverse_tableau()))
+            except ValueError as exc:
+                lines.append("%s: %s" % (type(exc).__name__, exc))
+    return "\n".join(lines)
+
+
+# sha256 of _forward_transcript() as written while inverse_tableau still
+# inverted the interleaved symplectic matrix and cached the images
+FORWARD_SHA256 = "27bd12e7ac53f855b54c9985cfae153fff4cfc3cf494eec02550fcd3115a629e"
+
+
+def test_forward_images_are_frozen():
+    digest = hashlib.sha256(_forward_transcript().encode()).hexdigest()
+    assert digest == FORWARD_SHA256
+
+
+def test_inverse_tableau_follows_edits_to_cols():
+    t = CliffordTableau.identity(2)
+    t.apply_gate(Gate("h", qubit=0))
+    assert t.inverse_tableau() == t
+    # swapping the X_0 and Z_0 images by hand undoes the H
+    t.cols[0], t.cols[2] = t.cols[2], t.cols[0]
+    assert t == CliffordTableau.identity(2)
+    assert t.inverse_tableau() == CliffordTableau(list(t.cols)).inverse_tableau()
+    assert t.inverse_tableau() == CliffordTableau.identity(2)
+    rng = random.Random(1808)
+    for n in (1, 2, 3, 4):
+        t = random_tableau(rng, n)
+        t.inverse_tableau()
+        t.cols[:] = random_tableau(rng, n).cols
+        assert t.inverse_tableau() == CliffordTableau(list(t.cols)).inverse_tableau()
