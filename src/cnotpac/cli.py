@@ -44,6 +44,7 @@ from .search import (
 from .serialization import (
     _MAX_CIRCUIT_QUBITS,
     DimacsError,
+    _canonical,
     _pauli_decoder,
     _state_from_json,
     bits_to_string,
@@ -53,8 +54,8 @@ from .serialization import (
     instance_from_json,
     instance_to_json,
     parse_dimacs,
+    sample_set_dumps,
     sample_set_from_json,
-    sample_set_to_json,
 )
 from .tableau import is_symplectic, sample_code
 
@@ -151,11 +152,12 @@ def cmd_reduce(args) -> int:
         raise CliError("%s: %s" % (args.cnf, err))
     except RecursionError:  # the parser and the graph encoder recurse per nesting level
         raise CliError("formula nests deeper than the recursion limit %d" % sys.getrecursionlimit())
-    payload = {
-        "samples": sample_set_to_json(samples),
-        "instance": instance_to_json(inst),
-    }
-    _write_out(args.out, dumps(payload))
+    # the canonical text of {"instance": ..., "samples": ...}, keys sorted
+    text = '{"instance":%s,"samples":%s}\n' % (
+        _canonical(instance_to_json(inst)),
+        sample_set_dumps(samples),
+    )
+    _write_out(args.out, text)
     print("samples: %d" % len(samples.samples))
     print("instance size: %d" % inst.size)
     counts = {"samples": len(samples.samples), "instance_size": inst.size}

@@ -262,6 +262,8 @@ def parse_formula(text: str) -> Formula:
             take()
             kind, value = tok
             return Constant(value) if kind == "const" else Variable(value)
+        if tok is None:
+            raise ValueError("unexpected end of formula")
         raise ValueError("unexpected token %r" % (tok,))
 
     node = parse_sum()

@@ -22,6 +22,11 @@ naive scan, enumerate_consistent_circuits, the reference for
 cross-checking at small n: it walks every invertible theta, builds its
 q = 0 tableau and scores all 2^n sign vectors q at once as a bitmask,
 since q moves only the phase of a measurement's image, by 2 |q & z|.
+
+search_from_decision asks its oracle about the input set extended by
+pin samples.  The compile is a fold over the samples in order, so for
+brute_force_decision it folds the input set once and each query's pins
+into a copy: the table a compile of the whole extended set would build.
 """
 
 from __future__ import annotations
@@ -112,34 +117,29 @@ def _full_z_form(state):
     return tuple(zs), signs
 
 
-def _compile(sample_set: SampleSet):
-    """Stack every full-Z sample into one echelon table over (theta, q).
+def _add_samples(compiled, samples, n) -> bool:
+    """Fold samples, in order, into compiled = (table, inverses, supports,
+    generic): one echelon table over (theta, q) and what finishing it needs.
 
     A full-Z sample reads q.x + t.(theta x) = c, with x its measurement
     support, t the state's sign character and c the label/sign bit.  It
     is packed as one row: bit r n + j is theta[r][j], bit n^2 + j is q_j
     and the payload bit n^2 + n is c.  t solves Z t = signs, Z the
     state's z supports as rows; each distinct tuple of supports is
-    inverted once per call.  The table's rows are split by
-    leading bit: blocks[r] (r < n) holds the rows led by a bit of theta
-    row r, which involve rows 0..r only, and blocks[n] the rows led by a
-    q bit.  Every other sample is generic and is checked at the leaf.
+    inverted once, in the memo inverses.  Every other sample is generic
+    and is checked at the leaf.
 
-    Returns (blocks, generic) or None when no CNOT circuit can match:
-    a full-Z sample labeled 1/2, an equation that reduces to 0 = 1, or a
-    forced theta x = 0.
+    Returns False, with compiled part-folded, when no CNOT circuit can
+    match: a full-Z sample labeled 1/2 or an equation that reduces to
+    0 = 1.
     """
-    n = sample_set.n
+    table, inverses, supports, generic = compiled
     top = n * n + n
-    table: dict = {}
-    inverses: dict = {}  # z supports -> the inverse that solves for t
-    supports = set()
-    generic: List[_GenericSample] = []
-    for s in sample_set:
+    for s in samples:
         zform = _full_z_form(s.state)
         if zform is not None and s.measurement.x == 0:
             if s.code == 1:
-                return None  # a full Z state gives every Z-type image 0 or 1
+                return False  # a full Z state gives every Z-type image 0 or 1
             zs, signs = zform
             inverse = inverses.get(zs)
             if inverse is None:
@@ -149,10 +149,21 @@ def _compile(sample_set: SampleSet):
             c = s.measurement.sign_bit ^ (1 if s.code == 0 else 0)
             row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
             if not _insert(table, row, top) and _reduce(table, row, top):
-                return None  # the equation reduces to 0 = 1
+                return False  # the equation reduces to 0 = 1
             supports.add(x)
         else:
             generic.append(_GenericSample(s))
+    return True
+
+
+def _finish(compiled, n):
+    """(blocks, generic) of a folded state, or None on a forced theta x = 0.
+
+    blocks[r] (r < n) holds the table's rows led by a bit of theta row r,
+    which involve rows 0..r only, and blocks[n] the rows led by a q bit.
+    """
+    table, _, supports, generic = compiled
+    top = n * n + n
     for x in supports:
         if all(_reduce(table, x << r * n, top) == 0 for r in range(n)):
             return None  # theta x = 0 has no invertible solution
@@ -160,6 +171,19 @@ def _compile(sample_set: SampleSet):
     for lead, row in table.items():
         blocks[lead // n].append(row)
     return blocks, generic
+
+
+def _compile(sample_set: SampleSet):
+    """Every sample folded from an empty state, then finished: (blocks,
+    generic), or None when no CNOT circuit can match."""
+    n = sample_set.n
+    compiled: tuple = ({}, {}, set(), [])
+    return _finish(compiled, n) if _add_samples(compiled, sample_set, n) else None
+
+
+def _check_brute_limit(n: int) -> None:
+    if n > 5:
+        raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
 
 
 def _with_row(table, v, r, n):
@@ -276,8 +300,7 @@ def brute_force_search(sample_set: SampleSet) -> SearchResult:
     witness, for which the full-Z equations have a q solution.
     """
     n = sample_set.n
-    if n > 5:
-        raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
+    _check_brute_limit(n)
     start = time.perf_counter()
     compiled = _compile(sample_set)
     if compiled is None:
@@ -388,6 +411,37 @@ def affine_family_search(inst: NonSingularityInstance) -> FamilySearchResult:
     return FamilySearchResult(False, None, examined)
 
 
+def _brute_oracle(sample_set: SampleSet):
+    """brute_force_decision on sample_set plus pins, as (ask, settle).
+
+    ask(pins) answers for the base set, every settled pin and pins, in
+    that order; settle(pins) adds pins to the base.  The base is folded
+    once, and a query folds only its own pins into a copy of it, which
+    is the state _compile builds from the whole extended set.
+    """
+    n = sample_set.n
+    _check_brute_limit(n)
+    base: Optional[tuple] = ({}, {}, set(), [])
+    if not _add_samples(base, sample_set, n):
+        base = None
+
+    def ask(pins) -> bool:
+        if base is None:
+            return False
+        table, inverses, supports, generic = base
+        # the inverses memo holds fixed values, so the copies share it
+        compiled = (dict(table), inverses, set(supports), list(generic))
+        finished = _add_samples(compiled, pins, n) and _finish(compiled, n)
+        return bool(finished) and _dfs_first(n, *finished)[0] is not None
+
+    def settle(pins) -> None:
+        nonlocal base
+        if base is not None and not _add_samples(base, pins, n):
+            base = None
+
+    return ask, settle
+
+
 def search_from_decision(
     decide: Callable[[SampleSet], bool], sample_set: SampleSet
 ) -> DecisionSearchResult:
@@ -403,14 +457,25 @@ def search_from_decision(
     deviation is reported as an oracle fault rather than glossed over.
     Query count is at most 1 + n(3n - 1).
 
+    brute_force_decision is answered from one fold of the input set
+    (_brute_oracle); any other oracle is called on each extended set.
+
     A constant-false oracle on a satisfiable set returns a plain
     not-found: the initial no is unfalsifiable without solving.
     """
     n = sample_set.n
+    if decide is brute_force_decision:
+        ask, settle = _brute_oracle(sample_set)
+    else:
+        extra: list = []
+
+        def ask(pins) -> bool:
+            return decide(sample_set.extended(extra + pins))
+
+        settle = extra.extend
     queries = 1
-    if not decide(sample_set):
+    if not ask([]):
         return DecisionSearchResult(False, None, queries, False)
-    extra: list = []
     columns = []
     q = 0
     for c in range(n):
@@ -420,8 +485,7 @@ def search_from_decision(
             span = [1 << j for j in range(i + 1, n)]
             for b in (0, 1):
                 queries += 1
-                pin = _pin_samples(n, x, b, 1 << i, span, None)
-                if decide(sample_set.extended(extra + pin)):
+                if ask(_pin_samples(n, x, b, 1 << i, span, None)):
                     stage_a = (i, b)
                     break
             if stage_a is not None:
@@ -433,12 +497,11 @@ def search_from_decision(
         for j in range(i + 1, n):
             span = [1 << m for m in range(j + 1, n)]
             queries += 1
-            pin = _pin_samples(n, x, b, u, span, None)
-            if not decide(sample_set.extended(extra + pin)):
+            if not ask(_pin_samples(n, x, b, u, span, None)):
                 u |= 1 << j
         columns.append(u)
         q |= b << c
-        extra.extend(_pin_samples(n, x, b, u, [], None))
+        settle(_pin_samples(n, x, b, u, [], None))
     theta = BitMatrix.from_columns(columns, n)
     if not theta.is_invertible():
         return DecisionSearchResult(False, None, queries, True)

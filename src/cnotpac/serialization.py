@@ -48,9 +48,13 @@ _LABELS_BACK = dict(zip(_LABEL_TEXT, LABELS))
 _MAX_CIRCUIT_QUBITS = 1024
 
 
+def _canonical(obj) -> str:
+    # the *_to_json trees never contain themselves
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def dumps(obj) -> str:
-    # sample trees share dicts but never contain themselves
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return _canonical(obj) + "\n"
 
 
 def bits_to_string(v: int, n: int) -> str:
@@ -128,14 +132,6 @@ def _pauli_decoder():
     return decode
 
 
-def _sample_to_json(s: Sample, encode) -> dict:
-    return {
-        "state": [encode(g) for g in s.state.group.generators],
-        "measurement": encode(s.measurement),
-        "label": _LABEL_TEXT[s.code],
-    }
-
-
 def _state_from_json(obj, decode) -> StabilizerState:
     """The state of a sample or batch entry, whose field 'state' lists
     the generators; decode is pauli_from_json or a _pauli_decoder."""
@@ -156,22 +152,39 @@ def _sample_from_json(obj, decode) -> Sample:
     return Sample(state, measurement, _LABELS_BACK[label])
 
 
-def sample_set_to_json(ss: SampleSet) -> dict:
-    """Equal Paulis share one dict in the returned tree, which json.dumps
-    writes the same at every occurrence; deep-copy the tree before
-    editing a Pauli in place."""
+def sample_set_dumps(ss: SampleSet) -> str:
+    """The canonical text of sample_set_to_json(ss), without the newline.
+
+    Each distinct Pauli is rendered once and its text reused at every
+    occurrence; the sample and set objects are joined around those
+    fragments with their keys in sorted order, as _canonical writes them.
+    """
     memo: dict = {}
 
-    def encode(p: PauliOperator) -> dict:
+    def encode(p: PauliOperator) -> str:
         # the fields PauliOperator.__eq__ compares, without its Python-level
         # __hash__ and __eq__
         key = (p.n, p.x, p.z, p.sign_bit)
-        obj = memo.get(key)
-        if obj is None:
-            obj = memo[key] = pauli_to_json(p)
-        return obj
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _canonical(pauli_to_json(p))
+        return text
 
-    return {"n": ss.n, "samples": [_sample_to_json(s, encode) for s in ss.samples]}
+    samples = ",".join(
+        '{"label":"%s","measurement":%s,"state":[%s]}'
+        % (
+            _LABEL_TEXT[s.code],
+            encode(s.measurement),
+            ",".join(map(encode, s.state.group.generators)),
+        )
+        for s in ss.samples
+    )
+    return '{"n":%d,"samples":[%s]}' % (ss.n, samples)
+
+
+def sample_set_to_json(ss: SampleSet) -> dict:
+    """The parse of sample_set_dumps(ss): a tree that shares no dict."""
+    return json.loads(sample_set_dumps(ss))
 
 
 def sample_set_from_json(obj) -> SampleSet:

@@ -109,7 +109,7 @@ def test_reduce_errors(tmp_path, capsys):
     )
     assert code == 2
     code, _, err = run(capsys, "reduce", "--formula", "x1*", "--seed", "0")
-    assert code == 2
+    assert code == 2 and err == "error: unexpected end of formula\n"
     code, _, err = run(capsys, "reduce", "--cnf", str(tmp_path / "nope.cnf"), "--seed", "0")
     assert code == 2 and "cannot read" in err
 
@@ -743,6 +743,64 @@ def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
     run(capsys, "reduce", "--formula", GOLDEN_FORMULA, "--seed", "7", "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256
     assert hashlib.sha256(unit_reduction.read_bytes()).hexdigest() == UNIT_SHA256
+
+
+# sha256 of the transcript of test_cli_transcript_is_pinned: every exit
+# code, stdout line, stderr text and output file of reduce, solve affine/
+# brute/decision and verify on two CNFs and the golden formula, each reduced
+# with a fixed seed, with each report's wall_time_s removed
+CLI_TRANSCRIPT_SHA256 = "dae783fa73f7db897a7630cae98738dbedc13082c8694be9a965a518a5bdbf46"
+
+
+def test_cli_transcript_is_pinned(tmp_path, capsys):
+    transcript = []
+
+    def step(*argv):
+        code, stdout, err = run(capsys, *argv)
+        lines = stdout.splitlines()
+        if lines:
+            report = json.loads(lines[-1])
+            del report["wall_time_s"]
+            lines[-1] = report
+        transcript.append((argv[0], code, lines, err))
+        return code
+
+    def output(path):
+        data = path.read_bytes() if path.exists() else None
+        transcript.append((path.name, data))
+        return data
+
+    cnf = tmp_path / "in.cnf"
+    sources = [
+        ("cnf-a", ["--cnf", str(cnf)], "p cnf 1 1\n-1 0\n", "11"),
+        ("cnf-b", ["--cnf", str(cnf)], "p cnf 2 2\n1 0\n2 0\n", "12"),
+        ("golden", ["--formula", GOLDEN_FORMULA], None, "7"),
+    ]
+    for name, source, text, seed in sources:
+        if text is not None:
+            cnf.write_text(text)
+        red = tmp_path / (name + ".json")
+        assert step("reduce", *source, "--seed", seed, "--out", str(red)) == 0
+        output(red)
+        witnesses = []
+        for strategy in ("affine", "brute", "decision"):
+            out = tmp_path / ("%s.%s.json" % (name, strategy))
+            step("solve", str(red), "--strategy", strategy, "--out", str(out))
+            data = output(out)
+            if data is None:
+                continue
+            if strategy == "affine":
+                inst = instance_from_json(json.loads(red.read_text())["instance"])
+                a = string_to_bits(json.loads(data)["assignment"], inst.num_vars)
+                out = tmp_path / (name + ".witness.json")
+                out.write_text(dumps(circuit_to_json(CnotCircuit(inst.matrix_at(a), 0))))
+            witnesses.append(out)
+        for witness in witnesses:
+            assert step("verify", str(witness), str(red)) == 0
+    codes = [entry[1] for entry in transcript if entry[0] == "solve"]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2]
+    digest = hashlib.sha256(repr(transcript).encode()).hexdigest()
+    assert digest == CLI_TRANSCRIPT_SHA256
 
 
 @pytest.mark.parametrize("field, value", TWINS, ids=TWIN_IDS)

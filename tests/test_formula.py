@@ -137,6 +137,12 @@ def test_parse_formula_round_trips():
             parse_formula(bad)
 
 
+@pytest.mark.parametrize("text", ["", "x1+", "x1*", "(", "x1 + (x2 *"])
+def test_parse_formula_names_the_end_of_input(text):
+    with pytest.raises(ValueError, match="^unexpected end of formula$"):
+        parse_formula(text)
+
+
 def test_corpus_entries_are_well_formed():
     names = [name for name, _, _ in CORPUS]
     assert len(names) == len(set(names))

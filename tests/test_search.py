@@ -33,7 +33,7 @@ from cnotpac.search import (
 from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import Gate
 
-from formula_corpus import CORPUS, golden_formula
+from formula_corpus import CORPUS, SMALL_CNFS, golden_formula
 from helpers import all_cnot_circuits, invertible_matrices, random_stabilizer_state
 
 
@@ -682,3 +682,51 @@ def test_search_from_decision_dishonest_oracles():
     bad = SampleSet(2, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))])
     r = search_from_decision(lambda s: True, bad)
     assert not r.found and r.oracle_fault
+
+
+def _decision_cases():
+    """Corpus and small-CNF reductions with n <= 5, seeded random consistent
+    sets at n = 2..4 with generic samples, and unsatisfiable sets: the same
+    random sets with one label changed, and a contradictory pin."""
+    for _, f, n_vars in CORPUS:
+        samples, inst = reduce_formula_to_samples(f, random.Random(84), num_vars=n_vars)
+        if inst.size <= 5:
+            yield samples
+    for _, clauses in SMALL_CNFS:
+        yield reduce_sat_to_samples(clauses, random.Random(85))[0]
+    rng = random.Random(86)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            samples, _ = random_consistent_set(rng, n, 3 * n)
+            yield samples
+            for k, s in enumerate(samples):
+                if s.code != 1:
+                    flipped = Sample(s.state, s.measurement, 1 - s.label)
+                    yield SampleSet(n, samples[:k] + [flipped] + samples[k + 1 :])
+                    break
+    yield SampleSet(3, _pin_samples(3, 1, 0, 0, [], None))
+
+
+# sha256 of the decision results (found, witness rows, q, queries, fault) on
+# _decision_cases, taken while every query recompiled the whole extended set
+DECISION_PIN_SHA256 = "5d5deaf3c9c2b98b3a55157504e32b19fb4f71e270f8cfdce34eaa684f959b92"
+
+
+def test_decision_results_are_pinned():
+    results = []
+    for samples in _decision_cases():
+        r = search_from_decision(brute_force_decision, samples)
+        c = r.circuit
+        results.append((r.found, c and tuple(c.theta.rows), c and c.q, r.queries, r.oracle_fault))
+    assert {found for found, *_ in results} == {True, False}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == DECISION_PIN_SHA256, results
+
+
+def test_a_wrapped_brute_oracle_gives_the_same_decision_result():
+    # a caller's oracle is called on each extended set; the brute oracle
+    # itself is answered from one compile, and the two must agree
+    for samples in list(_decision_cases())[::3]:
+        direct = search_from_decision(brute_force_decision, samples)
+        wrapped = search_from_decision(lambda s: brute_force_decision(s), samples)
+        assert wrapped == direct

@@ -12,7 +12,7 @@ from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import graph_to_instance, reduce_formula_to_samples, reduce_sat_to_samples
-from cnotpac.formula import formula_to_graph
+from cnotpac.formula import formula_to_graph, parse_formula
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     DimacsError,
@@ -27,6 +27,7 @@ from cnotpac.serialization import (
     parse_dimacs,
     pauli_from_json,
     pauli_to_json,
+    sample_set_dumps,
     sample_set_from_json,
     sample_set_to_json,
     string_to_bits,
@@ -36,7 +37,7 @@ from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import CliffordTableau, Gate
 
 from formula_corpus import CORPUS, golden_formula
-from helpers import random_tableau
+from helpers import random_stabilizer_state, random_tableau
 from test_search import random_cnot_circuit, random_consistent_set
 
 
@@ -259,6 +260,61 @@ def test_corpus_reductions_round_trip_byte_for_byte():
         assert back.n == ss.n and back.samples == ss.samples, name
         for s, t in zip(ss.samples, back.samples):
             assert s.state.group.generators == t.state.group.generators, name
+
+
+def _random_sample_set(rng, n):
+    """Samples over generic states (X and Y generators, both signs) and
+    random measurements of either sign, with every label; three states
+    and three measurements are reused, so equal Paulis repeat."""
+    states = [random_stabilizer_state(rng, n) for _ in range(3)]
+    measurements = []
+    for _ in range(3):
+        v = rng.randrange(1, 1 << (2 * n))
+        measurements.append(PauliOperator(n, v & ((1 << n) - 1), v >> n, sign=rng.choice((1, -1))))
+    labels = (Fraction(0), Fraction(1, 2), Fraction(1))
+    samples = [
+        Sample(rng.choice(states), rng.choice(measurements), rng.choice(labels))
+        for _ in range(rng.randrange(1, 4 * n))
+    ]
+    return SampleSet(n, samples)
+
+
+def test_sample_set_text_is_the_canonical_dump():
+    cases = [
+        reduce_formula_to_samples(f, random.Random(122), num_vars=n_vars)[0]
+        for _, f, n_vars in CORPUS
+    ]
+    rng = random.Random(123)
+    randoms = [_random_sample_set(rng, n) for n in range(1, 9) for _ in range(4)]
+    paulis = [p for ss in randoms for s in ss for p in (s.measurement, *s.state.group.generators)]
+    assert {p.sign for p in paulis} == {1, -1}
+    assert any(p.x & p.z for p in paulis) and any(p.x & ~p.z for p in paulis)
+    assert {s.label for ss in randoms for s in ss} == {Fraction(0), Fraction(1, 2), Fraction(1)}
+    for ss in cases + randoms:
+        text = sample_set_dumps(ss)
+        assert text + "\n" == dumps(_unshared_json(ss))
+        assert sample_set_to_json(ss) == _unshared_json(ss)
+
+
+@pytest.mark.parametrize(
+    "source", ["x1*(x2+x3)+x3*x4", "(x1 + x2*x3) * (x4 + 1)", [[1, -2], [2, 3], [-1]]]
+)
+def test_reduce_file_is_the_canonical_dump_of_its_payload(source, tmp_path, capsys):
+    out = tmp_path / "reduction.json"
+    if isinstance(source, str):
+        args = ["--formula", source]
+        ss, inst = reduce_formula_to_samples(parse_formula(source), random.Random(5))
+    else:
+        cnf = tmp_path / "in.cnf"
+        cnf.write_text(
+            "p cnf 3 %d\n" % len(source) + "".join(" ".join(map(str, c)) + " 0\n" for c in source)
+        )
+        args = ["--cnf", str(cnf)]
+        ss, inst = reduce_sat_to_samples(source, random.Random(5))
+    assert main(["reduce", *args, "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = {"samples": _unshared_json(ss), "instance": instance_to_json(inst)}
+    assert out.read_text() == dumps(payload)
 
 
 def test_one_load_shares_one_pauli_per_distinct_value():
