@@ -70,18 +70,16 @@ from .learning import (
     EmptyIntersectionError,
     LearningParameters,
     PacLearnResult,
-    SingleMeasurementBatch,
-    batch_as_sample_set,
     cnot_defaults,
     constraint_subspace,
     learn_single_measurement,
     pac_learner,
-    random_signed_pauli,
     sample_complexity,
     trivial_uniform_learner,
 )
 from .serialization import (
     DimacsError,
+    batch_from_json,
     circuit_from_json,
     circuit_to_json,
     instance_from_json,

@@ -25,8 +25,6 @@ from .formula import parse_formula
 from .learning import (
     EmptyIntersectionError,
     LearningParameters,
-    SingleMeasurementBatch,
-    batch_as_sample_set,
     cnot_defaults,
     learn_single_measurement,
     pac_learner,
@@ -45,8 +43,7 @@ from .serialization import (
     _MAX_CIRCUIT_QUBITS,
     DimacsError,
     _canonical,
-    _pauli_decoder,
-    _state_from_json,
+    batch_from_json,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -233,16 +230,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _pac_input(obj):
-    """A pac input object and its pool as a sample set."""
-    if not isinstance(obj, dict):
-        raise CliError("pac input must be an object")
-    return obj, sample_set_from_json(obj)
-
-
 def _learn_pac(args, rng):
     data = _read(args.input)
-    obj, pool_set = _load(args.input, data, _pac_input)
+    obj, pool_set = _load(args.input, data, lambda obj: (obj, sample_set_from_json(obj)))
     pool = pool_set.samples
     if not pool:
         raise CliError("pac input needs at least one sample")
@@ -279,34 +269,16 @@ def _learn_pac(args, rng):
     return 0, _digest(data), outcome, counts, dumps(circuit_to_json(result.circuit))
 
 
-def _batch_from_json(obj) -> SingleMeasurementBatch:
-    if not isinstance(obj, dict):
-        raise CliError("batch input must be an object")
-    decode = _pauli_decoder()
-    measurement = decode(obj.get("measurement"))
-    entries = obj.get("samples")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("field 'samples' must be a nonempty list")
-    pairs = []
-    for entry in entries:
-        state = _state_from_json(entry, decode)
-        label = entry.get("label")
-        if label in ("0", "1"):
-            label = int(label)
-        pairs.append((state, label))
-    return SingleMeasurementBatch(measurement, pairs)
-
-
 def _learn_single(args, rng):
     data = _read(args.input)
-    batch = _load(args.input, data, _batch_from_json)
-    counts = {"samples": len(batch.samples)}
+    samples = _load(args.input, data, batch_from_json)
+    counts = {"samples": len(samples.samples)}
     try:
-        circuit = learn_single_measurement(batch, rng)
+        circuit = learn_single_measurement(samples, rng)
     except EmptyIntersectionError as err:
         print("no consistent hypothesis: %s" % err)
         return 1, _digest(data), "none", counts, None
-    if not check_consistent(circuit, batch_as_sample_set(batch)):
+    if not check_consistent(circuit, samples):
         raise CliError("internal check failed: hypothesis is not consistent")
     return 0, _digest(data), "found", counts, dumps(circuit_to_json(circuit))
 

@@ -206,7 +206,7 @@ class BitMatrix:
     def solve(self, b: int) -> int:
         """Unique solution of M x = b; raises SingularMatrixError otherwise."""
         sol = self.solve_affine(b)
-        if sol is None or sol.dim != 0:
+        if sol is None or sol.basis:
             raise SingularMatrixError("system has no unique solution")
         return sol.offset
 
@@ -288,10 +288,6 @@ class AffineSubspace:
         self.offset = offset
         self.basis = tuple(reversed(table.values()))
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
     def points(self) -> Iterator[int]:
         """Iterate all 2^dim members (intended for small dimensions)."""
         span = BitMatrix(self.basis, self.n)
@@ -301,17 +297,8 @@ class AffineSubspace:
     def constraints(self) -> tuple:
         """A linear system (C, d) with self == {x : C x = d}."""
         span = BitMatrix(list(self.basis), self.n)
-        c_rows = span.null_space() if self.basis else [1 << i for i in range(self.n)]
-        c = BitMatrix(c_rows, self.n)
+        c = BitMatrix(span.null_space(), self.n)
         return c, c.mul_vec(self.offset)
-
-    def intersect(self, other: "AffineSubspace") -> Optional["AffineSubspace"]:
-        if self.n != other.n:
-            raise ValueError("ambient dimension mismatch")
-        c1, d1 = self.constraints()
-        c2, d2 = other.constraints()
-        stacked = BitMatrix(c1.rows + c2.rows, self.n)
-        return stacked.solve_affine(d1 | (d2 << c1.n_rows))
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,15 +6,14 @@ big-O constant set to 1.  `pac_learner` is the coupon-collector protocol:
 draw O(s log s) samples, deduplicate, and hand the observed set to a
 consistency search.  The remaining functions are the efficient proper
 learners for the two special cases where consistency is easy: a single
-repeated Z-type measurement (solved by intersecting affine constraints),
-and learning with respect to zero-error-indistinguishable hypotheses,
-where a uniformly random circuit already works.
+repeated Z-type measurement (one linear system of every sample's affine
+constraints), and learning with respect to zero-error-indistinguishable
+hypotheses, where a uniformly random circuit already works.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import AffineSubspace, BitMatrix, complete_to_basis
@@ -192,30 +191,6 @@ def pac_learner(
     )
 
 
-class SingleMeasurementBatch:
-    """Labeled states sharing one signed Z-type measurement.
-
-    For CNOT hypotheses the conjugated measurement stays Z-type, so on
-    the states of interest every label is 0 or 1, never 1/2.
-    """
-
-    def __init__(
-        self,
-        measurement: PauliOperator,
-        samples: Sequence[Tuple[StabilizerState, int]],
-    ):
-        if measurement.x != 0 or measurement.z == 0:
-            raise ValueError("measurement must be a nonidentity Z-type Pauli")
-        self.n = measurement.n
-        for state, label in samples:
-            if state.group.n != self.n:
-                raise ValueError("state dimension mismatch")
-            if type(label) is not int or label not in (0, 1):
-                raise ValueError("labels must be 0 or 1")
-        self.measurement = measurement
-        self.samples = list(samples)
-
-
 def constraint_subspace(
     state: StabilizerState, measurement: PauliOperator, label: int
 ) -> AffineSubspace:
@@ -239,24 +214,40 @@ def constraint_subspace(
     return AffineSubspace(n + 1, c << n, vectors)
 
 
-def learn_single_measurement(batch: SingleMeasurementBatch, rng) -> CnotCircuit:
-    """Proper learner for the single-measurement special case.
-
-    Intersects the per-sample constraints by Gaussian elimination, picks
-    any admissible nonidentity image, and extends the measurement-to-
-    image pair to full bases of the Z-type Paulis by random completion
-    (expected O(n) draws).  The returned circuit maps basis to basis and
-    is therefore consistent with every sample in the batch.
-    """
-    if not batch.samples:
+def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
+    """The (u, q.x) points every sample admits, from one linear system of
+    their stacked constraints; None when they contradict each other."""
+    if not samples.samples:
         raise ValueError("batch must contain at least one sample")
-    n = batch.n
-    space: Optional[AffineSubspace] = None
-    for state, label in batch.samples:
-        c = constraint_subspace(state, batch.measurement, label)
-        space = c if space is None else space.intersect(c)
-        if space is None:
-            raise EmptyIntersectionError("constraints are contradictory")
+    measurement = samples.samples[0].measurement
+    if measurement.x != 0 or measurement.z == 0:
+        raise ValueError("measurement must be a nonidentity Z-type Pauli")
+    rows: List[int] = []
+    rhs = 0
+    for s in samples:
+        if s.measurement != measurement:
+            raise ValueError("samples must share one measurement")
+        if s.code == 1:
+            raise ValueError("labels must be 0 or 1")
+        c, d = constraint_subspace(s.state, measurement, s.code >> 1).constraints()
+        rhs |= d << len(rows)
+        rows += c.rows
+    return BitMatrix(rows, samples.n + 1).solve_affine(rhs)
+
+
+def learn_single_measurement(samples: SampleSet, rng) -> CnotCircuit:
+    """Proper learner for the single-measurement special case: a nonempty
+    set sharing one nonidentity Z-type measurement, labels 0 or 1 (else
+    ValueError).  Solves the per-sample constraints as one linear system,
+    picks any admissible nonidentity image, and extends the measurement-
+    to-image pair to full bases of the Z-type Paulis by random completion
+    (expected O(n) draws).  The returned circuit maps basis to basis and
+    is therefore consistent with every sample in the set.
+    """
+    space = _admissible_space(samples)
+    if space is None:
+        raise EmptyIntersectionError("constraints are contradictory")
+    n = samples.n
     mask = (1 << n) - 1
     witness = None
     for point in space.points():
@@ -267,22 +258,13 @@ def learn_single_measurement(batch: SingleMeasurementBatch, rng) -> CnotCircuit:
         raise EmptyIntersectionError("only the identity image is admissible")
     u = witness & mask
     gamma = witness >> n
-    basis_x = complete_to_basis([batch.measurement.z], n, rng)
+    basis_x = complete_to_basis([samples.samples[0].measurement.z], n, rng)
     basis_u = complete_to_basis([u], n, rng)
     theta = BitMatrix.from_columns(basis_u, n) @ BitMatrix.from_columns(
         basis_x, n
     ).inverse()
     q = BitMatrix(basis_x, n).solve(gamma)
     return CnotCircuit(theta, q)
-
-
-def batch_as_sample_set(batch: SingleMeasurementBatch) -> SampleSet:
-    """View a batch as a plain sample set (labels become 0/1 fractions)."""
-    samples = [
-        Sample(state, batch.measurement, Fraction(label))
-        for state, label in batch.samples
-    ]
-    return SampleSet(batch.n, samples)
 
 
 def trivial_uniform_learner(n: int, rng) -> CliffordTableau:
@@ -309,11 +291,3 @@ def trivial_uniform_learner(n: int, rng) -> CliffordTableau:
                 b += 1
             t.apply_gate(Gate("cnot", control=a, target=b))
     return t
-
-
-def random_signed_pauli(n: int, rng) -> PauliOperator:
-    """Uniformly random nonidentity Pauli with a uniform sign."""
-    v = rng.randrange(1, 1 << (2 * n))
-    x = v & ((1 << n) - 1)
-    z = v >> n
-    return PauliOperator(n, x, z, sign=-1 if rng.randrange(2) else 1)

@@ -49,6 +49,15 @@ def _fold(factors, mask: int, e: int = 0) -> tuple:
     return e % 4, x, z
 
 
+def _anticommutation_rows(keys, n: int) -> list:
+    """Row i has bit j set when the Paulis keyed x | z << n by keys[i] and
+    keys[j] anticommute, i.e. when x_i.z_j + z_i.x_j = 1."""
+    mask = (1 << n) - 1
+    # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
+    swapped = [k >> n | (k & mask) << n for k in keys]
+    return [sum(dot(a, b) << j for j, b in enumerate(swapped)) for a in keys]
+
+
 class PauliOperator:
     """A Hermitian signed Pauli on n qubits."""
 

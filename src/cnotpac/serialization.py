@@ -199,6 +199,29 @@ def sample_set_from_json(obj) -> SampleSet:
     return SampleSet(n, [_sample_from_json(s, decode) for s in samples])
 
 
+def batch_from_json(obj) -> SampleSet:
+    """Load a single-measurement batch: one nonidentity Z-type 'measurement'
+    shared by every entry of 'samples', each a 'state' and a 'label' that is "0" or
+    "1" (the JSON integers 0 and 1 are taken too)."""
+    if not isinstance(obj, dict):
+        raise ValueError("batch input must be an object")
+    decode = _pauli_decoder()
+    measurement = decode(obj.get("measurement"))
+    if measurement.x != 0 or measurement.z == 0:
+        raise ValueError("measurement must be a nonidentity Z-type Pauli")
+    entries = obj.get("samples")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("field 'samples' must be a nonempty list")
+    samples = []
+    for entry in entries:
+        state = _state_from_json(entry, decode)
+        label = entry.get("label")
+        if label not in ("0", "1") and (type(label) is not int or label not in (0, 1)):
+            raise ValueError("labels must be 0 or 1")
+        samples.append(Sample(state, measurement, int(label)))
+    return SampleSet(measurement.n, samples)
+
+
 # ---------------------------------------------------------------------------
 # circuits and tableaux
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import _echelon, _insert, _reduce
-from .pauli import PauliOperator, _fold, z_power
+from .pauli import PauliOperator, _anticommutation_rows, _fold, z_power
 
 
 # expectation values of (I + P)/2, indexed by label code
@@ -46,13 +46,10 @@ def _echelon_table(n: int, keys: tuple) -> dict:
     validation raises, and lru_cache caches no exception, so a bad key
     tuple raises on every call.
     """
-    mask = (1 << n) - 1
-    # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
-    swapped = [k >> n | (k & mask) << n for k in keys]
-    for i, key in enumerate(keys):
-        for j in range(i + 1, n):
-            if (key & swapped[j]).bit_count() & 1:
-                raise ValueError("generators %d and %d anticommute" % (i, j))
+    for i, row in enumerate(_anticommutation_rows(keys, n)):
+        if row:  # the first nonzero row; by symmetry its lowest bit j is past i
+            j = (row & -row).bit_length() - 1
+            raise ValueError("generators %d and %d anticommute" % (i, j))
     table: dict = {}
     for i, key in enumerate(keys):
         if not _insert(table, key | (1 << (2 * n + i)), 2 * n):

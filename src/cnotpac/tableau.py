@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import BitMatrix, _inverse_table, _reduce
-from .pauli import PauliOperator, _fold, _raw_sign_bit, x_power, z_power
+from .pauli import PauliOperator, _anticommutation_rows, _fold, _raw_sign_bit, x_power, z_power
 from .stabilizer import LABELS, StabilizerGroup, StabilizerState
 
 _SINGLE_QUBIT_GATES = ("x", "z", "h", "p")
@@ -174,17 +174,19 @@ class CliffordTableau:
         The key of forward image r names the stored images whose keys sum
         to 1 << r: the payload left by reducing 1 << r through one table
         of the stored keys.  Its sign is read off conjugating it back.
+        Raises unless image r anticommutes with image r + n (mod 2n) alone,
+        as X_j does with Z_j.
         """
         n, width = self.n, 2 * self.n
-        table = _inverse_table([c.key() for c in self.cols], width)
+        keys = [c.key() for c in self.cols]
+        table = _inverse_table(keys, width)
         cols = []
         for r in range(width):
             key = _reduce(table, 1 << r, width) >> width
             c = PauliOperator(n, key & ((1 << n) - 1), key >> n)
-            back = self.conjugate_inverse(c)
-            if back.key() != 1 << r:
-                raise ValueError("tableau is not a valid Clifford image")
-            cols.append(-c if back.sign_bit else c)
+            cols.append(-c if self.conjugate_inverse(c).sign_bit else c)
+        if _anticommutation_rows(keys, n) != [1 << (r + n) % width for r in range(width)]:
+            raise ValueError("tableau is not a valid Clifford image")
         return CliffordTableau._unchecked(n, cols)
 
     def to_tableau(self) -> "CliffordTableau":

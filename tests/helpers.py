@@ -7,6 +7,7 @@ import numpy as np
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
+from cnotpac.pauli import PauliOperator
 from cnotpac.stabilizer import StabilizerState
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
@@ -99,6 +100,14 @@ def random_tableau(rng, n, count=None):
     for g in random_gates(rng, n, count if count is not None else 4 * n * n):
         t.apply_gate(g)
     return t
+
+
+def random_signed_pauli(n, rng):
+    """Uniformly random nonidentity Pauli with a uniform sign."""
+    v = rng.randrange(1, 1 << (2 * n))
+    x = v & ((1 << n) - 1)
+    z = v >> n
+    return PauliOperator(n, x, z, sign=-1 if rng.randrange(2) else 1)
 
 
 def random_stabilizer_state(rng, n):

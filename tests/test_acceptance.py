@@ -21,12 +21,7 @@ from cnotpac.formula import (
     formula_to_graph,
 )
 from cnotpac.gf2 import BitMatrix, dot
-from cnotpac.learning import (
-    batch_as_sample_set,
-    learn_single_measurement,
-    pac_learner,
-    random_signed_pauli,
-)
+from cnotpac.learning import learn_single_measurement, pac_learner
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import (
     constrain_pauli_samples,
@@ -53,6 +48,7 @@ from helpers import (
     dense_expectation,
     invertible_matrices,
     random_gates,
+    random_signed_pauli,
     random_stabilizer_state,
 )
 from test_learning import CountingRng, random_batch
@@ -297,10 +293,10 @@ def test_10_single_measurement_learner_is_always_consistent():
     t0 = time.perf_counter()
     total_draws = 0
     for i in range(100):
-        batch, _hidden = random_batch(random.Random(1000 + i), 5, 20)
+        samples, _hidden = random_batch(random.Random(1000 + i), 5, 20)
         crng = CountingRng(2000 + i)
-        circuit = learn_single_measurement(batch, crng)
-        assert check_consistent(circuit, batch_as_sample_set(batch))
+        circuit = learn_single_measurement(samples, crng)
+        assert check_consistent(circuit, samples)
         total_draws += crng.draws
     assert total_draws <= 100 * 4 * 5
     _done(

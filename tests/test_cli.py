@@ -389,6 +389,45 @@ def test_learn_single_measurement(tmp_path, capsys):
     assert last_report(stdout)["outcome"] == "none"
 
 
+def test_learn_single_measurement_identity_only(tmp_path, capsys):
+    # |+> with Z and label 1 admits only the image +I
+    plus = {"n": 1, "sign": 1, "x": "1", "z": "0"}
+    path = tmp_path / "plus.json"
+    path.write_text(dumps({
+        "measurement": pauli_to_json(z_power(1, 1)),
+        "samples": [{"state": [plus], "label": "1"}],
+    }))
+    code, stdout, _ = run(
+        capsys, "learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"
+    )
+    assert code == 1
+    assert stdout.splitlines()[0] == "no consistent hypothesis: only the identity image is admissible"
+    assert last_report(stdout)["outcome"] == "none"
+
+
+_X_BATCH = {
+    "measurement": {"n": 1, "sign": 1, "x": "1", "z": "0"},
+    "samples": [{"state": [{"n": 1, "sign": 1, "x": "0", "z": "1"}], "label": "1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, obj, message",
+    [
+        ("single-measurement", [], "batch input must be an object"),
+        ("pac", [], "sample set must be an object"),
+        ("single-measurement", _X_BATCH, "measurement must be a nonidentity Z-type Pauli"),
+    ],
+    ids=["batch-not-an-object", "pac-not-an-object", "batch-x-measurement"],
+)
+def test_learn_input_errors_name_the_file(mode, obj, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(dumps(obj))
+    code, stdout, err = run(capsys, "learn", "--mode", mode, "--input", str(path), "--seed", "1")
+    assert code == 2 and err == "error: %s: %s\n" % (path, message)
+    assert stdout == ""
+
+
 def test_learn_pac(tmp_path, capsys):
     samples, _ = random_consistent_set(random.Random(123), 3, 10)
     pool = tmp_path / "pool.json"

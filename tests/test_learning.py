@@ -9,24 +9,22 @@ from cnotpac.gf2 import dot
 from cnotpac.learning import (
     EmptyIntersectionError,
     LearningParameters,
-    SingleMeasurementBatch,
-    batch_as_sample_set,
+    _admissible_space,
     cnot_defaults,
     constraint_subspace,
     learn_single_measurement,
     pac_learner,
-    random_signed_pauli,
     sample_complexity,
     trivial_uniform_learner,
 )
-from cnotpac.pauli import PauliOperator, z_power
+from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import SearchResult, brute_force_search, check_consistent
 from cnotpac.serialization import circuit_to_json, dumps
-from cnotpac.stabilizer import Membership, StabilizerState
+from cnotpac.stabilizer import Membership, StabilizerGroup, StabilizerState
 from cnotpac.tableau import is_symplectic
 
-from helpers import random_stabilizer_state
+from helpers import random_signed_pauli, random_stabilizer_state
 from test_search import random_cnot_circuit, random_consistent_set
 
 
@@ -193,13 +191,18 @@ def full_z_state(rng, n):
     return StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
 
 
+def batch(measurement, pairs) -> SampleSet:
+    """The sample set of (state, 0 or 1 label) pairs under one measurement."""
+    return SampleSet(measurement.n, [Sample(st, measurement, label) for st, label in pairs])
+
+
 def random_batch(rng, n, count):
     """Batch labeled by a hidden circuit; full-Z states keep labels binary."""
     hidden = random_cnot_circuit(rng, n)
     t = hidden.to_tableau()
     z = rng.randrange(1, 1 << n)
     measurement = z_power(n, z, sign=-1 if rng.randrange(2) else 1)
-    samples = []
+    pairs = []
     for _ in range(count):
         if rng.randrange(2):
             state = StabilizerState.computational_basis(n, rng.randrange(1 << n))
@@ -207,8 +210,25 @@ def random_batch(rng, n, count):
             state = full_z_state(rng, n)
         label = state.expectation(t.conjugate_inverse(measurement))
         assert label.denominator == 1
-        samples.append((state, int(label)))
-    return SingleMeasurementBatch(measurement, samples), hidden
+        pairs.append((state, int(label)))
+    return batch(measurement, pairs), hidden
+
+
+def mixed_state(rng, n, generic):
+    """A full-Z state or, twice as often, a computational-basis one; with
+    generic set, a generic state a quarter of the time."""
+    kind = rng.randrange(3 + generic)
+    if kind == 0:
+        return full_z_state(rng, n)
+    if kind < 3:
+        return StabilizerState.computational_basis(n, rng.randrange(1 << n))
+    return random_stabilizer_state(rng, n)
+
+
+def plus_state(n, signs=0):
+    """An X-basis state: its group holds no Z-type element but the identity."""
+    gens = [x_power(n, 1 << j, sign=-1 if signs >> j & 1 else 1) for j in range(n)]
+    return StabilizerState(StabilizerGroup(gens))
 
 
 def test_constraint_subspace_is_exact():
@@ -240,13 +260,31 @@ def test_constraint_subspace_is_exact():
                     assert (point in pts) == expected, (n, u, gamma, label)
 
 
+def test_stacked_constraints_are_the_intersection():
+    # the one linear system admits exactly the points every sample admits
+    rng = random.Random(102)
+    empty = 0
+    for trial in range(150):
+        n = 1 + trial % 3
+        measurement = z_power(n, rng.randrange(1, 1 << n), sign=-1 if rng.randrange(2) else 1)
+        pairs = [(mixed_state(rng, n, 1), rng.randrange(2)) for _ in range(rng.randrange(1, 5))]
+        want = set(range(1 << (n + 1)))
+        for state, label in pairs:
+            want &= set(constraint_subspace(state, measurement, label).points())
+        space = _admissible_space(batch(measurement, pairs))
+        if space is None:
+            empty += 1
+            assert not want
+        else:
+            assert set(space.points()) == want
+    assert 0 < empty < 150
+
+
 def test_single_sample_batch():
-    batch = SingleMeasurementBatch(
-        z_power(3, 0b001), [(StabilizerState.zero_state(3), 1)]
-    )
-    circuit = learn_single_measurement(batch, random.Random(96))
+    samples = batch(z_power(3, 0b001), [(StabilizerState.zero_state(3), 1)])
+    circuit = learn_single_measurement(samples, random.Random(96))
     assert circuit.theta.is_invertible()
-    assert check_consistent(circuit, batch_as_sample_set(batch))
+    assert check_consistent(circuit, samples)
     sign, image = dot(circuit.q, 0b001), circuit.theta.mul_vec(0b001)
     assert sign == 0, "positive coset of the all-zeros state"
 
@@ -255,10 +293,10 @@ def test_round_trip_against_hidden_circuits():
     rng = random.Random(97)
     for n, trials, count in ((3, 20, 8), (5, 8, 20), (6, 4, 24)):
         for _ in range(trials):
-            batch, _ = random_batch(rng, n, count)
-            circuit = learn_single_measurement(batch, rng)
+            samples, _ = random_batch(rng, n, count)
+            circuit = learn_single_measurement(samples, rng)
             assert circuit.theta.is_invertible()
-            assert check_consistent(circuit, batch_as_sample_set(batch))
+            assert check_consistent(circuit, samples)
 
 
 class CountingRng:
@@ -277,42 +315,95 @@ def test_completion_draw_budget():
     total = 0
     trials = 60
     for seed in range(trials):
-        batch, _ = random_batch(rng, n, 12)
+        samples, _ = random_batch(rng, n, 12)
         meter = CountingRng(seed)
-        learn_single_measurement(batch, meter)
+        learn_single_measurement(samples, meter)
         total += meter.draws
     assert total / trials <= 4 * n
 
 
+def pin_batches():
+    """Seeded (measurement, [(state, label)]) batches at n = 1..6.
+
+    States are full-Z, computational-basis and, in odd batches, generic
+    ones.  A label is the hidden circuit's where that is 0 or 1 and a
+    coin flip where it is 1/2, so generic states make contradictory
+    batches too; every fourth batch repeats its first state with the
+    other label, and each n ends with an X-basis batch whose only
+    admissible image is the identity.
+    """
+    rng = random.Random(2020)
+    for n in range(1, 7):
+        for i in range(16):
+            t = random_cnot_circuit(rng, n).to_tableau()
+            measurement = z_power(n, rng.randrange(1, 1 << n), sign=-1 if rng.randrange(2) else 1)
+            pairs = []
+            for _ in range(rng.randrange(1, 3 * n + 2)):
+                state = mixed_state(rng, n, i % 2)
+                label = state.expectation(t.conjugate_inverse(measurement))
+                pairs.append((state, int(label) if label.denominator == 1 else rng.randrange(2)))
+            if i % 4 == 3:
+                pairs.append((pairs[0][0], 1 - pairs[0][1]))
+            yield measurement, pairs
+        label = rng.randrange(2)
+        pairs = [(plus_state(n, rng.randrange(1 << n)), label) for _ in range(rng.randrange(1, n + 2))]
+        yield z_power(n, rng.randrange(1, 1 << n)), pairs
+
+
+# sha256 of the pin transcript below, recorded while the learner took a
+# batch type of its own and intersected the constraints pairwise: 54
+# circuits, 42 contradictory and 6 identity-only batches
+SINGLE_MEASUREMENT_PIN_SHA256 = "1ddc8cb153cdef23322c88c94c515c2416f752ede14cf6f0df3135c57b5e208a"
+
+
+def test_single_measurement_learner_is_pinned():
+    # per batch: n, the completion draw count, and the circuit or the error
+    lines = []
+    for seed, (measurement, pairs) in enumerate(pin_batches()):
+        meter = CountingRng(seed)
+        try:
+            out = dumps(circuit_to_json(learn_single_measurement(batch(measurement, pairs), meter)))
+        except ValueError as err:
+            out = "%s: %s\n" % (type(err).__name__, err)
+        lines.append("%d %d %s" % (measurement.n, meter.draws, out))
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == SINGLE_MEASUREMENT_PIN_SHA256
+
+
 def test_contradictory_batch_raises():
     state = StabilizerState.zero_state(2)
-    batch = SingleMeasurementBatch(z_power(2, 0b01), [(state, 1), (state, 0)])
-    with pytest.raises(EmptyIntersectionError):
-        learn_single_measurement(batch, random.Random(99))
+    samples = batch(z_power(2, 0b01), [(state, 1), (state, 0)])
+    with pytest.raises(EmptyIntersectionError, match="constraints are contradictory"):
+        learn_single_measurement(samples, random.Random(99))
+
+
+def test_identity_only_batch_raises():
+    # |+> has no Z-type stabilizer: label 1 admits only the image +I
+    samples = batch(z_power(1, 1), [(plus_state(1), 1)])
+    with pytest.raises(EmptyIntersectionError, match="only the identity image is admissible"):
+        learn_single_measurement(samples, random.Random(0))
 
 
 def test_batch_validation():
-    from cnotpac.pauli import x_power
-
-    with pytest.raises(ValueError):
-        SingleMeasurementBatch(x_power(2, 0b01), [])
-    with pytest.raises(ValueError):
-        SingleMeasurementBatch(PauliOperator(2, 0, 0), [])
-    with pytest.raises(ValueError):
-        SingleMeasurementBatch(
-            z_power(2, 0b01), [(StabilizerState.zero_state(3), 1)]
-        )
-    with pytest.raises(ValueError):
-        SingleMeasurementBatch(
-            z_power(2, 0b01), [(StabilizerState.zero_state(2), 2)]
-        )
-    for label in (True, 1.0, 0.0, "1"):  # labels are JSON integers, not lookalikes
-        with pytest.raises(ValueError, match="labels must be 0 or 1"):
-            SingleMeasurementBatch(z_power(2, 0b01), [(StabilizerState.zero_state(2), label)])
-    with pytest.raises(ValueError):
+    zero = StabilizerState.zero_state(2)
+    with pytest.raises(ValueError, match="measurement must be a nonidentity Z-type Pauli"):
+        learn_single_measurement(batch(x_power(2, 0b01), [(zero, 1)]), random.Random(0))
+    with pytest.raises(ValueError, match="samples must share one measurement"):
         learn_single_measurement(
-            SingleMeasurementBatch(z_power(2, 0b01), []), random.Random(0)
+            SampleSet(2, [Sample(zero, z_power(2, v), Fraction(1)) for v in (1, 2)]),
+            random.Random(0),
         )
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        learn_single_measurement(
+            batch(z_power(2, 0b01), [(zero, 1), (zero, Fraction(1, 2))]), random.Random(0)
+        )
+    with pytest.raises(ValueError, match="batch must contain at least one sample"):
+        learn_single_measurement(SampleSet(2, []), random.Random(0))
+    # an identity measurement or a state on other qubits makes no Sample at all
+    with pytest.raises(ValueError, match="measurement must not be the identity"):
+        Sample(zero, PauliOperator(2, 0, 0), Fraction(1))
+    with pytest.raises(ValueError, match="state and measurement qubit counts differ"):
+        Sample(StabilizerState.zero_state(3), z_power(2, 0b01), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from cnotpac.formula import formula_to_graph, parse_formula
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     DimacsError,
+    batch_from_json,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -503,6 +504,22 @@ def _sample(**changes):
     return obj
 
 
+def _batch(**changes):
+    """A two-entry batch document; changes apply to the first entry."""
+    state = StabilizerState.computational_basis(2, 1)
+    entry = {"state": [pauli_to_json(g) for g in state.group.generators], "label": "1"}
+    first = dict(entry, **changes)
+    return {"measurement": pauli_to_json(z_power(2, 1)), "samples": [first, dict(entry, label="0")]}
+
+
+def test_batch_from_json_reads_one_shared_measurement_and_binary_labels():
+    for label in ("1", 1):
+        ss = batch_from_json(_batch(label=label))
+        assert ss.n == 2 and [s.label for s in ss] == [1, 0]
+        assert ss.samples[0].measurement is ss.samples[1].measurement == z_power(2, 1)
+        assert all(s.state == StabilizerState.computational_basis(2, 1) for s in ss)
+
+
 def _gate_on_3(obj):
     return gate_from_json(obj, 3)
 
@@ -527,6 +544,22 @@ def _gate_on_3(obj):
         (circuit_from_json, {"n": 2, "gates": [{"name": "h", "qubit": "0"}]}, "'qubit'"),
         (circuit_from_json, {"n": 10 ** 18, "gates": []}, "'n'"),
         (instance_from_json, {"size": True, "m0": ["1"], "ms": []}, "'size'"),
+        (batch_from_json, [], "batch input must be an object"),
+        (batch_from_json, dict(_batch(), samples=[]), "'samples'"),
+        (batch_from_json, _batch(label=True), "labels must be 0 or 1"),
+        (batch_from_json, _batch(label=1.0), "labels must be 0 or 1"),
+        (batch_from_json, _batch(label="1/2"), "labels must be 0 or 1"),
+        (batch_from_json, _batch(label=2), "labels must be 0 or 1"),
+        (
+            batch_from_json,
+            dict(_batch(), measurement=pauli_to_json(PauliOperator(2, 0, 0))),
+            "measurement must be a nonidentity Z-type Pauli",
+        ),
+        (
+            batch_from_json,
+            _batch(state=[pauli_to_json(g) for g in StabilizerState.zero_state(3).group.generators]),
+            "qubit counts differ",
+        ),
     ],
 )
 def test_loaders_reject_wrong_typed_fields(loader, obj, field):
@@ -554,6 +587,7 @@ _LOADERS = [
     pauli_from_json,
     sample_from_json,
     sample_set_from_json,
+    batch_from_json,
     _gate_on_3,
     circuit_from_json,
     instance_from_json,
@@ -587,6 +621,7 @@ def _valid_documents():
         (circuit_from_json, circuit_to_json(random_cnot_circuit(rng, 3))),
         (circuit_from_json, replayed_doc),
         (instance_from_json, instance_to_json(inst)),
+        (batch_from_json, _batch()),
     ]
 
 

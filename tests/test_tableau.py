@@ -312,14 +312,53 @@ def _forward_transcript():
     return "\n".join(lines)
 
 
-# sha256 of _forward_transcript() as written while inverse_tableau still
-# inverted the interleaved symplectic matrix and cached the images
-FORWARD_SHA256 = "27bd12e7ac53f855b54c9985cfae153fff4cfc3cf494eec02550fcd3115a629e"
+# sha256 of _forward_transcript(), recorded again when inverse_tableau
+# started checking the images' pairwise commutation: against the earlier
+# digest 27bd12e7...629e, which was written while inverse_tableau still
+# inverted the interleaved symplectic matrix, exactly the five random image
+# lists that were accepted but not symplectic changed, each from a tableau
+# to "ValueError: tableau is not a valid Clifford image"
+FORWARD_SHA256 = "08f0090a7d467201fb12f90853b193f57536d61a5e1220e401a130beb0567ec7"
 
 
 def test_forward_images_are_frozen():
     digest = hashlib.sha256(_forward_transcript().encode()).hexdigest()
     assert digest == FORWARD_SHA256
+
+
+def test_inverse_tableau_rejects_images_that_break_commutation():
+    # key order -IZ, -IX, +XY, +ZZ: independent and Hermitian under
+    # back-conjugation, but the X_0 and X_1 images anticommute
+    t = CliffordTableau(
+        [
+            PauliOperator(2, 0, 0b10, sign=-1),
+            PauliOperator(2, 0b10, 0, sign=-1),
+            PauliOperator(2, 0b11, 0b10),
+            PauliOperator(2, 0, 0b11),
+        ]
+    )
+    assert repr(t.cols) == "[-IZ, -IX, +XY, +ZZ]"
+    assert not is_symplectic(t.s_matrix(), 2)
+    with pytest.raises(ValueError, match="tableau is not a valid Clifford image"):
+        t.inverse_tableau()
+    with pytest.raises(ValueError, match="tableau is not a valid Clifford image"):
+        apply_circuit_to_state(t, StabilizerState.zero_state(2))
+
+
+def test_inverse_tableau_accepts_exactly_the_symplectic_image_lists():
+    rng = random.Random(1809)
+    accepted = 0
+    for i in range(400):
+        n = 1 + i % 4
+        t = CliffordTableau([random_pauli(rng, n) for _ in range(2 * n)])
+        try:
+            t.inverse_tableau()
+        except ValueError:
+            assert not is_symplectic(t.s_matrix(), n)
+        else:
+            accepted += 1
+            assert is_symplectic(t.s_matrix(), n)
+    assert accepted > 20
 
 
 def test_inverse_tableau_follows_edits_to_cols():
