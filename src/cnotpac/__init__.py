@@ -71,7 +71,6 @@ from .learning import (
     LearningParameters,
     PacLearnResult,
     cnot_defaults,
-    constraint_subspace,
     learn_single_measurement,
     pac_learner,
     sample_complexity,

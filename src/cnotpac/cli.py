@@ -230,12 +230,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _learn_pac(args, rng):
-    data = _read(args.input)
-    obj, pool_set = _load(args.input, data, lambda obj: (obj, sample_set_from_json(obj)))
+def _pac_input(obj):
+    """(pool set, weights, s) of a pac input; ValueError on a bad field."""
+    pool_set = sample_set_from_json(obj)
     pool = pool_set.samples
     if not pool:
-        raise CliError("pac input needs at least one sample")
+        raise ValueError("pac input needs at least one sample")
     weights = obj.get("weights")
     if weights is not None:
         if (
@@ -245,13 +245,19 @@ def _learn_pac(args, rng):
             or not any(weights)
             or not math.isfinite(sum(map(float, weights)))  # random.choices needs a finite total
         ):
-            raise CliError("weights must be finite nonnegative numbers matching the samples")
+            raise ValueError("weights must be finite nonnegative numbers matching the samples")
     s = obj.get("s", len(pool))
     if type(s) is not int or s < 1:
-        raise CliError("support bound 's' must be a positive integer")
+        raise ValueError("support bound 's' must be a positive integer")
+    return pool_set, weights, s
+
+
+def _learn_pac(args, rng):
+    data = _read(args.input)
+    pool_set, weights, s = _load(args.input, data, _pac_input)
 
     def draw(r):
-        return r.choices(pool, weights=weights, k=1)[0]
+        return r.choices(pool_set.samples, weights=weights, k=1)[0]
 
     result = pac_learner(
         draw, s, brute_force_search, rng, draw_constant=_or(args.draw_constant, 3.0),
@@ -260,7 +266,7 @@ def _learn_pac(args, rng):
     counts = {
         "draws": result.draws,
         "distinct": result.distinct,
-        "samples": len(pool),
+        "samples": len(pool_set.samples),
     }
     if not result.found:
         print("no consistent hypothesis")

@@ -6,9 +6,9 @@ big-O constant set to 1.  `pac_learner` is the coupon-collector protocol:
 draw O(s log s) samples, deduplicate, and hand the observed set to a
 consistency search.  The remaining functions are the efficient proper
 learners for the two special cases where consistency is easy: a single
-repeated Z-type measurement (one linear system of every sample's affine
-constraints), and learning with respect to zero-error-indistinguishable
-hypotheses, where a uniformly random circuit already works.
+repeated Z-type measurement (one linear system of z_constraints rows), and
+learning with respect to zero-error-indistinguishable hypotheses, where
+a uniformly random circuit already works.
 """
 
 import math
@@ -17,10 +17,8 @@ from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import AffineSubspace, BitMatrix, complete_to_basis
-from .pauli import PauliOperator
 from .samples import Sample, SampleSet
 from .search import check_consistent
-from .stabilizer import StabilizerState
 from .tableau import CliffordTableau, Gate
 
 
@@ -191,37 +189,17 @@ def pac_learner(
     )
 
 
-def constraint_subspace(
-    state: StabilizerState, measurement: PauliOperator, label: int
-) -> AffineSubspace:
-    """Affine constraint on (u, q.x) imposed by one labeled state.
-
-    The hypothesis maps the measurement (-1)^sigma Z^x to
-    (-1)^(sigma + q.x) Z^u.  A binary label forces that image into the
-    Z-type part of the state's group (label 1) or its negated coset
-    (label 0).  Writing points of F_2^(n+1) as u | (q.x << n), the
-    admissible set is an affine subspace: the span of the group's pure-Z
-    elements with their sign bits, shifted by sigma + (1 - label).
-    """
-    n = state.group.n
-    gens = state.group.generators
-    kernel = BitMatrix.from_columns([g.x for g in gens], n).null_space()
-    vectors = []
-    for mask in kernel:
-        g = state.group.element(mask)
-        vectors.append(g.z | (g.sign_bit << n))
-    c = measurement.sign_bit ^ (0 if label else 1)
-    return AffineSubspace(n + 1, c << n, vectors)
-
-
 def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
-    """The (u, q.x) points every sample admits, from one linear system of
-    their stacked constraints; None when they contradict each other."""
+    """The points u | (q.x << n) every sample admits (None if none): the
+    image (-1)^(sigma + q.x) Z^u of (-1)^sigma Z^x gets label 0 or 1 iff
+    w.(u | (q.x << n)) = w_n (sigma + [label 0]) for every row w of the
+    state's z_constraints, one linear system for all samples."""
     if not samples.samples:
         raise ValueError("batch must contain at least one sample")
     measurement = samples.samples[0].measurement
     if measurement.x != 0 or measurement.z == 0:
         raise ValueError("measurement must be a nonidentity Z-type Pauli")
+    n = samples.n
     rows: List[int] = []
     rhs = 0
     for s in samples:
@@ -229,10 +207,11 @@ def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
             raise ValueError("samples must share one measurement")
         if s.code == 1:
             raise ValueError("labels must be 0 or 1")
-        c, d = constraint_subspace(s.state, measurement, s.code >> 1).constraints()
-        rhs |= d << len(rows)
-        rows += c.rows
-    return BitMatrix(rows, samples.n + 1).solve_affine(rhs)
+        c = measurement.sign_bit ^ (1 if s.code == 0 else 0)
+        for w in s.state.group.z_constraints():
+            rhs |= (w >> n & c) << len(rows)
+            rows.append(w)
+    return BitMatrix(rows, n + 1).solve_affine(rhs)
 
 
 def learn_single_measurement(samples: SampleSet, rng) -> CnotCircuit:

@@ -8,10 +8,11 @@ ints and q innermost, and return the first consistent hypothesis.
 brute_force_search organizes that walk as a depth-first search over
 independent rows.  Samples whose state is a full Z-basis stabilizer
 state and whose measurement is Z-type are linear equations in the bits
-of (theta, q); they compile into one echelon table, whose rows led by
-theta row r prune every row prefix at depth r exactly, and whose rows
-led by a q bit join the generic samples in an exact solve for q at each
-leaf instead of an enumeration.  A node tests a candidate row against
+of (theta, q), signed by the state's z_constraints; they compile into
+one echelon table, whose rows led by theta row r prune every row prefix
+at depth r exactly, and whose rows led by a q bit join the generic
+samples in an exact solve for q at each leaf instead of an enumeration.
+A node tests a candidate row against
 those equations before it reduces the row, once, against the rows
 chosen so far.  The parent of the leaves runs them in one loop with no
 table of their own: its table has n - 1 pivots, so reducing through it
@@ -105,48 +106,27 @@ class _GenericSample:
         self.flip = 1 if sample.code == 0 else 0
 
 
-def _full_z_form(state):
-    """(z supports tuple, packed sign bits) when every generator is Z-type, else None."""
-    zs = []
-    signs = 0
-    for k, g in enumerate(state.group.generators):
-        if g.x != 0:
-            return None
-        zs.append(g.z)
-        signs |= g.sign_bit << k
-    return tuple(zs), signs
-
-
 def _add_samples(compiled, samples, n) -> bool:
-    """Fold samples, in order, into compiled = (table, inverses, supports,
-    generic): one echelon table over (theta, q) and what finishing it needs.
+    """Fold samples, in order, into compiled = (table, supports, generic):
+    one echelon table over (theta, q) and what finishing it needs.
 
-    A full-Z sample reads q.x + t.(theta x) = c, with x its measurement
-    support, t the state's sign character and c the label/sign bit.  It
-    is packed as one row: bit r n + j is theta[r][j], bit n^2 + j is q_j
-    and the payload bit n^2 + n is c.  t solves Z t = signs, Z the
-    state's z supports as rows; each distinct tuple of supports is
-    inverted once, in the memo inverses.  Every other sample is generic
-    and is checked at the leaf.
-
-    Returns False, with compiled part-folded, when no CNOT circuit can
-    match: a full-Z sample labeled 1/2 or an equation that reduces to
-    0 = 1.
-    """
-    table, inverses, supports, generic = compiled
+    A full-Z sample, (-1)^sigma Z^x measured on a state whose generators
+    have no x part, reads q.x + t.(theta x) = c, t | 1 << n the state's
+    one z_constraints row and c = sigma + [label 0].  It is packed as one
+    row: bit r n + j is theta[r][j], bit n^2 + j is q_j and the payload
+    bit n^2 + n is c.  Every other sample, Z-type on a state with an x
+    part included, is generic and is checked at the leaf.  Returns False,
+    with compiled part-folded, when no CNOT circuit can match: a full-Z
+    sample labeled 1/2 or an equation that reduces to 0 = 1."""
+    table, supports, generic = compiled
     top = n * n + n
     for s in samples:
-        zform = _full_z_form(s.state)
-        if zform is not None and s.measurement.x == 0:
+        m, group = s.measurement, s.state.group
+        if m.x == 0 and not any(g.x for g in group.generators):
             if s.code == 1:
                 return False  # a full Z state gives every Z-type image 0 or 1
-            zs, signs = zform
-            inverse = inverses.get(zs)
-            if inverse is None:
-                inverse = inverses[zs] = BitMatrix(zs, n).inverse()
-            t = inverse.mul_vec(signs)
-            x = s.measurement.z
-            c = s.measurement.sign_bit ^ (1 if s.code == 0 else 0)
+            (t,) = group.z_constraints()
+            x, c = m.z, m.sign_bit ^ (s.code == 0)
             row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
             if not _insert(table, row, top) and _reduce(table, row, top):
                 return False  # the equation reduces to 0 = 1
@@ -162,7 +142,7 @@ def _finish(compiled, n):
     blocks[r] (r < n) holds the table's rows led by a bit of theta row r,
     which involve rows 0..r only, and blocks[n] the rows led by a q bit.
     """
-    table, _, supports, generic = compiled
+    table, supports, generic = compiled
     top = n * n + n
     for x in supports:
         if all(_reduce(table, x << r * n, top) == 0 for r in range(n)):
@@ -177,7 +157,7 @@ def _compile(sample_set: SampleSet):
     """Every sample folded from an empty state, then finished: (blocks,
     generic), or None when no CNOT circuit can match."""
     n = sample_set.n
-    compiled: tuple = ({}, {}, set(), [])
+    compiled: tuple = ({}, set(), [])
     return _finish(compiled, n) if _add_samples(compiled, sample_set, n) else None
 
 
@@ -421,16 +401,14 @@ def _brute_oracle(sample_set: SampleSet):
     """
     n = sample_set.n
     _check_brute_limit(n)
-    base: Optional[tuple] = ({}, {}, set(), [])
+    base: Optional[tuple] = ({}, set(), [])
     if not _add_samples(base, sample_set, n):
         base = None
 
     def ask(pins) -> bool:
         if base is None:
             return False
-        table, inverses, supports, generic = base
-        # the inverses memo holds fixed values, so the copies share it
-        compiled = (dict(table), inverses, set(supports), list(generic))
+        compiled = (dict(base[0]), set(base[1]), list(base[2]))
         finished = _add_samples(compiled, pins, n) and _finish(compiled, n)
         return bool(finished) and _dfs_first(n, *finished)[0] is not None
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import _echelon, _insert, _reduce
-from .pauli import PauliOperator, _anticommutation_rows, _fold, z_power
+from .pauli import PauliOperator, _anticommutation_rows, _fold, _raw_sign_bit, z_power
 
 
 # expectation values of (I + P)/2, indexed by label code
@@ -55,6 +55,29 @@ def _echelon_table(n: int, keys: tuple) -> dict:
         if not _insert(table, key | (1 << (2 * n + i)), 2 * n):
             raise ValueError("generators are dependent")
     return table
+
+
+@functools.lru_cache(maxsize=1024)
+def _z_form(n: int, keys: tuple) -> tuple:
+    """(x_rows, cols, mixed), the sign-free part of z_constraints for these
+    generator keys, cached and shared read-only like _echelon_table.
+    x_rows is a basis of the x parts.  For the Z-type member with pivot p
+    in a fully reduced basis, bit p of cols[k] says whether generator k is
+    a factor, unless a factor has an x part: then (p, mask) is in mixed."""
+    full = (1 << n) - 1
+    table: dict = {}
+    # x above z, so elimination pivots on x first and the rows left with
+    # x = 0 span the Z-type members, their generator masks as payload
+    for i, key in enumerate(keys):
+        _insert(table, key >> n | (key & full) << n | 1 << (2 * n + i), 2 * n)
+    x_rows = tuple(row >> n & full for lead, row in table.items() if lead >= n)
+    x_gens = sum(1 << i for i, key in enumerate(keys) if key & full)
+    reduced = _echelon((row for lead, row in table.items() if lead < n), n)
+    masks = [reduced.get(p, 0) >> 2 * n for p in range(n)]
+    mixed = tuple((p, mask) for p, mask in enumerate(masks) if mask & x_gens)
+    # cols is the other masks transposed, through bit strings with bit k at character k
+    strings = [format((0 if m & x_gens else m) | 1 << n, "b")[:0:-1] for m in masks]
+    return x_rows, tuple(int("".join(bits)[::-1], 2) for bits in zip(*strings)), mixed
 
 
 class StabilizerGroup:
@@ -93,6 +116,22 @@ class StabilizerGroup:
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
         return PauliOperator.from_raw(self.n, *_fold(self.generators, mask))
+
+    def z_constraints(self) -> list:
+        """Rows w with (-1)^b Z^u a member iff w.(u | b << n) = 0 for every
+        w: the generators' x parts (Z^u commutes with each) and t | 1 << n,
+        bit p of t the sign bit of _z_form's Z-type member with pivot p."""
+        n = self.n
+        gens = self.generators
+        x_rows, cols, mixed = _z_form(n, tuple(g.x | g.z << n for g in gens))
+        # a member whose factors have no x part has the parity of their signs
+        # as its sign bit; for any other, fold the factors
+        t = 0
+        for g, col in zip(gens, cols):
+            t ^= col * g.sign_bit
+        for p, mask in mixed:
+            t |= _raw_sign_bit(*_fold(gens, mask)) << p
+        return [*x_rows, t | 1 << n]
 
     def member_phase(self, key: int) -> Optional[int]:
         """Exponent of i in the raw form of the member with this symplectic

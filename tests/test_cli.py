@@ -411,14 +411,34 @@ _X_BATCH = {
 }
 
 
+# a one-sample pool: |0> measured on Z, label 1
+_POOL = sample_set_to_json(
+    SampleSet(1, [Sample(StabilizerState.zero_state(1), z_power(1, 1), Fraction(1))])
+)
+
+
 @pytest.mark.parametrize(
     "mode, obj, message",
     [
         ("single-measurement", [], "batch input must be an object"),
         ("pac", [], "sample set must be an object"),
         ("single-measurement", _X_BATCH, "measurement must be a nonidentity Z-type Pauli"),
+        ("pac", {"n": 1, "samples": []}, "pac input needs at least one sample"),
+        (
+            "pac",
+            dict(_POOL, weights=[1, 1]),
+            "weights must be finite nonnegative numbers matching the samples",
+        ),
+        ("pac", dict(_POOL, s=0), "support bound 's' must be a positive integer"),
     ],
-    ids=["batch-not-an-object", "pac-not-an-object", "batch-x-measurement"],
+    ids=[
+        "batch-not-an-object",
+        "pac-not-an-object",
+        "batch-x-measurement",
+        "pac-empty-pool",
+        "pac-bad-weights",
+        "pac-bad-s",
+    ],
 )
 def test_learn_input_errors_name_the_file(mode, obj, message, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -11,7 +11,6 @@ from cnotpac.learning import (
     LearningParameters,
     _admissible_space,
     cnot_defaults,
-    constraint_subspace,
     learn_single_measurement,
     pac_learner,
     sample_complexity,
@@ -231,33 +230,40 @@ def plus_state(n, signs=0):
     return StabilizerState(StabilizerGroup(gens))
 
 
-def test_constraint_subspace_is_exact():
+def test_z_constraints_are_exact():
+    # (-1)^b Z^u is a member iff every row w has w.(u | b << n) = 0, for
+    # every (u, b), u = 0 included (+I is a member, -I is not)
     rng = random.Random(95)
-    for n in (2, 3):
-        for _ in range(12):
-            state = (
-                random_stabilizer_state(rng, n)
-                if rng.randrange(2)
-                else full_z_state(rng, n)
-            )
-            sigma = rng.randrange(2)
-            measurement = z_power(n, rng.randrange(1, 1 << n), sign=-1 if sigma else 1)
-            for label in (0, 1):
-                space = constraint_subspace(state, measurement, label)
-                pts = set(space.points())
-                want = Membership.PLUS if label else Membership.MINUS
-                for point in range(1 << (n + 1)):
-                    u = point & ((1 << n) - 1)
-                    gamma = point >> n
-                    if u == 0:
-                        # image is +I or -I with expectation 1 or 0 outright
-                        expected = (sigma ^ gamma) == (0 if label else 1)
-                    else:
-                        image = PauliOperator(
-                            n, 0, u, sign=-1 if (sigma ^ gamma) else 1
-                        )
-                        expected = state.group.group_contains(image) == want
-                    assert (point in pts) == expected, (n, u, gamma, label)
+    for n in (1, 2, 3, 4):
+        states = [plus_state(n, rng.randrange(1 << n))]
+        for _ in range(6):
+            states += [random_stabilizer_state(rng, n), full_z_state(rng, n)]
+        if n == 2:
+            # Z1Z2 = -(X1X2)(Y1Y2): a Z-type member whose factors have x parts
+            states += [
+                StabilizerState(StabilizerGroup([x_power(2, 3), PauliOperator(2, 3, 3, sign)]))
+                for sign in (1, -1)
+            ]
+        for state in states:
+            rows = state.group.z_constraints()
+            for point in range(1 << (n + 1)):
+                u, b = point & ((1 << n) - 1), point >> n
+                image = PauliOperator(n, 0, u, sign=-1 if b else 1)
+                member = state.group.group_contains(image) == Membership.PLUS
+                assert all(dot(w, point) == 0 for w in rows) == member, (n, point)
+
+
+def _admits(state, measurement, label, point):
+    """Whether the image (-1)^(sigma + gamma) Z^u of the measurement
+    (-1)^sigma Z^x, point = u | gamma << n, gets the label on the state."""
+    n = state.n
+    u, gamma = point & ((1 << n) - 1), point >> n
+    negative = measurement.sign_bit ^ gamma
+    if u == 0:
+        # image is +I or -I with expectation 1 or 0 outright
+        return negative != label
+    image = PauliOperator(n, 0, u, sign=-1 if negative else 1)
+    return state.group.group_contains(image) == (Membership.PLUS if label else Membership.MINUS)
 
 
 def test_stacked_constraints_are_the_intersection():
@@ -268,9 +274,11 @@ def test_stacked_constraints_are_the_intersection():
         n = 1 + trial % 3
         measurement = z_power(n, rng.randrange(1, 1 << n), sign=-1 if rng.randrange(2) else 1)
         pairs = [(mixed_state(rng, n, 1), rng.randrange(2)) for _ in range(rng.randrange(1, 5))]
-        want = set(range(1 << (n + 1)))
-        for state, label in pairs:
-            want &= set(constraint_subspace(state, measurement, label).points())
+        want = {
+            point
+            for point in range(1 << (n + 1))
+            if all(_admits(state, measurement, label, point) for state, label in pairs)
+        }
         space = _admissible_space(batch(measurement, pairs))
         if space is None:
             empty += 1

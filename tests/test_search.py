@@ -381,6 +381,47 @@ def test_brute_witness_and_leaves_match_the_full_scan_at_n_4(case):
     _check_against_the_full_scan(*case)
 
 
+@st.composite
+def z_type_sets(draw):
+    """(samples, flipped) at n = 2, 3, labeled by a hidden CNOT circuit:
+    Z-type measurements on states whose generators have an x part, three
+    in four of them holding the measurement's image up to sign (labeled
+    0 or 1), plus up to one random measurement of a random state, and
+    sometimes one label flipped."""
+    n = draw(st.integers(2, 3))
+    full = (1 << n) - 1
+    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    t = hidden.to_tableau()
+    rng = random.Random(draw(st.integers(0, 1 << 16)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2 * n))):
+        p = z_power(n, draw(st.integers(1, full)), sign=draw(st.sampled_from((1, -1))))
+        image = t.conjugate_inverse(p) if draw(st.integers(0, 3)) else None
+        while True:
+            state = _state_holding(rng, n, image) if image else random_stabilizer_state(rng, n)
+            if any(g.x for g in state.group.generators):
+                break
+        pairs.append((state, p))
+    if draw(st.booleans()):
+        xz = draw(st.integers(1, (1 << (2 * n)) - 1))
+        pairs.append((random_stabilizer_state(rng, n), PauliOperator(n, xz & full, xz >> n)))
+    pairs = draw(st.permutations(pairs))
+    samples = [Sample(s, p, s.expectation(t.conjugate_inverse(p))) for s, p in pairs]
+    flipped = draw(st.booleans())
+    if flipped:
+        k = draw(st.integers(0, len(samples) - 1))
+        s = samples[k]
+        label = draw(st.sampled_from([v for v in _LABELS if v != s.label]))
+        samples[k] = Sample(s.state, s.measurement, label)
+    return SampleSet(n, samples), flipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_type_sets())
+def test_z_type_samples_on_states_with_an_x_part_match_the_full_scan(case):
+    _check_against_the_full_scan(*case)
+
+
 def _learn_shaped_sets(n=4, pools=16):
     """Seeded pools shaped like a PAC learner's input: generic samples
     labelled 0 or 1 (a generic state measured on the hidden circuit's
