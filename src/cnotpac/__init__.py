@@ -78,7 +78,6 @@ from .learning import (
 )
 from .serialization import (
     DimacsError,
-    batch_from_json,
     circuit_from_json,
     circuit_to_json,
     instance_from_json,

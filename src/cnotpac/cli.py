@@ -43,7 +43,6 @@ from .serialization import (
     _MAX_CIRCUIT_QUBITS,
     DimacsError,
     _canonical,
-    batch_from_json,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -277,13 +276,15 @@ def _learn_pac(args, rng):
 
 def _learn_single(args, rng):
     data = _read(args.input)
-    samples = _load(args.input, data, batch_from_json)
+    samples = _load(args.input, data, sample_set_from_json)
     counts = {"samples": len(samples.samples)}
     try:
         circuit = learn_single_measurement(samples, rng)
     except EmptyIntersectionError as err:
         print("no consistent hypothesis: %s" % err)
         return 1, _digest(data), "none", counts, None
+    except ValueError as err:  # the set breaks a precondition of the learner
+        raise CliError("%s: %s" % (args.input, err))
     if not check_consistent(circuit, samples):
         raise CliError("internal check failed: hypothesis is not consistent")
     return 0, _digest(data), "found", counts, dumps(circuit_to_json(circuit))

@@ -10,6 +10,9 @@ Conventions shared by every schema:
   whitespace), trailing newline.  Equal objects produce byte-identical
   files.  The loaders take any JSON layout, so files written indented
   still load.
+* A sample set is {"n", "paulis", "samples"}: each distinct Pauli is one
+  entry of the 'paulis' table, and a sample names its measurement and
+  its state's generators by table index.
 
 Schema violations, wrong-typed values included (JSON true is not an
 integer), raise ValueError with a message naming the offending field;
@@ -106,46 +109,16 @@ def pauli_from_json(obj) -> PauliOperator:
     return PauliOperator(n, x, z, sign=sign)
 
 
-def _pauli_decoder():
-    """pauli_from_json with a memo that lives as long as the returned function.
-
-    Each distinct value is parsed once and shared: a repeat returns the
-    same PauliOperator object.  The memo only decides whether to call
-    pauli_from_json, never what it accepts.  A value is keyed only once
-    its fields have the exact JSON types pauli_from_json requires (True
-    and 1.0 hash like 1, so a type check must come first), and only a
-    parsed value is stored, so a bad entry raises at every occurrence.
-    """
-    memo: dict = {}
-
-    def decode(obj) -> PauliOperator:
-        if type(obj) is dict:
-            key = (obj.get("n"), obj.get("sign"), obj.get("x"), obj.get("z"))
-            n, sign, x, z = key
-            if type(n) is int and type(sign) is int and type(x) is str and type(z) is str:
-                p = memo.get(key)
-                if p is None:
-                    p = memo[key] = pauli_from_json(obj)
-                return p
-        return pauli_from_json(obj)
-
-    return decode
-
-
-def _state_from_json(obj, decode) -> StabilizerState:
-    """The state of a sample or batch entry, whose field 'state' lists
-    the generators; decode is pauli_from_json or a _pauli_decoder."""
+def _sample_from_json(obj, pauli) -> Sample:
+    """One entry of a sample set's 'samples'; pauli maps a table index to
+    its PauliOperator."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     gens = obj.get("state")
     if not isinstance(gens, list) or not gens:
         raise ValueError("sample field 'state' must list the generators")
-    return StabilizerState(StabilizerGroup([decode(g) for g in gens]))
-
-
-def _sample_from_json(obj, decode) -> Sample:
-    state = _state_from_json(obj, decode)
-    measurement = decode(obj.get("measurement"))
+    state = StabilizerState(StabilizerGroup([pauli(i) for i in gens]))
+    measurement = pauli(obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
@@ -155,71 +128,59 @@ def _sample_from_json(obj, decode) -> Sample:
 def sample_set_dumps(ss: SampleSet) -> str:
     """The canonical text of sample_set_to_json(ss), without the newline.
 
-    Each distinct Pauli is rendered once and its text reused at every
-    occurrence; the sample and set objects are joined around those
-    fragments with their keys in sorted order, as _canonical writes them.
+    Each distinct Pauli is written once, as an entry of 'paulis' in order
+    of first use (each sample's measurement, then its generators), and
+    samples name entries by index.  Keys are in sorted order, as
+    _canonical writes them.
     """
-    memo: dict = {}
+    index: dict = {}
+    entries: List[str] = []
 
-    def encode(p: PauliOperator) -> str:
-        # the fields PauliOperator.__eq__ compares, without its Python-level
-        # __hash__ and __eq__
-        key = (p.n, p.x, p.z, p.sign_bit)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _canonical(pauli_to_json(p))
-        return text
+    def at(p: PauliOperator) -> str:
+        # the fields PauliOperator.__eq__ compares but n, which the set fixes
+        key = (p.x, p.z, p.sign_bit)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = str(len(entries))
+            entries.append(_canonical(pauli_to_json(p)))
+        return i
 
     samples = ",".join(
         '{"label":"%s","measurement":%s,"state":[%s]}'
-        % (
-            _LABEL_TEXT[s.code],
-            encode(s.measurement),
-            ",".join(map(encode, s.state.group.generators)),
-        )
+        % (_LABEL_TEXT[s.code], at(s.measurement), ",".join(map(at, s.state.group.generators)))
         for s in ss.samples
     )
-    return '{"n":%d,"samples":[%s]}' % (ss.n, samples)
+    return '{"n":%d,"paulis":[%s],"samples":[%s]}' % (ss.n, ",".join(entries), samples)
 
 
 def sample_set_to_json(ss: SampleSet) -> dict:
-    """The parse of sample_set_dumps(ss): a tree that shares no dict."""
+    """The parse of sample_set_dumps(ss)."""
     return json.loads(sample_set_dumps(ss))
 
 
 def sample_set_from_json(obj) -> SampleSet:
-    """Load a sample set; one load shares one PauliOperator per distinct value."""
+    """Load a sample set: each 'paulis' entry is parsed once, and every
+    index naming it yields that one PauliOperator."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
+    table = obj.get("paulis")
+    if not isinstance(table, list):
+        raise ValueError("sample set field 'paulis' must be a list")
+    paulis = [pauli_from_json(entry) for entry in table]
+    if any(p.n != n for p in paulis):
+        raise ValueError("sample set field 'paulis' must hold %d-qubit Paulis" % n)
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    decode = _pauli_decoder()
-    return SampleSet(n, [_sample_from_json(s, decode) for s in samples])
 
+    def pauli(i) -> PauliOperator:
+        # a bare paulis[i] would take True and wrap a negative i to the end
+        if type(i) is not int or not 0 <= i < len(paulis):
+            raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(paulis)))
+        return paulis[i]
 
-def batch_from_json(obj) -> SampleSet:
-    """Load a single-measurement batch: one nonidentity Z-type 'measurement'
-    shared by every entry of 'samples', each a 'state' and a 'label' that is "0" or
-    "1" (the JSON integers 0 and 1 are taken too)."""
-    if not isinstance(obj, dict):
-        raise ValueError("batch input must be an object")
-    decode = _pauli_decoder()
-    measurement = decode(obj.get("measurement"))
-    if measurement.x != 0 or measurement.z == 0:
-        raise ValueError("measurement must be a nonidentity Z-type Pauli")
-    entries = obj.get("samples")
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("field 'samples' must be a nonempty list")
-    samples = []
-    for entry in entries:
-        state = _state_from_json(entry, decode)
-        label = entry.get("label")
-        if label not in ("0", "1") and (type(label) is not int or label not in (0, 1)):
-            raise ValueError("labels must be 0 or 1")
-        samples.append(Sample(state, measurement, int(label)))
-    return SampleSet(measurement.n, samples)
+    return SampleSet(n, [_sample_from_json(s, pauli) for s in samples])
 
 
 # ---------------------------------------------------------------------------

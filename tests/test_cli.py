@@ -14,7 +14,7 @@ from cnotpac import cli
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import parse_formula
-from cnotpac.pauli import z_power
+from cnotpac.pauli import x_power, z_power
 from cnotpac.reduction import reduce_formula_to_samples
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
@@ -23,11 +23,11 @@ from cnotpac.serialization import (
     dumps,
     instance_from_json,
     instance_to_json,
-    pauli_to_json,
+    sample_set_dumps,
     sample_set_to_json,
     string_to_bits,
 )
-from cnotpac.stabilizer import StabilizerState
+from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import is_symplectic
 
 from test_reduction import GOLDEN_M0
@@ -262,7 +262,7 @@ def test_solve_unsatisfiable(tmp_path, capsys):
 
 def test_solve_enumeration_limit(tmp_path, capsys):
     big = tmp_path / "big.json"
-    big.write_text(dumps({"n": 20, "samples": []}))
+    big.write_text(dumps({"n": 20, "paulis": [], "samples": []}))
     code, _, err = run(capsys, "solve", str(big), "--strategy", "brute")
     assert code == 2 and "enumeration limit" in err
 
@@ -350,22 +350,15 @@ def batch_fixture(tmp_path, seed=5, contradictory=False):
     )
     t = hidden.to_tableau()
     meas = z_power(3, 0b101, sign=-1)
-    entries = []
+    samples = []
     for _ in range(8):
         state = StabilizerState.computational_basis(3, rng.randrange(8))
-        label = int(state.expectation(t.conjugate_inverse(meas)))
-        entries.append(
-            {
-                "state": [pauli_to_json(g) for g in state.group.generators],
-                "label": str(label),
-            }
-        )
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
     if contradictory:
-        flipped = dict(entries[0])
-        flipped["label"] = "1" if entries[0]["label"] == "0" else "0"
-        entries.append(flipped)
-    path = tmp_path / ("batch%d.json" % len(entries))
-    path.write_text(dumps({"measurement": pauli_to_json(meas), "samples": entries}))
+        first = samples[0]
+        samples.append(Sample(first.state, meas, 1 - first.label))
+    path = tmp_path / ("batch%d.json" % len(samples))
+    path.write_text(sample_set_dumps(SampleSet(3, samples)) + "\n")
     return path
 
 
@@ -391,12 +384,9 @@ def test_learn_single_measurement(tmp_path, capsys):
 
 def test_learn_single_measurement_identity_only(tmp_path, capsys):
     # |+> with Z and label 1 admits only the image +I
-    plus = {"n": 1, "sign": 1, "x": "1", "z": "0"}
+    plus = StabilizerState(StabilizerGroup([x_power(1, 1)]))
     path = tmp_path / "plus.json"
-    path.write_text(dumps({
-        "measurement": pauli_to_json(z_power(1, 1)),
-        "samples": [{"state": [plus], "label": "1"}],
-    }))
+    path.write_text(dumps(sample_set_to_json(SampleSet(1, [Sample(plus, z_power(1, 1), 1)]))))
     code, stdout, _ = run(
         capsys, "learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"
     )
@@ -405,25 +395,44 @@ def test_learn_single_measurement_identity_only(tmp_path, capsys):
     assert last_report(stdout)["outcome"] == "none"
 
 
-_X_BATCH = {
-    "measurement": {"n": 1, "sign": 1, "x": "1", "z": "0"},
-    "samples": [{"state": [{"n": 1, "sign": 1, "x": "0", "z": "1"}], "label": "1"}],
-}
+def _one_measurement_set(measurements, labels):
+    """The JSON of a 1-qubit sample set on |0>, one sample per measurement
+    and label."""
+    zero = StabilizerState.zero_state(1)
+    return sample_set_to_json(
+        SampleSet(1, [Sample(zero, m, label) for m, label in zip(measurements, labels)])
+    )
+
+
+_X_BATCH = _one_measurement_set([x_power(1, 1)], [1])
 
 
 # a one-sample pool: |0> measured on Z, label 1
-_POOL = sample_set_to_json(
-    SampleSet(1, [Sample(StabilizerState.zero_state(1), z_power(1, 1), Fraction(1))])
-)
+_POOL = _one_measurement_set([z_power(1, 1)], [1])
 
 
 @pytest.mark.parametrize(
     "mode, obj, message",
     [
-        ("single-measurement", [], "batch input must be an object"),
+        ("single-measurement", [], "sample set must be an object"),
         ("pac", [], "sample set must be an object"),
         ("single-measurement", _X_BATCH, "measurement must be a nonidentity Z-type Pauli"),
-        ("pac", {"n": 1, "samples": []}, "pac input needs at least one sample"),
+        (
+            "single-measurement",
+            _one_measurement_set([z_power(1, 1), z_power(1, 1, sign=-1)], [1, 0]),
+            "samples must share one measurement",
+        ),
+        (
+            "single-measurement",
+            _one_measurement_set([z_power(1, 1)], [Fraction(1, 2)]),
+            "labels must be 0 or 1",
+        ),
+        (
+            "single-measurement",
+            {"n": 1, "paulis": [], "samples": []},
+            "batch must contain at least one sample",
+        ),
+        ("pac", {"n": 1, "paulis": [], "samples": []}, "pac input needs at least one sample"),
         (
             "pac",
             dict(_POOL, weights=[1, 1]),
@@ -435,6 +444,9 @@ _POOL = sample_set_to_json(
         "batch-not-an-object",
         "pac-not-an-object",
         "batch-x-measurement",
+        "batch-two-measurements",
+        "batch-half-label",
+        "batch-empty",
         "pac-empty-pool",
         "pac-bad-weights",
         "pac-bad-s",
@@ -636,7 +648,7 @@ def _solve_list_label_argv(tmp_path):
         (lambda tmp: _pac_argv(tmp, weights=[1e308] * 10), _BAD_WEIGHTS),
         (lambda tmp: _pac_argv(tmp, weights=[10**400] + [1] * 9), _BAD_WEIGHTS),
         (lambda tmp: _single_label_argv(tmp, True), "label"),
-        (lambda tmp: _single_label_argv(tmp, 1.0), "labels must be 0 or 1"),
+        (lambda tmp: _single_label_argv(tmp, 1.0), "label must be one of"),
         (lambda tmp: ["learn", "--mode", "trivial", "--n", "1025", "--seed", "1"], "--n"),
         (lambda tmp: _COMPLEXITY + ["--cnot-n", _HUGE], "depth, d or size"),
         (
@@ -747,7 +759,7 @@ def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys)
 
 # sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the
 # earlier two-space-indent layout, json.dumps(obj, sort_keys=True, indent=2)
-GOLDEN_INDENTED_SHA256 = "956824f524fb98c00fb77f85dcb58cc5917f46ebbf69f1490cdb0dc3627e692c"
+GOLDEN_INDENTED_SHA256 = "bcbe00f5748d831b218a48d904d356d6c4e717119186a1e5c8ba719087021206"
 
 
 def test_compact_output_matches_the_indented_layout(tmp_path, capsys):
@@ -791,10 +803,10 @@ def test_indented_sample_set_solves_like_the_compact_one(unit_reduction, tmp_pat
     assert outs[0] == outs[1]
 
 
-# sha256 of two reduce outputs as written before the sample-set dumper shared
-# one dict per distinct Pauli; sharing must not change a byte
-GOLDEN_SHA256 = "490419e2a852a0c2cefe824cd508282f42b1e6c48df41fc5779f7121cfc43a9d"
-UNIT_SHA256 = "8909da1f24724d36efd1f0f3aa69bfd1e8bf3c1691e8e4d8bf7a86a283e05074"
+# sha256 of two reduce outputs in the Pauli-table sample-set schema: the
+# golden formula at seed 7 and UNIT_CNF at seed 3
+GOLDEN_SHA256 = "33f5c1dadb483c0d76fb2c78e928a9614e78ba9e79095580c1931e2c9465defd"
+UNIT_SHA256 = "c4639fef5ee947c16f72c746943061e20bc87de34fcd69803b1db314a334ef90"
 
 
 def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
@@ -808,7 +820,7 @@ def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
 # code, stdout line, stderr text and output file of reduce, solve affine/
 # brute/decision and verify on two CNFs and the golden formula, each reduced
 # with a fixed seed, with each report's wall_time_s removed
-CLI_TRANSCRIPT_SHA256 = "dae783fa73f7db897a7630cae98738dbedc13082c8694be9a965a518a5bdbf46"
+CLI_TRANSCRIPT_SHA256 = "94a46a3584c60fa0398773c19aa0ba451dd891c699d443d6367850b552bc1cf6"
 
 
 def test_cli_transcript_is_pinned(tmp_path, capsys):
@@ -869,11 +881,9 @@ def test_a_twin_of_a_valid_pauli_exits_2(field, value, tmp_path, capsys):
     path.write_text(dumps(obj))
     code, _, err = run(capsys, "solve", str(path), "--strategy", "brute")
     assert code == 2 and err.startswith("error:") and "Pauli field '%s'" % field in err, err
-    batch = tmp_path / "twin_batch.json"
-    entries = [{"state": s["state"], "label": "1"} for s in obj["samples"]]
-    batch.write_text(dumps({"measurement": obj["samples"][0]["measurement"], "samples": entries}))
+    # its samples share one Z-type measurement and carry label 1
     code, _, err = run(
-        capsys, "learn", "--mode", "single-measurement", "--input", str(batch), "--seed", "1"
+        capsys, "learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"
     )
     assert code == 2 and err.startswith("error:") and "Pauli field '%s'" % field in err, err
 
@@ -897,3 +907,80 @@ def test_learn_single_measurement_names_the_bad_entry_field(entry, message, tmp_
     )
     assert code == 2 and err == "error: %s: %s\n" % (path, message)
     assert stdout == ""
+
+
+def _measure_with(index):
+    def edit(obj):
+        obj["samples"][0]["measurement"] = index
+    return edit
+
+
+def _to_nested_schema(obj):
+    """The earlier layout: every sample spells out its Paulis."""
+    paulis = obj.pop("paulis")
+    for s in obj["samples"]:
+        s["measurement"] = paulis[s["measurement"]]
+        s["state"] = [paulis[i] for i in s["state"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_measure_with(True), "Pauli index True is not an integer in [0, {size})"),
+        (_measure_with(1.0), "Pauli index 1.0 is not an integer in [0, {size})"),
+        (_measure_with(-1), "Pauli index -1 is not an integer in [0, {size})"),
+        (
+            lambda obj: obj["samples"][0].update(measurement=len(obj["paulis"])),
+            "Pauli index {size} is not an integer in [0, {size})",
+        ),
+        (_measure_with("0"), "Pauli index '0' is not an integer in [0, {size})"),
+        (lambda obj: obj.update(n=2), "sample set field 'paulis' must hold 2-qubit Paulis"),
+        (lambda obj: obj.pop("paulis"), "sample set field 'paulis' must be a list"),
+        (_to_nested_schema, "sample set field 'paulis' must be a list"),
+    ],
+    ids=[
+        "index-true", "index-float", "index-negative", "index-past-the-table", "index-string",
+        "entry-with-another-n", "no-table", "old-nested-schema",
+    ],
+)
+def test_bad_table_or_index_exits_2_naming_the_file(edit, message, tmp_path, capsys):
+    path = batch_fixture(tmp_path)
+    obj = json.loads(path.read_text())
+    size = len(obj["paulis"])
+    edit(obj)
+    path.write_text(dumps(obj))
+    for argv in (
+        ["solve", str(path), "--strategy", "brute"],
+        ["learn", "--mode", "single-measurement", "--input", str(path), "--seed", "1"],
+        ["learn", "--mode", "pac", "--input", str(path), "--seed", "1"],
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "", argv
+        assert err == "error: %s: %s\n" % (path, message.format(size=size)), argv
+
+
+def test_single_measurement_hypothesis_verifies_against_its_input(tmp_path, capsys):
+    batch = batch_fixture(tmp_path)
+    hyp = tmp_path / "hyp.json"
+    code, _, _ = run(
+        capsys, "learn", "--mode", "single-measurement", "--input", str(batch),
+        "--seed", "4", "--out", str(hyp),
+    )
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", str(hyp), str(batch))
+    assert code == 0 and last_report(stdout)["outcome"] == "consistent"
+
+
+def test_reduce_output_of_a_six_clause_cnf_stays_small(tmp_path, capsys):
+    # each Pauli is written once; spelling out every sample's n generators
+    # as n-character strings makes this file 21.4 MB
+    rng = random.Random(2)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3)] for _ in range(6)
+    ]
+    cnf = tmp_path / "six.cnf"
+    cnf.write_text("p cnf 5 6\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+    out = tmp_path / "six.json"
+    code, stdout, _ = run(capsys, "reduce", "--cnf", str(cnf), "--seed", "0", "--out", str(out))
+    assert code == 0 and last_report(stdout)["counts"]["instance_size"] == 53
+    assert out.stat().st_size < 3_000_000

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import re
@@ -16,7 +17,6 @@ from cnotpac.formula import formula_to_graph, parse_formula
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     DimacsError,
-    batch_from_json,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -111,14 +111,20 @@ def test_pauli_round_trip():
             pauli_from_json(bad)
 
 
-def sample_to_json(s):
-    """One sample's JSON entry, as a sample set file holds it."""
-    return json.loads(dumps(sample_set_to_json(SampleSet(s.state.n, [s]))))["samples"][0]
+def one_sample_doc(s):
+    """The sample-set document that holds s alone."""
+    return sample_set_to_json(SampleSet(s.state.n, [s]))
 
 
-def sample_from_json(obj, n=2):
-    """obj loaded as the only sample of an n-qubit sample set."""
-    return sample_set_from_json({"n": n, "samples": [obj]}).samples[0]
+# |10> (qubit 0 set) measured on +Z_0 with label 0: a table of +ZI, -ZI, +IZ
+_DOC = one_sample_doc(
+    Sample(StabilizerState.computational_basis(2, 1), z_power(2, 1), Fraction(0))
+)
+
+
+def sample_from_json(obj, doc=_DOC):
+    """obj loaded as the only sample of doc, over doc's Pauli table."""
+    return sample_set_from_json(dict(doc, samples=[obj])).samples[0]
 
 
 def test_sample_round_trip_label_strings():
@@ -126,20 +132,22 @@ def test_sample_round_trip_label_strings():
     samples, _ = random_consistent_set(rng, 3, 20)
     seen = set()
     for s in samples.samples:
-        obj = sample_to_json(s)
+        doc = one_sample_doc(s)
+        obj = doc["samples"][0]
         seen.add(obj["label"])
-        back = sample_from_json(obj, 3)
+        back = sample_from_json(obj, doc)
         assert back.label == s.label
         assert back.measurement == s.measurement
         assert back.state.group.generators == s.state.group.generators
     assert seen <= {"0", "1/2", "1"}
-    obj = sample_to_json(
+    doc = one_sample_doc(
         Sample(StabilizerState.zero_state(2), z_power(2, 1), Fraction(1, 2))
     )
+    obj = doc["samples"][0]
     assert obj["label"] == "1/2"
     obj["label"] = "0.5"
     with pytest.raises(ValueError):
-        sample_from_json(obj)
+        sample_from_json(obj, doc)
 
 
 def test_sample_set_round_trip_and_determinism():
@@ -237,26 +245,33 @@ def test_reduction_output_serializes():
     assert instance_from_json(parsed["instance"]).size == 3
 
 
-def _unshared_json(ss):
-    """sample_set_to_json with one fresh pauli_to_json dict per entry."""
-    return {
-        "n": ss.n,
-        "samples": [
-            {
-                "state": [pauli_to_json(g) for g in s.state.group.generators],
-                "measurement": pauli_to_json(s.measurement),
-                "label": str(s.label),
-            }
-            for s in ss.samples
-        ],
-    }
+def _reference_json(ss):
+    """sample_set_to_json built the plain way: the table lists the distinct
+    Paulis, told apart by ==, in order of first use (each sample's
+    measurement, then its generators)."""
+    paulis = []
+
+    def at(p):
+        if p not in paulis:
+            paulis.append(p)
+        return paulis.index(p)
+
+    samples = [
+        {
+            "measurement": at(s.measurement),
+            "state": [at(g) for g in s.state.group.generators],
+            "label": str(s.label),
+        }
+        for s in ss.samples
+    ]
+    return {"n": ss.n, "paulis": [pauli_to_json(p) for p in paulis], "samples": samples}
 
 
 def test_corpus_reductions_round_trip_byte_for_byte():
     for name, f, n_vars in CORPUS:
         ss, _ = reduce_formula_to_samples(f, random.Random(120), num_vars=n_vars)
         text = dumps(sample_set_to_json(ss))
-        assert text == dumps(_unshared_json(ss)), name
+        assert text == dumps(_reference_json(ss)), name
         back = sample_set_from_json(json.loads(text))
         assert back.n == ss.n and back.samples == ss.samples, name
         for s, t in zip(ss.samples, back.samples):
@@ -293,8 +308,8 @@ def test_sample_set_text_is_the_canonical_dump():
     assert {s.label for ss in randoms for s in ss} == {Fraction(0), Fraction(1, 2), Fraction(1)}
     for ss in cases + randoms:
         text = sample_set_dumps(ss)
-        assert text + "\n" == dumps(_unshared_json(ss))
-        assert sample_set_to_json(ss) == _unshared_json(ss)
+        assert text + "\n" == dumps(_reference_json(ss))
+        assert sample_set_to_json(ss) == _reference_json(ss)
 
 
 @pytest.mark.parametrize(
@@ -314,33 +329,74 @@ def test_reduce_file_is_the_canonical_dump_of_its_payload(source, tmp_path, caps
         ss, inst = reduce_sat_to_samples(source, random.Random(5))
     assert main(["reduce", *args, "--seed", "5", "--out", str(out)]) == 0
     capsys.readouterr()
-    payload = {"samples": _unshared_json(ss), "instance": instance_to_json(inst)}
+    payload = {"samples": _reference_json(ss), "instance": instance_to_json(inst)}
     assert out.read_text() == dumps(payload)
+
+
+# sha256 of what the reduce files below load back to: per file n, then per
+# sample its label code and the reprs of its measurement and generators
+# (a Sample's own repr would print the state's memory address).  It pins
+# content, not bytes, so it holds across changes of the file layout.
+SAMPLE_CONTENT_SHA256 = "f5d25a71edc50113da070746d326378f5cf3a1acea92d3436d4b4209169365a2"
+
+
+def test_reduce_files_load_back_to_pinned_content(tmp_path, capsys):
+    texts = []
+    for _, f, n_vars in CORPUS:
+        ss, _ = reduce_formula_to_samples(f, random.Random(124), num_vars=n_vars)
+        texts.append(sample_set_dumps(ss))
+    cnf = tmp_path / "in.cnf"
+    out = tmp_path / "out.json"
+    for source, text, seed in (
+        (["--formula", "x1*(x2+x3)+x3*x4"], None, "7"),
+        (["--cnf", str(cnf)], "p cnf 1 1\n-1 0\n", "11"),
+        (["--cnf", str(cnf)], "p cnf 2 2\n1 0\n2 0\n", "12"),
+    ):
+        if text is not None:
+            cnf.write_text(text)
+        assert main(["reduce", *source, "--seed", seed, "--out", str(out)]) == 0
+        texts.append(json.dumps(json.loads(out.read_text())["samples"]))
+    capsys.readouterr()
+    content = []
+    for text in texts:
+        ss = sample_set_from_json(json.loads(text))
+        content.append((ss.n, [
+            (s.code, repr(s.measurement), tuple(map(repr, s.state.group.generators)))
+            for s in ss
+        ]))
+    assert hashlib.sha256(repr(content).encode()).hexdigest() == SAMPLE_CONTENT_SHA256
 
 
 def test_one_load_shares_one_pauli_per_distinct_value():
     ss, _ = reduce_formula_to_samples(golden_formula(), random.Random(121))
-    obj = _unshared_json(ss)
+    obj = sample_set_to_json(ss)
     back = sample_set_from_json(obj)
-    entries = {json.dumps(g, sort_keys=True) for s in obj["samples"] for g in s["state"]}
-    objects = {id(g) for s in back.samples for g in s.state.group.generators}
-    assert len(entries) < sum(len(s["state"]) for s in obj["samples"])
-    assert len(objects) == len(entries)
-    measurements = {json.dumps(s["measurement"], sort_keys=True) for s in obj["samples"]}
-    assert len({id(s.measurement) for s in back.samples}) == len(measurements)
+    table = obj["paulis"]
+    assert len({json.dumps(e, sort_keys=True) for e in table}) == len(table)
+    assert len(table) < sum(1 + len(s["state"]) for s in obj["samples"])
+    loaded = {}  # table index -> the object its first use loaded to
+    for entry, s in zip(obj["samples"], back.samples):
+        indices = [entry["measurement"], *entry["state"]]
+        for i, p in zip(indices, [s.measurement, *s.state.group.generators]):
+            assert loaded.setdefault(i, p) is p
+    assert sorted(loaded) == list(range(len(table)))
+    assert len({id(p) for p in loaded.values()}) == len(table)
 
 
 def twin_sample_set(field, value, where):
-    """A sample set whose second sample repeats a Pauli of the first, with
-    field set to value: a twin that hashes like the valid original."""
+    """A two-sample set whose second sample uses, in its state or as its
+    measurement (where), a table entry that repeats one of the first
+    sample's Paulis with field set to value: a twin that hashes like the
+    valid entry."""
     n = 3 if value == 3.0 else 1
-    first = sample_to_json(Sample(StabilizerState.zero_state(n), z_power(n, 1), Fraction(1)))
-    second = copy.deepcopy(first)
+    doc = one_sample_doc(Sample(StabilizerState.zero_state(n), z_power(n, 1), Fraction(1)))
+    twin = dict(doc["paulis"][0], **{field: value})
+    second = copy.deepcopy(doc["samples"][0])
     if where == "state":
-        second["state"][0][field] = value
+        second["state"][0] = len(doc["paulis"])
     else:
-        second["measurement"][field] = value
-    return {"n": n, "samples": [first, second]}
+        second["measurement"] = len(doc["paulis"])
+    return dict(doc, paulis=doc["paulis"] + [twin], samples=doc["samples"] + [second])
 
 
 TWINS = [("sign", True), ("n", True), ("n", 3.0)]
@@ -498,26 +554,22 @@ def _pauli(**changes):
 
 
 def _sample(**changes):
-    state = StabilizerState.computational_basis(2, 1)
-    obj = sample_to_json(Sample(state, z_power(2, 1), Fraction(0)))
-    obj.update(changes)
-    return obj
+    return dict(_DOC["samples"][0], **changes)
 
 
-def _batch(**changes):
-    """A two-entry batch document; changes apply to the first entry."""
-    state = StabilizerState.computational_basis(2, 1)
-    entry = {"state": [pauli_to_json(g) for g in state.group.generators], "label": "1"}
-    first = dict(entry, **changes)
-    return {"measurement": pauli_to_json(z_power(2, 1)), "samples": [first, dict(entry, label="0")]}
+def _with(**changes):
+    """_DOC with changes applied to its sample."""
+    return dict(_DOC, samples=[_sample(**changes)])
 
 
-def test_batch_from_json_reads_one_shared_measurement_and_binary_labels():
-    for label in ("1", 1):
-        ss = batch_from_json(_batch(label=label))
-        assert ss.n == 2 and [s.label for s in ss] == [1, 0]
-        assert ss.samples[0].measurement is ss.samples[1].measurement == z_power(2, 1)
-        assert all(s.state == StabilizerState.computational_basis(2, 1) for s in ss)
+def test_indices_name_table_entries():
+    assert _DOC["paulis"] == [
+        pauli_to_json(p) for p in (z_power(2, 1), z_power(2, 1, sign=-1), z_power(2, 2))
+    ]
+    assert _DOC["samples"] == [{"label": "0", "measurement": 0, "state": [1, 2]}]
+    s = sample_set_from_json(_with(measurement=2, state=[2, 1])).samples[0]
+    assert s.measurement == z_power(2, 2) and s.state == StabilizerState.computational_basis(2, 1)
+    assert s.measurement is s.state.group.generators[0]
 
 
 def _gate_on_3(obj):
@@ -534,7 +586,7 @@ def _gate_on_3(obj):
         (sample_from_json, _sample(label=["1"]), "label"),
         (sample_from_json, _sample(label={"1": 1}), "label"),
         (sample_from_json, _sample(label=1), "label"),
-        (sample_set_from_json, {"n": True, "samples": []}, "'n'"),
+        (sample_set_from_json, {"n": True, "paulis": [], "samples": []}, "'n'"),
         (_gate_on_3, {"name": "h", "qubit": "0"}, "'qubit'"),
         (_gate_on_3, {"name": "x", "qubit": True}, "'qubit'"),
         (_gate_on_3, {"name": "cnot", "control": [0], "target": 1}, "'control'"),
@@ -544,22 +596,16 @@ def _gate_on_3(obj):
         (circuit_from_json, {"n": 2, "gates": [{"name": "h", "qubit": "0"}]}, "'qubit'"),
         (circuit_from_json, {"n": 10 ** 18, "gates": []}, "'n'"),
         (instance_from_json, {"size": True, "m0": ["1"], "ms": []}, "'size'"),
-        (batch_from_json, [], "batch input must be an object"),
-        (batch_from_json, dict(_batch(), samples=[]), "'samples'"),
-        (batch_from_json, _batch(label=True), "labels must be 0 or 1"),
-        (batch_from_json, _batch(label=1.0), "labels must be 0 or 1"),
-        (batch_from_json, _batch(label="1/2"), "labels must be 0 or 1"),
-        (batch_from_json, _batch(label=2), "labels must be 0 or 1"),
-        (
-            batch_from_json,
-            dict(_batch(), measurement=pauli_to_json(PauliOperator(2, 0, 0))),
-            "measurement must be a nonidentity Z-type Pauli",
-        ),
-        (
-            batch_from_json,
-            _batch(state=[pauli_to_json(g) for g in StabilizerState.zero_state(3).group.generators]),
-            "qubit counts differ",
-        ),
+        (sample_set_from_json, _with(measurement=True), r"index True is not an integer in \[0, 3\)"),
+        (sample_set_from_json, _with(state=[1.0, 2]), r"Pauli index 1\.0 is not"),
+        (sample_set_from_json, _with(measurement=-1), "Pauli index -1 is not"),
+        (sample_set_from_json, _with(state=[1, 3]), "Pauli index 3 is not"),
+        (sample_set_from_json, _with(measurement="0"), "Pauli index '0' is not"),
+        (sample_set_from_json, dict(_DOC, n=3), "'paulis' must hold 3-qubit Paulis"),
+        (sample_set_from_json, {"n": 2, "samples": []}, "'paulis' must be a list"),
+        (sample_set_from_json, dict(_DOC, paulis={}), "'paulis' must be a list"),
+        (sample_set_from_json, dict(_DOC, paulis=[{}]), "Pauli field 'n'"),
+        (sample_from_json, _sample(label=1.0), "label"),
     ],
 )
 def test_loaders_reject_wrong_typed_fields(loader, obj, field):
@@ -571,7 +617,7 @@ def test_loaders_reject_wrong_typed_fields(loader, obj, field):
 # fuzzing the JSON loaders: every failure must be a ValueError
 
 _FIELDS = sorted(
-    {"n", "sign", "x", "z", "state", "measurement", "label", "samples", "name",
+    {"n", "sign", "x", "z", "state", "measurement", "label", "samples", "paulis", "name",
      "qubit", "control", "target", "gates", "tableau", "s", "phases", "size",
      "m0", "ms"}
 )
@@ -587,7 +633,6 @@ _LOADERS = [
     pauli_from_json,
     sample_from_json,
     sample_set_from_json,
-    batch_from_json,
     _gate_on_3,
     circuit_from_json,
     instance_from_json,
@@ -615,13 +660,20 @@ def _valid_documents():
         "tableau": tableau_block(replayed),
     }
     small, _ = random_consistent_set(rng, 2, 3)
+    # eight basis states under one Z-type measurement: a single-measurement set
+    meas = z_power(3, 0b101, sign=-1)
+    shared = SampleSet(3, [
+        Sample(StabilizerState.computational_basis(3, v), meas, Fraction(v & 1))
+        for v in range(8)
+    ])
     return [
         (sample_set_from_json, sample_set_to_json(small)),
         (sample_set_from_json, sample_set_to_json(SampleSet(3, samples.samples[:3]))),
         (circuit_from_json, circuit_to_json(random_cnot_circuit(rng, 3))),
         (circuit_from_json, replayed_doc),
         (instance_from_json, instance_to_json(inst)),
-        (batch_from_json, _batch()),
+        (sample_set_from_json, sample_set_to_json(shared)),
+        (sample_set_from_json, _DOC),
     ]
 
 
