@@ -1,14 +1,22 @@
 """Command-line pipeline: reduce, solve, verify, learn, complexity.
 
+Every subcommand is a function of the parsed arguments that writes
+nothing: it returns its outcome, (code, digest, outcome, counts,
+payload, text), or raises CliError or ValueError.  main alone writes,
+prints and reports: the payload (the output file's text, or None) to
+--out or else to stdout, then the human-readable text lines, then the
+one-line JSON run report, so a run's stdout is always in that order and
+an error, an unwritable --out included, leaves stdout empty.
+
 Exit codes are uniform across subcommands: 0 means found/consistent/
 success, 1 means no witness exists (or the learner failed), 2 means any
 error (unreadable input, schema violation, size limit, bad parameters).
-The last stdout line of every run is a one-line JSON run report with the
-command name, a sha256 digest of the primary input, the seed (null for
-solve and verify), the outcome, counters, wall time, and the tool
-version.  Output files are compact canonical JSON (sorted keys, no
-whitespace, trailing newline), so identical inputs and seed give
-identical bytes; input files may use any JSON layout.
+The report holds the command name, a sha256 digest of the primary
+input, the seed (null for solve, verify and complexity), the outcome,
+counters, wall time, and the tool version.  Output files are compact
+canonical JSON (sorted keys, no whitespace, trailing newline), so
+identical inputs and seed give identical bytes; input files may use any
+JSON layout.
 """
 
 import argparse
@@ -113,25 +121,11 @@ def _or(value, default):
     return default if value is None else value
 
 
-def _report(command, digest, seed, outcome, counts, started) -> None:
-    record = {
-        "command": command,
-        "input_digest": digest,
-        "seed": seed,
-        "outcome": outcome,
-        "counts": counts,
-        "wall_time_s": round(time.monotonic() - started, 6),
-        "version": __version__,
-    }
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_reduce(args) -> int:
-    started = time.monotonic()
+def cmd_reduce(args):
     if (args.cnf is None) == (args.formula is None):
         raise CliError("give exactly one of --cnf or --formula")
     rng = random.Random(args.seed)
@@ -149,20 +143,16 @@ def cmd_reduce(args) -> int:
     except RecursionError:  # the parser and the graph encoder recurse per nesting level
         raise CliError("formula nests deeper than the recursion limit %d" % sys.getrecursionlimit())
     # the canonical text of {"instance": ..., "samples": ...}, keys sorted
-    text = '{"instance":%s,"samples":%s}\n' % (
+    payload = '{"instance":%s,"samples":%s}\n' % (
         _canonical(instance_to_json(inst)),
         sample_set_dumps(samples),
     )
-    _write_out(args.out, text)
-    print("samples: %d" % len(samples.samples))
-    print("instance size: %d" % inst.size)
     counts = {"samples": len(samples.samples), "instance_size": inst.size}
-    _report("reduce", digest, args.seed, "ok", counts, started)
-    return 0
+    text = "samples: %d\ninstance size: %d" % (len(samples.samples), inst.size)
+    return 0, digest, "ok", counts, payload, text
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
+def cmd_solve(args):
     data = _read(args.input)
     digest = _digest(data)
     counts = {}
@@ -171,17 +161,12 @@ def cmd_solve(args) -> int:
         result = affine_family_search(inst)
         counts["assignments_examined"] = result.assignments_examined
         if not result.found:
-            print("no satisfying assignment")
-            _report("solve", digest, None, "none", counts, started)
-            return 1
+            return 1, digest, "none", counts, None, "no satisfying assignment"
         if inst.determinant_at(result.assignment) != 1:
             raise CliError("internal check failed: witness determinant is 0")
-        k = len(inst.ms)
-        witness = {"assignment": bits_to_string(result.assignment, k)}
-        _write_out(args.out, dumps(witness))
-        print("assignment: %s" % witness["assignment"])
-        _report("solve", digest, None, "found", counts, started)
-        return 0
+        assignment = bits_to_string(result.assignment, len(inst.ms))
+        payload = dumps({"assignment": assignment})
+        return 0, digest, "found", counts, payload, "assignment: %s" % assignment
     samples = _load(args.input, data, sample_set_from_json, "samples")
     counts["samples"] = len(samples.samples)
     if args.strategy == "brute":
@@ -193,19 +178,14 @@ def cmd_solve(args) -> int:
         if result.oracle_fault:
             raise CliError("decision oracle contradicted itself")
     if not result.found:
-        print("no consistent circuit")
-        _report("solve", digest, None, "none", counts, started)
-        return 1
+        return 1, digest, "none", counts, None, "no consistent circuit"
     if not check_consistent(result.circuit, samples):
         raise CliError("internal check failed: witness is not consistent")
-    _write_out(args.out, dumps(circuit_to_json(result.circuit)))
-    print("consistent circuit found")
-    _report("solve", digest, None, "found", counts, started)
-    return 0
+    payload = dumps(circuit_to_json(result.circuit))
+    return 0, digest, "found", counts, payload, "consistent circuit found"
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
+def cmd_verify(args):
     circuit_bytes = _read(args.circuit)
     samples_bytes = _read(args.samples)
     digest = _digest(circuit_bytes + samples_bytes)
@@ -220,13 +200,9 @@ def cmd_verify(args) -> int:
     counts = {"samples": len(samples.samples)}
     for index, sample in enumerate(samples.samples):
         if sample_code(t, sample) != sample.code:
-            print("inconsistent at sample %d" % index)
             counts["first_violation"] = index
-            _report("verify", digest, None, "inconsistent", counts, started)
-            return 1
-    print("consistent")
-    _report("verify", digest, None, "consistent", counts, started)
-    return 0
+            return 1, digest, "inconsistent", counts, None, "inconsistent at sample %d" % index
+    return 0, digest, "consistent", counts, None, "consistent"
 
 
 def _pac_input(obj):
@@ -268,10 +244,10 @@ def _learn_pac(args, rng):
         "samples": len(pool_set.samples),
     }
     if not result.found:
-        print("no consistent hypothesis")
-        return 1, _digest(data), "none", counts, None
+        return 1, _digest(data), "none", counts, None, "no consistent hypothesis"
     outcome = "found" if result.accepted else "found-unaccepted"
-    return 0, _digest(data), outcome, counts, dumps(circuit_to_json(result.circuit))
+    payload = dumps(circuit_to_json(result.circuit))
+    return 0, _digest(data), outcome, counts, payload, "hypothesis written"
 
 
 def _learn_single(args, rng):
@@ -281,13 +257,13 @@ def _learn_single(args, rng):
     try:
         circuit = learn_single_measurement(samples, rng)
     except EmptyIntersectionError as err:
-        print("no consistent hypothesis: %s" % err)
-        return 1, _digest(data), "none", counts, None
+        return 1, _digest(data), "none", counts, None, "no consistent hypothesis: %s" % err
     except ValueError as err:  # the set breaks a precondition of the learner
         raise CliError("%s: %s" % (args.input, err))
     if not check_consistent(circuit, samples):
         raise CliError("internal check failed: hypothesis is not consistent")
-    return 0, _digest(data), "found", counts, dumps(circuit_to_json(circuit))
+    payload = dumps(circuit_to_json(circuit))
+    return 0, _digest(data), "found", counts, payload, "hypothesis written"
 
 
 def _learn_trivial(args, rng):
@@ -300,35 +276,23 @@ def _learn_trivial(args, rng):
         raise CliError("internal check failed: tableau is not symplectic")
     digest = _digest(("trivial n=%d" % args.n).encode())
     counts = {"gates": 4 * args.n * args.n}
-    return 0, digest, "found", counts, dumps(circuit_to_json(tableau))
+    return 0, digest, "found", counts, dumps(circuit_to_json(tableau)), "hypothesis written"
 
 
-def cmd_learn(args) -> int:
-    started = time.monotonic()
+def cmd_learn(args):
     rng = random.Random(args.seed)
-    unused = {
-        "pac": ("--n",),
-        "single-measurement": ("--n", "--draw-constant"),
-        "trivial": ("--input", "--draw-constant"),
+    unused, learner = {
+        "pac": (("--n",), _learn_pac),
+        "single-measurement": (("--n", "--draw-constant"), _learn_single),
+        "trivial": (("--input", "--draw-constant"), _learn_trivial),
     }[args.mode]
     _reject_unused(args, unused, "in %s mode" % args.mode)
     if args.mode in ("pac", "single-measurement") and args.input is None:
         raise CliError("%s mode needs --input" % args.mode)
-    if args.mode == "pac":
-        code, digest, outcome, counts, payload = _learn_pac(args, rng)
-    elif args.mode == "single-measurement":
-        code, digest, outcome, counts, payload = _learn_single(args, rng)
-    else:
-        code, digest, outcome, counts, payload = _learn_trivial(args, rng)
-    if payload is not None:
-        _write_out(args.out, payload)
-        print("hypothesis written")
-    _report("learn", digest, args.seed, outcome, counts, started)
-    return code
+    return learner(args, rng)
 
 
-def cmd_complexity(args) -> int:
-    started = time.monotonic()
+def cmd_complexity(args):
     if args.cnot_n is not None:
         _reject_unused(args, ("--alpha", "--beta", "--d", "--depth", "--size"), "with --cnot-n")
         params = cnot_defaults(
@@ -357,10 +321,8 @@ def cmd_complexity(args) -> int:
         )
     m = sample_complexity(params)
     digest = _digest(json.dumps(vars(params), sort_keys=True).encode())
-    print("m = %d" % m)
-    print("note: all big-O constants are set to 1; treat m as a scale, not a guarantee")
-    _report("complexity", digest, None, "ok", {"m": m}, started)
-    return 0
+    text = "m = %d\nnote: all big-O constants are set to 1; treat m as a scale, not a guarantee" % m
+    return 0, digest, "ok", {"m": m}, None, text
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +400,26 @@ def main(argv=None) -> int:
         "learn": cmd_learn,
         "complexity": cmd_complexity,
     }[args.command]
+    started = time.monotonic()
     try:
-        return command(args)
+        code, digest, outcome, counts, payload, text = command(args)
+        if payload is not None:
+            _write_out(args.out, payload)
     except (CliError, ValueError) as err:  # DimacsError and EnumerationLimitError too
         print("error: %s" % err, file=sys.stderr)
         return 2
+    print(text)
+    report = {
+        "command": args.command,
+        "input_digest": digest,
+        "seed": getattr(args, "seed", None),
+        "outcome": outcome,
+        "counts": counts,
+        "wall_time_s": round(time.monotonic() - started, 6),
+        "version": __version__,
+    }
+    print(json.dumps(report, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ _MAX_DRAWS = 10**6
 
 
 class EmptyIntersectionError(ValueError):
-    """No hypothesis satisfies every constraint in the batch."""
+    """No hypothesis satisfies every constraint in the sample set."""
 
 
 class LearningParameters:
@@ -195,7 +195,7 @@ def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
     w.(u | (q.x << n)) = w_n (sigma + [label 0]) for every row w of the
     state's z_constraints, one linear system for all samples."""
     if not samples.samples:
-        raise ValueError("batch must contain at least one sample")
+        raise ValueError("sample set must contain at least one sample")
     measurement = samples.samples[0].measurement
     if measurement.x != 0 or measurement.z == 0:
         raise ValueError("measurement must be a nonidentity Z-type Pauli")

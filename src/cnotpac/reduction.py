@@ -232,9 +232,13 @@ def constrain_submatrix_samples(
 
 
 # instance_to_samples emits up to n(n + 1) samples of n generators each,
-# so its work and output grow as n^4 (size 82 took 6.3 s and 111 MB, size
-# 302 did not finish in 120 s); a short formula must not ask for that.
-_MAX_INSTANCE_SIZE = 64
+# and the written file names each generator by index, so work and output
+# grow as n^3.  Single runs on a 2-vCPU host, random 3-CNFs over 8
+# variables: n = 103 took 1.6 s to reduce, 11.7 MB and 111 MB peak RSS;
+# n = 139 took 3.9 s, 28.5 MB and 235 MB; n = 172 took 6.1 s, 53.6 MB
+# and 403 MB.  At 128 a reduce stays near 2.5 s and 22 MB, and a short
+# formula (300 summed x1s, size 302) is refused before any sample.
+_MAX_INSTANCE_SIZE = 128
 
 
 def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:

@@ -166,19 +166,6 @@ def _check_brute_limit(n: int) -> None:
         raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
 
 
-def _with_row(table, v, r, n):
-    """Copy of the DFS row table with row r = v added, payload 1 << (n + r),
-    or None when v is in the span of the rows already there.  The one
-    reduction of v is both the span test and the row that is stored."""
-    row = _reduce(table, v | 1 << (n + r), n)
-    key = row & ((1 << n) - 1)
-    if not key:
-        return None
-    table = dict(table)
-    table[key.bit_length() - 1] = row
-    return table
-
-
 def _dfs_first(n, blocks, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
     leaves examined).  packed holds the rows chosen so far in the table's
@@ -190,12 +177,13 @@ def _dfs_first(n, blocks, generic):
     A node at depth r first checks row v against the equations of
     blocks[r], with bit operations on packed: the pivots being distinct,
     they all hold exactly when rows 0..r extend to a solution of every
-    full-Z equation.  Below depth n - 1, _with_row then reduces v once,
-    which drops a v dependent on rows 0..r-1, and the search recurses.
+    full-Z equation.  Then row = v | 1 << (n + r) reduced against the
+    table is the span test, which drops a v dependent on rows 0..r-1;
+    below depth n - 1 the row goes into the one table under its lead for
+    the recursion and comes out after it.
 
     Depth n - 1, the parent of the leaves, runs each leaf in the same
-    loop and builds no child table: row = v reduced against the parent's
-    table is the span test and the last row.  The parent's table has
+    loop and inserts nothing: row is the last row.  The parent's table has
     n - 1 pivots, so a reduction through it stops at zero or at the one
     non-pivot column.  For each generic sample, on first use at the node
     (most leaves fail the first one), it keeps the image bits 0..n-2 of
@@ -209,14 +197,15 @@ def _dfs_first(n, blocks, generic):
     Only the witness becomes a circuit."""
     full = (1 << n) - 1
     last = n - 1
-    top = 1 << (n + last)
     equations = blocks[n]
+    table = {}
     examined = 0
 
-    def rec(r, table, packed):
+    def rec(r, packed):
         nonlocal examined
         block = blocks[r]
         shift = r * n
+        bit = 1 << (n + r)
         shared = [None] * len(generic)
         for v in range(1, 1 << n):
             p = packed | v << shift
@@ -224,16 +213,17 @@ def _dfs_first(n, blocks, generic):
                 if (eq & p).bit_count() & 1:
                     break
             else:
-                if r < last:
-                    child = _with_row(table, v, r, n)
-                    if child is not None:
-                        hit = rec(r + 1, child, p)
-                        if hit is not None:
-                            return hit
-                    continue
-                row = _reduce(table, v | top, n)
+                row = _reduce(table, v | bit, n)
                 if not row & full:
-                    continue  # v is in the span of rows 0..n-2
+                    continue  # v is in the span of rows 0..r-1
+                if r < last:
+                    lead = (row & full).bit_length() - 1
+                    table[lead] = row
+                    hit = rec(r + 1, p)
+                    del table[lead]
+                    if hit is not None:
+                        return hit
+                    continue
                 examined += 1
                 pairs = []
                 for k, gs in enumerate(generic):
@@ -267,7 +257,7 @@ def _dfs_first(n, blocks, generic):
                         return CnotCircuit(theta, q_space.offset)
         return None
 
-    circuit = rec(0, {}, 1 << (n * n + n))
+    circuit = rec(0, 1 << (n * n + n))
     return circuit, examined
 
 

@@ -3,14 +3,17 @@
 Each test covers one advertised contract of the package end to end,
 prints a single PASS line on success (visible under pytest -s), and
 fails if it overruns its budget.  Every run is seeded; nothing here
-touches the network or the filesystem.
+touches the network, and only check 13, which runs the CLI, writes
+files, under pytest's tmp_path.
 """
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
 
+from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import (
     Constant,
@@ -31,6 +34,7 @@ from cnotpac.reduction import (
     reduce_sat_to_samples,
 )
 from cnotpac.samples import Sample, SampleSet
+from cnotpac.serialization import circuit_to_json, dumps, instance_from_json, string_to_bits
 from cnotpac.search import (
     affine_family_search,
     brute_force_decision,
@@ -338,3 +342,31 @@ def test_12_random_gate_streams_preserve_the_symplectic_form():
             total += 1
     assert total >= 10**4
     _done(12, t0, 10.0, "S^T Lambda S = Lambda after %d random gates" % total)
+
+
+def test_13_a_twelve_clause_cnf_runs_through_the_cli(tmp_path, capsys):
+    t0 = time.perf_counter()
+    rng = random.Random(12)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 9), 3)] for _ in range(12)
+    ]
+    cnf, red = tmp_path / "in.cnf", tmp_path / "red.json"
+    cnf.write_text("p cnf 8 12\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses))
+
+    def cli(*argv):
+        code = main([str(a) for a in argv])
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        return code, report
+
+    code, report = cli("reduce", "--cnf", cnf, "--seed", 0, "--out", red)
+    n = report["counts"]["instance_size"]
+    assert code == 0 and n == 103
+    code, report = cli("solve", red, "--strategy", "affine", "--out", tmp_path / "a.json")
+    assert code == 0 and report["outcome"] == "found"
+    a = string_to_bits(json.loads((tmp_path / "a.json").read_text())["assignment"])
+    assert eval_formula(arithmetize_cnf(clauses), a) == 1
+    inst = instance_from_json(json.loads(red.read_text())["instance"])
+    (tmp_path / "c.json").write_text(dumps(circuit_to_json(CnotCircuit(inst.matrix_at(a), 0))))
+    code, report = cli("verify", tmp_path / "c.json", red)
+    assert code == 0 and report["outcome"] == "consistent"
+    _done(13, t0, 30.0, "reduce, solve affine and verify a 12-clause 3-CNF at n = %d" % n)

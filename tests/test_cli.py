@@ -129,7 +129,7 @@ def _reduce_argv(tmp_path, formula, cnf):
         (None, "p cnf 1025 1\n-1025 0\n", "exceeds the limit of 1024"),
         ("x\u0661 + x\u0662", None, "variable needs an index"),
         ("x\u00b2", None, "variable needs an index"),
-        ("+".join(["x1"] * 300), None, "instance size 302 exceeds the limit of 64"),
+        ("+".join(["x1"] * 300), None, "instance size 302 exceeds the limit of 128"),
     ],
     ids=[
         "formula-index-1025", "dimacs-literal-1025", "arabic-indic-digits", "superscript-two",
@@ -292,8 +292,35 @@ def test_back_to_back_main_calls_share_no_arguments(unit_reduction, tmp_path, ca
     code, stdout, _ = run(capsys, "solve", str(unit_reduction), "--strategy", "decision")
     assert code == 0 and "oracle_queries" in last_report(stdout)["counts"]
     # a command function replaced after the parser was built is the one called
-    monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: (7, "", "none", {}, None, "replaced"))
     assert main(["solve", str(unit_reduction)]) == 7
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["reduce", "--formula", "x1", "--seed", "3"], 2),
+        (["solve", "{red}", "--strategy", "affine"], 1),
+        (["solve", "{red}", "--strategy", "brute"], 1),
+        (["learn", "--mode", "trivial", "--n", "2", "--seed", "5"], 1),
+    ],
+    ids=["reduce", "solve-affine", "solve-brute", "learn-trivial"],
+)
+def test_stdout_is_the_payload_then_the_text_then_the_report(
+    argv, lines, unit_reduction, tmp_path, capsys
+):
+    argv = [a.format(red=unit_reduction) for a in argv]
+    out = tmp_path / "out.json"
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    expected = out.read_text() + "".join(stdout.splitlines(True)[:lines])
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout.startswith(expected)
+    assert len(stdout.splitlines()) == len(expected.splitlines()) + 1
+    assert last_report(stdout)["command"] == argv[0]
+    # an unwritable --out is an error: exit 2, nothing on stdout
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out.json"))
+    assert code == 2 and stdout == "" and err.startswith("error: cannot write ")
 
 
 def test_verify_inconsistent_reports_index(tmp_path, capsys):
@@ -430,7 +457,7 @@ _POOL = _one_measurement_set([z_power(1, 1)], [1])
         (
             "single-measurement",
             {"n": 1, "paulis": [], "samples": []},
-            "batch must contain at least one sample",
+            "sample set must contain at least one sample",
         ),
         ("pac", {"n": 1, "paulis": [], "samples": []}, "pac input needs at least one sample"),
         (
@@ -730,7 +757,7 @@ def _solve_list_label_argv(tmp_path):
         ),
         (
             lambda tmp: ["reduce", "--formula", "+".join(["x1"] * 300), "--seed", "0"],
-            "error: instance size 302 exceeds the limit of 64\n",
+            "error: instance size 302 exceeds the limit of 128\n",
         ),
     ],
     ids=[
@@ -745,7 +772,7 @@ def _solve_list_label_argv(tmp_path):
         "trivial-input", "trivial-draw-constant", "pac-n", "single-n", "single-draw-constant",
         "reduce-cnf-and-formula", "reduce-neither", "dimacs-bad-literal",
         "solve-enumeration-limit", "solve-non-utf8", "solve-deep-json", "verify-deep-json",
-        "solve-list-label", "reduce-64-qubit-limit",
+        "solve-list-label", "reduce-instance-size-limit",
     ],
 )
 def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys):

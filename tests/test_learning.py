@@ -405,7 +405,7 @@ def test_batch_validation():
         learn_single_measurement(
             batch(z_power(2, 0b01), [(zero, 1), (zero, Fraction(1, 2))]), random.Random(0)
         )
-    with pytest.raises(ValueError, match="batch must contain at least one sample"):
+    with pytest.raises(ValueError, match="sample set must contain at least one sample"):
         learn_single_measurement(SampleSet(2, []), random.Random(0))
     # an identity measurement or a state on other qubits makes no Sample at all
     with pytest.raises(ValueError, match="measurement must not be the identity"):

@@ -242,8 +242,8 @@ def test_deterministic_without_rng():
 
 
 def test_instance_size_above_the_limit_is_refused_before_any_sample():
-    inst = NonSingularityInstance(65, BitMatrix.identity(65), [])
-    with pytest.raises(ValueError, match="instance size 65 exceeds the limit of 64"):
+    inst = NonSingularityInstance(129, BitMatrix.identity(129), [])
+    with pytest.raises(ValueError, match="instance size 129 exceeds the limit of 128"):
         instance_to_samples(inst, None)
 
 

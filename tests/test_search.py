@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
-from cnotpac.formula import Constant, eval_formula, formula_to_graph
+from cnotpac.formula import Constant, arithmetize_cnf, eval_formula, formula_to_graph
 from cnotpac.gf2 import BitMatrix, _insert, _reduce, complete_to_basis, dot
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import (
@@ -22,7 +22,6 @@ from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
     _compile,
-    _with_row,
     affine_family_search,
     brute_force_decision,
     brute_force_search,
@@ -33,7 +32,7 @@ from cnotpac.search import (
 from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import Gate
 
-from formula_corpus import CORPUS, SMALL_CNFS, golden_formula
+from formula_corpus import CORPUS, SMALL_CNFS, SMALL_FORMULAS, golden_formula
 from helpers import all_cnot_circuits, invertible_matrices, random_stabilizer_state
 
 
@@ -494,6 +493,31 @@ def test_compiled_reduction_solves_to_exactly_the_family_at_q_zero():
                 assert ((eq & packed).bit_count() ^ eq >> top) & 1 == 0, (name, a)
 
 
+# the same contract as a bijection, read off the reference scan at n <= 4:
+# the hits are exactly (M(a), 0) over the a with det M(a) = 1, no two share
+# a theta, and there are as many as F has satisfying assignments
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_reduction_hits_are_the_family_one_per_satisfying_assignment(seed):
+    rng = random.Random(seed)
+    cases = [(f, reduce_formula_to_samples(f, rng, num_vars=k)) for _, f, k in CORPUS]
+    cases += [(f, reduce_formula_to_samples(f, rng, num_vars=k)) for _, f, k in SMALL_FORMULAS]
+    cases += [(arithmetize_cnf(c), reduce_sat_to_samples(c, rng)) for _, c in SMALL_CNFS]
+    checked = 0
+    for f, (samples, inst) in cases:
+        if inst.size > 4:
+            continue
+        hits = enumerate_consistent_circuits(samples)
+        assert all(h.q == 0 for h in hits)
+        thetas = [tuple(h.theta.rows) for h in hits]
+        assert len(set(thetas)) == len(thetas)
+        assignments = range(1 << inst.num_vars)
+        family = {tuple(inst.matrix_at(a).rows) for a in assignments if inst.determinant_at(a)}
+        assert set(thetas) == family
+        assert len(hits) == sum(eval_formula(f, a) for a in assignments)
+        checked += 1
+    assert checked == 12
+
+
 def _rows_solved_per_sample(samples):
     """The full-Z rows of _compile's table, each sign character t from its
     own BitMatrix(zs, n).solve(signs)."""
@@ -547,7 +571,7 @@ def test_row_table_payload_is_the_inverse_transpose(n, seed):
         for w in range(1 << n):
             in_span = BitMatrix(theta.rows[:r] + [w], n).rank() == r
             assert (_reduce(table, w, n) & full == 0) == in_span
-        table = _with_row(table, v, r, n)
+        _insert(table, v | 1 << (n + r), n)
     inv_t = theta.inverse().transpose()
     for px in range(1 << n):
         reduced = _reduce(table, px, n)
