@@ -245,6 +245,11 @@ def _learn_pac(args, rng):
     }
     if not result.found:
         return 1, _digest(data), "none", counts, None, "no consistent hypothesis"
+    # the hypothesis's exact error under D: the weight it mislabels over the total
+    t = result.circuit.to_tableau()
+    mass = weights or [1] * len(pool_set.samples)
+    wrong = (w for sample, w in zip(pool_set, mass) if sample_code(t, sample) != sample.code)
+    counts["error"] = math.fsum(wrong) / math.fsum(mass)
     outcome = "found" if result.accepted else "found-unaccepted"
     payload = dumps(circuit_to_json(result.circuit))
     return 0, _digest(data), outcome, counts, payload, "hypothesis written"

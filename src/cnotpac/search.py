@@ -12,17 +12,21 @@ of (theta, q), signed by the state's z_constraints; they compile into
 one echelon table, whose rows led by theta row r prune every row prefix
 at depth r exactly, and whose rows led by a q bit join the generic
 samples in an exact solve for q at each leaf instead of an enumeration.
-A node tests a candidate row against
+A node above the parent of the leaves tests a candidate row against
 those equations before it reduces the row, once, against the rows
-chosen so far.  The parent of the leaves runs them in one loop with no
-table of their own: its table has n - 1 pivots, so reducing through it
-stops at zero or at the one non-pivot column, and each generic sample's
-work on rows 0..n-2 is done once for all its leaves.  A leaf tests the
-generic samples before it solves for q.  The result is identical to the
-naive scan, enumerate_consistent_circuits, the reference for
-cross-checking at small n: it walks every invertible theta, builds its
-q = 0 tableau and scores all 2^n sign vectors q at once as a bitmask,
-since q moves only the phase of a measurement's image, by 2 |q & z|.
+chosen so far.  The parent of the leaves scans no rows: rows 0..n-2
+span a hyperplane, so the last rows are e_c + sum a_i R_i over a in
+F_2^(n-1), and the full-Z equations on the last row, like each generic
+sample's image key, are linear in a.  A group of n independent
+commuting generators is maximal isotropic, so a sample labelled 0 or 1
+puts its image in the group through n more equations, one per
+generator.  One solve per node leaves the last rows that all of them
+admit; only those check the samples labelled 1/2 and solve for q.  The
+result is identical to the naive scan, enumerate_consistent_circuits,
+the reference for cross-checking at small n: it walks every invertible
+theta, builds its q = 0 tableau and scores all 2^n sign vectors q at
+once as a bitmask, since q moves only the phase of a measurement's
+image, by 2 |q & z|.
 
 search_from_decision asks its oracle about the input set extended by
 pin samples.  The compile is a fold over the samples in order, so for
@@ -32,6 +36,7 @@ into a copy: the table a compile of the whole extended set would build.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -95,15 +100,18 @@ def _check_cnot_shape(t) -> None:
 
 class _GenericSample:
     """Any sample outside the full-Z fast path: its group, raw measurement,
-    and its label as two bits, half (label 1/2) and flip (label 0)."""
+    its label as two bits, half (label 1/2) and flip (label 0), and a
+    check row g.z | g.x << n per generator g, whose AND with a key
+    x | z << n has odd parity iff X^x Z^z anticommutes with g."""
 
-    __slots__ = ("group", "e", "px", "pz", "half", "flip")
+    __slots__ = ("group", "e", "px", "pz", "half", "flip", "checks")
 
     def __init__(self, sample):
-        self.group = sample.state.group
+        self.group = group = sample.state.group
         self.e, self.px, self.pz = sample.measurement.raw()
         self.half = sample.code == 1
         self.flip = 1 if sample.code == 0 else 0
+        self.checks = [g.z | g.x << group.n for g in group.generators]
 
 
 def _add_samples(compiled, samples, n) -> bool:
@@ -115,9 +123,10 @@ def _add_samples(compiled, samples, n) -> bool:
     one z_constraints row and c = sigma + [label 0].  It is packed as one
     row: bit r n + j is theta[r][j], bit n^2 + j is q_j and the payload
     bit n^2 + n is c.  Every other sample, Z-type on a state with an x
-    part included, is generic and is checked at the leaf.  Returns False,
-    with compiled part-folded, when no CNOT circuit can match: a full-Z
-    sample labeled 1/2 or an equation that reduces to 0 = 1."""
+    part included, is generic and is checked at the parent of the leaves
+    and at the leaves.  Returns False, with compiled part-folded, when no
+    CNOT circuit can match: a full-Z sample labeled 1/2 or an equation
+    that reduces to 0 = 1."""
     table, supports, generic = compiled
     top = n * n + n
     for s in samples:
@@ -166,6 +175,56 @@ def _check_brute_limit(n: int) -> None:
         raise EnumerationLimitError("enumeration limit: n = %d exceeds 5" % n)
 
 
+def _image(gs, n, table, rows, c):
+    """(base, outside, low), with which _image_key gives the key of
+    theta's image of gs's measurement at a, for rows R = rows 0..n-2 in
+    table, c its non-pivot column and last row e_c + sum a_i R_i.  low
+    holds the bits of theta pz on R, and its top bit is pz_c + a.low.
+    Reducing px through table stops at zero, leaving theta^{-T} px as
+    the payload, or at column c: then px + e_c is in span R, and
+    theta^{-T} px is its payload plus a, with the top bit set; outside
+    masks a into the key in that case only."""
+    low = 0
+    for i, u in enumerate(rows):
+        low |= ((u & gs.pz).bit_count() & 1) << i
+    res = _reduce(table, gs.px, n)
+    outside = 0
+    if res & ((1 << n) - 1):
+        res = _reduce(table, res ^ 1 << c | 1 << (2 * n - 1), n)
+        outside = (1 << (n - 1)) - 1
+    return res >> n | low << n | (gs.pz >> c & 1) << (2 * n - 1), outside, low
+
+
+def _image_key(image, a, n):
+    """The image key x | z << n at a, for image from _image."""
+    base, outside, low = image
+    return base ^ a & outside ^ ((a & low).bit_count() & 1) << (2 * n - 1)
+
+
+def _member_rows(gs, image, n):
+    """Rows coef | rhs << (n - 1), one per generator of gs's group: the
+    image key at a is in the group iff parity(coef & a) = rhs for all.
+    n independent commuting generators make the group maximal isotropic,
+    so a key is in it iff it commutes with every generator."""
+    base, outside, low = image
+    top = 2 * n - 1
+    return [
+        (w & outside ^ (low if w >> top & 1 else 0)) | ((base & w).bit_count() & 1) << (n - 1)
+        for w in gs.checks
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _solution_masks(n):
+    """masks[coef | rhs << (n - 1)]: bit a set, over a < 2^(n-1), iff
+    parity(coef & a) = rhs."""
+    last = n - 1
+    return tuple(
+        sum(1 << a for a in range(1 << last) if not (row & (a | 1 << last)).bit_count() & 1)
+        for row in range(1 << n)
+    )
+
+
 def _dfs_first(n, blocks, generic):
     """First consistent (theta, q) in row-lex order, as (circuit or None,
     leaves examined).  packed holds the rows chosen so far in the table's
@@ -174,39 +233,97 @@ def _dfs_first(n, blocks, generic):
     r inserted with payload 1 << (n + r), so a vector that reduces through
     a full table leaves theta^{-T} of it as the payload.
 
-    A node at depth r first checks row v against the equations of
+    A node at depth r < n - 1 first checks row v against the equations of
     blocks[r], with bit operations on packed: the pivots being distinct,
     they all hold exactly when rows 0..r extend to a solution of every
     full-Z equation.  Then row = v | 1 << (n + r) reduced against the
-    table is the span test, which drops a v dependent on rows 0..r-1;
-    below depth n - 1 the row goes into the one table under its lead for
-    the recursion and comes out after it.
+    table is the span test, which drops a v dependent on rows 0..r-1; the
+    row goes into the one table under its lead for the recursion and
+    comes out after it.
 
-    Depth n - 1, the parent of the leaves, runs each leaf in the same
-    loop and inserts nothing: row is the last row.  The parent's table has
-    n - 1 pivots, so a reduction through it stops at zero or at the one
-    non-pivot column.  For each generic sample, on first use at the node
-    (most leaves fail the first one), it keeps the image bits 0..n-2 of
-    theta pz and res, px reduced against its table.  A leaf adds the top
-    image bit, the parity of v AND pz, and when res stopped at the
-    non-pivot column it reduces res ^ row, in which that column cancels,
-    leaving theta^{-T} px.  Each generic sample rejects theta or gives
-    one equation on q; then each table row led by a q bit gives one, its
-    right side the parity of the row AND packed.  The solve is fully
-    reduced, so the order of the equations does not change the least q.
-    Only the witness becomes a circuit."""
+    Depth n - 1, the parent of the leaves, scans no rows.  Its rows R span
+    a hyperplane, so its leaves are the last rows e_c + sum a_i R_i over
+    a in F_2^(n-1), c the table's one non-pivot column, and it solves
+    for a.  The equations of blocks[n - 1] are linear in a, and so is a
+    generic sample's image key (_image); a sample labelled 0 or 1 needs
+    the key in its group, n more equations (_member_rows).  alive keeps
+    the solutions as a mask over a, bit a set while a satisfies every
+    equation so far (_solution_masks), and a node whose mask empties
+    ends there.  The survivors, in ascending last row, check the samples
+    labelled 1/2 and solve for q: each sample labelled 0 or 1 gives one
+    equation on q from its member's phase, and each table row led by a
+    q bit gives one, its right side the parity of the row AND packed.
+    The solve is fully reduced, so the order of the equations does not
+    change the least q.  A node's leaves are the last rows its block
+    rows admit, or at the witness those up to it.  Only the witness
+    becomes a circuit."""
     full = (1 << n) - 1
     last = n - 1
+    shift = last * n
+    sat = _solution_masks(n)
+    labelled = [gs for gs in generic if not gs.half]
+    halves = [gs for gs in generic if gs.half]
     equations = blocks[n]
     table = {}
     examined = 0
 
-    def rec(r, packed):
+    def leaves(packed):
         nonlocal examined
+        rows = [packed >> i * n & full for i in range(last)]
+        c = last
+        while c in table:
+            c -= 1
+        alive = (1 << (1 << last)) - 1
+        for eq in blocks[last]:
+            w = eq >> shift & full
+            row = (((eq & packed).bit_count() ^ w >> c) & 1) << last
+            for i, u in enumerate(rows):
+                row |= ((w & u).bit_count() & 1) << i
+            alive &= sat[row]
+        admitted = alive
+        node = []
+        for gs in labelled:
+            if not alive:
+                break
+            image = _image(gs, n, table, rows, c)
+            node.append((gs, image))
+            for row in _member_rows(gs, image, n):
+                alive &= sat[row]
+        if alive:
+            spans = [1 << c]
+            for u in rows:
+                spans += [v ^ u for v in spans]
+            halved = [(gs, _image(gs, n, table, rows, c)) for gs in halves]
+            up_to = 0  # the leaves up to v
+            for v, a in sorted(zip(spans, range(1 << last))):
+                up_to += admitted >> a & 1
+                if not alive >> a & 1:
+                    continue
+                if any(gs.group.member_phase(_image_key(im, a, n)) is not None for gs, im in halved):
+                    continue  # a sample labelled 1/2 has its image in the group
+                # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in
+                # the group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
+                pairs = []
+                for gs, image in node:
+                    e_member = gs.group.member_phase(_image_key(image, a, n))
+                    pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
+                p = packed | v << shift
+                for eq in equations:
+                    pairs.append((eq >> n * n & full, (eq & p).bit_count() & 1))
+                rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
+                q_space = BitMatrix([m for m, _ in pairs], n).solve_affine(rhs)
+                if q_space is not None:
+                    examined += up_to
+                    return CnotCircuit(BitMatrix(rows + [v], n), q_space.offset)
+        examined += admitted.bit_count()
+        return None
+
+    def rec(r, packed):
+        if r == last:
+            return leaves(packed)
         block = blocks[r]
         shift = r * n
         bit = 1 << (n + r)
-        shared = [None] * len(generic)
         for v in range(1, 1 << n):
             p = packed | v << shift
             for eq in block:
@@ -216,45 +333,12 @@ def _dfs_first(n, blocks, generic):
                 row = _reduce(table, v | bit, n)
                 if not row & full:
                     continue  # v is in the span of rows 0..r-1
-                if r < last:
-                    lead = (row & full).bit_length() - 1
-                    table[lead] = row
-                    hit = rec(r + 1, p)
-                    del table[lead]
-                    if hit is not None:
-                        return hit
-                    continue
-                examined += 1
-                pairs = []
-                for k, gs in enumerate(generic):
-                    node = shared[k]
-                    if node is None:
-                        low = 0
-                        for i in range(last):
-                            low |= ((packed >> i * n & gs.pz).bit_count() & 1) << i
-                        node = shared[k] = (low, _reduce(table, gs.px, n))
-                    low, res = node
-                    if res & full:
-                        res = _reduce(table, res ^ row, n)
-                    # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in
-                    # the group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
-                    image = low | ((v & gs.pz).bit_count() & 1) << last
-                    e_member = gs.group.member_phase(res >> n | image << n)
-                    if e_member is None:
-                        if not gs.half:
-                            break
-                        continue  # expectation is 1/2 for every q
-                    if gs.half:
-                        break
-                    pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
-                else:
-                    for eq in equations:
-                        pairs.append((eq >> n * n & full, (eq & p).bit_count() & 1))
-                    rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
-                    q_space = BitMatrix([a for a, _ in pairs], n).solve_affine(rhs)
-                    if q_space is not None:
-                        theta = BitMatrix([p >> i * n & full for i in range(n)], n)
-                        return CnotCircuit(theta, q_space.offset)
+                lead = (row & full).bit_length() - 1
+                table[lead] = row
+                hit = rec(r + 1, p)
+                del table[lead]
+                if hit is not None:
+                    return hit
         return None
 
     circuit = rec(0, 1 << (n * n + n))

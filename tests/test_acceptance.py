@@ -56,6 +56,7 @@ from helpers import (
     random_stabilizer_state,
 )
 from test_learning import CountingRng, random_batch
+from test_search import _learn_shaped_sets
 from test_reduction import GOLDEN_M0, GOLDEN_MS
 
 
@@ -370,3 +371,13 @@ def test_13_a_twelve_clause_cnf_runs_through_the_cli(tmp_path, capsys):
     code, report = cli("verify", tmp_path / "c.json", red)
     assert code == 0 and report["outcome"] == "consistent"
     _done(13, t0, 30.0, "reduce, solve affine and verify a 12-clause 3-CNF at n = %d" % n)
+
+
+def test_14_brute_search_solves_the_deep_n_5_learn_shaped_pool():
+    t0 = time.perf_counter()
+    samples = next(_learn_shaped_sets(n=5, pools=1))
+    r = brute_force_search(samples)
+    assert r.found and r.circuits_examined == 1832681
+    assert tuple(r.circuit.theta.rows) == (23, 2, 22, 8, 16) and r.circuit.q == 1
+    assert check_consistent(r.circuit, samples)
+    _done(14, t0, 5.0, "brute search at n = 5 through %d leaves" % r.circuits_examined)

@@ -518,6 +518,38 @@ def test_learn_pac(tmp_path, capsys):
     assert last_report(stdout)["outcome"] == "none"
 
 
+# |0> measured on Z labelled 1 and 0, and on X labelled 1/2: a hypothesis
+# with q = 0 mislabels the second sample, one with q = 1 the first, and
+# every hypothesis gives X the label 1/2
+_SPLIT_POOL = _one_measurement_set(
+    [z_power(1, 1), z_power(1, 1), x_power(1, 1)], [1, 0, Fraction(1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "weights, error_by_q", [([5, 2, 1], (2 / 8, 5 / 8)), (None, (1 / 3, 1 / 3))]
+)
+def test_learn_pac_reports_the_exact_error_under_the_pool_weights(
+    weights, error_by_q, tmp_path, capsys
+):
+    fields = {"s": 1} if weights is None else {"s": 1, "weights": weights}
+    pool = tmp_path / "pool.json"
+    pool.write_text(dumps(dict(_SPLIT_POOL, **fields)))
+    hyp = tmp_path / "hyp.json"
+    learned = set()
+    for seed in range(8):  # s = 1 makes one draw, so the seed picks the sample learned
+        code, stdout, _ = run(
+            capsys, "learn", "--mode", "pac", "--input", str(pool), "--seed", str(seed),
+            "--out", str(hyp),
+        )
+        report = last_report(stdout)
+        assert code == 0 and report["outcome"] == "found-unaccepted"
+        q = circuit_from_json(json.loads(hyp.read_text())).q
+        assert report["counts"]["error"] == error_by_q[q]
+        learned.add(q)
+    assert learned == {0, 1}
+
+
 def test_learn_trivial(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -21,7 +21,11 @@ from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
+    _GenericSample,
     _compile,
+    _image,
+    _image_key,
+    _member_rows,
     affine_family_search,
     brute_force_decision,
     brute_force_search,
@@ -30,7 +34,7 @@ from cnotpac.search import (
     search_from_decision,
 )
 from cnotpac.stabilizer import StabilizerGroup, StabilizerState
-from cnotpac.tableau import Gate
+from cnotpac.tableau import Gate, sample_code
 
 from formula_corpus import CORPUS, SMALL_CNFS, SMALL_FORMULAS, golden_formula
 from helpers import all_cnot_circuits, invertible_matrices, random_stabilizer_state
@@ -460,16 +464,61 @@ def _learn_shaped_sets(n=4, pools=16):
 BRUTE_PIN_SHA256 = "60d9000a293d56c13c58e2c8174080b6bdcfa08e7ff8263a5f4e432b9addace1"
 
 
-def test_brute_results_are_pinned_on_learn_shaped_pools():
+def _brute_results(sets):
     results = []
-    for samples in _learn_shaped_sets():
+    for samples in sets:
         r = brute_force_search(samples)
         c = r.circuit
         results.append((r.found, c and tuple(c.theta.rows), c and c.q, r.circuits_examined))
+    return results, hashlib.sha256(repr(results).encode()).hexdigest()
+
+
+def test_brute_results_are_pinned_on_learn_shaped_pools():
+    results, digest = _brute_results(_learn_shaped_sets())
     assert {found for found, *_ in results} == {True, False}
     assert len({examined for *_, examined in results}) > 8
-    digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == BRUTE_PIN_SHA256, results
+
+
+def _half_labelled_pool(n, seed, count):
+    """A pool whose generic samples are all labelled 1/2, so they give the
+    parent of the leaves no equations: random measurements of random
+    states, redrawn until the hidden circuit gives 1/2, then full-Z
+    samples sharing one measurement support."""
+    rng = random.Random("brute-pin-half/%d" % seed)
+    full = (1 << n) - 1
+    t = random_cnot_circuit(rng, n).to_tableau()
+    samples = []
+    while len(samples) < count:
+        state = random_stabilizer_state(rng, n)
+        xz = rng.randrange(1, 1 << (2 * n))
+        meas = PauliOperator(n, xz & full, xz >> n)
+        label = state.expectation(t.conjugate_inverse(meas))
+        if label == Fraction(1, 2):
+            samples.append(Sample(state, meas, label))
+    x = rng.randrange(1, 1 << n)
+    for _ in range(3):
+        basis = complete_to_basis([], n, rng)
+        state = StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+        meas = z_power(n, x, sign=rng.choice((1, -1)))
+        samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
+    return SampleSet(n, samples)
+
+
+# the same digest at n = 5, where the reference scan does not reach: the
+# satisfiable pools 4, 6, 7 and 12 of _learn_shaped_sets(n=5) in both
+# orders, then _half_labelled_pool(5, 0, 80); recorded from the DFS that
+# tested every leaf of the parent of the leaves
+BRUTE_PIN_N5_SHA256 = "21594c70d8ffe35f89fd7472974b7884930028161c5d35d27285f2c9379a5bf6"
+
+
+def test_brute_results_are_pinned_on_learn_shaped_pools_at_n_5():
+    sets = [s for k, s in enumerate(_learn_shaped_sets(n=5, pools=13)) if k // 2 in (4, 6, 7, 12)]
+    sets.append(_half_labelled_pool(5, 0, 80))
+    assert all(gs.half for gs in _compile(sets[-1])[1])
+    results, digest = _brute_results(sets)
+    assert all(found for found, *_ in results)
+    assert digest == BRUTE_PIN_N5_SHA256, results
 
 
 def test_compiled_reduction_solves_to_exactly_the_family_at_q_zero():
@@ -577,6 +626,61 @@ def test_row_table_payload_is_the_inverse_transpose(n, seed):
         reduced = _reduce(table, px, n)
         assert reduced & full == 0
         assert reduced >> n == inv_t.mul_vec(px)
+
+
+# the parent of the leaves solves for its last row e_c + sum a_i R_i, R its
+# rows 0..n-2 and c the non-pivot column of their table: _image_key is the
+# image's key at every a, and the a that satisfy _member_rows are exactly
+# the last rows at which the q = 0 tableau does not label the sample 1/2
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from(("inside", "outside", "z-type")),
+    st.booleans(),
+    st.integers(0, 1 << 32),
+)
+def test_leaf_parent_solve_keeps_the_last_rows_whose_image_is_in_the_group(n, kind, held, seed):
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    while True:
+        theta = BitMatrix([rng.randrange(1, 1 << n) for _ in range(n)], n)
+        if theta.is_invertible():
+            break
+    rows = theta.rows[: n - 1]
+    table = {}
+    for r, u in enumerate(rows):
+        _insert(table, u | 1 << (n + r), n)
+    c = next(j for j in range(n) if j not in table)
+    px = 0
+    if kind != "z-type":
+        for u in rows:
+            px ^= u * rng.getrandbits(1)
+        if kind == "outside":
+            px ^= theta.rows[n - 1]
+    meas = PauliOperator(n, px, rng.randrange(0 if px else 1, full + 1), sign=rng.choice((1, -1)))
+    image = CnotCircuit(theta.copy(), 0).to_tableau().conjugate_inverse(meas)
+    while True:
+        state = _state_holding(rng, n, image) if held else random_stabilizer_state(rng, n)
+        if kind != "z-type" or any(g.x for g in state.group.generators):
+            break
+        held = held and n > 1 and rng.random() < 0.9  # n = 1 holds Z only in a Z state
+    sample = Sample(state, meas, Fraction(1))
+    gs = _GenericSample(sample)
+    solved = _image(gs, n, table, rows, c)
+    member = _member_rows(gs, solved, n)
+    lasts = set()
+    for a in range(1 << (n - 1)):
+        v = 1 << c
+        for i, u in enumerate(rows):
+            if a >> i & 1:
+                v ^= u
+        lasts.add(v)
+        t = CnotCircuit(BitMatrix(rows + [v], n), 0).to_tableau()
+        e, x, z = t.conjugate_raw(meas)
+        assert _image_key(solved, a, n) == x | z << n
+        admitted = not any((row & (a | 1 << (n - 1))).bit_count() & 1 for row in member)
+        assert admitted == (sample_code(t, sample) != 1)
+    assert lasts == {v for v in range(1 << n) if BitMatrix(rows + [v], n).rank() == n}
 
 
 # check_consistent scores each candidate through its own tableau, one q at
