@@ -12,13 +12,12 @@ with a shared branch bit costs kn + k - 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .formula import Formula, WeightedDigraph, arithmetize_cnf, formula_to_graph, num_variables
 from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
 from .pauli import PauliOperator, z_power
-from .samples import Sample, SampleSet
+from .samples import LABELS, Sample, SampleSet
 from .stabilizer import StabilizerGroup, StabilizerState
 
 
@@ -153,11 +152,11 @@ def _pin_samples(
         signed[j] = -gens[j]
         return StabilizerState(StabilizerGroup(signed))
 
-    out = [Sample(StabilizerState(StabilizerGroup(gens)), measurement, Fraction(1))]
+    out = [Sample(StabilizerState(StabilizerGroup(gens)), measurement, LABELS[2])]
     for j in range(len(head), n):
-        out.append(Sample(flipped(j), measurement, Fraction(1)))
+        out.append(Sample(flipped(j), measurement, LABELS[2]))
     if final:
-        out.append(Sample(flipped(0), measurement, Fraction(0)))
+        out.append(Sample(flipped(0), measurement, LABELS[0]))
     return out
 
 
@@ -225,7 +224,7 @@ def constrain_submatrix_samples(
             Sample(
                 StabilizerState.computational_basis(n, t),
                 z_power(n, (1 << columns[j - 1]) | (1 << columns[j])),
-                Fraction(1) if parity == 0 else Fraction(0),
+                LABELS[2] if parity == 0 else LABELS[0],
             )
         )
     return out
@@ -233,11 +232,11 @@ def constrain_submatrix_samples(
 
 # instance_to_samples emits up to n(n + 1) samples of n generators each,
 # and the written file names each generator by index, so work and output
-# grow as n^3.  Single runs on a 2-vCPU host, random 3-CNFs over 8
-# variables: n = 103 took 1.6 s to reduce, 11.7 MB and 111 MB peak RSS;
-# n = 139 took 3.9 s, 28.5 MB and 235 MB; n = 172 took 6.1 s, 53.6 MB
-# and 403 MB.  At 128 a reduce stays near 2.5 s and 22 MB, and a short
-# formula (300 summed x1s, size 302) is refused before any sample.
+# grow as n^3.  Medians of 5 `cnotpac reduce` processes on a 2-vCPU host:
+# a random 12-clause 3-CNF over 8 variables (n = 103) takes 1.2 s, writes
+# 11.7 MB and peaks at 74 MB RSS; 126 summed x1s (n = 128, the limit)
+# take 2.0 s, write 22.1 MB and peak at 121 MB.  A short formula (300
+# summed x1s, size 302) is refused before any sample.
 _MAX_INSTANCE_SIZE = 128
 
 
@@ -271,8 +270,8 @@ def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
             # so emit a directly contradictory pair
             state = StabilizerState.zero_state(n)
             probe = z_power(n, 1)
-            samples.append(Sample(state, probe, Fraction(1)))
-            samples.append(Sample(state, probe, Fraction(0)))
+            samples.append(Sample(state, probe, LABELS[2]))
+            samples.append(Sample(state, probe, LABELS[0]))
     assert len(samples) <= n * (n + 1)
     return SampleSet(n, samples)
 

@@ -30,11 +30,13 @@ class Sample:
     code: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        label = Fraction(self.label)
+        label = self.label
+        if type(label) is not Fraction:
+            label = Fraction(label)
+            object.__setattr__(self, "label", label)
         code = _CODES.get((label.numerator, label.denominator))
         if code is None:
             raise ValueError("label must be 0, 1/2, or 1")
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "code", code)
         if self.measurement.is_identity():
             raise ValueError("measurement must not be the identity")

@@ -109,16 +109,29 @@ def pauli_from_json(obj) -> PauliOperator:
     return PauliOperator(n, x, z, sign=sign)
 
 
-def _sample_from_json(obj, pauli) -> Sample:
-    """One entry of a sample set's 'samples'; pauli maps a table index to
-    its PauliOperator."""
+def _table_entry(paulis: List[PauliOperator], i) -> PauliOperator:
+    # a bare paulis[i] would take True and wrap a negative i to the end
+    if type(i) is not int or not 0 <= i < len(paulis):
+        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(paulis)))
+    return paulis[i]
+
+
+def _sample_from_json(obj, paulis: List[PauliOperator]) -> Sample:
+    """One entry of a sample set's 'samples', naming entries of the
+    parsed table paulis by index."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     gens = obj.get("state")
     if not isinstance(gens, list) or not gens:
         raise ValueError("sample field 'state' must list the generators")
-    state = StabilizerState(StabilizerGroup([pauli(i) for i in gens]))
-    measurement = pauli(obj.get("measurement"))
+    # the whole list is checked at once; only a failing list is walked
+    # index by index, so that the error names its first bad index
+    if all(type(i) is int for i in gens) and min(gens) >= 0 and max(gens) < len(paulis):
+        generators = [paulis[i] for i in gens]
+    else:
+        generators = [_table_entry(paulis, i) for i in gens]
+    state = StabilizerState(StabilizerGroup(generators))
+    measurement = _table_entry(paulis, obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
@@ -131,7 +144,8 @@ def sample_set_dumps(ss: SampleSet) -> str:
     Each distinct Pauli is written once, as an entry of 'paulis' in order
     of first use (each sample's measurement, then its generators), and
     samples name entries by index.  Keys are in sorted order, as
-    _canonical writes them.
+    _canonical writes them; each entry's format string renders exactly
+    _canonical(pauli_to_json(p)), without a json.dumps per entry.
     """
     index: dict = {}
     entries: List[str] = []
@@ -142,7 +156,10 @@ def sample_set_dumps(ss: SampleSet) -> str:
         i = index.get(key)
         if i is None:
             i = index[key] = str(len(entries))
-            entries.append(_canonical(pauli_to_json(p)))
+            entries.append(
+                '{"n":%d,"sign":%d,"x":"%s","z":"%s"}'
+                % (p.n, p.sign, bits_to_string(p.x, p.n), bits_to_string(p.z, p.n))
+            )
         return i
 
     samples = ",".join(
@@ -173,14 +190,7 @@ def sample_set_from_json(obj) -> SampleSet:
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-
-    def pauli(i) -> PauliOperator:
-        # a bare paulis[i] would take True and wrap a negative i to the end
-        if type(i) is not int or not 0 <= i < len(paulis):
-            raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(paulis)))
-        return paulis[i]
-
-    return SampleSet(n, [_sample_from_json(s, pauli) for s in samples])
+    return SampleSet(n, [_sample_from_json(s, paulis) for s in samples])
 
 
 # ---------------------------------------------------------------------------

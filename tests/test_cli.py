@@ -32,7 +32,13 @@ from cnotpac.tableau import is_symplectic
 
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
-from test_serialization import TWIN_IDS, TWINS, twin_sample_set
+from test_serialization import (
+    BAD_STATE_DOCS,
+    BAD_STATE_IDS,
+    TWIN_IDS,
+    TWINS,
+    twin_sample_set,
+)
 
 
 def run(capsys, *argv):
@@ -366,6 +372,16 @@ def test_verify_schema_errors(tmp_path, capsys):
     mismatch.write_text(dumps(circuit_to_json(CnotCircuit.identity(3))))
     code, _, err = run(capsys, "verify", str(mismatch), str(spath))
     assert code == 2 and "mismatch" in err
+
+
+@pytest.mark.parametrize("doc, message", BAD_STATE_DOCS, ids=BAD_STATE_IDS)
+def test_verify_names_a_bad_state_index_after_good_ones(doc, message, tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(2))))
+    spath = tmp_path / "samples.json"
+    spath.write_text(dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
+    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (spath, message))
 
 
 def batch_fixture(tmp_path, seed=5, contradictory=False):

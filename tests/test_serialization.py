@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
@@ -312,6 +312,31 @@ def test_sample_set_text_is_the_canonical_dump():
         assert sample_set_to_json(ss) == _reference_json(ss)
 
 
+@st.composite
+def signed_paulis(draw):
+    """Nonidentity signed Paulis at n = 1..128, where reduce writes, with
+    x or z often 0 or full."""
+    n = draw(st.integers(1, 128))
+    bits = st.integers(0, (1 << n) - 1) | st.sampled_from((0, (1 << n) - 1))
+    x, z = draw(bits), draw(bits)
+    assume(x or z)
+    return PauliOperator(n, x, z, sign=draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_paulis())
+@example(PauliOperator(128, (1 << 128) - 1, (1 << 128) - 1, sign=-1))
+@example(PauliOperator(128, 0b1011 << 100, 0b0110 << 100, sign=-1))
+@example(PauliOperator(1, 0, 1, sign=-1))
+@example(PauliOperator(7, 0b1011, 0))
+def test_each_table_entry_is_the_canonical_dump_of_its_pauli(p):
+    ss = SampleSet(p.n, [Sample(StabilizerState.zero_state(p.n), p, Fraction(1, 2))])
+    text = sample_set_dumps(ss)
+    head = '{"n":%d,"paulis":[%s' % (p.n, dumps(pauli_to_json(p))[:-1])
+    assert text.startswith(head) and text[len(head)] in ",]"
+    assert text + "\n" == dumps(_reference_json(ss))
+
+
 @pytest.mark.parametrize(
     "source", ["x1*(x2+x3)+x3*x4", "(x1 + x2*x3) * (x4 + 1)", [[1, -2], [2, 3], [-1]]]
 )
@@ -611,6 +636,32 @@ def _gate_on_3(obj):
 def test_loaders_reject_wrong_typed_fields(loader, obj, field):
     with pytest.raises(ValueError, match=field):
         loader(obj)
+
+
+# State lists whose good indices come before a bad one, each with the error
+# it must raise: a list that fails the whole-list check is checked index by
+# index, so the message names the first bad index.
+BAD_STATE_DOCS = [
+    (_with(state=state), "Pauli index %s is not an integer in [0, 3)" % shown)
+    for state, shown in [
+        ([0, True], "True"),
+        ([0, 1.0], "1.0"),
+        ([0, -1], "-1"),
+        ([0, 3], "3"),
+        ([0, "0"], "'0'"),
+        ([0, None], "None"),
+        # min() over this list would raise TypeError
+        ([0, "a"], "'a'"),
+    ]
+]
+BAD_STATE_IDS = ["true", "float", "negative", "past-end", "digit-string", "null", "string"]
+
+
+@pytest.mark.parametrize("doc, message", BAD_STATE_DOCS, ids=BAD_STATE_IDS)
+def test_a_bad_state_index_after_good_ones_is_named(doc, message):
+    with pytest.raises(ValueError) as err:
+        sample_set_from_json(json.loads(dumps(doc)))
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
