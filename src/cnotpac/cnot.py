@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce
+from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce, _transpose
 from .pauli import PauliOperator
 from .tableau import CliffordTableau, Gate
 
@@ -82,10 +82,7 @@ class CnotCircuit:
         # theta's rows; theta e_j is column j of theta
         table = _inverse_table(rows, n)
         cols = [PauliOperator(n, _reduce(table, 1 << j, n) >> n, 0) for j in range(n)]
-        for j in range(n):
-            z = 0
-            for i, r in enumerate(rows):
-                z |= (r >> j & 1) << i
+        for j, z in enumerate(_transpose(rows, n)):
             cols.append(PauliOperator(n, 0, z, -1 if q >> j & 1 else 1))
         return CliffordTableau._unchecked(n, cols)
 

@@ -82,6 +82,20 @@ def _echelon(rows: Iterable[int], n_cols: Optional[int] = None) -> dict:
     return reduced
 
 
+def _transpose(rows: Iterable[int], n_cols: int) -> list:
+    """Columns of the matrix with these rows (bit i of column j is bit j of
+    row i), in one pass over the set bits: a sparse matrix costs its ones.
+    Other modules read columns only through here, bar stabilizer._z_form."""
+    cols = [0] * n_cols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return cols
+
+
 def _inverse_table(rows: list, n: int) -> dict:
     """Echelon table of the n x n matrix ``rows``, row i inserted with
     payload bit n + i.  Reducing e_j through it leaves payload bits that
@@ -121,32 +135,16 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls([1 << i for i in range(n)], n)
 
-    @classmethod
-    def from_columns(cls, cols: Iterable[int], n_rows: int) -> "BitMatrix":
-        """Build from packed column ints (cols[j] bit i = row i, col j)."""
-        cols = list(cols)
-        rows = []
-        for i in range(n_rows):
-            acc = 0
-            for j, c in enumerate(cols):
-                acc |= ((c >> i) & 1) << j
-            rows.append(acc)
-        return cls(rows, len(cols))
-
     def copy(self) -> "BitMatrix":
         return BitMatrix(list(self.rows), self.n_cols)
-
-    def column(self, j: int) -> int:
-        acc = 0
-        for i, r in enumerate(self.rows):
-            acc |= ((r >> j) & 1) << i
-        return acc
 
     def to_dense(self) -> list:
         return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix([self.column(j) for j in range(self.n_cols)], self.n_rows)
+        """M^T; its rows are M's columns, so a matrix built from packed
+        columns is BitMatrix(cols, n_rows).transpose()."""
+        return BitMatrix(_transpose(self.rows, self.n_cols), self.n_rows)
 
     def mul_vec(self, v: int) -> int:
         """Matrix-vector product M v; bit i of the result is <row_i, v>."""

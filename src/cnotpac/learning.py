@@ -239,9 +239,7 @@ def learn_single_measurement(samples: SampleSet, rng) -> CnotCircuit:
     gamma = witness >> n
     basis_x = complete_to_basis([samples.samples[0].measurement.z], n, rng)
     basis_u = complete_to_basis([u], n, rng)
-    theta = BitMatrix.from_columns(basis_u, n) @ BitMatrix.from_columns(
-        basis_x, n
-    ).inverse()
+    theta = BitMatrix(basis_u, n).transpose() @ BitMatrix(basis_x, n).transpose().inverse()
     q = BitMatrix(basis_x, n).solve(gamma)
     return CnotCircuit(theta, q)
 

@@ -96,16 +96,15 @@ def validate_simplified(inst: NonSingularityInstance) -> bool:
     distinct columns in M0 and that M_i, and no column may be touched by
     two different variables.
     """
+    m0_cols = inst.m0.transpose().rows
     seen = set()
     for m in inst.ms:
-        cols = [c for c in range(inst.size) if m.column(c) != 0]
-        for c in cols:
-            if c in seen:
+        for c, w in enumerate(m.transpose().rows):
+            if not w:
+                continue
+            if c in seen or m0_cols[c] in (0, w):
                 return False
             seen.add(c)
-            v = inst.m0.column(c)
-            if v == 0 or v == m.column(c):
-                return False
     return True
 
 
@@ -209,17 +208,18 @@ def constrain_submatrix_samples(
         raise ValueError("columns must be distinct indices below %d" % n)
     if v_cols.n_rows != n or w_cols.n_rows != n or v_cols.n_cols != k or w_cols.n_cols != k:
         raise ValueError("v_cols and w_cols must be n x k")
+    return _linked_pins(n, columns, v_cols.transpose().rows, w_cols.transpose().rows, rng)
+
+
+def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]:
+    """constrain_submatrix_samples on checked input, v_j and w_j as ints."""
     out: List[Sample] = []
-    for j, c in enumerate(columns):
-        v = v_cols.column(j)
-        w = w_cols.column(j)
+    for c, v, w in zip(columns, vs, ws):
         out.extend(constrain_pauli_samples(n, z_power(n, 1 << c), v, w, rng))
-    for j in range(1, k):
-        w_prev = w_cols.column(j - 1)
-        w_cur = w_cols.column(j)
-        sol = BitMatrix([w_prev, w_cur], n).solve_affine(0b11)
+    for j in range(1, len(columns)):
+        sol = BitMatrix([ws[j - 1], ws[j]], n).solve_affine(0b11)
         t = sol.offset  # lex-minimal state with t.w_prev = t.w_cur = 1
-        parity = dot(t, v_cols.column(j - 1) ^ v_cols.column(j))
+        parity = dot(t, vs[j - 1] ^ vs[j])
         out.append(
             Sample(
                 StabilizerState.computational_basis(n, t),
@@ -249,20 +249,20 @@ def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
     if not validate_simplified(inst):
         raise ValueError("instance does not satisfy the simplified shape")
     n = inst.size
+    m0_cols = inst.m0.transpose().rows
     samples: List[Sample] = []
     touched = set()
     for m in inst.ms:
-        cols = [c for c in range(n) if m.column(c) != 0]
+        m_cols = m.transpose().rows
+        cols = [c for c in range(n) if m_cols[c]]
         if not cols:
             continue
-        v_cols = BitMatrix.from_columns([inst.m0.column(c) for c in cols], n)
-        w_cols = BitMatrix.from_columns([m.column(c) for c in cols], n)
-        samples.extend(constrain_submatrix_samples(n, cols, v_cols, w_cols, rng))
+        vs, ws = [m0_cols[c] for c in cols], [m_cols[c] for c in cols]
+        samples.extend(_linked_pins(n, cols, vs, ws, rng))
         touched.update(cols)
-    for c in range(n):
+    for c, v in enumerate(m0_cols):
         if c in touched:
             continue
-        v = inst.m0.column(c)
         if v != 0:
             samples.extend(constrain_pauli_samples(n, z_power(n, 1 << c), v, None, rng))
         else:

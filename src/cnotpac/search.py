@@ -554,7 +554,7 @@ def search_from_decision(
         columns.append(u)
         q |= b << c
         settle(_pin_samples(n, x, b, u, [], None))
-    theta = BitMatrix.from_columns(columns, n)
+    theta = BitMatrix(columns, n).transpose()
     if not theta.is_invertible():
         return DecisionSearchResult(False, None, queries, True)
     candidate = CnotCircuit(theta, q)

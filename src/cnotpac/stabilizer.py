@@ -75,7 +75,10 @@ def _z_form(n: int, keys: tuple) -> tuple:
     reduced = _echelon((row for lead, row in table.items() if lead < n), n)
     masks = [reduced.get(p, 0) >> 2 * n for p in range(n)]
     mixed = tuple((p, mask) for p, mask in enumerate(masks) if mask & x_gens)
-    # cols is the other masks transposed, through bit strings with bit k at character k
+    # cols is the other masks transposed, through bit strings with bit k at
+    # character k, not gf2._transpose: these masks are dense, and on a 2-vCPU
+    # host a walk over their set bits took 28-39 ms for the 53 key tuples of
+    # an n = 52 reduction, where the strings take 21-30 ms
     strings = [format((0 if m & x_gens else m) | 1 << n, "b")[:0:-1] for m in masks]
     return x_rows, tuple(int("".join(bits)[::-1], 2) for bits in zip(*strings)), mixed
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf2 import BitMatrix, _inverse_table, _reduce
+from .gf2 import BitMatrix, _inverse_table, _reduce, _transpose
 from .pauli import PauliOperator, _anticommutation_rows, _fold, _raw_sign_bit, x_power, z_power
 from .stabilizer import LABELS, StabilizerGroup, StabilizerState
 
@@ -101,11 +101,12 @@ class CliffordTableau:
         n = s.n_rows // 2
         if s.n_rows != 2 * n or s.n_cols != 2 * n:
             raise ValueError("symplectic part must be 2n x 2n")
-        cols = []
-        for c in range(2 * n):
-            x = sum(((s.rows[2 * i] >> c) & 1) << i for i in range(n))
-            z = sum(((s.rows[2 * i + 1] >> c) & 1) << i for i in range(n))
-            cols.append(PauliOperator(n, x, z, sign=-1 if (phases >> c) & 1 else 1))
+        xs = _transpose(s.rows[0::2], 2 * n)
+        zs = _transpose(s.rows[1::2], 2 * n)
+        cols = [
+            PauliOperator(n, x, z, sign=-1 if phases >> c & 1 else 1)
+            for c, (x, z) in enumerate(zip(xs, zs))
+        ]
         return cls(cols[0::2] + cols[1::2])
 
     def _interleaved(self) -> list:
@@ -116,11 +117,9 @@ class CliffordTableau:
         """The 2n x 2n symplectic part: column c holds the image of the
         interleaved generator c, and rows interleave x_i/z_i of each image."""
         images = self._interleaved()
-        rows = []
-        for i in range(self.n):
-            rows.append(sum(((p.x >> i) & 1) << c for c, p in enumerate(images)))
-            rows.append(sum(((p.z >> i) & 1) << c for c, p in enumerate(images)))
-        return BitMatrix(rows, 2 * self.n)
+        xs = _transpose([p.x for p in images], self.n)
+        zs = _transpose([p.z for p in images], self.n)
+        return BitMatrix([r for pair in zip(xs, zs) for r in pair], 2 * self.n)
 
     def phase_bits(self) -> int:
         """Sign bits of the images, bit c for interleaved generator c."""

@@ -175,8 +175,9 @@ def test_05_pin_samples_carve_out_exactly_the_claimed_sets():
 def test_06_linked_column_pins_share_one_branch_bit():
     t0 = time.perf_counter()
     cols = [1, 3]
-    v_cols = BitMatrix.from_columns([0b0010, 0b1000], 4)
-    w_cols = BitMatrix.from_columns([0b0101, 0b0011], 4)
+    vs, ws = [0b0010, 0b1000], [0b0101, 0b0011]
+    v_cols = BitMatrix(vs, 4).transpose()
+    w_cols = BitMatrix(ws, 4).transpose()
     samples = constrain_submatrix_samples(4, cols, v_cols, w_cols, None)
     assert len(samples) == 2 * 4 + 2 - 1
     got = _keys(enumerate_consistent_circuits(SampleSet(4, samples)))
@@ -187,7 +188,7 @@ def test_06_linked_column_pins_share_one_branch_bit():
         for a in (0, 1):
             if all(
                 c.theta.mul_vec(1 << cols[j])
-                == v_cols.column(j) ^ (w_cols.column(j) if a else 0)
+                == vs[j] ^ (ws[j] if a else 0)
                 for j in range(2)
             ):
                 claimed.add((tuple(c.theta.rows), c.q))

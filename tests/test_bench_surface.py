@@ -3,13 +3,19 @@
 bench/tracing.py wraps the functions and methods in its TARGETS list,
 and bench/workloads.py calls into the package by name.  A deletion or
 rename that would break either fails here, in the tier-1 suite, rather
-than first in a benchmark run.
+than first in a benchmark run.  So does a change that makes a workload's
+operations fail or give wrong output: each workload runs for half a second.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,3 +62,18 @@ def test_every_name_the_workloads_use_exists():
             owner = bound.get(node.value.id)
             if owner is not None:
                 assert hasattr(owner, node.attr), (node.value.id, node.attr)
+
+
+@pytest.mark.parametrize("workload", ["pipeline", "sweep", "learn"])
+def test_each_workload_runs_correctly(workload):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnotpac.gf2 import (
     AffineSubspace,
@@ -146,14 +146,28 @@ def test_vector_products():
         assert m.premul_vec(w) == m.transpose().mul_vec(w)
 
 
-def test_from_columns_and_column_round_trip():
-    rng = random.Random(106)
-    for _ in range(50):
-        n_rows = rng.randrange(1, 5)
-        n_cols = rng.randrange(1, 5)
-        m = random_matrix(rng, n_rows, n_cols)
-        rebuilt = BitMatrix.from_columns([m.column(j) for j in range(n_cols)], n_rows)
-        assert rebuilt == m
+@st.composite
+def matrices(draw, max_dim=130):
+    n_rows = draw(st.integers(0, max_dim))
+    n_cols = draw(st.integers(0, max_dim))
+    row = st.integers(0, (1 << n_cols) - 1)
+    return BitMatrix(draw(st.lists(row, min_size=n_rows, max_size=n_rows)), n_cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+@example(BitMatrix([], 0))
+@example(BitMatrix([], 7))
+@example(BitMatrix([0] * 5, 0))
+@example(BitMatrix([(1 << 130) - 1] * 130, 130))
+@example(BitMatrix([1 << (7 * i % 130) for i in range(103)], 130))
+@example(BitMatrix([1 << 129, 1], 130))
+def test_transpose_against_dense(m):
+    t = m.transpose()
+    assert (t.n_rows, t.n_cols) == (m.n_cols, m.n_rows)
+    dense = m.to_dense()
+    assert t.to_dense() == [[dense[i][j] for i in range(m.n_rows)] for j in range(m.n_cols)]
+    assert t.transpose() == m
 
 
 def test_add_col_matches_entrywise_update():

@@ -67,23 +67,25 @@ def test_validate_simplified():
     for _, f, n_vars in CORPUS:
         inst = graph_to_instance(formula_to_graph(f), num_vars=n_vars)
         assert validate_simplified(inst)
-    # column 0 is zero in M0 but touched by the first variable, and is
-    # touched by both variables at once
-    toy = NonSingularityInstance(
-        2,
-        BitMatrix([0b10, 0], 2),
-        [BitMatrix([1, 2], 2), BitMatrix([0, 1], 2)],
-    )
-    assert not validate_simplified(toy)
-    # v_c equal to w_c is also rejected
-    clash = NonSingularityInstance(
-        2,
-        BitMatrix([1, 2], 2),
-        [BitMatrix([1, 0], 2)],
-    )
-    assert not validate_simplified(clash)
-    with pytest.raises(ValueError):
-        instance_to_samples(toy, random.Random(0))
+    # ok keeps every rule: M0 = I, and M1 touches column 0 with e_1, which is
+    # nonzero and unlike M0's e_0; each fault changes ok to break one rule
+    ok = NonSingularityInstance(2, BitMatrix([1, 2], 2), [BitMatrix([0, 1], 2)])
+    assert validate_simplified(ok)
+    faults = {
+        "column touched by two variables": NonSingularityInstance(
+            2, BitMatrix([1, 2], 2), [BitMatrix([0, 1], 2), BitMatrix([1, 1], 2)]
+        ),
+        "zero M0 column": NonSingularityInstance(
+            2, BitMatrix([0b10, 0], 2), [BitMatrix([0, 1], 2)]
+        ),
+        "M0 column equal to the M1 column": NonSingularityInstance(
+            2, BitMatrix([1, 2], 2), [BitMatrix([1, 0], 2)]
+        ),
+    }
+    for rule, inst in faults.items():
+        assert not validate_simplified(inst), rule
+        with pytest.raises(ValueError, match="simplified shape"):
+            instance_to_samples(inst, random.Random(0))
 
 
 def test_pin_sample_counts_and_labels():
@@ -145,8 +147,8 @@ def test_subspace_pin_matches_brute_force():
 
 def test_linked_columns_match_brute_force():
     rng = random.Random(21)
-    v_cols = BitMatrix.from_columns([0b001, 0b010], 3)
-    w_cols = BitMatrix.from_columns([0b110, 0b101], 3)
+    v_cols = BitMatrix([0b001, 0b010], 3).transpose()
+    w_cols = BitMatrix([0b110, 0b101], 3).transpose()
     samples = SampleSet(3, constrain_submatrix_samples(3, [0, 2], v_cols, w_cols, rng))
     assert len(samples) == 7  # kn + k - 1
     for c in all_cnot_circuits(3):
@@ -160,12 +162,12 @@ def test_linked_columns_match_brute_force():
 
 def test_submatrix_input_validation():
     rng = random.Random(22)
-    v = BitMatrix.from_columns([1], 3)
-    w = BitMatrix.from_columns([2], 3)
+    v = BitMatrix([1], 3).transpose()
+    w = BitMatrix([2], 3).transpose()
     with pytest.raises(ValueError):
         constrain_submatrix_samples(3, [], v, w, rng)
     with pytest.raises(ValueError):
-        constrain_submatrix_samples(3, [0, 0], BitMatrix.from_columns([1, 1], 3), BitMatrix.from_columns([2, 2], 3), rng)
+        constrain_submatrix_samples(3, [0, 0], BitMatrix([1, 1], 3).transpose(), BitMatrix([2, 2], 3).transpose(), rng)
     with pytest.raises(ValueError):
         constrain_submatrix_samples(3, [3], v, w, rng)
     with pytest.raises(ValueError):

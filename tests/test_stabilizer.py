@@ -48,18 +48,22 @@ def test_element_products():
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        StabilizerGroup([])
+    with pytest.raises(ValueError, match="^a pure state on 2 qubits needs exactly 2 generators$"):
         StabilizerGroup([x_power(2, 0b11)])  # too few
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a pure state on 1 qubits needs exactly 1 generators$"):
         StabilizerGroup([x_power(1, 1), z_power(1, 1)])  # wrong count for n=1
-    with pytest.raises(ValueError):
-        StabilizerGroup([x_power(2, 0b01), z_power(2, 0b01)])  # anticommute
+    with pytest.raises(ValueError, match="^generator qubit count mismatch$"):
+        StabilizerGroup([x_power(2, 0b01), z_power(3, 0b010)])
+    with pytest.raises(ValueError, match="^generators 0 and 1 anticommute$"):
+        StabilizerGroup([x_power(2, 0b01), z_power(2, 0b01)])
     # the first anticommuting pair in (i, j) order is the one named
-    with pytest.raises(ValueError, match="generators 0 and 2 anticommute"):
+    with pytest.raises(ValueError, match="^generators 0 and 2 anticommute$"):
         StabilizerGroup([x_power(3, 0b001), z_power(3, 0b010), z_power(3, 0b011)])
-    with pytest.raises(ValueError):
-        StabilizerGroup([z_power(2, 0b11), z_power(2, 0b11, sign=-1)])  # dependent
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^generators are dependent$"):
+        StabilizerGroup([z_power(2, 0b11), z_power(2, 0b11, sign=-1)])
+    with pytest.raises(ValueError, match="^identity cannot be a generator$"):
         StabilizerGroup([PauliOperator(2, 0, 0), z_power(2, 0b11)])
 
 

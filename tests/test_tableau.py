@@ -230,7 +230,7 @@ def symplectic_oracle(s, n):
     def form(a, b):
         return dot(a, lam.mul_vec(b))
 
-    cols = [s.column(j) for j in range(2 * n)]
+    cols = s.transpose().rows
     for i in range(2 * n):
         for j in range(2 * n):
             want = form(1 << i, 1 << j)
@@ -275,6 +275,23 @@ def test_s_matrix_layout():
     assert (s.rows[0] >> 0) & 1 == 1  # X_0 image has x_0
     assert (s.rows[2] >> 3) & 1 == 1  # Z_1 image is X_1 after H
     assert (s.rows[3] >> 2) & 1 == 1  # X_1 image is Z_1 after H
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_s_matrix_and_phase_bits_entrywise(n):
+    # interleaved column 2j is the image of X_j and 2j + 1 that of Z_j;
+    # row 2i holds bit i of each image's x, row 2i + 1 bit i of its z
+    rng = random.Random(600 + n)
+    for _ in range(3):
+        t = random_tableau(rng, n)
+        s, phases = t.s_matrix(), t.phase_bits()
+        assert (s.n_rows, s.n_cols) == (2 * n, 2 * n)
+        for j in range(n):
+            for c, image in ((2 * j, t.cols[j]), (2 * j + 1, t.cols[n + j])):
+                assert phases >> c & 1 == image.sign_bit
+                for i in range(n):
+                    assert s.rows[2 * i] >> c & 1 == image.x >> i & 1
+                    assert s.rows[2 * i + 1] >> c & 1 == image.z >> i & 1
 
 
 def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
