@@ -127,11 +127,8 @@ class PacLearnResult:
 
 
 def _sample_key(s: Sample) -> tuple:
-    gens = tuple(
-        (g.x, g.z, g.sign_bit) for g in s.state.group.generators
-    )
-    m = s.measurement
-    return (gens, m.x, m.z, m.sign_bit, s.code)
+    group, m = s.state.group, s.measurement
+    return (group.keys, group.signs, m.x, m.z, m.sign_bit, s.code)
 
 
 def pac_learner(

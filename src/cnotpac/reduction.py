@@ -143,15 +143,13 @@ def _pin_samples(
         basis = complete_to_basis(head, n, rng)
     measurement = z_power(n, x, sign=-1 if sigma else 1)
     # the states share the basis generators Z^{basis[k]}; each flipped
-    # state negates one of them
-    gens = [z_power(n, v) for v in basis]
+    # state negates one of them, sharing the base group's keys and table
+    base = StabilizerGroup([z_power(n, v) for v in basis])
 
     def flipped(j: int) -> StabilizerState:
-        signed = gens[:]
-        signed[j] = -gens[j]
-        return StabilizerState(StabilizerGroup(signed))
+        return StabilizerState(base.flip(1 << j))
 
-    out = [Sample(StabilizerState(StabilizerGroup(gens)), measurement, LABELS[2])]
+    out = [Sample(StabilizerState(base), measurement, LABELS[2])]
     for j in range(len(head), n):
         out.append(Sample(flipped(j), measurement, LABELS[2]))
     if final:
@@ -233,10 +231,11 @@ def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]
 # instance_to_samples emits up to n(n + 1) samples of n generators each,
 # and the written file names each generator by index, so work and output
 # grow as n^3.  Medians of 5 `cnotpac reduce` processes on a 2-vCPU host:
-# a random 12-clause 3-CNF over 8 variables (n = 103) takes 1.2 s, writes
-# 11.7 MB and peaks at 74 MB RSS; 126 summed x1s (n = 128, the limit)
-# take 2.0 s, write 22.1 MB and peak at 121 MB.  A short formula (300
-# summed x1s, size 302) is refused before any sample.
+# the 12-clause 3-CNF over 8 variables of acceptance check 13 (n = 103)
+# takes 0.8 s, writes 11.7 MB and peaks at 89 MB RSS, and `verify` of that
+# file peaks at 106 MB; 126 summed x1s (n = 128, the limit) take 1.6 s,
+# write 22.1 MB and peak at 104 MB.  A short formula (300 summed x1s,
+# size 302) is refused before any sample.
 _MAX_INSTANCE_SIZE = 128
 
 

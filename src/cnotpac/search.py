@@ -101,8 +101,8 @@ def _check_cnot_shape(t) -> None:
 class _GenericSample:
     """Any sample outside the full-Z fast path: its group, raw measurement,
     its label as two bits, half (label 1/2) and flip (label 0), and a
-    check row g.z | g.x << n per generator g, whose AND with a key
-    x | z << n has odd parity iff X^x Z^z anticommutes with g."""
+    check row z | x << n per generator key x | z << n, whose AND with a
+    key has odd parity iff that Pauli anticommutes with the generator."""
 
     __slots__ = ("group", "e", "px", "pz", "half", "flip", "checks")
 
@@ -111,7 +111,9 @@ class _GenericSample:
         self.e, self.px, self.pz = sample.measurement.raw()
         self.half = sample.code == 1
         self.flip = 1 if sample.code == 0 else 0
-        self.checks = [g.z | g.x << group.n for g in group.generators]
+        n = group.n
+        full = (1 << n) - 1
+        self.checks = [k >> n | (k & full) << n for k in group.keys]
 
 
 def _add_samples(compiled, samples, n) -> bool:
@@ -129,9 +131,10 @@ def _add_samples(compiled, samples, n) -> bool:
     that reduces to 0 = 1."""
     table, supports, generic = compiled
     top = n * n + n
+    full = (1 << n) - 1
     for s in samples:
         m, group = s.measurement, s.state.group
-        if m.x == 0 and not any(g.x for g in group.generators):
+        if m.x == 0 and not any(k & full for k in group.keys):
             if s.code == 1:
                 return False  # a full Z state gives every Z-type image 0 or 1
             (t,) = group.z_constraints()

@@ -116,21 +116,16 @@ def _table_entry(paulis: List[PauliOperator], i) -> PauliOperator:
     return paulis[i]
 
 
-def _sample_from_json(obj, paulis: List[PauliOperator]) -> Sample:
+def _sample_from_json(obj, paulis: List[PauliOperator], to_state) -> Sample:
     """One entry of a sample set's 'samples', naming entries of the
-    parsed table paulis by index."""
+    parsed table paulis by index; to_state turns the 'state' list into a
+    StabilizerState."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     gens = obj.get("state")
     if not isinstance(gens, list) or not gens:
         raise ValueError("sample field 'state' must list the generators")
-    # the whole list is checked at once; only a failing list is walked
-    # index by index, so that the error names its first bad index
-    if all(type(i) is int for i in gens) and min(gens) >= 0 and max(gens) < len(paulis):
-        generators = [paulis[i] for i in gens]
-    else:
-        generators = [_table_entry(paulis, i) for i in gens]
-    state = StabilizerState(StabilizerGroup(generators))
+    state = to_state(gens)
     measurement = _table_entry(paulis, obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
@@ -143,31 +138,43 @@ def sample_set_dumps(ss: SampleSet) -> str:
 
     Each distinct Pauli is written once, as an entry of 'paulis' in order
     of first use (each sample's measurement, then its generators), and
-    samples name entries by index.  Keys are in sorted order, as
-    _canonical writes them; each entry's format string renders exactly
+    samples name entries by index.  A state's generators are looked up
+    all at once by (key, sign bit) off the group's keys and signs, and
+    only a miss makes an entry.  Keys are in sorted order, as _canonical
+    writes them; each entry's format string renders exactly
     _canonical(pauli_to_json(p)), without a json.dumps per entry.
     """
-    index: dict = {}
+    n = ss.n
+    top = 1 << n
+    full = top - 1
+    # sign bit as "0" or "1" -> {key x | z << n: the entry's index as text}
+    index: dict = {"0": {}, "1": {}}
     entries: List[str] = []
 
-    def at(p: PauliOperator) -> str:
-        # the fields PauliOperator.__eq__ compares but n, which the set fixes
-        key = (p.x, p.z, p.sign_bit)
-        i = index.get(key)
-        if i is None:
-            i = index[key] = str(len(entries))
-            entries.append(
-                '{"n":%d,"sign":%d,"x":"%s","z":"%s"}'
-                % (p.n, p.sign, bits_to_string(p.x, p.n), bits_to_string(p.z, p.n))
-            )
+    def add(key: int, sign: str) -> str:
+        i = index[sign][key] = str(len(entries))
+        # x and z as bits_to_string writes them; the key holds their range
+        x, z = format(key & full | top, "b")[:0:-1], format(key >> n | top, "b")[:0:-1]
+        entries.append('{"n":%d,"sign":%s,"x":"%s","z":"%s"}' % (n, "-1" if sign == "1" else "1", x, z))
         return i
 
-    samples = ",".join(
-        '{"label":"%s","measurement":%s,"state":[%s]}'
-        % (_LABEL_TEXT[s.code], at(s.measurement), ",".join(map(at, s.state.group.generators)))
-        for s in ss.samples
-    )
-    return '{"n":%d,"paulis":[%s],"samples":[%s]}' % (ss.n, ",".join(entries), samples)
+    samples = []
+    for s in ss.samples:
+        m, group = s.measurement, s.state.group
+        key, sign = m.x | m.z << n, "01"[m.sign_bit]
+        at = index[sign].get(key) or add(key, sign)
+        # character k is the sign bit of generator k
+        signs = format(group.signs | top, "b")[:0:-1]
+        state = list(map(dict.get, map(index.__getitem__, signs), group.keys))
+        k = -1
+        for _ in range(state.count(None)):
+            k = state.index(None, k + 1)
+            state[k] = add(group.keys[k], signs[k])
+        samples.append(
+            '{"label":"%s","measurement":%s,"state":[%s]}'
+            % (_LABEL_TEXT[s.code], at, ",".join(state))
+        )
+    return '{"n":%d,"paulis":[%s],"samples":[%s]}' % (n, ",".join(entries), ",".join(samples))
 
 
 def sample_set_to_json(ss: SampleSet) -> dict:
@@ -177,7 +184,10 @@ def sample_set_to_json(ss: SampleSet) -> dict:
 
 def sample_set_from_json(obj) -> SampleSet:
     """Load a sample set: each 'paulis' entry is parsed once, and every
-    index naming it yields that one PauliOperator."""
+    index naming it as a measurement yields that one PauliOperator.  A
+    state is read off its entries' keys and sign bits, with no Pauli
+    object: states with one key tuple are sign flips (StabilizerGroup.flip)
+    of one group, built and validated once."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
@@ -190,7 +200,25 @@ def sample_set_from_json(obj) -> SampleSet:
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    return SampleSet(n, [_sample_from_json(s, paulis) for s in samples])
+    keys = [p.x | p.z << n for p in paulis]
+    signs = ["01"[p.sign_bit] for p in paulis]
+    bases: dict = {}  # key tuple -> its group with every sign +
+
+    def to_state(gens: list) -> StabilizerState:
+        # the whole list is checked at once; a list that is not n valid
+        # indices of nonidentity entries goes through the constructor,
+        # which raises the error it raises for those Paulis
+        if len(gens) == n and set(map(type, gens)) == {int} and min(gens) >= 0 and max(gens) < len(keys):
+            key_tuple = tuple(map(keys.__getitem__, gens))
+            if 0 not in key_tuple:
+                base = bases.get(key_tuple)
+                if base is None:
+                    base = bases[key_tuple] = StabilizerGroup._from_keys(n, key_tuple)
+                mask = int("".join(map(signs.__getitem__, reversed(gens))), 2)
+                return StabilizerState(base.flip(mask))
+        return StabilizerState(StabilizerGroup([_table_entry(paulis, i) for i in gens]))
+
+    return SampleSet(n, [_sample_from_json(s, paulis, to_state) for s in samples])
 
 
 # ---------------------------------------------------------------------------

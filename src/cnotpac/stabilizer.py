@@ -2,6 +2,10 @@
 
 A pure state on n qubits is represented by exactly n independent,
 pairwise commuting signed Pauli generators whose group excludes -I.
+A StabilizerGroup stores them as a tuple of generator keys x | z << n
+and a sign mask, not as Pauli objects: the states of one reduction pin
+differ only in signs, so they share one key tuple, one validated echelon
+table and one tuple of unsigned generators, and a sign flip is O(1).
 Membership queries answer with a trichotomy: the probe is in the group
 (Plus), its negation is (Minus), or its unsigned support is absent
 entirely (Absent).  The expectation of a two-outcome measurement
@@ -57,6 +61,12 @@ def _echelon_table(n: int, keys: tuple) -> dict:
     return table
 
 
+def _unsigned(n: int, keys: tuple) -> tuple:
+    """The generators of these keys with sign +, the factors a group folds."""
+    full = (1 << n) - 1
+    return tuple(PauliOperator(n, key & full, key >> n) for key in keys)
+
+
 @functools.lru_cache(maxsize=1024)
 def _z_form(n: int, keys: tuple) -> tuple:
     """(x_rows, cols, mixed), the sign-free part of z_constraints for these
@@ -86,16 +96,20 @@ def _z_form(n: int, keys: tuple) -> tuple:
 class StabilizerGroup:
     """Group generated by exactly n commuting independent signed Paulis.
 
-    Group elements are tracked on ints key | (mask << 2n): the unsigned
-    symplectic key of a product of generators, with the generators it is
-    the product of as payload.  Phases are recovered from the payload by
-    folding the selected generators in raw form (pauli._fold), so neither
+    A group is its generator-key tuple keys (x | z << n per generator)
+    and its sign mask signs (bit k set when generator k is negated);
+    generators is derived from the two on each access.  Group elements
+    are tracked on ints key | (mask << 2n): the unsigned symplectic key
+    of a product of generators, with the generators it is the product of
+    as payload.  The phase of such a product is the fold of the unsigned
+    generators (pauli._fold) plus 2 popcount(signs & mask), so neither
     the echelon table nor a membership query multiplies Pauli objects.
-    The table is validated once per tuple of generator keys and shared,
-    read-only, by every group with those keys (_echelon_table).
+    The table is built once per key tuple and shared, read-only, by every
+    group with those keys (_echelon_table); a sign flip (flip) shares it
+    and the unsigned generators too, in O(1).
     """
 
-    __slots__ = ("n", "generators", "_table")
+    __slots__ = ("n", "keys", "signs", "_table", "_unsigned")
 
     def __init__(self, generators: Iterable[PauliOperator]):
         generators = tuple(generators)
@@ -105,35 +119,82 @@ class StabilizerGroup:
         if len(generators) != n:
             raise ValueError("a pure state on %d qubits needs exactly %d generators" % (n, n))
         keys = []
-        for g in generators:
+        signs = 0
+        for i, g in enumerate(generators):
             if g.n != n:
                 raise ValueError("generator qubit count mismatch")
             key = g.x | g.z << n
             if not key:
                 raise ValueError("identity cannot be a generator")
             keys.append(key)
-        self._table = _echelon_table(n, tuple(keys))
+            signs |= g.sign_bit << i
+        keys = tuple(keys)
+        self._table = _echelon_table(n, keys)
         self.n = n
-        self.generators = generators
+        self.keys = keys
+        self.signs = signs
+        # with every sign +, the generators are their own unsigned form
+        self._unsigned = _unsigned(n, keys) if signs else generators
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: tuple) -> "StabilizerGroup":
+        """The group of n nonidentity generator keys, each below 1 << 2n,
+        with every sign +; the caller checks the count and the keys, and
+        _echelon_table the commutation and independence."""
+        group = cls.__new__(cls)
+        group._table = _echelon_table(n, keys)
+        group.n = n
+        group.keys = keys
+        group.signs = 0
+        group._unsigned = _unsigned(n, keys)
+        return group
+
+    def flip(self, mask: int) -> "StabilizerGroup":
+        """The group with generator k negated for each set bit k of mask.
+        It shares this group's keys, table and unsigned generators."""
+        if mask < 0 or mask >> self.n:
+            raise ValueError("sign mask outside %d generators" % self.n)
+        group = StabilizerGroup.__new__(StabilizerGroup)
+        group.n = self.n
+        group.keys = self.keys
+        group.signs = self.signs ^ mask
+        group._table = self._table
+        group._unsigned = self._unsigned
+        return group
+
+    @property
+    def generators(self) -> tuple:
+        """The signed generators, built from keys and signs on each access."""
+        n, signs = self.n, self.signs
+        full = (1 << n) - 1
+        return tuple(
+            PauliOperator(n, key & full, key >> n, sign=-1 if signs >> k & 1 else 1)
+            for k, key in enumerate(self.keys)
+        )
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
-        return PauliOperator.from_raw(self.n, *_fold(self.generators, mask))
+        return PauliOperator.from_raw(
+            self.n, *_fold(self._unsigned, mask, 2 * (self.signs & mask).bit_count())
+        )
 
     def z_constraints(self) -> list:
         """Rows w with (-1)^b Z^u a member iff w.(u | b << n) = 0 for every
         w: the generators' x parts (Z^u commutes with each) and t | 1 << n,
         bit p of t the sign bit of _z_form's Z-type member with pivot p."""
-        n = self.n
-        gens = self.generators
-        x_rows, cols, mixed = _z_form(n, tuple(g.x | g.z << n for g in gens))
+        n, signs = self.n, self.signs
+        x_rows, cols, mixed = _z_form(n, self.keys)
         # a member whose factors have no x part has the parity of their signs
         # as its sign bit; for any other, fold the factors
         t = 0
-        for g, col in zip(gens, cols):
-            t ^= col * g.sign_bit
+        rest = signs
+        while rest:
+            low = rest & -rest
+            t ^= cols[low.bit_length() - 1]
+            rest ^= low
         for p, mask in mixed:
-            t |= _raw_sign_bit(*_fold(gens, mask)) << p
+            e = 2 * (signs & mask).bit_count()
+            t |= _raw_sign_bit(*_fold(self._unsigned, mask, e)) << p
         return [*x_rows, t | 1 << n]
 
     def member_phase(self, key: int) -> Optional[int]:
@@ -143,7 +204,8 @@ class StabilizerGroup:
         r = _reduce(self._table, key, width)
         if r & ((1 << width) - 1):
             return None
-        return _fold(self.generators, r >> width)[0]
+        mask = r >> width
+        return _fold(self._unsigned, mask, 2 * (self.signs & mask).bit_count())[0]
 
     def expectation_code(self, e: int, key: int) -> int:
         """Label code of tr[(I + P)/2 rho] for the Hermitian, nonidentity

@@ -64,11 +64,20 @@ def test_every_name_the_workloads_use_exists():
                 assert hasattr(owner, node.attr), (node.value.id, node.attr)
 
 
-@pytest.mark.parametrize("workload", ["pipeline", "sweep", "learn"])
-def test_each_workload_runs_correctly(workload):
+# --trace 1 also installs tracing.py's wrappers, StabilizerGroup.__init__
+# among them, around the program
+@pytest.mark.parametrize(
+    "workload, trace",
+    [
+        pytest.param(workload, trace, id=workload + ("-traced" if trace == "1" else ""))
+        for trace in ("0", "1")
+        for workload in ("pipeline", "sweep", "learn")
+    ],
+)
+def test_each_workload_runs_correctly(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(BENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+         "--seed", "1", "--seconds", "0.5", "--trace", trace],
         cwd=BENCH.parent,
         capture_output=True,
         text=True,

@@ -33,6 +33,8 @@ from cnotpac.tableau import is_symplectic
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
 from test_serialization import (
+    BAD_GROUP_DOCS,
+    BAD_GROUP_IDS,
     BAD_STATE_DOCS,
     BAD_STATE_IDS,
     TWIN_IDS,
@@ -376,6 +378,16 @@ def test_verify_schema_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", BAD_STATE_DOCS, ids=BAD_STATE_IDS)
 def test_verify_names_a_bad_state_index_after_good_ones(doc, message, tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(2))))
+    spath = tmp_path / "samples.json"
+    spath.write_text(dumps(doc))
+    code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
+    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (spath, message))
+
+
+@pytest.mark.parametrize("doc, message", BAD_GROUP_DOCS, ids=BAD_GROUP_IDS)
+def test_verify_refuses_a_state_that_is_no_group(doc, message, tmp_path, capsys):
     circuit = tmp_path / "circuit.json"
     circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(2))))
     spath = tmp_path / "samples.json"
@@ -947,6 +959,41 @@ def test_cli_transcript_is_pinned(tmp_path, capsys):
     assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2]
     digest = hashlib.sha256(repr(transcript).encode()).hexdigest()
     assert digest == CLI_TRANSCRIPT_SHA256
+
+
+def test_the_pipeline_builds_no_pauli_generators(tmp_path, capsys, monkeypatch):
+    # every path from reduce to verify reads a group's keys and signs; one
+    # that rebuilt its Pauli generators would raise here
+    def refuse(group):
+        raise AssertionError("StabilizerGroup.generators read on the pipeline")
+
+    monkeypatch.setattr(StabilizerGroup, "generators", property(refuse))
+    cnf = tmp_path / "in.cnf"
+    sources = [
+        ("cnf-a", ["--cnf", str(cnf)], "p cnf 1 1\n-1 0\n", "11"),
+        ("cnf-b", ["--cnf", str(cnf)], "p cnf 2 2\n1 0\n2 0\n", "12"),
+        ("golden", ["--formula", GOLDEN_FORMULA], None, "7"),
+    ]
+    codes = []
+    for name, source, text, seed in sources:
+        if text is not None:
+            cnf.write_text(text)
+        red = tmp_path / (name + ".json")
+        assert run(capsys, "reduce", *source, "--seed", seed, "--out", str(red))[0] == 0
+        for strategy in ("affine", "brute", "decision"):
+            out = tmp_path / ("%s.%s.json" % (name, strategy))
+            code, _, err = run(capsys, "solve", str(red), "--strategy", strategy, "--out", str(out))
+            codes.append(code)
+            if code == 2:
+                # the golden reduction has n = 9
+                assert err == "error: enumeration limit: n = 9 exceeds 5\n", err
+                continue
+            if strategy == "affine":
+                inst = instance_from_json(json.loads(red.read_text())["instance"])
+                a = string_to_bits(json.loads(out.read_text())["assignment"], inst.num_vars)
+                out.write_text(dumps(circuit_to_json(CnotCircuit(inst.matrix_at(a), 0))))
+            assert run(capsys, "verify", str(out), str(red))[0] == 0
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2]
 
 
 @pytest.mark.parametrize("field, value", TWINS, ids=TWIN_IDS)

@@ -255,12 +255,14 @@ def test_states_of_one_pin_share_their_unflipped_generators():
     # the dead-column pair is a group of its own
     pins = {}
     for s in samples:
-        pins.setdefault(id(s.measurement), []).append(s.state.group.generators)
-    assert max(len(states) for states in pins.values()) == samples.n + 1
-    for states in pins.values():
-        base = states[0]
-        for gens in states[1:]:
-            moved = [k for k, (g, b) in enumerate(zip(gens, base)) if g is not b]
-            assert len(moved) == 1
-            k = moved[0]
-            assert gens[k] == -base[k]
+        pins.setdefault(id(s.measurement), []).append(s.state.group)
+    assert max(len(groups) for groups in pins.values()) == samples.n + 1
+    for groups in pins.values():
+        base = groups[0]
+        for group in groups[1:]:
+            # a sign flip of the pin's first group: one key tuple, one table
+            assert group.keys is base.keys and group._table is base._table
+            moved = group.signs ^ base.signs
+            assert moved and moved & (moved - 1) == 0  # exactly one sign differs
+            k = moved.bit_length() - 1
+            assert group.generators[k] == -base.generators[k]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
-from cnotpac.pauli import PauliOperator, z_power
+from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.reduction import graph_to_instance, reduce_formula_to_samples, reduce_sat_to_samples
 from cnotpac.formula import formula_to_graph, parse_formula
 from cnotpac.samples import Sample, SampleSet
@@ -34,7 +34,7 @@ from cnotpac.serialization import (
     string_to_bits,
     tableau_block,
 )
-from cnotpac.stabilizer import StabilizerState
+from cnotpac.stabilizer import StabilizerGroup, StabilizerState
 from cnotpac.tableau import CliffordTableau, Gate
 
 from formula_corpus import CORPUS, golden_formula
@@ -392,20 +392,40 @@ def test_reduce_files_load_back_to_pinned_content(tmp_path, capsys):
     assert hashlib.sha256(repr(content).encode()).hexdigest() == SAMPLE_CONTENT_SHA256
 
 
-def test_one_load_shares_one_pauli_per_distinct_value():
+def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     ss, _ = reduce_formula_to_samples(golden_formula(), random.Random(121))
     obj = sample_set_to_json(ss)
-    back = sample_set_from_json(obj)
     table = obj["paulis"]
     assert len({json.dumps(e, sort_keys=True) for e in table}) == len(table)
     assert len(table) < sum(1 + len(s["state"]) for s in obj["samples"])
+    made = []
+    init = PauliOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliOperator, "__init__", counted)
+    back = sample_set_from_json(obj)
+    made_by_load = len(made)
+    # measurements: one object per table entry
     loaded = {}  # table index -> the object its first use loaded to
     for entry, s in zip(obj["samples"], back.samples):
-        indices = [entry["measurement"], *entry["state"]]
-        for i, p in zip(indices, [s.measurement, *s.state.group.generators]):
-            assert loaded.setdefault(i, p) is p
-    assert sorted(loaded) == list(range(len(table)))
-    assert len({id(p) for p in loaded.values()}) == len(table)
+        assert loaded.setdefault(entry["measurement"], s.measurement) is s.measurement
+    assert len({id(p) for p in loaded.values()}) == len(loaded)
+    # states: a key tuple and a sign mask read off the entries, with the
+    # key tuple, the table and the unsigned generators shared by every
+    # group with those keys, so no Pauli object is made per state
+    shared = {}  # key tuple -> (keys, table, unsigned generators) of its first group
+    for entry, s in zip(obj["samples"], back.samples):
+        group = s.state.group
+        paulis = [pauli_from_json(table[i]) for i in entry["state"]]
+        assert group.keys == tuple(p.key() for p in paulis)
+        assert group.signs == sum(p.sign_bit << k for k, p in enumerate(paulis))
+        first = shared.setdefault(group.keys, (group.keys, group._table, group._unsigned))
+        assert first[0] is group.keys and first[1] is group._table and first[2] is group._unsigned
+    # one Pauli per table entry, and the n unsigned generators per key tuple
+    assert made_by_load == len(table) + ss.n * len(shared)
 
 
 def twin_sample_set(field, value, where):
@@ -594,7 +614,10 @@ def test_indices_name_table_entries():
     assert _DOC["samples"] == [{"label": "0", "measurement": 0, "state": [1, 2]}]
     s = sample_set_from_json(_with(measurement=2, state=[2, 1])).samples[0]
     assert s.measurement == z_power(2, 2) and s.state == StabilizerState.computational_basis(2, 1)
-    assert s.measurement is s.state.group.generators[0]
+    # the state is read off entries 2 (+Z on qubit 1) and 1 (-Z on qubit 0)
+    assert s.state.group.keys == (z_power(2, 2).key(), z_power(2, 1).key())
+    assert s.state.group.signs == 0b10
+    assert s.state.group.generators[0] == s.measurement
 
 
 def _gate_on_3(obj):
@@ -661,6 +684,43 @@ BAD_STATE_IDS = ["true", "float", "negative", "past-end", "digit-string", "null"
 def test_a_bad_state_index_after_good_ones_is_named(doc, message):
     with pytest.raises(ValueError) as err:
         sample_set_from_json(json.loads(dumps(doc)))
+    assert str(err.value) == message
+
+
+# State lists of valid indices whose Paulis make no group, after a good
+# sample: the loader must raise, word for word, what StabilizerGroup raises
+# for those Paulis, whether or not the list takes its key-tuple path.
+_GROUP_TABLE = [z_power(2, 1), z_power(2, 1, sign=-1), z_power(2, 2), PauliOperator(2, 0, 0), x_power(2, 1)]
+BAD_GROUP_DOCS = [
+    (
+        {
+            "n": 2,
+            "paulis": [pauli_to_json(p) for p in _GROUP_TABLE],
+            "samples": [
+                {"label": "1", "measurement": 2, "state": [0, 2]},
+                {"label": "1", "measurement": 2, "state": state},
+            ],
+        },
+        message,
+    )
+    for state, message in [
+        ([3, 2], "identity cannot be a generator"),
+        ([2], "a pure state on 2 qubits needs exactly 2 generators"),
+        ([0, 1], "generators are dependent"),
+        ([0, 4], "generators 0 and 1 anticommute"),
+    ]
+]
+BAD_GROUP_IDS = ["identity", "one-short", "dependent", "anticommuting"]
+
+
+@pytest.mark.parametrize("doc, message", BAD_GROUP_DOCS, ids=BAD_GROUP_IDS)
+def test_a_state_that_is_no_group_is_refused_with_the_constructor_message(doc, message):
+    with pytest.raises(ValueError) as err:
+        sample_set_from_json(json.loads(dumps(doc)))
+    assert str(err.value) == message
+    table = [pauli_from_json(e) for e in doc["paulis"]]
+    with pytest.raises(ValueError) as err:
+        StabilizerGroup([table[i] for i in doc["samples"][1]["state"]])
     assert str(err.value) == message
 
 

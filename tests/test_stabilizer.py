@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.samples import Sample, SampleSet
+from cnotpac.serialization import sample_set_from_json, sample_set_to_json
 from cnotpac.stabilizer import (
     Membership,
     StabilizerGroup,
@@ -257,11 +259,57 @@ def test_sign_variants_share_one_table_and_stay_distinct(group, data):
 
 
 def test_generators_cannot_be_edited_in_place():
-    # the echelon table is built from the generators once, so an edit
-    # would leave it describing the old group
+    # generators is a tuple derived from keys and signs on each access, and
+    # the echelon table is built from the keys once, so an edit would leave
+    # it describing the old group
     g = StabilizerGroup([z_power(2, 0b01), z_power(2, 0b10)])
     with pytest.raises(TypeError):
         g.generators[0] = x_power(2, 0b01)
+    with pytest.raises(AttributeError):
+        g.generators = (x_power(2, 0b01), z_power(2, 0b10))
     assert g.generators == (z_power(2, 0b01), z_power(2, 0b10))
     assert g.group_contains(z_power(2, 0b01)) is Membership.PLUS
     assert g.group_contains(x_power(2, 0b01)) is Membership.ABSENT
+
+
+def _assert_same_group(got, want):
+    """got answers every query exactly as want does (n <= 3)."""
+    n = want.n
+    assert got.n == n
+    assert got.keys == want.keys and got.signs == want.signs
+    assert got.generators == want.generators
+    assert got.canonical_signature() == want.canonical_signature()
+    assert got.z_constraints() == want.z_constraints()
+    for mask in range(1 << n):
+        assert got.element(mask) == want.element(mask)
+    for xz in range(1 << (2 * n)):
+        assert got.member_phase(xz) == want.member_phase(xz)
+        for sign in (1, -1):
+            p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
+            assert got.group_contains(p) is want.group_contains(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilizer_groups(), st.data())
+def test_a_flip_and_a_load_match_the_group_of_negated_generators(group, data):
+    n = group.n
+    signs = data.draw(st.integers(0, (1 << n) - 1))
+    want = StabilizerGroup(
+        [-g if (signs >> i) & 1 else g for i, g in enumerate(group.generators)]
+    )
+    flipped = group.flip(signs)
+    assert flipped.keys is group.keys and flipped._table is group._table
+    _assert_same_group(flipped, want)
+    state = StabilizerState(want)
+    probe = want.generators[0]
+    text = sample_set_to_json(SampleSet(n, [Sample(state, probe, state.expectation(probe))]))
+    loaded = sample_set_from_json(text).samples[0].state.group
+    _assert_same_group(loaded, want)
+
+
+def test_flip_refuses_a_mask_past_the_generators():
+    g = bell_group()
+    assert g.flip(0b11).signs == 0b11 and g.flip(0b11).flip(0b01).signs == 0b10
+    for mask in (-1, 0b100):
+        with pytest.raises(ValueError, match="^sign mask outside 2 generators$"):
+            g.flip(mask)
