@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce, _transpose
-from .pauli import PauliOperator
 from .tableau import CliffordTableau, Gate
 
 
@@ -81,10 +80,8 @@ class CnotCircuit:
         # theta^{-T} e_j is row j of theta^{-1}, read off the one table of
         # theta's rows; theta e_j is column j of theta
         table = _inverse_table(rows, n)
-        cols = [PauliOperator(n, _reduce(table, 1 << j, n) >> n, 0) for j in range(n)]
-        for j, z in enumerate(_transpose(rows, n)):
-            cols.append(PauliOperator(n, 0, z, -1 if q >> j & 1 else 1))
-        return CliffordTableau._unchecked(n, cols)
+        keys = [_reduce(table, 1 << j, n) >> n for j in range(n)]
+        return CliffordTableau._unchecked(n, keys + [z << n for z in _transpose(rows, n)], q << n)
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,10 +5,12 @@ and z are packed bit vectors and each overlapping coordinate contributes
 one factor of i (so every stored operator is Hermitian: each Y carries
 its own i).  Products of anticommuting Hermitian Paulis are
 anti-Hermitian and therefore cannot be represented.  Products are
-taken in the raw form (e, x, z), meaning i^e X^x Z^z.  _fold is the only
-product loop; the public mul refuses anticommuting pairs and multiplies
-through the two-factor _raw_mul, so it stays an independent check of
-the fold.
+taken in the raw form (e, x, z), meaning i^e X^x Z^z.  Inside the
+package a list of signed Paulis (a group's generators, a tableau's
+images) is held as key ints x | z << n and a sign mask, not as objects;
+_fold, over such a list, is the only product loop.  The public mul
+refuses anticommuting pairs and multiplies through the two-factor
+_raw_mul, so it stays an independent check of the fold.
 """
 
 from __future__ import annotations
@@ -32,21 +34,21 @@ def _raw_sign_bit(e: int, x: int, z: int) -> int:
     return (e - y) % 4 // 2
 
 
-def _fold(factors, mask: int, e: int = 0) -> tuple:
-    """Raw form (e, x, z) of i^e times the ordered product of the factors
-    (PauliOperators) whose indices are the set bits of mask."""
-    x = z = 0
+def _fold(n: int, keys, signs: int, mask: int, e: int = 0) -> tuple:
+    """Raw form (e, x, z) of i^e times the ordered product of the signed
+    Paulis whose indices are the set bits of mask: Pauli k has key keys[k]
+    (x | z << n) and is negated when bit k of signs is set."""
+    acc = 0
+    e += 2 * (signs & mask).bit_count()
     while mask:
         low = mask & -mask
-        f = factors[low.bit_length() - 1]
-        fx, fz = f.x, f.z
-        # f is i^{2 sign_bit + |fx & fz|} X^fx Z^fz, and moving the
-        # accumulated Z^z past X^fx costs (-1)^{z . fx}
-        e += 2 * (f.sign_bit + (z & fx).bit_count()) + (fx & fz).bit_count()
-        x ^= fx
-        z ^= fz
+        k = keys[low.bit_length() - 1]
+        # the unsigned factor is i^{|x & z|} X^x Z^z, and moving the
+        # accumulated Z^{acc >> n} past X^x costs (-1)^{(acc >> n) . x}
+        e += 2 * (acc >> n & k).bit_count() + (k >> n & k).bit_count()
+        acc ^= k
         mask ^= low
-    return e % 4, x, z
+    return e % 4, acc & ((1 << n) - 1), acc >> n
 
 
 def _anticommutation_rows(keys, n: int) -> list:
@@ -144,3 +146,12 @@ def z_power(n: int, v: int, sign: int = 1) -> PauliOperator:
     """Z^v = product of Z_i over the set bits of v."""
     return PauliOperator(n, 0, v, sign=sign)
 
+
+
+def _operators(n: int, keys, signs: int) -> tuple:
+    """The signed Paulis of keys (x | z << n) and a sign mask, as objects."""
+    full = (1 << n) - 1
+    return tuple(
+        PauliOperator(n, key & full, key >> n, sign=-1 if signs >> k & 1 else 1)
+        for k, key in enumerate(keys)
+    )

@@ -144,7 +144,7 @@ def _pin_samples(
     measurement = z_power(n, x, sign=-1 if sigma else 1)
     # the states share the basis generators Z^{basis[k]}; each flipped
     # state negates one of them, sharing the base group's keys and table
-    base = StabilizerGroup([z_power(n, v) for v in basis])
+    base = StabilizerGroup._from_keys(n, tuple(v << n for v in basis))
 
     def flipped(j: int) -> StabilizerState:
         return StabilizerState(base.flip(1 << j))

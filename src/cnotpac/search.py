@@ -93,9 +93,8 @@ def check_consistent(h, sample_set: SampleSet) -> bool:
 
 def _check_cnot_shape(t) -> None:
     """Raise unless every X image of the tableau is X-type with sign +."""
-    for xi in t.cols[: t.n]:
-        if xi.z != 0 or xi.sign_bit:
-            raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
+    if t.signs & ((1 << t.n) - 1) or any(key >> t.n for key in t.keys[: t.n]):
+        raise AssertionError("CNOT tableau has X-to-Z mixing or X phases")
 
 
 class _GenericSample:
@@ -382,7 +381,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     sample_code gives its tableau, but all 2^n q of a theta are scored
     at once, as a bitmask alive whose bit q stays set while (theta, q)
     matches every sample so far.  That is exact because pauli._fold adds
-    a factor's sign bit to the phase only as 2 sign_bit, and the only
+    the factors' signs to the phase only as 2 |signs & mask|, and the only
     factors that depend on q are the Z images that the measurement's z
     bits select, Z image j with sign bit q_j: e(q) = e(0) + 2 |q & z|
     mod 4, and the image's x and z do not depend on q.  So a theta folds
@@ -412,7 +411,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
         _check_cnot_shape(t)
         alive = every_q
         for key, e, group, code, flips in samples:
-            e, x, z = _fold(t.cols, key, e)
+            e, x, z = _fold(n, t.keys, t.signs, key, e)
             _raw_sign_bit(e, x, z)
             if not x | z:
                 raise ValueError("identity is not a useful measurement")

@@ -4,8 +4,9 @@ A pure state on n qubits is represented by exactly n independent,
 pairwise commuting signed Pauli generators whose group excludes -I.
 A StabilizerGroup stores them as a tuple of generator keys x | z << n
 and a sign mask, not as Pauli objects: the states of one reduction pin
-differ only in signs, so they share one key tuple, one validated echelon
-table and one tuple of unsigned generators, and a sign flip is O(1).
+differ only in signs, so they share one key tuple and one validated
+echelon table, and a sign flip is O(1).  Products of generators fold the
+keys and signs themselves (pauli._fold).
 Membership queries answer with a trichotomy: the probe is in the group
 (Plus), its negation is (Minus), or its unsigned support is absent
 entirely (Absent).  The expectation of a two-outcome measurement
@@ -23,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import _echelon, _insert, _reduce
-from .pauli import PauliOperator, _anticommutation_rows, _fold, _raw_sign_bit, z_power
+from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit, z_power
 
 
 # expectation values of (I + P)/2, indexed by label code
@@ -61,12 +62,6 @@ def _echelon_table(n: int, keys: tuple) -> dict:
     return table
 
 
-def _unsigned(n: int, keys: tuple) -> tuple:
-    """The generators of these keys with sign +, the factors a group folds."""
-    full = (1 << n) - 1
-    return tuple(PauliOperator(n, key & full, key >> n) for key in keys)
-
-
 @functools.lru_cache(maxsize=1024)
 def _z_form(n: int, keys: tuple) -> tuple:
     """(x_rows, cols, mixed), the sign-free part of z_constraints for these
@@ -101,15 +96,14 @@ class StabilizerGroup:
     generators is derived from the two on each access.  Group elements
     are tracked on ints key | (mask << 2n): the unsigned symplectic key
     of a product of generators, with the generators it is the product of
-    as payload.  The phase of such a product is the fold of the unsigned
-    generators (pauli._fold) plus 2 popcount(signs & mask), so neither
-    the echelon table nor a membership query multiplies Pauli objects.
-    The table is built once per key tuple and shared, read-only, by every
-    group with those keys (_echelon_table); a sign flip (flip) shares it
-    and the unsigned generators too, in O(1).
+    as payload.  The phase of such a product is the fold of keys and
+    signs over mask (pauli._fold), so neither the echelon table nor a
+    membership query multiplies Pauli objects.  The table is built once
+    per key tuple and shared, read-only, by every group with those keys
+    (_echelon_table); a sign flip (flip) shares it and the keys, in O(1).
     """
 
-    __slots__ = ("n", "keys", "signs", "_table", "_unsigned")
+    __slots__ = ("n", "keys", "signs", "_table")
 
     def __init__(self, generators: Iterable[PauliOperator]):
         generators = tuple(generators)
@@ -133,8 +127,6 @@ class StabilizerGroup:
         self.n = n
         self.keys = keys
         self.signs = signs
-        # with every sign +, the generators are their own unsigned form
-        self._unsigned = _unsigned(n, keys) if signs else generators
 
     @classmethod
     def _from_keys(cls, n: int, keys: tuple) -> "StabilizerGroup":
@@ -146,12 +138,11 @@ class StabilizerGroup:
         group.n = n
         group.keys = keys
         group.signs = 0
-        group._unsigned = _unsigned(n, keys)
         return group
 
     def flip(self, mask: int) -> "StabilizerGroup":
         """The group with generator k negated for each set bit k of mask.
-        It shares this group's keys, table and unsigned generators."""
+        It shares this group's keys and table."""
         if mask < 0 or mask >> self.n:
             raise ValueError("sign mask outside %d generators" % self.n)
         group = StabilizerGroup.__new__(StabilizerGroup)
@@ -159,24 +150,16 @@ class StabilizerGroup:
         group.keys = self.keys
         group.signs = self.signs ^ mask
         group._table = self._table
-        group._unsigned = self._unsigned
         return group
 
     @property
     def generators(self) -> tuple:
         """The signed generators, built from keys and signs on each access."""
-        n, signs = self.n, self.signs
-        full = (1 << n) - 1
-        return tuple(
-            PauliOperator(n, key & full, key >> n, sign=-1 if signs >> k & 1 else 1)
-            for k, key in enumerate(self.keys)
-        )
+        return _operators(self.n, self.keys, self.signs)
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
-        return PauliOperator.from_raw(
-            self.n, *_fold(self._unsigned, mask, 2 * (self.signs & mask).bit_count())
-        )
+        return PauliOperator.from_raw(self.n, *_fold(self.n, self.keys, self.signs, mask))
 
     def z_constraints(self) -> list:
         """Rows w with (-1)^b Z^u a member iff w.(u | b << n) = 0 for every
@@ -193,8 +176,7 @@ class StabilizerGroup:
             t ^= cols[low.bit_length() - 1]
             rest ^= low
         for p, mask in mixed:
-            e = 2 * (signs & mask).bit_count()
-            t |= _raw_sign_bit(*_fold(self._unsigned, mask, e)) << p
+            t |= _raw_sign_bit(*_fold(n, self.keys, signs, mask)) << p
         return [*x_rows, t | 1 << n]
 
     def member_phase(self, key: int) -> Optional[int]:
@@ -204,8 +186,7 @@ class StabilizerGroup:
         r = _reduce(self._table, key, width)
         if r & ((1 << width) - 1):
             return None
-        mask = r >> width
-        return _fold(self._unsigned, mask, 2 * (self.signs & mask).bit_count())[0]
+        return _fold(self.n, self.keys, self.signs, r >> width)[0]
 
     def expectation_code(self, e: int, key: int) -> int:
         """Label code of tr[(I + P)/2 rho] for the Hermitian, nonidentity
@@ -231,11 +212,12 @@ class StabilizerGroup:
 
     def canonical_signature(self) -> tuple:
         """Hashable canonical form: fully reduced echelon keys with signs."""
-        width = 2 * self.n
+        n, width = self.n, 2 * self.n
         rows = _echelon(self._table.values(), width).values()
-        return tuple(
-            sorted((r & ((1 << width) - 1), self.element(r >> width).sign_bit) for r in rows)
-        )
+        return tuple(sorted(
+            (r & ((1 << width) - 1), _raw_sign_bit(*_fold(n, self.keys, self.signs, r >> width)))
+            for r in rows
+        ))
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,11 +1,14 @@
 """Clifford circuits as tableaus of conjugated generator images.
 
-For a circuit C the tableau stores the inverse images C† G_r C as signed
-Paulis in key order: image r is that of the generator whose symplectic
-key is 1 << r, so X_0 .. X_{n-1} come first, then Z_0 .. Z_{n-1}, and
-conjugation folds the stored list as it is.  Only s_matrix, phase_bits
-and from_s_matrix convert to and from the external interleaved layout
-(X_0, Z_0, X_1, Z_1, ...) of the symplectic matrix and the JSON block.
+For a circuit C the tableau stores the inverse images C† G_r C in key
+order, as image keys and a sign mask like a stabilizer group's
+generators: image r is that of the generator whose symplectic key is
+1 << r, so X_0 .. X_{n-1} come first, then Z_0 .. Z_{n-1}, and
+conjugation folds the stored keys and signs as they are (pauli._fold).
+Pauli objects are built only for the public cols and conjugate_inverse.
+Only s_matrix, phase_bits and from_s_matrix convert to and from the
+external interleaved layout (X_0, Z_0, X_1, Z_1, ...) of the symplectic
+matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .gf2 import BitMatrix, _inverse_table, _reduce, _transpose
-from .pauli import PauliOperator, _anticommutation_rows, _fold, _raw_sign_bit, x_power, z_power
+from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit
 from .stabilizer import LABELS, StabilizerGroup, StabilizerState
 
 _SINGLE_QUBIT_GATES = ("x", "z", "h", "p")
@@ -63,9 +66,11 @@ class Gate:
 
 
 class CliffordTableau:
-    """Mutable tableau of the 2n inverse generator images, in key order."""
+    """Mutable tableau of the 2n inverse generator images, in key order:
+    keys[r] is image r's key x | z << n, and bit r of signs is set when
+    image r is negated."""
 
-    __slots__ = ("n", "cols")
+    __slots__ = ("n", "keys", "signs")
 
     def __init__(self, cols: Iterable[PauliOperator]):
         cols = list(cols)
@@ -78,20 +83,24 @@ class CliffordTableau:
             if c.n != n:
                 raise ValueError("image qubit count mismatch")
         self.n = n
-        self.cols = cols
+        self.keys = [c.key() for c in cols]
+        self.signs = sum(c.sign_bit << r for r, c in enumerate(cols))
 
     @classmethod
-    def _unchecked(cls, n: int, cols: list) -> "CliffordTableau":
-        """Tableau that takes cols, a fresh list of 2n images on n qubits
-        built by the caller, as it is: __init__'s copy and checks skipped."""
+    def _unchecked(cls, n: int, keys: list, signs: int) -> "CliffordTableau":
+        """Tableau that takes keys, a fresh list of 2n image keys on n
+        qubits built by the caller, and signs as they are: no checks."""
         t = cls.__new__(cls)
         t.n = n
-        t.cols = cols
+        t.keys = keys
+        t.signs = signs
         return t
 
     @classmethod
     def identity(cls, n: int) -> "CliffordTableau":
-        return cls([x_power(n, 1 << i) for i in range(n)] + [z_power(n, 1 << i) for i in range(n)])
+        if n < 1:
+            raise ValueError("need 2n generator images")
+        return cls._unchecked(n, [1 << r for r in range(2 * n)], 0)
 
     @classmethod
     def from_s_matrix(cls, s: BitMatrix, phases: int = 0) -> "CliffordTableau":
@@ -99,41 +108,41 @@ class CliffordTableau:
         in interleaved column c is column c of s, negated when bit c of
         phases is set."""
         n = s.n_rows // 2
-        if s.n_rows != 2 * n or s.n_cols != 2 * n:
+        if n < 1 or s.n_rows != 2 * n or s.n_cols != 2 * n:
             raise ValueError("symplectic part must be 2n x 2n")
         xs = _transpose(s.rows[0::2], 2 * n)
         zs = _transpose(s.rows[1::2], 2 * n)
-        cols = [
-            PauliOperator(n, x, z, sign=-1 if phases >> c & 1 else 1)
-            for c, (x, z) in enumerate(zip(xs, zs))
-        ]
-        return cls(cols[0::2] + cols[1::2])
+        keys = [x | z << n for x, z in zip(xs, zs)]
+        signs = sum(
+            (phases >> 2 * j & 1) << j | (phases >> 2 * j + 1 & 1) << (n + j) for j in range(n)
+        )
+        return cls._unchecked(n, keys[0::2] + keys[1::2], signs)
 
-    def _interleaved(self) -> list:
-        """The images in the external order X_0, Z_0, X_1, Z_1, ..."""
-        return [p for pair in zip(self.cols[: self.n], self.cols[self.n :]) for p in pair]
+    @property
+    def cols(self) -> tuple:
+        """The signed images, built from keys and signs on each access."""
+        return _operators(self.n, self.keys, self.signs)
 
     def s_matrix(self) -> BitMatrix:
         """The 2n x 2n symplectic part: column c holds the image of the
         interleaved generator c, and rows interleave x_i/z_i of each image."""
-        images = self._interleaved()
-        xs = _transpose([p.x for p in images], self.n)
-        zs = _transpose([p.z for p in images], self.n)
-        return BitMatrix([r for pair in zip(xs, zs) for r in pair], 2 * self.n)
+        n, keys = self.n, self.keys
+        # columns X_0, Z_0, X_1, Z_1, ...; row b of the transpose is bit b
+        # of every key, x_b for b < n and z_{b - n} after
+        rows = _transpose([k for pair in zip(keys[:n], keys[n:]) for k in pair], 2 * n)
+        return BitMatrix([r for pair in zip(rows[:n], rows[n:]) for r in pair], 2 * n)
 
     def phase_bits(self) -> int:
         """Sign bits of the images, bit c for interleaved generator c."""
-        acc = 0
-        for c, p in enumerate(self._interleaved()):
-            acc |= p.sign_bit << c
-        return acc
+        n, signs = self.n, self.signs
+        return sum((signs >> j & 1) << 2 * j | (signs >> n + j & 1) << 2 * j + 1 for j in range(n))
 
     def conjugate_raw(self, p: PauliOperator) -> tuple:
         """Raw form (e, x, z) of C† P C, by expanding P over the stored
         generator images; no Hermiticity check (see conjugate_inverse)."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return _fold(self.cols, p.key(), p.raw()[0])
+        return _fold(self.n, self.keys, self.signs, p.key(), p.raw()[0])
 
     def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
         """C† P C; raises unless it is Hermitian (the tableau is invalid)."""
@@ -143,29 +152,30 @@ class CliffordTableau:
         """Append gate g to the circuit (it acts after everything so far)."""
         if g.max_qubit() >= self.n:
             raise ValueError("gate acts outside %d qubits" % self.n)
-        n = self.n
-        cols = self.cols
+        n, keys, signs = self.n, self.keys, self.signs
+        a = g.qubit
+        images = []
         if g.name == "x":
-            a = g.qubit
-            cols[n + a] = -cols[n + a]
+            signs ^= 1 << (n + a)
         elif g.name == "z":
-            a = g.qubit
-            cols[a] = -cols[a]
+            signs ^= 1 << a
         elif g.name == "h":
-            a = g.qubit
-            cols[a], cols[n + a] = cols[n + a], cols[a]
+            keys[a], keys[n + a] = keys[n + a], keys[a]
+            if (signs >> a ^ signs >> (n + a)) & 1:
+                signs ^= 1 << a | 1 << (n + a)
         elif g.name == "p":
             # C†(-Y_a)C: -Y_a = i^3 X_a Z_a, folded over the two images it touches
-            a = g.qubit
-            cols[a] = PauliOperator.from_raw(n, *_fold((cols[a], cols[n + a]), 3, 3))
+            images = [(a, _fold(n, keys, signs, 1 << a | 1 << (n + a), 3))]
         else:  # cnot
             # C†(X_a X_b)C and C†(Z_a Z_b)C, each factor pair in key order
             a, b = g.control, g.target
-            lo, hi = min(a, b), max(a, b)
-            new_x = PauliOperator.from_raw(n, *_fold((cols[lo], cols[hi]), 3))
-            new_z = PauliOperator.from_raw(n, *_fold((cols[n + lo], cols[n + hi]), 3))
-            cols[a] = new_x
-            cols[n + b] = new_z
+            pair = 1 << a | 1 << b
+            images = [(a, _fold(n, keys, signs, pair)), (n + b, _fold(n, keys, signs, pair << n))]
+        # every image is checked Hermitian before any is stored
+        for r, key, bit in [(r, x | z << n, _raw_sign_bit(e, x, z)) for r, (e, x, z) in images]:
+            keys[r] = key
+            signs = signs & ~(1 << r) | bit << r
+        self.signs = signs
 
     def inverse_tableau(self) -> "CliffordTableau":
         """Tableau of C^{-1}; its inverse images are the forward images of C.
@@ -176,17 +186,16 @@ class CliffordTableau:
         Raises unless image r anticommutes with image r + n (mod 2n) alone,
         as X_j does with Z_j.
         """
-        n, width = self.n, 2 * self.n
-        keys = [c.key() for c in self.cols]
+        n, width, keys = self.n, 2 * self.n, self.keys
         table = _inverse_table(keys, width)
-        cols = []
-        for r in range(width):
-            key = _reduce(table, 1 << r, width) >> width
-            c = PauliOperator(n, key & ((1 << n) - 1), key >> n)
-            cols.append(-c if self.conjugate_inverse(c).sign_bit else c)
+        inverse = [_reduce(table, 1 << r, width) >> width for r in range(width)]
+        signs = 0
+        for r, key in enumerate(inverse):
+            e = (key >> n & key).bit_count()
+            signs |= _raw_sign_bit(*_fold(n, keys, self.signs, key, e)) << r
         if _anticommutation_rows(keys, n) != [1 << (r + n) % width for r in range(width)]:
             raise ValueError("tableau is not a valid Clifford image")
-        return CliffordTableau._unchecked(n, cols)
+        return CliffordTableau._unchecked(n, inverse, signs)
 
     def to_tableau(self) -> "CliffordTableau":
         return self
@@ -195,14 +204,15 @@ class CliffordTableau:
         return (
             isinstance(other, CliffordTableau)
             and self.n == other.n
-            and self.cols == other.cols
+            and self.keys == other.keys
+            and self.signs == other.signs
         )
 
     def __hash__(self):
-        return hash((self.n, tuple(self.cols)))
+        return hash((self.n, tuple(self.keys), self.signs))
 
     def __repr__(self) -> str:
-        return "CliffordTableau(n=%d, cols=%r)" % (self.n, self.cols)
+        return "CliffordTableau(n=%d, cols=%r)" % (self.n, list(self.cols))
 
 
 def apply_circuit_to_state(t: CliffordTableau, state: StabilizerState) -> StabilizerState:

@@ -28,7 +28,7 @@ from cnotpac.serialization import (
     string_to_bits,
 )
 from cnotpac.stabilizer import StabilizerGroup, StabilizerState
-from cnotpac.tableau import is_symplectic
+from cnotpac.tableau import CliffordTableau, is_symplectic
 
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
@@ -962,12 +962,13 @@ def test_cli_transcript_is_pinned(tmp_path, capsys):
 
 
 def test_the_pipeline_builds_no_pauli_generators(tmp_path, capsys, monkeypatch):
-    # every path from reduce to verify reads a group's keys and signs; one
-    # that rebuilt its Pauli generators would raise here
-    def refuse(group):
-        raise AssertionError("StabilizerGroup.generators read on the pipeline")
+    # every path from reduce to verify reads a group's and a tableau's keys
+    # and signs; one that rebuilt their Pauli objects would raise here
+    def refuse(owner):
+        raise AssertionError("Pauli objects of a %s read on the pipeline" % type(owner).__name__)
 
     monkeypatch.setattr(StabilizerGroup, "generators", property(refuse))
+    monkeypatch.setattr(CliffordTableau, "cols", property(refuse))
     cnf = tmp_path / "in.cnf"
     sources = [
         ("cnf-a", ["--cnf", str(cnf)], "p cnf 1 1\n-1 0\n", "11"),

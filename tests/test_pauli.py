@@ -2,14 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotpac.pauli import (
     PauliOperator,
+    _fold,
+    _raw_mul,
+    _raw_sign_bit,
     x_power,
     z_power,
 )
 
-from helpers import pauli_dense
+from helpers import pauli_dense, random_stabilizer_state
 
 
 def random_pauli(rng, n):
@@ -110,3 +114,31 @@ def test_z_products_compose_supports():
         n = rng.randrange(1, 5)
         v, w = rng.randrange(1 << n), rng.randrange(1 << n)
         assert z_power(n, v).mul(z_power(n, w)) == z_power(n, v ^ w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fold_is_the_ordered_raw_product_of_its_signed_factors(data):
+    n = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(0, 8))
+    commuting = data.draw(st.booleans())
+    if commuting:
+        # members of one stabilizer group: every pair commutes
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        members = [p.key() for p in random_stabilizer_state(rng, n).group.members()]
+        keys = data.draw(st.lists(st.sampled_from(members), min_size=count, max_size=count))
+    else:
+        keys = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), min_size=count, max_size=count))
+    signs = data.draw(st.integers(0, (1 << count) - 1))
+    mask = data.draw(st.integers(0, (1 << count) - 1))
+    e = data.draw(st.integers(0, 3))
+    full = (1 << n) - 1
+    expected = (e, 0, 0)
+    for k, key in enumerate(keys):
+        if mask >> k & 1:
+            factor = PauliOperator(n, key & full, key >> n, sign=-1 if signs >> k & 1 else 1)
+            expected = _raw_mul(expected, factor.raw())
+    assert _fold(n, keys, signs, mask, e) == expected
+    if commuting:
+        # a product of commuting Hermitian factors is Hermitian again
+        _raw_sign_bit(expected[0] - e, expected[1], expected[2])

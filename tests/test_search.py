@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cnotpac.search
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import Constant, arithmetize_cnf, eval_formula, formula_to_graph
 from cnotpac.gf2 import BitMatrix, _insert, _reduce, complete_to_basis, dot
@@ -828,6 +829,37 @@ def test_search_from_decision_dishonest_oracles():
     bad = SampleSet(2, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))])
     r = search_from_decision(lambda s: True, bad)
     assert not r.found and r.oracle_fault
+
+
+def test_the_searches_build_no_pauli_objects(monkeypatch):
+    # brute search and the full scan fold image keys and sign masks; a
+    # decision search builds only its pins' measurements, one per pin set
+    rng = random.Random(87)
+    sets = [random_consistent_set(rng, n, 3 * n)[0] for n in (2, 3)]
+    sets += [reduce_sat_to_samples(clauses, random.Random(88))[0] for clauses in ([[1]], [[-1]])]
+    assert [s.n for s in sets] == [2, 3, 3, 4]
+    made = []
+    init = PauliOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    pins = []
+
+    def pin_samples(*args):
+        pins.append(_pin_samples(*args))
+        return pins[-1]
+
+    monkeypatch.setattr(PauliOperator, "__init__", counted)
+    monkeypatch.setattr(cnotpac.search, "_pin_samples", pin_samples)
+    for samples in sets:
+        assert brute_force_search(samples).found
+        assert enumerate_consistent_circuits(samples)
+    assert made == []
+    for samples in sets:
+        assert search_from_decision(brute_force_decision, samples).found
+    assert made == [pin[0].measurement for pin in pins]
 
 
 def _decision_cases():

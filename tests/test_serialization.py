@@ -414,18 +414,18 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
         assert loaded.setdefault(entry["measurement"], s.measurement) is s.measurement
     assert len({id(p) for p in loaded.values()}) == len(loaded)
     # states: a key tuple and a sign mask read off the entries, with the
-    # key tuple, the table and the unsigned generators shared by every
-    # group with those keys, so no Pauli object is made per state
-    shared = {}  # key tuple -> (keys, table, unsigned generators) of its first group
+    # key tuple and the table shared by every group with those keys, so no
+    # Pauli object is made per state
+    shared = {}  # key tuple -> (keys, table) of its first group
     for entry, s in zip(obj["samples"], back.samples):
         group = s.state.group
         paulis = [pauli_from_json(table[i]) for i in entry["state"]]
         assert group.keys == tuple(p.key() for p in paulis)
         assert group.signs == sum(p.sign_bit << k for k, p in enumerate(paulis))
-        first = shared.setdefault(group.keys, (group.keys, group._table, group._unsigned))
-        assert first[0] is group.keys and first[1] is group._table and first[2] is group._unsigned
-    # one Pauli per table entry, and the n unsigned generators per key tuple
-    assert made_by_load == len(table) + ss.n * len(shared)
+        first = shared.setdefault(group.keys, (group.keys, group._table))
+        assert first[0] is group.keys and first[1] is group._table
+    # one Pauli per table entry, and none per state
+    assert made_by_load == len(table)
 
 
 def twin_sample_set(field, value, where):

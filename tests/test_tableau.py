@@ -57,30 +57,32 @@ def test_identity_tableau_columns():
     assert t.cols[2] == z_power(2, 0b01)
     assert t.cols[3] == z_power(2, 0b10)
     assert t.phase_bits() == 0
+    with pytest.raises(ValueError, match="need 2n generator images"):
+        CliffordTableau.identity(0)
 
 
 def test_single_gate_images_frozen():
     # stored entries are inverse images g† G g
     t = CliffordTableau.identity(1)
     t.apply_gate(Gate("h", qubit=0))
-    assert t.cols == [z_power(1, 1), x_power(1, 1)]
+    assert t.cols == (z_power(1, 1), x_power(1, 1))
     t = CliffordTableau.identity(1)
     t.apply_gate(Gate("p", qubit=0))
-    assert t.cols == [PauliOperator(1, 1, 1, sign=-1), z_power(1, 1)]
+    assert t.cols == (PauliOperator(1, 1, 1, sign=-1), z_power(1, 1))
     t = CliffordTableau.identity(1)
     t.apply_gate(Gate("x", qubit=0))
-    assert t.cols == [x_power(1, 1), z_power(1, 1, sign=-1)]
+    assert t.cols == (x_power(1, 1), z_power(1, 1, sign=-1))
     t = CliffordTableau.identity(1)
     t.apply_gate(Gate("z", qubit=0))
-    assert t.cols == [x_power(1, 1, sign=-1), z_power(1, 1)]
+    assert t.cols == (x_power(1, 1, sign=-1), z_power(1, 1))
     t = CliffordTableau.identity(2)
     t.apply_gate(Gate("cnot", control=0, target=1))
-    assert t.cols == [
+    assert t.cols == (
         x_power(2, 0b11),
         x_power(2, 0b10),
         z_power(2, 0b01),
         z_power(2, 0b11),
-    ]
+    )
 
 
 def test_image_r_is_the_image_of_key_bit_r():
@@ -304,6 +306,8 @@ def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
             assert CliffordTableau.from_s_matrix(t.s_matrix()).phase_bits() == 0
     with pytest.raises(ValueError):
         CliffordTableau.from_s_matrix(BitMatrix.identity(3))
+    with pytest.raises(ValueError):
+        CliffordTableau.from_s_matrix(BitMatrix([], 0))
 
 
 def _forward_transcript():
@@ -354,7 +358,7 @@ def test_inverse_tableau_rejects_images_that_break_commutation():
             PauliOperator(2, 0, 0b11),
         ]
     )
-    assert repr(t.cols) == "[-IZ, -IX, +XY, +ZZ]"
+    assert repr(t.cols) == "(-IZ, -IX, +XY, +ZZ)"
     assert not is_symplectic(t.s_matrix(), 2)
     with pytest.raises(ValueError, match="tableau is not a valid Clifford image"):
         t.inverse_tableau()
@@ -382,14 +386,23 @@ def test_inverse_tableau_follows_edits_to_cols():
     t = CliffordTableau.identity(2)
     t.apply_gate(Gate("h", qubit=0))
     assert t.inverse_tableau() == t
-    # swapping the X_0 and Z_0 images by hand undoes the H
-    t.cols[0], t.cols[2] = t.cols[2], t.cols[0]
+    with pytest.raises(TypeError):
+        t.cols[0] = t.cols[2]
+    # swapping the X_0 and Z_0 image keys by hand undoes the H
+    t.keys[0], t.keys[2] = t.keys[2], t.keys[0]
     assert t == CliffordTableau.identity(2)
-    assert t.inverse_tableau() == CliffordTableau(list(t.cols)).inverse_tableau()
+    assert t.inverse_tableau() == CliffordTableau(t.cols).inverse_tableau()
     assert t.inverse_tableau() == CliffordTableau.identity(2)
+    # negating the Z_1 image by hand is an X on qubit 1
+    t.signs ^= 1 << 3
+    x1 = CliffordTableau.identity(2)
+    x1.apply_gate(Gate("x", qubit=1))
+    assert t == x1 and t.inverse_tableau() == x1
     rng = random.Random(1808)
     for n in (1, 2, 3, 4):
         t = random_tableau(rng, n)
         t.inverse_tableau()
-        t.cols[:] = random_tableau(rng, n).cols
-        assert t.inverse_tableau() == CliffordTableau(list(t.cols)).inverse_tableau()
+        other = random_tableau(rng, n)
+        t.keys[:] = other.keys
+        t.signs = other.signs
+        assert t.inverse_tableau() == CliffordTableau(t.cols).inverse_tableau()
