@@ -110,13 +110,13 @@ def validate_simplified(inst: NonSingularityInstance) -> bool:
 
 def _pin_samples(
     n: int,
-    x: int,
-    sigma: int,
+    measurement: PauliOperator,
     offset: int,
     span: Sequence[int],
     rng,
 ) -> List[Sample]:
-    """Samples forcing theta x into offset + span(span) and q.x = sigma.
+    """Samples forcing theta x into offset + span(span) and q.x = sigma,
+    where measurement is (-1)^sigma Z^x, shared by every sample.
 
     States are full-Z stabilizer states whose generator supports form a
     basis starting with the pin data; sign flips on individual
@@ -141,7 +141,6 @@ def _pin_samples(
         basis = deterministic_completion(head, n)
     else:
         basis = complete_to_basis(head, n, rng)
-    measurement = z_power(n, x, sign=-1 if sigma else 1)
     # the states share the basis generators Z^{basis[k]}; each flipped
     # state negates one of them, sharing the base group's keys and table
     base = StabilizerGroup._from_keys(n, tuple(v << n for v in basis))
@@ -180,7 +179,7 @@ def constrain_pauli_samples(
         if w == v:
             raise ValueError("v and w must be independent")
     span = [] if w is None else [w]
-    return _pin_samples(n, target.z, target.sign_bit, v, span, rng)
+    return _pin_samples(n, target, v, span, rng)
 
 
 def constrain_submatrix_samples(
@@ -228,14 +227,15 @@ def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]
     return out
 
 
-# instance_to_samples emits up to n(n + 1) samples of n generators each,
-# and the written file names each generator by index, so work and output
-# grow as n^3.  Medians of 5 `cnotpac reduce` processes on a 2-vCPU host:
-# the 12-clause 3-CNF over 8 variables of acceptance check 13 (n = 103)
-# takes 0.8 s, writes 11.7 MB and peaks at 89 MB RSS, and `verify` of that
-# file peaks at 106 MB; 126 summed x1s (n = 128, the limit) take 1.6 s,
-# write 22.1 MB and peak at 104 MB.  A short formula (300 summed x1s,
-# size 302) is refused before any sample.
+# instance_to_samples emits up to n(n + 1) samples, each written with its
+# n sign bits, and about n^2 distinct Paulis of 2n bits, so work and output
+# grow as n^3.  Medians of 5 processes on a 2-vCPU host (wall time from
+# start-up, peak RSS): the 12-clause 3-CNF over 8 variables of acceptance
+# check 13 (n = 103) reduces in 0.42 s to 4.4 MB at 40 MB, and solve affine
+# and verify of that file peak at 39 and 44 MB; 125 summed x1s plus x2
+# (n = 128, the limit) reduce in 0.80 s to 7.9 MB at 55 MB, and verify
+# peaks at 60 MB.  A short formula (300 summed x1s, size 302) is refused
+# before any sample.
 _MAX_INSTANCE_SIZE = 128
 
 

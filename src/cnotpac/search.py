@@ -43,7 +43,7 @@ from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix, _insert, _reduce
-from .pauli import _fold, _raw_sign_bit
+from .pauli import _fold, _raw_sign_bit, z_power
 from .reduction import NonSingularityInstance, _pin_samples
 from .samples import SampleSet
 from .tableau import sample_code
@@ -530,16 +530,17 @@ def search_from_decision(
     queries = 1
     if not ask([]):
         return DecisionSearchResult(False, None, queries, False)
+    # the pins' measurements (-1)^b Z_c, built once per search
+    zs = [(z_power(n, 1 << c), z_power(n, 1 << c, sign=-1)) for c in range(n)]
     columns = []
     q = 0
     for c in range(n):
-        x = 1 << c
         stage_a = None
         for i in range(n):
             span = [1 << j for j in range(i + 1, n)]
             for b in (0, 1):
                 queries += 1
-                if ask(_pin_samples(n, x, b, 1 << i, span, None)):
+                if ask(_pin_samples(n, zs[c][b], 1 << i, span, None)):
                     stage_a = (i, b)
                     break
             if stage_a is not None:
@@ -551,11 +552,11 @@ def search_from_decision(
         for j in range(i + 1, n):
             span = [1 << m for m in range(j + 1, n)]
             queries += 1
-            if not ask(_pin_samples(n, x, b, u, span, None)):
+            if not ask(_pin_samples(n, zs[c][b], u, span, None)):
                 u |= 1 << j
         columns.append(u)
         q |= b << c
-        settle(_pin_samples(n, x, b, u, [], None))
+        settle(_pin_samples(n, zs[c][b], u, [], None))
     theta = BitMatrix(columns, n).transpose()
     if not theta.is_invertible():
         return DecisionSearchResult(False, None, queries, True)

@@ -10,9 +10,14 @@ Conventions shared by every schema:
   whitespace), trailing newline.  Equal objects produce byte-identical
   files.  The loaders take any JSON layout, so files written indented
   still load.
-* A sample set is {"n", "paulis", "samples"}: each distinct Pauli is one
-  entry of the 'paulis' table, and a sample names its measurement and
-  its state's generators by table index.
+* A sample set is {"n", "paulis", "samples", "states"}: each distinct
+  Pauli is one entry of the 'paulis' table, and each distinct generator-key
+  tuple is one entry of the 'states' table, n indices of +1-signed
+  'paulis' entries.  A sample names its measurement by 'paulis' index,
+  its state by 'states' index plus a bit string 'signs' (character k is 1
+  when generator k is negated), and carries a label.  The states of a
+  reduction pin share one key tuple and differ in signs, so a file of
+  O(n^2) samples names about n + 1 tuples.
 
 Schema violations, wrong-typed values included (JSON true is not an
 integer), raise ValueError with a message naming the offending field;
@@ -116,65 +121,87 @@ def _table_entry(paulis: List[PauliOperator], i) -> PauliOperator:
     return paulis[i]
 
 
-def _sample_from_json(obj, paulis: List[PauliOperator], to_state) -> Sample:
-    """One entry of a sample set's 'samples', naming entries of the
-    parsed table paulis by index; to_state turns the 'state' list into a
-    StabilizerState."""
+def _state_table_entry(entry, paulis: List[PauliOperator]) -> StabilizerGroup:
+    """The group of one 'states' entry, every sign +.  The entry goes
+    through the StabilizerGroup constructor, so a count, identity,
+    commutation or independence fault raises the constructor's message."""
+    if not isinstance(entry, list):
+        raise ValueError("must list Pauli indices")
+    group = StabilizerGroup([_table_entry(paulis, i) for i in entry])
+    if group.signs:
+        raise ValueError("names a negated Pauli; a sample's 'signs' carry the signs")
+    return group
+
+
+def _sample_from_json(obj, paulis: List[PauliOperator], bases: List[StabilizerGroup]) -> Sample:
+    """One entry of a sample set's 'samples': its state is the 'states'
+    group bases[obj['state']] with the generators obj['signs'] names
+    negated, and its measurement the 'paulis' entry it names."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
-    gens = obj.get("state")
-    if not isinstance(gens, list) or not gens:
-        raise ValueError("sample field 'state' must list the generators")
-    state = to_state(gens)
+    t = obj.get("state")
+    if type(t) is not int or not 0 <= t < len(bases):
+        raise ValueError("sample field 'state' must be an index in [0, %d) of 'states'" % len(bases))
+    base = bases[t]
+    try:
+        mask = string_to_bits(obj.get("signs"), base.n)
+    except ValueError as err:
+        raise ValueError("sample field 'signs': %s" % err) from None
     measurement = _table_entry(paulis, obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
-    return Sample(state, measurement, _LABELS_BACK[label])
+    return Sample(StabilizerState(base.flip(mask)), measurement, _LABELS_BACK[label])
 
 
 def sample_set_dumps(ss: SampleSet) -> str:
     """The canonical text of sample_set_to_json(ss), without the newline.
 
     Each distinct Pauli is written once, as an entry of 'paulis' in order
-    of first use (each sample's measurement, then its generators), and
-    samples name entries by index.  A state's generators are looked up
-    all at once by (key, sign bit) off the group's keys and signs, and
-    only a miss makes an entry.  Keys are in sorted order, as _canonical
+    of first use (each sample's measurement, then, when its state's key
+    tuple is new, that tuple's generators with sign +), and each distinct
+    key tuple once, as an entry of 'states' in order of first use.  A
+    sample then costs a measurement lookup, a key-tuple lookup and one
+    format of its sign mask.  Keys are in sorted order, as _canonical
     writes them; each entry's format string renders exactly
     _canonical(pauli_to_json(p)), without a json.dumps per entry.
     """
     n = ss.n
     top = 1 << n
     full = top - 1
-    # sign bit as "0" or "1" -> {key x | z << n: the entry's index as text}
-    index: dict = {"0": {}, "1": {}}
+    # sign bit -> {key x | z << n: the entry's index as text}
+    index: tuple = ({}, {})
     entries: List[str] = []
+    tuples: dict = {}  # key tuple -> its 'states' index as text
+    states: List[str] = []
 
-    def add(key: int, sign: str) -> str:
+    def add(key: int, sign: int) -> str:
         i = index[sign][key] = str(len(entries))
         # x and z as bits_to_string writes them; the key holds their range
         x, z = format(key & full | top, "b")[:0:-1], format(key >> n | top, "b")[:0:-1]
-        entries.append('{"n":%d,"sign":%s,"x":"%s","z":"%s"}' % (n, "-1" if sign == "1" else "1", x, z))
+        entries.append('{"n":%d,"sign":%s,"x":"%s","z":"%s"}' % (n, "-1" if sign else "1", x, z))
         return i
+
+    def add_state(keys: tuple) -> str:
+        plus = index[0]
+        t = tuples[keys] = str(len(states))
+        states.append("[%s]" % ",".join([plus.get(key) or add(key, 0) for key in keys]))
+        return t
 
     samples = []
     for s in ss.samples:
         m, group = s.measurement, s.state.group
-        key, sign = m.x | m.z << n, "01"[m.sign_bit]
-        at = index[sign].get(key) or add(key, sign)
+        key = m.x | m.z << n
+        at = index[m.sign_bit].get(key) or add(key, m.sign_bit)
+        t = tuples.get(group.keys) or add_state(group.keys)
         # character k is the sign bit of generator k
-        signs = format(group.signs | top, "b")[:0:-1]
-        state = list(map(dict.get, map(index.__getitem__, signs), group.keys))
-        k = -1
-        for _ in range(state.count(None)):
-            k = state.index(None, k + 1)
-            state[k] = add(group.keys[k], signs[k])
         samples.append(
-            '{"label":"%s","measurement":%s,"state":[%s]}'
-            % (_LABEL_TEXT[s.code], at, ",".join(state))
+            '{"label":"%s","measurement":%s,"signs":"%s","state":%s}'
+            % (_LABEL_TEXT[s.code], at, format(group.signs | top, "b")[:0:-1], t)
         )
-    return '{"n":%d,"paulis":[%s],"samples":[%s]}' % (n, ",".join(entries), ",".join(samples))
+    return '{"n":%d,"paulis":[%s],"samples":[%s],"states":[%s]}' % (
+        n, ",".join(entries), ",".join(samples), ",".join(states)
+    )
 
 
 def sample_set_to_json(ss: SampleSet) -> dict:
@@ -184,10 +211,10 @@ def sample_set_to_json(ss: SampleSet) -> dict:
 
 def sample_set_from_json(obj) -> SampleSet:
     """Load a sample set: each 'paulis' entry is parsed once, and every
-    index naming it as a measurement yields that one PauliOperator.  A
-    state is read off its entries' keys and sign bits, with no Pauli
-    object: states with one key tuple are sign flips (StabilizerGroup.flip)
-    of one group, built and validated once."""
+    index naming it as a measurement yields that one PauliOperator.  Each
+    'states' entry is validated once, as a StabilizerGroup with every sign
+    +; a sample's state is that group's sign flip (StabilizerGroup.flip)
+    by its 'signs', with no Pauli object and no group check per sample."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
@@ -197,28 +224,19 @@ def sample_set_from_json(obj) -> SampleSet:
     paulis = [pauli_from_json(entry) for entry in table]
     if any(p.n != n for p in paulis):
         raise ValueError("sample set field 'paulis' must hold %d-qubit Paulis" % n)
+    states = obj.get("states")
+    if not isinstance(states, list):
+        raise ValueError("sample set field 'states' must be a list")
+    bases = []
+    for t, entry in enumerate(states):
+        try:
+            bases.append(_state_table_entry(entry, paulis))
+        except ValueError as err:
+            raise ValueError("sample set field 'states' entry %d: %s" % (t, err)) from None
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    keys = [p.x | p.z << n for p in paulis]
-    signs = ["01"[p.sign_bit] for p in paulis]
-    bases: dict = {}  # key tuple -> its group with every sign +
-
-    def to_state(gens: list) -> StabilizerState:
-        # the whole list is checked at once; a list that is not n valid
-        # indices of nonidentity entries goes through the constructor,
-        # which raises the error it raises for those Paulis
-        if len(gens) == n and set(map(type, gens)) == {int} and min(gens) >= 0 and max(gens) < len(keys):
-            key_tuple = tuple(map(keys.__getitem__, gens))
-            if 0 not in key_tuple:
-                base = bases.get(key_tuple)
-                if base is None:
-                    base = bases[key_tuple] = StabilizerGroup._from_keys(n, key_tuple)
-                mask = int("".join(map(signs.__getitem__, reversed(gens))), 2)
-                return StabilizerState(base.flip(mask))
-        return StabilizerState(StabilizerGroup([_table_entry(paulis, i) for i in gens]))
-
-    return SampleSet(n, [_sample_from_json(s, paulis, to_state) for s in samples])
+    return SampleSet(n, [_sample_from_json(s, paulis, bases) for s in samples])
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,8 @@ def test_13_a_twelve_clause_cnf_runs_through_the_cli(tmp_path, capsys):
     code, report = cli("reduce", "--cnf", cnf, "--seed", 0, "--out", red)
     n = report["counts"]["instance_size"]
     assert code == 0 and n == 103
+    # a file that spells out each sample's n generator indices is 11.7 MB
+    assert red.stat().st_size < 6_000_000
     code, report = cli("solve", red, "--strategy", "affine", "--out", tmp_path / "a.json")
     assert code == 0 and report["outcome"] == "found"
     a = string_to_bits(json.loads((tmp_path / "a.json").read_text())["assignment"])

@@ -33,10 +33,13 @@ from cnotpac.tableau import CliffordTableau, is_symplectic
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
 from test_serialization import (
+    BAD_FIELD_DOCS,
+    BAD_FIELD_IDS,
     BAD_GROUP_DOCS,
     BAD_GROUP_IDS,
     BAD_STATE_DOCS,
     BAD_STATE_IDS,
+    SECOND_ENTRY,
     TWIN_IDS,
     TWINS,
     twin_sample_set,
@@ -270,7 +273,7 @@ def test_solve_unsatisfiable(tmp_path, capsys):
 
 def test_solve_enumeration_limit(tmp_path, capsys):
     big = tmp_path / "big.json"
-    big.write_text(dumps({"n": 20, "paulis": [], "samples": []}))
+    big.write_text(dumps({"n": 20, "paulis": [], "samples": [], "states": []}))
     code, _, err = run(capsys, "solve", str(big), "--strategy", "brute")
     assert code == 2 and "enumeration limit" in err
 
@@ -376,7 +379,9 @@ def test_verify_schema_errors(tmp_path, capsys):
     assert code == 2 and "mismatch" in err
 
 
-@pytest.mark.parametrize("doc, message", BAD_STATE_DOCS, ids=BAD_STATE_IDS)
+@pytest.mark.parametrize(
+    "doc, message", BAD_STATE_DOCS + BAD_FIELD_DOCS, ids=BAD_STATE_IDS + BAD_FIELD_IDS
+)
 def test_verify_names_a_bad_state_index_after_good_ones(doc, message, tmp_path, capsys):
     circuit = tmp_path / "circuit.json"
     circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(2))))
@@ -393,7 +398,7 @@ def test_verify_refuses_a_state_that_is_no_group(doc, message, tmp_path, capsys)
     spath = tmp_path / "samples.json"
     spath.write_text(dumps(doc))
     code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
-    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (spath, message))
+    assert (code, stdout, err) == (2, "", "error: %s: %s%s\n" % (spath, SECOND_ENTRY, message))
 
 
 def batch_fixture(tmp_path, seed=5, contradictory=False):
@@ -484,10 +489,10 @@ _POOL = _one_measurement_set([z_power(1, 1)], [1])
         ),
         (
             "single-measurement",
-            {"n": 1, "paulis": [], "samples": []},
+            {"n": 1, "paulis": [], "samples": [], "states": []},
             "sample set must contain at least one sample",
         ),
-        ("pac", {"n": 1, "paulis": [], "samples": []}, "pac input needs at least one sample"),
+        ("pac", {"n": 1, "paulis": [], "samples": [], "states": []}, "pac input needs at least one sample"),
         (
             "pac",
             dict(_POOL, weights=[1, 1]),
@@ -846,7 +851,7 @@ def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys)
 
 # sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the
 # earlier two-space-indent layout, json.dumps(obj, sort_keys=True, indent=2)
-GOLDEN_INDENTED_SHA256 = "bcbe00f5748d831b218a48d904d356d6c4e717119186a1e5c8ba719087021206"
+GOLDEN_INDENTED_SHA256 = "cce85c08d047b5a73784039122267ffb00e04c14789f3c5172418a11987f396b"
 
 
 def test_compact_output_matches_the_indented_layout(tmp_path, capsys):
@@ -890,10 +895,10 @@ def test_indented_sample_set_solves_like_the_compact_one(unit_reduction, tmp_pat
     assert outs[0] == outs[1]
 
 
-# sha256 of two reduce outputs in the Pauli-table sample-set schema: the
-# golden formula at seed 7 and UNIT_CNF at seed 3
-GOLDEN_SHA256 = "33f5c1dadb483c0d76fb2c78e928a9614e78ba9e79095580c1931e2c9465defd"
-UNIT_SHA256 = "c4639fef5ee947c16f72c746943061e20bc87de34fcd69803b1db314a334ef90"
+# sha256 of two reduce outputs in the sample-set schema with 'paulis' and
+# 'states' tables: the golden formula at seed 7 and UNIT_CNF at seed 3
+GOLDEN_SHA256 = "f0b92822ebb67d252ca2096a61ba58ef319e4c7a8490a517785ebe1a07bce8f3"
+UNIT_SHA256 = "ae58507a0081693879e6fa4b1dc327e2a9a5f7fb007101d997856618b5354c37"
 
 
 def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
@@ -907,7 +912,7 @@ def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
 # code, stdout line, stderr text and output file of reduce, solve affine/
 # brute/decision and verify on two CNFs and the golden formula, each reduced
 # with a fixed seed, with each report's wall_time_s removed
-CLI_TRANSCRIPT_SHA256 = "94a46a3584c60fa0398773c19aa0ba451dd891c699d443d6367850b552bc1cf6"
+CLI_TRANSCRIPT_SHA256 = "08ca658ad86e54c9558f0c73c7e78bd013632c076d36882557558583b832453b"
 
 
 def test_cli_transcript_is_pinned(tmp_path, capsys):
@@ -1014,8 +1019,8 @@ def test_a_twin_of_a_valid_pauli_exits_2(field, value, tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"label": "1"}, "sample field 'state' must list the generators"),
-        ({"state": [], "label": "1"}, "sample field 'state' must list the generators"),
+        ({"label": "1"}, "sample field 'state' must be an index in [0, 1) of 'states'"),
+        ({"state": [], "label": "1"}, "sample field 'state' must be an index in [0, 1) of 'states'"),
         (3, "sample must be an object"),
     ],
     ids=["no-state", "empty-state", "not-an-object"],
@@ -1038,8 +1043,23 @@ def _measure_with(index):
     return edit
 
 
+def _to_index_lists(obj):
+    """The layout before the 'states' table: every sample lists the table
+    indices of its signed generators."""
+    paulis, states = obj["paulis"], obj.pop("states")
+    for s in obj["samples"]:
+        gens = []
+        for i, bit in zip(states[s["state"]], s.pop("signs")):
+            entry = dict(paulis[i], sign=-1 if bit == "1" else 1)
+            if entry not in paulis:
+                paulis.append(entry)
+            gens.append(paulis.index(entry))
+        s["state"] = gens
+
+
 def _to_nested_schema(obj):
-    """The earlier layout: every sample spells out its Paulis."""
+    """The earliest layout: every sample spells out its Paulis."""
+    _to_index_lists(obj)
     paulis = obj.pop("paulis")
     for s in obj["samples"]:
         s["measurement"] = paulis[s["measurement"]]
@@ -1060,10 +1080,11 @@ def _to_nested_schema(obj):
         (lambda obj: obj.update(n=2), "sample set field 'paulis' must hold 2-qubit Paulis"),
         (lambda obj: obj.pop("paulis"), "sample set field 'paulis' must be a list"),
         (_to_nested_schema, "sample set field 'paulis' must be a list"),
+        (_to_index_lists, "sample set field 'states' must be a list"),
     ],
     ids=[
         "index-true", "index-float", "index-negative", "index-past-the-table", "index-string",
-        "entry-with-another-n", "no-table", "old-nested-schema",
+        "entry-with-another-n", "no-table", "old-nested-schema", "old-index-list-schema",
     ],
 )
 def test_bad_table_or_index_exits_2_naming_the_file(edit, message, tmp_path, capsys):
@@ -1095,8 +1116,9 @@ def test_single_measurement_hypothesis_verifies_against_its_input(tmp_path, caps
 
 
 def test_reduce_output_of_a_six_clause_cnf_stays_small(tmp_path, capsys):
-    # each Pauli is written once; spelling out every sample's n generators
-    # as n-character strings makes this file 21.4 MB
+    # each Pauli and each generator-key tuple is written once (0.73 MB);
+    # a generator-index list per sample makes this file 1.65 MB, and
+    # spelling out every sample's n generators as strings 21.4 MB
     rng = random.Random(2)
     clauses = [
         [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3)] for _ in range(6)

@@ -137,7 +137,7 @@ def test_subspace_pin_matches_brute_force():
     # offset inside the span: the pin is the span itself and the final
     # label-0 sample is dropped
     span = [0b011, 0b101]
-    samples = SampleSet(3, _pin_samples(3, 0b110, 0, 0b110, span, random.Random(5)))
+    samples = SampleSet(3, _pin_samples(3, z_power(3, 0b110), 0b110, span, random.Random(5)))
     assert len(samples) == 2
     allowed = {0, 0b011, 0b101, 0b110}
     for c in all_cnot_circuits(3):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -116,9 +117,10 @@ def one_sample_doc(s):
     return sample_set_to_json(SampleSet(s.state.n, [s]))
 
 
-# |10> (qubit 0 set) measured on +Z_0 with label 0: a table of +ZI, -ZI, +IZ
+# |10> (qubit 0 set) measured on -Z_0 with label 1: a table of -ZI, +ZI,
+# +IZ, whose last two entries are the state's key tuple
 _DOC = one_sample_doc(
-    Sample(StabilizerState.computational_basis(2, 1), z_power(2, 1), Fraction(0))
+    Sample(StabilizerState.computational_basis(2, 1), z_power(2, 1, sign=-1), Fraction(1))
 )
 
 
@@ -246,25 +248,36 @@ def test_reduction_output_serializes():
 
 
 def _reference_json(ss):
-    """sample_set_to_json built the plain way: the table lists the distinct
-    Paulis, told apart by ==, in order of first use (each sample's
-    measurement, then its generators)."""
-    paulis = []
+    """sample_set_to_json built the plain way, from Pauli objects told apart
+    by ==: 'paulis' lists the distinct Paulis in order of first use (each
+    sample's measurement, then, when its generators' unsigned tuple is new,
+    that tuple), and 'states' the distinct unsigned tuples."""
+    paulis, tuples, states, samples = [], [], [], []
 
     def at(p):
         if p not in paulis:
             paulis.append(p)
         return paulis.index(p)
 
-    samples = [
-        {
-            "measurement": at(s.measurement),
-            "state": [at(g) for g in s.state.group.generators],
+    for s in ss.samples:
+        measurement = at(s.measurement)
+        gens = s.state.group.generators
+        unsigned = tuple(PauliOperator(g.n, g.x, g.z) for g in gens)
+        if unsigned not in tuples:
+            tuples.append(unsigned)
+            states.append([at(g) for g in unsigned])
+        samples.append({
             "label": str(s.label),
-        }
-        for s in ss.samples
-    ]
-    return {"n": ss.n, "paulis": [pauli_to_json(p) for p in paulis], "samples": samples}
+            "measurement": measurement,
+            "signs": "".join(str(g.sign_bit) for g in gens),
+            "state": tuples.index(unsigned),
+        })
+    return {
+        "n": ss.n,
+        "paulis": [pauli_to_json(p) for p in paulis],
+        "samples": samples,
+        "states": states,
+    }
 
 
 def test_corpus_reductions_round_trip_byte_for_byte():
@@ -395,9 +408,11 @@ def test_reduce_files_load_back_to_pinned_content(tmp_path, capsys):
 def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     ss, _ = reduce_formula_to_samples(golden_formula(), random.Random(121))
     obj = sample_set_to_json(ss)
-    table = obj["paulis"]
+    table, states = obj["paulis"], obj["states"]
     assert len({json.dumps(e, sort_keys=True) for e in table}) == len(table)
-    assert len(table) < sum(1 + len(s["state"]) for s in obj["samples"])
+    assert len(table) < sum(1 + len(states[s["state"]]) for s in obj["samples"])
+    # one 'states' entry per distinct key tuple, far fewer than samples
+    assert len({tuple(e) for e in states}) == len(states) < len(obj["samples"])
     made = []
     init = PauliOperator.__init__
 
@@ -413,15 +428,16 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     for entry, s in zip(obj["samples"], back.samples):
         assert loaded.setdefault(entry["measurement"], s.measurement) is s.measurement
     assert len({id(p) for p in loaded.values()}) == len(loaded)
-    # states: a key tuple and a sign mask read off the entries, with the
-    # key tuple and the table shared by every group with those keys, so no
-    # Pauli object is made per state
+    # states: the key tuple of a 'states' entry and the sample's sign
+    # bits, with the key tuple and the table shared by every group with
+    # those keys, so no Pauli object is made per state
     shared = {}  # key tuple -> (keys, table) of its first group
     for entry, s in zip(obj["samples"], back.samples):
         group = s.state.group
-        paulis = [pauli_from_json(table[i]) for i in entry["state"]]
+        paulis = [pauli_from_json(table[i]) for i in states[entry["state"]]]
         assert group.keys == tuple(p.key() for p in paulis)
-        assert group.signs == sum(p.sign_bit << k for k, p in enumerate(paulis))
+        assert {p.sign for p in paulis} == {1}
+        assert group.signs == string_to_bits(entry["signs"])
         first = shared.setdefault(group.keys, (group.keys, group._table))
         assert first[0] is group.keys and first[1] is group._table
     # one Pauli per table entry, and none per state
@@ -429,19 +445,23 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
 
 
 def twin_sample_set(field, value, where):
-    """A two-sample set whose second sample uses, in its state or as its
-    measurement (where), a table entry that repeats one of the first
-    sample's Paulis with field set to value: a twin that hashes like the
-    valid entry."""
+    """A two-sample set whose second sample uses, in its state's 'states'
+    entry or as its measurement (where), a table entry that repeats one of
+    the first sample's Paulis with field set to value: a twin that hashes
+    like the valid entry."""
     n = 3 if value == 3.0 else 1
     doc = one_sample_doc(Sample(StabilizerState.zero_state(n), z_power(n, 1), Fraction(1)))
     twin = dict(doc["paulis"][0], **{field: value})
     second = copy.deepcopy(doc["samples"][0])
+    states = copy.deepcopy(doc["states"])
     if where == "state":
-        second["state"][0] = len(doc["paulis"])
+        states.append([len(doc["paulis"])] + states[0][1:])
+        second["state"] = 1
     else:
         second["measurement"] = len(doc["paulis"])
-    return dict(doc, paulis=doc["paulis"] + [twin], samples=doc["samples"] + [second])
+    return dict(
+        doc, paulis=doc["paulis"] + [twin], samples=doc["samples"] + [second], states=states
+    )
 
 
 TWINS = [("sign", True), ("n", True), ("n", 3.0)]
@@ -607,17 +627,25 @@ def _with(**changes):
     return dict(_DOC, samples=[_sample(**changes)])
 
 
+def _with_entry(entry):
+    """_DOC with entry as its 'states' entry 0."""
+    return dict(_DOC, states=[entry])
+
+
 def test_indices_name_table_entries():
     assert _DOC["paulis"] == [
-        pauli_to_json(p) for p in (z_power(2, 1), z_power(2, 1, sign=-1), z_power(2, 2))
+        pauli_to_json(p) for p in (z_power(2, 1, sign=-1), z_power(2, 1), z_power(2, 2))
     ]
-    assert _DOC["samples"] == [{"label": "0", "measurement": 0, "state": [1, 2]}]
-    s = sample_set_from_json(_with(measurement=2, state=[2, 1])).samples[0]
-    assert s.measurement == z_power(2, 2) and s.state == StabilizerState.computational_basis(2, 1)
-    # the state is read off entries 2 (+Z on qubit 1) and 1 (-Z on qubit 0)
+    assert _DOC["states"] == [[1, 2]]
+    assert _DOC["samples"] == [{"label": "1", "measurement": 0, "signs": "10", "state": 0}]
+    s = sample_set_from_json(dict(_with_entry([2, 1]), samples=[_sample(measurement=2)])).samples[0]
+    assert s.measurement == z_power(2, 2)
+    # the state is read off entries 2 (+Z on qubit 1) and 1 (+Z on qubit 0)
+    # and the sign bits "10": generator 0 is negated
     assert s.state.group.keys == (z_power(2, 2).key(), z_power(2, 1).key())
-    assert s.state.group.signs == 0b10
-    assert s.state.group.generators[0] == s.measurement
+    assert s.state.group.signs == 0b01
+    assert s.state == StabilizerState.computational_basis(2, 0b10)
+    assert s.state.group.generators[0] == z_power(2, 2, sign=-1)
 
 
 def _gate_on_3(obj):
@@ -645,9 +673,9 @@ def _gate_on_3(obj):
         (circuit_from_json, {"n": 10 ** 18, "gates": []}, "'n'"),
         (instance_from_json, {"size": True, "m0": ["1"], "ms": []}, "'size'"),
         (sample_set_from_json, _with(measurement=True), r"index True is not an integer in \[0, 3\)"),
-        (sample_set_from_json, _with(state=[1.0, 2]), r"Pauli index 1\.0 is not"),
+        (sample_set_from_json, _with_entry([1.0, 2]), r"Pauli index 1\.0 is not"),
         (sample_set_from_json, _with(measurement=-1), "Pauli index -1 is not"),
-        (sample_set_from_json, _with(state=[1, 3]), "Pauli index 3 is not"),
+        (sample_set_from_json, _with_entry([1, 3]), "Pauli index 3 is not"),
         (sample_set_from_json, _with(measurement="0"), "Pauli index '0' is not"),
         (sample_set_from_json, dict(_DOC, n=3), "'paulis' must hold 3-qubit Paulis"),
         (sample_set_from_json, {"n": 2, "samples": []}, "'paulis' must be a list"),
@@ -661,45 +689,41 @@ def test_loaders_reject_wrong_typed_fields(loader, obj, field):
         loader(obj)
 
 
-# State lists whose good indices come before a bad one, each with the error
-# it must raise: a list that fails the whole-list check is checked index by
-# index, so the message names the first bad index.
+# 'states' entries whose good index comes before a bad one, each with the
+# error it must raise: the message names the entry and its first bad index.
 BAD_STATE_DOCS = [
-    (_with(state=state), "Pauli index %s is not an integer in [0, 3)" % shown)
-    for state, shown in [
-        ([0, True], "True"),
-        ([0, 1.0], "1.0"),
-        ([0, -1], "-1"),
-        ([0, 3], "3"),
-        ([0, "0"], "'0'"),
-        ([0, None], "None"),
-        # min() over this list would raise TypeError
-        ([0, "a"], "'a'"),
+    (
+        _with_entry(entry),
+        "sample set field 'states' entry 0: Pauli index %s is not an integer in [0, 3)" % shown,
+    )
+    for entry, shown in [
+        ([1, True], "True"),
+        ([1, 1.0], "1.0"),
+        ([1, -1], "-1"),
+        ([1, 3], "3"),
+        ([1, "0"], "'0'"),
+        ([1, None], "None"),
+        ([1, "a"], "'a'"),
     ]
 ]
 BAD_STATE_IDS = ["true", "float", "negative", "past-end", "digit-string", "null", "string"]
 
 
-@pytest.mark.parametrize("doc, message", BAD_STATE_DOCS, ids=BAD_STATE_IDS)
-def test_a_bad_state_index_after_good_ones_is_named(doc, message):
-    with pytest.raises(ValueError) as err:
-        sample_set_from_json(json.loads(dumps(doc)))
-    assert str(err.value) == message
-
-
-# State lists of valid indices whose Paulis make no group, after a good
-# sample: the loader must raise, word for word, what StabilizerGroup raises
-# for those Paulis, whether or not the list takes its key-tuple path.
+# 'states' entries of valid indices whose Paulis make no group, after a good
+# entry: the loader must raise, word for word after the entry's name, what
+# StabilizerGroup raises for those Paulis.
 _GROUP_TABLE = [z_power(2, 1), z_power(2, 1, sign=-1), z_power(2, 2), PauliOperator(2, 0, 0), x_power(2, 1)]
+SECOND_ENTRY = "sample set field 'states' entry 1: "
 BAD_GROUP_DOCS = [
     (
         {
             "n": 2,
             "paulis": [pauli_to_json(p) for p in _GROUP_TABLE],
             "samples": [
-                {"label": "1", "measurement": 2, "state": [0, 2]},
-                {"label": "1", "measurement": 2, "state": state},
+                {"label": "1", "measurement": 2, "signs": "00", "state": 0},
+                {"label": "1", "measurement": 2, "signs": "00", "state": 1},
             ],
+            "states": [[0, 2], state],
         },
         message,
     )
@@ -717,24 +741,128 @@ BAD_GROUP_IDS = ["identity", "one-short", "dependent", "anticommuting"]
 def test_a_state_that_is_no_group_is_refused_with_the_constructor_message(doc, message):
     with pytest.raises(ValueError) as err:
         sample_set_from_json(json.loads(dumps(doc)))
-    assert str(err.value) == message
+    assert str(err.value) == SECOND_ENTRY + message
     table = [pauli_from_json(e) for e in doc["paulis"]]
     with pytest.raises(ValueError) as err:
-        StabilizerGroup([table[i] for i in doc["samples"][1]["state"]])
+        StabilizerGroup([table[i] for i in doc["states"][1]])
     assert str(err.value) == message
+
+
+def _without(field):
+    """_DOC with field removed from its sample."""
+    sample = _sample()
+    del sample[field]
+    return dict(_DOC, samples=[sample])
+
+
+_ENTRY_0 = "sample set field 'states' entry 0: "
+_STATE = "sample field 'state' must be an index in [0, 1) of 'states'"
+_SIGNS = "sample field 'signs': "
+_NOT_BITS = _SIGNS + "expected a nonempty string of 0s and 1s, got "
+# Malformed 'states', 'state' and 'signs' fields beyond the bad indices and
+# non-groups above, each with the message, naming the field, that it raises.
+BAD_FIELD_CASES = [
+    ("states-not-a-list", dict(_DOC, states={"0": [1, 2]}), "sample set field 'states' must be a list"),
+    ("no-states", {k: v for k, v in _DOC.items() if k != "states"}, "sample set field 'states' must be a list"),
+    ("entry-not-a-list", _with_entry(5), _ENTRY_0 + "must list Pauli indices"),
+    ("entry-empty", _with_entry([]), _ENTRY_0 + "need at least one generator"),
+    ("entry-one-long", _with_entry([1, 2, 1]), _ENTRY_0 + "a pure state on 2 qubits needs exactly 2 generators"),
+    ("entry-negated", _with_entry([0, 2]), _ENTRY_0 + "names a negated Pauli; a sample's 'signs' carry the signs"),
+    ("state-missing", _without("state"), _STATE),
+    ("state-old-list", _with(state=[1, 2]), _STATE),
+    ("state-true", _with(state=True), _STATE),
+    ("state-float", _with(state=0.0), _STATE),
+    ("state-negative", _with(state=-1), _STATE),
+    ("state-past-end", _with(state=1), _STATE),
+    ("signs-missing", _without("signs"), _NOT_BITS + "None"),
+    ("signs-int", _with(signs=10), _NOT_BITS + "10"),
+    ("signs-list", _with(signs=["1", "0"]), _NOT_BITS + "['1', '0']"),
+    ("signs-empty", _with(signs=""), _NOT_BITS + "''"),
+    ("signs-short", _with(signs="1"), _SIGNS + "expected 2 bits, got 1"),
+    ("signs-long", _with(signs="100"), _SIGNS + "expected 2 bits, got 3"),
+    ("signs-letter", _with(signs="1x"), _NOT_BITS + "'1x'"),
+    ("signs-plus", _with(signs="+1"), _NOT_BITS + "'+1'"),
+]
+BAD_FIELD_IDS = [case[0] for case in BAD_FIELD_CASES]
+BAD_FIELD_DOCS = [case[1:] for case in BAD_FIELD_CASES]
+
+
+@pytest.mark.parametrize(
+    "doc, message", BAD_STATE_DOCS + BAD_FIELD_DOCS, ids=BAD_STATE_IDS + BAD_FIELD_IDS
+)
+def test_a_bad_state_index_after_good_ones_is_named(doc, message):
+    with pytest.raises(ValueError) as err:
+        sample_set_from_json(json.loads(dumps(doc)))
+    assert str(err.value) == message
+
+
+@st.composite
+def shared_tuple_sets(draw):
+    """Sample sets at n = 1..6 over one to three generic key tuples, whose
+    first two samples share a key tuple with different signs."""
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    bases = [random_stabilizer_state(rng, n).group for _ in range(draw(st.integers(1, 3)))]
+    first = draw(st.integers(0, full))
+    masks = [first, first ^ draw(st.integers(1, full))]
+    picks = [bases[0], bases[0]]
+    for _ in range(draw(st.integers(0, 10))):
+        picks.append(draw(st.sampled_from(bases)))
+        masks.append(draw(st.integers(0, full)))
+    samples = []
+    for base, mask in zip(picks, masks):
+        v = draw(st.integers(1, (1 << 2 * n) - 1))
+        measurement = PauliOperator(n, v & full, v >> n, sign=draw(st.sampled_from((1, -1))))
+        label = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))))
+        samples.append(Sample(StabilizerState(base.flip(mask)), measurement, label))
+    return SampleSet(n, samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_tuple_sets())
+def test_states_that_share_a_key_tuple_round_trip(ss):
+    obj = sample_set_to_json(ss)
+    assert len(obj["states"]) <= 3 and obj["samples"][0]["state"] == obj["samples"][1]["state"]
+    back = sample_set_from_json(obj)
+    assert back.n == ss.n and back.samples == ss.samples
+    for s, t in zip(ss.samples, back.samples):
+        assert (t.state.group.keys, t.state.group.signs) == (s.state.group.keys, s.state.group.signs)
+        assert t.measurement == s.measurement and t.code == s.code
+    assert sample_set_dumps(back) == sample_set_dumps(ss)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_the_readme_sample_set_example_is_the_canonical_dump():
+    # the first code block of README "File formats": |00> and |10> share
+    # the key tuple (Z_0, Z_1) and differ in signs
+    section = README.read_text().split("\n## File formats\n", 1)[1]
+    text = section.split("```\n", 2)[1].rstrip("\n")
+    basis = StabilizerState.computational_basis
+    ss = SampleSet(2, [
+        Sample(basis(2, 0b00), z_power(2, 1), Fraction(1)),
+        Sample(basis(2, 0b01), z_power(2, 1), Fraction(0)),
+        Sample(basis(2, 0b01), PauliOperator(2, 0b11, 0), Fraction(1, 2)),
+    ])
+    assert sample_set_dumps(ss) == text
+    back = sample_set_from_json(json.loads(text))
+    assert back.samples == ss.samples and sample_set_dumps(back) == text
 
 
 # ---------------------------------------------------------------------------
 # fuzzing the JSON loaders: every failure must be a ValueError
 
 _FIELDS = sorted(
-    {"n", "sign", "x", "z", "state", "measurement", "label", "samples", "paulis", "name",
+    {"n", "sign", "x", "z", "state", "states", "signs", "measurement", "label", "samples",
+     "paulis", "name",
      "qubit", "control", "target", "gates", "tableau", "s", "phases", "size",
      "m0", "ms"}
 )
 json_trees = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.sampled_from(["0", "1", "01", "1/2", "h", "x", "cnot"]),
+    | st.sampled_from(["0", "1", "01", "10", "001", "0 1", "1/2", "h", "x", "cnot"]),
     lambda kids: st.lists(kids, max_size=4)
     | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), kids, max_size=5),
     max_leaves=16,
@@ -804,6 +932,17 @@ def _slots(node):
         yield from _slots(child)
 
 
+def _in_new_field(doc, node, key):
+    """Whether slot (node, key) is the 'states' table, inside it, or a
+    sample's 'state' or 'signs'."""
+    states = doc.get("states") if isinstance(doc, dict) else None
+    if node is doc:
+        return key == "states"
+    if isinstance(states, list) and (node is states or any(node is e for e in states)):
+        return True
+    return isinstance(node, dict) and key in ("state", "signs") and "label" in node
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_trees)
 def test_loaders_raise_only_value_error_on_arbitrary_json(obj):
@@ -820,6 +959,10 @@ def test_loaders_raise_only_value_error_on_mutated_documents(which, data):
         slots = list(_slots(doc))
         if not slots:
             break
+        # half the time the edit lands in 'states' or a sample's 'state' or 'signs'
+        new_fields = [(node, key) for node, key in slots if _in_new_field(doc, node, key)]
+        if new_fields and data.draw(st.booleans()):
+            slots = new_fields
         node, key = data.draw(st.sampled_from(slots))
         if data.draw(st.booleans()):
             node[key] = data.draw(json_trees)
