@@ -127,7 +127,7 @@ class PacLearnResult:
 
 
 def _sample_key(s: Sample) -> tuple:
-    group, m = s.state.group, s.measurement
+    group, m = s.state, s.measurement
     return (group.keys, group.signs, m.x, m.z, m.sign_bit, s.code)
 
 
@@ -168,7 +168,7 @@ def pac_learner(
     for _ in range(count):
         sample = draw(rng)
         if n is None:
-            n = sample.state.group.n
+            n = sample.state.n
         key = _sample_key(sample)
         if key not in seen:
             seen.add(key)
@@ -205,7 +205,7 @@ def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
         if s.code == 1:
             raise ValueError("labels must be 0 or 1")
         c = measurement.sign_bit ^ (1 if s.code == 0 else 0)
-        for w in s.state.group.z_constraints():
+        for w in s.state.z_constraints():
             rhs |= (w >> n & c) << len(rows)
             rows.append(w)
     return BitMatrix(rows, n + 1).solve_affine(rhs)

@@ -18,7 +18,7 @@ from .formula import Formula, WeightedDigraph, arithmetize_cnf, formula_to_graph
 from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
 from .pauli import PauliOperator, z_power
 from .samples import LABELS, Sample, SampleSet
-from .stabilizer import StabilizerGroup, StabilizerState
+from .stabilizer import StabilizerGroup
 
 
 class NonSingularityInstance:
@@ -145,14 +145,11 @@ def _pin_samples(
     # state negates one of them, sharing the base group's keys and table
     base = StabilizerGroup._from_keys(n, tuple(v << n for v in basis))
 
-    def flipped(j: int) -> StabilizerState:
-        return StabilizerState(base.flip(1 << j))
-
-    out = [Sample(StabilizerState(base), measurement, LABELS[2])]
+    out = [Sample(base, measurement, LABELS[2])]
     for j in range(len(head), n):
-        out.append(Sample(flipped(j), measurement, LABELS[2]))
+        out.append(Sample(base.flip(1 << j), measurement, LABELS[2]))
     if final:
-        out.append(Sample(flipped(0), measurement, LABELS[0]))
+        out.append(Sample(base.flip(1), measurement, LABELS[0]))
     return out
 
 
@@ -219,7 +216,7 @@ def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]
         parity = dot(t, vs[j - 1] ^ vs[j])
         out.append(
             Sample(
-                StabilizerState.computational_basis(n, t),
+                StabilizerGroup.computational_basis(n, t),
                 z_power(n, (1 << columns[j - 1]) | (1 << columns[j])),
                 LABELS[2] if parity == 0 else LABELS[0],
             )
@@ -267,7 +264,7 @@ def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
         else:
             # a column that is zero in every member: no invertible M(a) exists,
             # so emit a directly contradictory pair
-            state = StabilizerState.zero_state(n)
+            state = StabilizerGroup.zero_state(n)
             probe = z_power(n, 1)
             samples.append(Sample(state, probe, LABELS[2]))
             samples.append(Sample(state, probe, LABELS[0]))

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, List
 
 from .pauli import PauliOperator
-from .stabilizer import LABELS, StabilizerState
+from .stabilizer import LABELS, StabilizerGroup
 
 # label code by the label's (numerator, denominator): cheaper than hashing
 # or comparing Fractions, and Sample builds one code per sample
@@ -24,7 +24,7 @@ class Sample:
     hashing or repr.
     """
 
-    state: StabilizerState
+    state: StabilizerGroup
     measurement: PauliOperator
     label: Fraction
     code: int = field(init=False, compare=False, repr=False)
@@ -50,6 +50,8 @@ class SampleSet:
     __slots__ = ("n", "samples")
 
     def __init__(self, n: int, samples: Iterable[Sample] = ()):
+        if type(n) is not int or n < 1:
+            raise ValueError("need at least one qubit, got n = %r" % (n,))
         samples = list(samples)
         for s in samples:
             if s.state.n != n:

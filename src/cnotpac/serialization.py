@@ -33,7 +33,7 @@ from .gf2 import BitMatrix
 from .pauli import PauliOperator
 from .reduction import NonSingularityInstance
 from .samples import LABELS, Sample, SampleSet
-from .stabilizer import StabilizerGroup, StabilizerState
+from .stabilizer import StabilizerGroup
 from .tableau import CliffordTableau, Gate, is_symplectic
 
 
@@ -151,7 +151,7 @@ def _sample_from_json(obj, paulis: List[PauliOperator], bases: List[StabilizerGr
     label = obj.get("label")
     if not isinstance(label, str) or label not in _LABELS_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
-    return Sample(StabilizerState(base.flip(mask)), measurement, _LABELS_BACK[label])
+    return Sample(base.flip(mask), measurement, _LABELS_BACK[label])
 
 
 def sample_set_dumps(ss: SampleSet) -> str:
@@ -190,7 +190,7 @@ def sample_set_dumps(ss: SampleSet) -> str:
 
     samples = []
     for s in ss.samples:
-        m, group = s.measurement, s.state.group
+        m, group = s.measurement, s.state
         key = m.x | m.z << n
         at = index[m.sign_bit].get(key) or add(key, m.sign_bit)
         t = tuples.get(group.keys) or add_state(group.keys)

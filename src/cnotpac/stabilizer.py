@@ -1,12 +1,12 @@
-"""Stabilizer groups and pure stabilizer states.
+"""Stabilizer groups, which are the pure stabilizer states.
 
-A pure state on n qubits is represented by exactly n independent,
-pairwise commuting signed Pauli generators whose group excludes -I.
-A StabilizerGroup stores them as a tuple of generator keys x | z << n
-and a sign mask, not as Pauli objects: the states of one reduction pin
-differ only in signs, so they share one key tuple and one validated
-echelon table, and a sign flip is O(1).  Products of generators fold the
-keys and signs themselves (pauli._fold).
+A pure state on n qubits is its stabilizer group, StabilizerGroup (also
+named StabilizerState): exactly n independent, pairwise commuting signed
+Pauli generators whose group excludes -I.  A group stores them as a
+tuple of generator keys x | z << n and a sign mask, not as Pauli
+objects: the states of one reduction pin differ only in signs, so they
+share one key tuple and one validated echelon table, and a sign flip is
+O(1).  Products of generators fold the keys and signs themselves.
 Membership queries answer with a trichotomy: the probe is in the group
 (Plus), its negation is (Minus), or its unsigned support is absent
 entirely (Absent).  The expectation of a two-outcome measurement
@@ -89,7 +89,8 @@ def _z_form(n: int, keys: tuple) -> tuple:
 
 
 class StabilizerGroup:
-    """Group generated by exactly n commuting independent signed Paulis.
+    """Group generated by exactly n commuting independent signed Paulis,
+    and so the pure state rho = 2^{-n} sum of its members.
 
     A group is its generator-key tuple keys (x | z << n per generator)
     and its sign mask signs (bit k set when generator k is negated);
@@ -140,6 +141,20 @@ class StabilizerGroup:
         group.signs = 0
         return group
 
+    @classmethod
+    def from_z_generators(cls, n: int, zs: Iterable[int], signs: int = 0) -> "StabilizerGroup":
+        """State with generators (-1)^{signs_k} Z^{zs[k]} (zs must be a basis)."""
+        return cls(z_power(n, v, sign=-1 if signs >> k & 1 else 1) for k, v in enumerate(zs))
+
+    @classmethod
+    def computational_basis(cls, n: int, t: int) -> "StabilizerGroup":
+        """|t> as a stabilizer state: generators (-1)^{t_i} Z_i."""
+        return cls.from_z_generators(n, [1 << i for i in range(n)], signs=t)
+
+    @classmethod
+    def zero_state(cls, n: int) -> "StabilizerGroup":
+        return cls.computational_basis(n, 0)
+
     def flip(self, mask: int) -> "StabilizerGroup":
         """The group with generator k negated for each set bit k of mask.
         It shares this group's keys and table."""
@@ -156,6 +171,11 @@ class StabilizerGroup:
     def generators(self) -> tuple:
         """The signed generators, built from keys and signs on each access."""
         return _operators(self.n, self.keys, self.signs)
+
+    @property
+    def group(self) -> "StabilizerGroup":
+        """This group, kept only for bench/workloads.py's state.group."""
+        return self
 
     def element(self, mask: int) -> PauliOperator:
         """Product of the generators selected by the bits of mask."""
@@ -197,6 +217,14 @@ class StabilizerGroup:
             return 1
         return 2 if member == e else 0
 
+    def expectation(self, p: PauliOperator) -> Fraction:
+        """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
+        if p.is_identity():
+            raise ValueError("identity is not a useful measurement")
+        if p.n != self.n:
+            raise ValueError("qubit count mismatch")
+        return LABELS[self.expectation_code(p.raw()[0], p.key())]
+
     def group_contains(self, p: PauliOperator) -> Membership:
         """Trichotomy membership for a signed Pauli probe."""
         if p.n != self.n:
@@ -230,46 +258,6 @@ class StabilizerGroup:
         return hash((self.n, self.canonical_signature()))
 
 
-class StabilizerState:
-    """Pure stabilizer state rho = 2^{-n} sum of its group elements."""
-
-    __slots__ = ("group",)
-
-    def __init__(self, group: StabilizerGroup):
-        self.group = group
-
-    @property
-    def n(self) -> int:
-        return self.group.n
-
-    @classmethod
-    def from_z_generators(cls, n: int, zs: Iterable[int], signs: int = 0) -> "StabilizerState":
-        """State with generators (-1)^{signs_k} Z^{zs[k]} (zs must be a basis)."""
-        gens = [
-            z_power(n, v, sign=-1 if (signs >> k) & 1 else 1)
-            for k, v in enumerate(zs)
-        ]
-        return cls(StabilizerGroup(gens))
-
-    @classmethod
-    def computational_basis(cls, n: int, t: int) -> "StabilizerState":
-        """|t> as a stabilizer state: generators (-1)^{t_i} Z_i."""
-        return cls.from_z_generators(n, [1 << i for i in range(n)], signs=t)
-
-    @classmethod
-    def zero_state(cls, n: int) -> "StabilizerState":
-        return cls.computational_basis(n, 0)
-
-    def expectation(self, p: PauliOperator) -> Fraction:
-        """tr[(I + P)/2 rho] for a nonidentity signed Pauli P: 1, 0, or 1/2."""
-        if p.is_identity():
-            raise ValueError("identity is not a useful measurement")
-        if p.n != self.n:
-            raise ValueError("qubit count mismatch")
-        return LABELS[self.group.expectation_code(p.raw()[0], p.key())]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StabilizerState) and self.group == other.group
-
-    def __hash__(self):
-        return hash(self.group)
+# a pure stabilizer state is its group; the name stays for callers that
+# build states
+StabilizerState = StabilizerGroup

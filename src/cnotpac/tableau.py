@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 
 from .gf2 import BitMatrix, _inverse_table, _reduce, _transpose
 from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit
-from .stabilizer import LABELS, StabilizerGroup, StabilizerState
+from .stabilizer import LABELS, StabilizerGroup
 
 _SINGLE_QUBIT_GATES = ("x", "z", "h", "p")
 
@@ -215,11 +215,10 @@ class CliffordTableau:
         return "CliffordTableau(n=%d, cols=%r)" % (self.n, list(self.cols))
 
 
-def apply_circuit_to_state(t: CliffordTableau, state: StabilizerState) -> StabilizerState:
+def apply_circuit_to_state(t: CliffordTableau, state: StabilizerGroup) -> StabilizerGroup:
     """The state C rho C†, by conjugating every generator forward."""
     inv = t.inverse_tableau()
-    gens = [inv.conjugate_inverse(g) for g in state.group.generators]
-    return StabilizerState(StabilizerGroup(gens))
+    return StabilizerGroup(inv.conjugate_inverse(g) for g in state.generators)
 
 
 def sample_code(t: CliffordTableau, sample) -> int:
@@ -234,7 +233,7 @@ def sample_code(t: CliffordTableau, sample) -> int:
     _raw_sign_bit(e, x, z)
     if not x | z:
         raise ValueError("identity is not a useful measurement")
-    return sample.state.group.expectation_code(e, x | z << t.n)
+    return sample.state.expectation_code(e, x | z << t.n)
 
 
 def evaluate_sample(h, sample) -> Fraction:

@@ -8,7 +8,7 @@ import numpy as np
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
 from cnotpac.pauli import PauliOperator
-from cnotpac.stabilizer import StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -45,7 +45,7 @@ def state_dense(state):
     if n > 10:
         raise ValueError("dense form limited to 10 qubits")
     acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for g in state.group.members():
+    for g in state.members():
         acc += pauli_dense(g)
     return acc / (1 << n)
 
@@ -111,7 +111,7 @@ def random_signed_pauli(n, rng):
 
 
 def random_stabilizer_state(rng, n):
-    return apply_circuit_to_state(random_tableau(rng, n), StabilizerState.zero_state(n))
+    return apply_circuit_to_state(random_tableau(rng, n), StabilizerGroup.zero_state(n))
 
 
 def invertible_matrices(n):

@@ -43,7 +43,7 @@ from cnotpac.search import (
     enumerate_consistent_circuits,
     search_from_decision,
 )
-from cnotpac.stabilizer import StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, is_symplectic
 
 from formula_corpus import CORPUS, golden_formula
@@ -270,11 +270,11 @@ def test_09_learner_accepts_once_the_support_is_collected():
     tab = hidden.to_tableau()
     pool = []
     for t in range(8):
-        st = StabilizerState.computational_basis(3, t)
+        st = StabilizerGroup.computational_basis(3, t)
         meas = z_power(3, 0b111)
         pool.append(Sample(st, meas, st.expectation(tab.conjugate_inverse(meas))))
     for t in (0, 1):
-        st = StabilizerState.computational_basis(3, t)
+        st = StabilizerGroup.computational_basis(3, t)
         meas = z_power(3, 0b001)
         pool.append(Sample(st, meas, st.expectation(tab.conjugate_inverse(meas))))
     full = SampleSet(3, pool)

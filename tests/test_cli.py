@@ -27,7 +27,7 @@ from cnotpac.serialization import (
     sample_set_to_json,
     string_to_bits,
 )
-from cnotpac.stabilizer import StabilizerGroup, StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, is_symplectic
 
 from test_reduction import GOLDEN_M0
@@ -342,7 +342,7 @@ def test_verify_inconsistent_reports_index(tmp_path, capsys):
     t = hidden.to_tableau()
     raw = []
     for _ in range(6):
-        state = StabilizerState.computational_basis(2, rng.randrange(4))
+        state = StabilizerGroup.computational_basis(2, rng.randrange(4))
         probe = z_power(2, rng.randrange(1, 4))
         raw.append(Sample(state, probe, state.expectation(t.conjugate_inverse(probe))))
     samples = SampleSet(2, raw)
@@ -412,7 +412,7 @@ def batch_fixture(tmp_path, seed=5, contradictory=False):
     meas = z_power(3, 0b101, sign=-1)
     samples = []
     for _ in range(8):
-        state = StabilizerState.computational_basis(3, rng.randrange(8))
+        state = StabilizerGroup.computational_basis(3, rng.randrange(8))
         samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
     if contradictory:
         first = samples[0]
@@ -444,7 +444,7 @@ def test_learn_single_measurement(tmp_path, capsys):
 
 def test_learn_single_measurement_identity_only(tmp_path, capsys):
     # |+> with Z and label 1 admits only the image +I
-    plus = StabilizerState(StabilizerGroup([x_power(1, 1)]))
+    plus = StabilizerGroup([x_power(1, 1)])
     path = tmp_path / "plus.json"
     path.write_text(dumps(sample_set_to_json(SampleSet(1, [Sample(plus, z_power(1, 1), 1)]))))
     code, stdout, _ = run(
@@ -458,7 +458,7 @@ def test_learn_single_measurement_identity_only(tmp_path, capsys):
 def _one_measurement_set(measurements, labels):
     """The JSON of a 1-qubit sample set on |0>, one sample per measurement
     and label."""
-    zero = StabilizerState.zero_state(1)
+    zero = StabilizerGroup.zero_state(1)
     return sample_set_to_json(
         SampleSet(1, [Sample(zero, m, label) for m, label in zip(measurements, labels)])
     )
@@ -536,7 +536,7 @@ def test_learn_pac(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", str(hyp), str(pool))
     assert code == 0
     # unsatisfiable support
-    state = StabilizerState.zero_state(2)
+    state = StabilizerGroup.zero_state(2)
     probe = z_power(2, 0b01)
     contradictory = SampleSet(
         2,

@@ -394,7 +394,7 @@ def kernel_outputs():
         space = AffineSubspace(n_cols, rng.randrange(1 << n_cols), m.rows)
         lines.append(repr((m, m.rank(), inv, m.null_space(), sols, space)))
     for _ in range(150):
-        group = random_stabilizer_state(rng, rng.randrange(1, 5)).group
+        group = random_stabilizer_state(rng, rng.randrange(1, 5))
         lines.append(repr(group.canonical_signature()))
     return lines
 

@@ -20,7 +20,7 @@ from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import SearchResult, brute_force_search, check_consistent
 from cnotpac.serialization import circuit_to_json, dumps
-from cnotpac.stabilizer import Membership, StabilizerGroup, StabilizerState
+from cnotpac.stabilizer import Membership, StabilizerGroup
 from cnotpac.tableau import is_symplectic
 
 from helpers import random_signed_pauli, random_stabilizer_state
@@ -129,7 +129,7 @@ def test_pac_learner_single_point_distribution():
 
 
 def test_pac_learner_unsatisfiable_support():
-    state = StabilizerState.zero_state(2)
+    state = StabilizerGroup.zero_state(2)
     probe = z_power(2, 0b01)
     pool = [
         Sample(state, probe, Fraction(1)),
@@ -147,7 +147,7 @@ def test_pac_learner_all_seen_rate_matches_the_coupon_collector():
     # s distinct samples drawn uniformly m = ceil(s ln s) times: all s are
     # seen with probability sum_j (-1)^j C(s, j) (1 - j/s)^m
     s, runs = 6, 2000
-    state = StabilizerState.zero_state(3)
+    state = StabilizerGroup.zero_state(3)
     pool = []
     for v in range(1, s + 1):
         probe = z_power(3, v)
@@ -187,7 +187,7 @@ def full_z_state(rng, n):
     from cnotpac.gf2 import complete_to_basis
 
     basis = complete_to_basis([], n, rng)
-    return StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+    return StabilizerGroup.from_z_generators(n, basis, rng.randrange(1 << n))
 
 
 def batch(measurement, pairs) -> SampleSet:
@@ -204,7 +204,7 @@ def random_batch(rng, n, count):
     pairs = []
     for _ in range(count):
         if rng.randrange(2):
-            state = StabilizerState.computational_basis(n, rng.randrange(1 << n))
+            state = StabilizerGroup.computational_basis(n, rng.randrange(1 << n))
         else:
             state = full_z_state(rng, n)
         label = state.expectation(t.conjugate_inverse(measurement))
@@ -220,14 +220,14 @@ def mixed_state(rng, n, generic):
     if kind == 0:
         return full_z_state(rng, n)
     if kind < 3:
-        return StabilizerState.computational_basis(n, rng.randrange(1 << n))
+        return StabilizerGroup.computational_basis(n, rng.randrange(1 << n))
     return random_stabilizer_state(rng, n)
 
 
 def plus_state(n, signs=0):
     """An X-basis state: its group holds no Z-type element but the identity."""
     gens = [x_power(n, 1 << j, sign=-1 if signs >> j & 1 else 1) for j in range(n)]
-    return StabilizerState(StabilizerGroup(gens))
+    return StabilizerGroup(gens)
 
 
 def test_z_constraints_are_exact():
@@ -241,15 +241,15 @@ def test_z_constraints_are_exact():
         if n == 2:
             # Z1Z2 = -(X1X2)(Y1Y2): a Z-type member whose factors have x parts
             states += [
-                StabilizerState(StabilizerGroup([x_power(2, 3), PauliOperator(2, 3, 3, sign)]))
+                StabilizerGroup([x_power(2, 3), PauliOperator(2, 3, 3, sign)])
                 for sign in (1, -1)
             ]
         for state in states:
-            rows = state.group.z_constraints()
+            rows = state.z_constraints()
             for point in range(1 << (n + 1)):
                 u, b = point & ((1 << n) - 1), point >> n
                 image = PauliOperator(n, 0, u, sign=-1 if b else 1)
-                member = state.group.group_contains(image) == Membership.PLUS
+                member = state.group_contains(image) == Membership.PLUS
                 assert all(dot(w, point) == 0 for w in rows) == member, (n, point)
 
 
@@ -263,7 +263,7 @@ def _admits(state, measurement, label, point):
         # image is +I or -I with expectation 1 or 0 outright
         return negative != label
     image = PauliOperator(n, 0, u, sign=-1 if negative else 1)
-    return state.group.group_contains(image) == (Membership.PLUS if label else Membership.MINUS)
+    return state.group_contains(image) == (Membership.PLUS if label else Membership.MINUS)
 
 
 def test_stacked_constraints_are_the_intersection():
@@ -289,7 +289,7 @@ def test_stacked_constraints_are_the_intersection():
 
 
 def test_single_sample_batch():
-    samples = batch(z_power(3, 0b001), [(StabilizerState.zero_state(3), 1)])
+    samples = batch(z_power(3, 0b001), [(StabilizerGroup.zero_state(3), 1)])
     circuit = learn_single_measurement(samples, random.Random(96))
     assert circuit.theta.is_invertible()
     assert check_consistent(circuit, samples)
@@ -379,7 +379,7 @@ def test_single_measurement_learner_is_pinned():
 
 
 def test_contradictory_batch_raises():
-    state = StabilizerState.zero_state(2)
+    state = StabilizerGroup.zero_state(2)
     samples = batch(z_power(2, 0b01), [(state, 1), (state, 0)])
     with pytest.raises(EmptyIntersectionError, match="constraints are contradictory"):
         learn_single_measurement(samples, random.Random(99))
@@ -393,7 +393,7 @@ def test_identity_only_batch_raises():
 
 
 def test_batch_validation():
-    zero = StabilizerState.zero_state(2)
+    zero = StabilizerGroup.zero_state(2)
     with pytest.raises(ValueError, match="measurement must be a nonidentity Z-type Pauli"):
         learn_single_measurement(batch(x_power(2, 0b01), [(zero, 1)]), random.Random(0))
     with pytest.raises(ValueError, match="samples must share one measurement"):
@@ -411,7 +411,7 @@ def test_batch_validation():
     with pytest.raises(ValueError, match="measurement must not be the identity"):
         Sample(zero, PauliOperator(2, 0, 0), Fraction(1))
     with pytest.raises(ValueError, match="state and measurement qubit counts differ"):
-        Sample(StabilizerState.zero_state(3), z_power(2, 0b01), Fraction(1))
+        Sample(StabilizerGroup.zero_state(3), z_power(2, 0b01), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

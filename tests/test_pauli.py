@@ -125,7 +125,7 @@ def test_fold_is_the_ordered_raw_product_of_its_signed_factors(data):
     if commuting:
         # members of one stabilizer group: every pair commutes
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        members = [p.key() for p in random_stabilizer_state(rng, n).group.members()]
+        members = [p.key() for p in random_stabilizer_state(rng, n).members()]
         keys = data.draw(st.lists(st.sampled_from(members), min_size=count, max_size=count))
     else:
         keys = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), min_size=count, max_size=count))

@@ -255,7 +255,7 @@ def test_states_of_one_pin_share_their_unflipped_generators():
     # the dead-column pair is a group of its own
     pins = {}
     for s in samples:
-        pins.setdefault(id(s.measurement), []).append(s.state.group)
+        pins.setdefault(id(s.measurement), []).append(s.state)
     assert max(len(groups) for groups in pins.values()) == samples.n + 1
     for groups in pins.values():
         base = groups[0]

@@ -34,7 +34,7 @@ from cnotpac.search import (
     enumerate_consistent_circuits,
     search_from_decision,
 )
-from cnotpac.stabilizer import StabilizerGroup, StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import Gate, sample_code
 
 from formula_corpus import CORPUS, SMALL_CNFS, SMALL_FORMULAS, golden_formula
@@ -63,10 +63,10 @@ def random_consistent_set(rng, n, count):
     for _ in range(count):
         kind = rng.random()
         if kind < 0.4:
-            state = StabilizerState.computational_basis(n, rng.randrange(1 << n))
+            state = StabilizerGroup.computational_basis(n, rng.randrange(1 << n))
         elif kind < 0.6:
             basis = complete_to_basis([], n, rng)
-            state = StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+            state = StabilizerGroup.from_z_generators(n, basis, rng.randrange(1 << n))
         else:
             state = random_stabilizer_state(rng, n)
         v = rng.randrange(1, 1 << (2 * n))
@@ -125,7 +125,7 @@ def labeled_sets(draw):
     for _ in range(draw(st.integers(1, 3 * n))):
         if draw(st.booleans()):
             basis = draw(st.sampled_from(_GL[n])).rows
-            state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
+            state = StabilizerGroup.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
             x, z = 0, draw(st.integers(1, (1 << n) - 1))
         else:
             state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
@@ -167,7 +167,7 @@ def grouped_sets(draw):
     pairs = []
     for _ in range(draw(st.integers(1, 2 * n))):
         basis = draw(st.sampled_from(_GL[n])).rows
-        state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
+        state = StabilizerGroup.from_z_generators(n, basis, draw(st.integers(0, (1 << n) - 1)))
         pairs.append((state, z_power(n, draw(st.sampled_from(supports)))))
     for _ in range(draw(st.integers(0, 2))):
         state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
@@ -214,7 +214,7 @@ def linked_sets(draw):
     for x in (x1, x2, x1 ^ x2):
         for _ in range(draw(st.integers(1, 2))):
             basis = draw(st.sampled_from(_GL[n])).rows
-            state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, full)))
+            state = StabilizerGroup.from_z_generators(n, basis, draw(st.integers(0, full)))
             pairs.append((state, z_power(n, x)))
     for _ in range(draw(st.integers(0, 2))):
         state = random_stabilizer_state(random.Random(draw(st.integers(0, 1 << 16))), n)
@@ -240,7 +240,7 @@ def _leaves_up_to(samples, witness):
     full_z = [
         s
         for s in samples
-        if s.measurement.x == 0 and all(g.x == 0 for g in s.state.group.generators)
+        if s.measurement.x == 0 and all(g.x == 0 for g in s.state.generators)
     ]
     # allowed[x][u]: the bits b = q.x for which expectation((-1)^b s Z^u)
     # equals the label of every sample measuring s Z^x, with u = theta x
@@ -272,14 +272,14 @@ def test_leaves_are_exactly_the_thetas_with_a_q_for_every_full_z_sample(case):
 def _state_holding(rng, n, q):
     """A random pure state whose group holds q or -q: a random state with
     q measured on it, outcome +1, unless q is in its group up to sign."""
-    gens = list(random_stabilizer_state(rng, n).group.generators)
+    gens = list(random_stabilizer_state(rng, n).generators)
     hit = [k for k, g in enumerate(gens) if not g.commutes(q)]
     if hit:
         k = hit[0]
         for j in hit[1:]:
             gens[j] = gens[j].mul(gens[k])
         gens[k] = q
-    return StabilizerState(StabilizerGroup(gens))
+    return StabilizerGroup(gens)
 
 
 @st.composite
@@ -315,7 +315,7 @@ def leaf_parent_sets(draw, ns):
         pairs.append((state, p))
     for _ in range(draw(st.integers(0, 2))):
         basis = draw(st.sampled_from(_GL[n])).rows
-        state = StabilizerState.from_z_generators(n, basis, draw(st.integers(0, full)))
+        state = StabilizerGroup.from_z_generators(n, basis, draw(st.integers(0, full)))
         pairs.append((state, z_power(n, draw(st.integers(1, full)))))
     samples = []
     for state, p in draw(st.permutations(pairs)):
@@ -380,7 +380,7 @@ def z_type_sets(draw):
         image = t.conjugate_inverse(p) if draw(st.integers(0, 3)) else None
         while True:
             state = _state_holding(rng, n, image) if image else random_stabilizer_state(rng, n)
-            if any(g.x for g in state.group.generators):
+            if any(g.x for g in state.generators):
                 break
         pairs.append((state, p))
     if draw(st.booleans()):
@@ -418,14 +418,14 @@ def _learn_shaped_sets(n=4, pools=16):
         pairs = []
         for _ in range(6):
             state = random_stabilizer_state(rng, n)
-            g = state.group.element(rng.randrange(1, 1 << n))
+            g = state.element(rng.randrange(1, 1 << n))
             pairs.append((state, inv.conjugate_inverse(-g if rng.randrange(2) else g)))
         xz = rng.randrange(1, 1 << (2 * n))
         pairs.append((random_stabilizer_state(rng, n), PauliOperator(n, xz & ((1 << n) - 1), xz >> n)))
         x = rng.randrange(1, 1 << n)
         for _ in range(3):
             basis = complete_to_basis([], n, rng)
-            state = StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+            state = StabilizerGroup.from_z_generators(n, basis, rng.randrange(1 << n))
             pairs.append((state, z_power(n, x, sign=rng.choice((1, -1)))))
         samples = [Sample(s, p, s.expectation(t.conjugate_inverse(p))) for s, p in pairs]
         if seed % 2:
@@ -477,7 +477,7 @@ def _half_labelled_pool(n, seed, count):
     x = rng.randrange(1, 1 << n)
     for _ in range(3):
         basis = complete_to_basis([], n, rng)
-        state = StabilizerState.from_z_generators(n, basis, rng.randrange(1 << n))
+        state = StabilizerGroup.from_z_generators(n, basis, rng.randrange(1 << n))
         meas = z_power(n, x, sign=rng.choice((1, -1)))
         samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
     return SampleSet(n, samples)
@@ -552,7 +552,7 @@ def _rows_solved_per_sample(samples):
     top = n * n + n
     table: dict = {}
     for s in samples:
-        gens = s.state.group.generators
+        gens = s.state.generators
         if s.measurement.x or any(g.x for g in gens):
             continue
         signs = sum(g.sign_bit << k for k, g in enumerate(gens))
@@ -573,7 +573,7 @@ def test_compile_inverts_each_support_tuple_once_with_the_same_table():
         bases = [complete_to_basis([], n, rng) for _ in range(rng.randrange(1, 4))]
         samples = []
         for _ in range(rng.randrange(1, 4 * n)):
-            state = StabilizerState.from_z_generators(n, rng.choice(bases), rng.randrange(1 << n))
+            state = StabilizerGroup.from_z_generators(n, rng.choice(bases), rng.randrange(1 << n))
             meas = z_power(n, rng.randrange(1, 1 << n), sign=rng.choice((1, -1)))
             samples.append(Sample(state, meas, state.expectation(t.conjugate_inverse(meas))))
         cases.append(SampleSet(n, samples))
@@ -639,7 +639,7 @@ def test_leaf_parent_solve_keeps_the_last_rows_whose_image_is_in_the_group(n, ki
     image = CnotCircuit(theta.copy(), 0).to_tableau().conjugate_inverse(meas)
     while True:
         state = _state_holding(rng, n, image) if held else random_stabilizer_state(rng, n)
-        if kind != "z-type" or any(g.x for g in state.group.generators):
+        if kind != "z-type" or any(g.x for g in state.generators):
             break
         held = held and n > 1 and rng.random() < 0.9  # n = 1 holds Z only in a Z state
     sample = Sample(state, meas, Fraction(1))
@@ -707,7 +707,7 @@ def test_pin_search_lands_in_claimed_set():
 
 def test_contradictory_pair_unsatisfiable():
     for n, v in ((3, 0b010), (4, 0b0001)):
-        state = StabilizerState.zero_state(n)
+        state = StabilizerGroup.zero_state(n)
         probe = z_power(n, v)
         pair = [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
         # theta e_0 pinned to {0}: the forced theta x = 0 exit, with no leaf
@@ -720,16 +720,14 @@ def test_contradictory_pair_unsatisfiable():
 
 def test_full_z_half_label_unsatisfiable():
     samples = SampleSet(
-        2, [Sample(StabilizerState.zero_state(2), z_power(2, 0b01), Fraction(1, 2))]
+        2, [Sample(StabilizerGroup.zero_state(2), z_power(2, 0b01), Fraction(1, 2))]
     )
     assert not brute_force_search(samples).found
 
 
 def test_half_labels_satisfiable_with_generic_state():
     # |++> assigns expectation 1/2 to Z1; the identity circuit matches it
-    plus = StabilizerState(
-        StabilizerGroup([PauliOperator(2, 0b01, 0, 1), PauliOperator(2, 0b10, 0, 1)])
-    )
+    plus = StabilizerGroup([PauliOperator(2, 0b01, 0, 1), PauliOperator(2, 0b10, 0, 1)])
     samples = SampleSet(2, [Sample(plus, z_power(2, 0b01), Fraction(1, 2))])
     r = brute_force_search(samples)
     assert r.found and check_consistent(r.circuit, samples)
@@ -824,7 +822,7 @@ def test_search_from_decision_dishonest_oracles():
     samples, _ = reduce_sat_to_samples([[1]], random.Random(82))
     r = search_from_decision(lambda s: False, samples)
     assert r == DecisionSearchResult(False, None, 1, False)
-    state = StabilizerState.zero_state(2)
+    state = StabilizerGroup.zero_state(2)
     probe = z_power(2, 1)
     bad = SampleSet(2, [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))])
     r = search_from_decision(lambda s: True, bad)

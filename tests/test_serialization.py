@@ -35,7 +35,7 @@ from cnotpac.serialization import (
     string_to_bits,
     tableau_block,
 )
-from cnotpac.stabilizer import StabilizerGroup, StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, Gate
 
 from formula_corpus import CORPUS, golden_formula
@@ -120,7 +120,7 @@ def one_sample_doc(s):
 # |10> (qubit 0 set) measured on -Z_0 with label 1: a table of -ZI, +ZI,
 # +IZ, whose last two entries are the state's key tuple
 _DOC = one_sample_doc(
-    Sample(StabilizerState.computational_basis(2, 1), z_power(2, 1, sign=-1), Fraction(1))
+    Sample(StabilizerGroup.computational_basis(2, 1), z_power(2, 1, sign=-1), Fraction(1))
 )
 
 
@@ -140,10 +140,10 @@ def test_sample_round_trip_label_strings():
         back = sample_from_json(obj, doc)
         assert back.label == s.label
         assert back.measurement == s.measurement
-        assert back.state.group.generators == s.state.group.generators
+        assert back.state.generators == s.state.generators
     assert seen <= {"0", "1/2", "1"}
     doc = one_sample_doc(
-        Sample(StabilizerState.zero_state(2), z_power(2, 1), Fraction(1, 2))
+        Sample(StabilizerGroup.zero_state(2), z_power(2, 1), Fraction(1, 2))
     )
     obj = doc["samples"][0]
     assert obj["label"] == "1/2"
@@ -261,7 +261,7 @@ def _reference_json(ss):
 
     for s in ss.samples:
         measurement = at(s.measurement)
-        gens = s.state.group.generators
+        gens = s.state.generators
         unsigned = tuple(PauliOperator(g.n, g.x, g.z) for g in gens)
         if unsigned not in tuples:
             tuples.append(unsigned)
@@ -288,7 +288,7 @@ def test_corpus_reductions_round_trip_byte_for_byte():
         back = sample_set_from_json(json.loads(text))
         assert back.n == ss.n and back.samples == ss.samples, name
         for s, t in zip(ss.samples, back.samples):
-            assert s.state.group.generators == t.state.group.generators, name
+            assert s.state.generators == t.state.generators, name
 
 
 def _random_sample_set(rng, n):
@@ -315,7 +315,7 @@ def test_sample_set_text_is_the_canonical_dump():
     ]
     rng = random.Random(123)
     randoms = [_random_sample_set(rng, n) for n in range(1, 9) for _ in range(4)]
-    paulis = [p for ss in randoms for s in ss for p in (s.measurement, *s.state.group.generators)]
+    paulis = [p for ss in randoms for s in ss for p in (s.measurement, *s.state.generators)]
     assert {p.sign for p in paulis} == {1, -1}
     assert any(p.x & p.z for p in paulis) and any(p.x & ~p.z for p in paulis)
     assert {s.label for ss in randoms for s in ss} == {Fraction(0), Fraction(1, 2), Fraction(1)}
@@ -343,7 +343,7 @@ def signed_paulis(draw):
 @example(PauliOperator(1, 0, 1, sign=-1))
 @example(PauliOperator(7, 0b1011, 0))
 def test_each_table_entry_is_the_canonical_dump_of_its_pauli(p):
-    ss = SampleSet(p.n, [Sample(StabilizerState.zero_state(p.n), p, Fraction(1, 2))])
+    ss = SampleSet(p.n, [Sample(StabilizerGroup.zero_state(p.n), p, Fraction(1, 2))])
     text = sample_set_dumps(ss)
     head = '{"n":%d,"paulis":[%s' % (p.n, dumps(pauli_to_json(p))[:-1])
     assert text.startswith(head) and text[len(head)] in ",]"
@@ -399,7 +399,7 @@ def test_reduce_files_load_back_to_pinned_content(tmp_path, capsys):
     for text in texts:
         ss = sample_set_from_json(json.loads(text))
         content.append((ss.n, [
-            (s.code, repr(s.measurement), tuple(map(repr, s.state.group.generators)))
+            (s.code, repr(s.measurement), tuple(map(repr, s.state.generators)))
             for s in ss
         ]))
     assert hashlib.sha256(repr(content).encode()).hexdigest() == SAMPLE_CONTENT_SHA256
@@ -433,7 +433,7 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     # those keys, so no Pauli object is made per state
     shared = {}  # key tuple -> (keys, table) of its first group
     for entry, s in zip(obj["samples"], back.samples):
-        group = s.state.group
+        group = s.state
         paulis = [pauli_from_json(table[i]) for i in states[entry["state"]]]
         assert group.keys == tuple(p.key() for p in paulis)
         assert {p.sign for p in paulis} == {1}
@@ -450,7 +450,7 @@ def twin_sample_set(field, value, where):
     the first sample's Paulis with field set to value: a twin that hashes
     like the valid entry."""
     n = 3 if value == 3.0 else 1
-    doc = one_sample_doc(Sample(StabilizerState.zero_state(n), z_power(n, 1), Fraction(1)))
+    doc = one_sample_doc(Sample(StabilizerGroup.zero_state(n), z_power(n, 1), Fraction(1)))
     twin = dict(doc["paulis"][0], **{field: value})
     second = copy.deepcopy(doc["samples"][0])
     states = copy.deepcopy(doc["states"])
@@ -642,10 +642,10 @@ def test_indices_name_table_entries():
     assert s.measurement == z_power(2, 2)
     # the state is read off entries 2 (+Z on qubit 1) and 1 (+Z on qubit 0)
     # and the sign bits "10": generator 0 is negated
-    assert s.state.group.keys == (z_power(2, 2).key(), z_power(2, 1).key())
-    assert s.state.group.signs == 0b01
-    assert s.state == StabilizerState.computational_basis(2, 0b10)
-    assert s.state.group.generators[0] == z_power(2, 2, sign=-1)
+    assert s.state.keys == (z_power(2, 2).key(), z_power(2, 1).key())
+    assert s.state.signs == 0b01
+    assert s.state == StabilizerGroup.computational_basis(2, 0b10)
+    assert s.state.generators[0] == z_power(2, 2, sign=-1)
 
 
 def _gate_on_3(obj):
@@ -803,7 +803,7 @@ def shared_tuple_sets(draw):
     n = draw(st.integers(1, 6))
     full = (1 << n) - 1
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    bases = [random_stabilizer_state(rng, n).group for _ in range(draw(st.integers(1, 3)))]
+    bases = [random_stabilizer_state(rng, n) for _ in range(draw(st.integers(1, 3)))]
     first = draw(st.integers(0, full))
     masks = [first, first ^ draw(st.integers(1, full))]
     picks = [bases[0], bases[0]]
@@ -815,7 +815,7 @@ def shared_tuple_sets(draw):
         v = draw(st.integers(1, (1 << 2 * n) - 1))
         measurement = PauliOperator(n, v & full, v >> n, sign=draw(st.sampled_from((1, -1))))
         label = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))))
-        samples.append(Sample(StabilizerState(base.flip(mask)), measurement, label))
+        samples.append(Sample(base.flip(mask), measurement, label))
     return SampleSet(n, samples)
 
 
@@ -827,7 +827,7 @@ def test_states_that_share_a_key_tuple_round_trip(ss):
     back = sample_set_from_json(obj)
     assert back.n == ss.n and back.samples == ss.samples
     for s, t in zip(ss.samples, back.samples):
-        assert (t.state.group.keys, t.state.group.signs) == (s.state.group.keys, s.state.group.signs)
+        assert (t.state.keys, t.state.signs) == (s.state.keys, s.state.signs)
         assert t.measurement == s.measurement and t.code == s.code
     assert sample_set_dumps(back) == sample_set_dumps(ss)
 
@@ -840,7 +840,7 @@ def test_the_readme_sample_set_example_is_the_canonical_dump():
     # the key tuple (Z_0, Z_1) and differ in signs
     section = README.read_text().split("\n## File formats\n", 1)[1]
     text = section.split("```\n", 2)[1].rstrip("\n")
-    basis = StabilizerState.computational_basis
+    basis = StabilizerGroup.computational_basis
     ss = SampleSet(2, [
         Sample(basis(2, 0b00), z_power(2, 1), Fraction(1)),
         Sample(basis(2, 0b01), z_power(2, 1), Fraction(0)),
@@ -902,7 +902,7 @@ def _valid_documents():
     # eight basis states under one Z-type measurement: a single-measurement set
     meas = z_power(3, 0b101, sign=-1)
     shared = SampleSet(3, [
-        Sample(StabilizerState.computational_basis(3, v), meas, Fraction(v & 1))
+        Sample(StabilizerGroup.computational_basis(3, v), meas, Fraction(v & 1))
         for v in range(8)
     ])
     return [

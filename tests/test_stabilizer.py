@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.reduction import _pin_samples, reduce_sat_to_samples
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import sample_set_from_json, sample_set_to_json
 from cnotpac.stabilizer import (
@@ -82,7 +84,7 @@ def test_group_equality_is_generator_independent():
 def test_computational_basis_expectations():
     for n in (1, 2, 3):
         for t in range(1 << n):
-            state = StabilizerState.computational_basis(n, t)
+            state = StabilizerGroup.computational_basis(n, t)
             for i in range(n):
                 want = Fraction(1) if ((t >> i) & 1) == 0 else Fraction(0)
                 assert state.expectation(z_power(n, 1 << i)) == want
@@ -90,27 +92,23 @@ def test_computational_basis_expectations():
 
 
 def test_expectation_rejects_identity():
-    state = StabilizerState.zero_state(2)
+    state = StabilizerGroup.zero_state(2)
     with pytest.raises(ValueError):
         state.expectation(PauliOperator(2, 0, 0))
 
 
 def test_zero_state_dense_matrix():
-    rho = state_dense(StabilizerState.zero_state(2))
+    rho = state_dense(StabilizerGroup.zero_state(2))
     want = np.zeros((4, 4))
     want[0, 0] = 1
     assert np.allclose(rho, want)
 
 
 def test_dense_oracle_agrees_on_handmade_states():
-    plus3 = StabilizerState(
-        StabilizerGroup([x_power(3, 1 << i) for i in range(3)])
-    )
-    ghz = StabilizerState(
-        StabilizerGroup([x_power(3, 0b111), z_power(3, 0b011), z_power(3, 0b110)])
-    )
-    bell = StabilizerState(bell_group())
-    comp = StabilizerState.computational_basis(3, 0b101)
+    plus3 = StabilizerGroup([x_power(3, 1 << i) for i in range(3)])
+    ghz = StabilizerGroup([x_power(3, 0b111), z_power(3, 0b011), z_power(3, 0b110)])
+    bell = bell_group()
+    comp = StabilizerGroup.computational_basis(3, 0b101)
     for state in (plus3, ghz, comp):
         n = state.n
         for xz in range(1, 1 << (2 * n)):
@@ -127,20 +125,61 @@ def test_dense_oracle_agrees_on_handmade_states():
 
 
 def test_from_z_generators_signs():
-    state = StabilizerState.from_z_generators(2, [0b01, 0b10], signs=0b10)
+    state = StabilizerGroup.from_z_generators(2, [0b01, 0b10], signs=0b10)
     # second generator is -Z_1, so the state is |01> in (qubit0, qubit1) order
     assert state.expectation(z_power(2, 0b01)) == Fraction(1)
     assert state.expectation(z_power(2, 0b10)) == Fraction(0)
-    assert state == StabilizerState.computational_basis(2, 0b10)
+    assert state == StabilizerGroup.computational_basis(2, 0b10)
 
 
 def test_state_dedup_via_hash():
-    a = StabilizerState.computational_basis(3, 5)
-    b = StabilizerState.from_z_generators(3, [1, 2, 4], signs=5)
-    c = StabilizerState.from_z_generators(3, [1, 3, 7], signs=0b000)
+    a = StabilizerGroup.computational_basis(3, 5)
+    b = StabilizerGroup.from_z_generators(3, [1, 2, 4], signs=5)
+    c = StabilizerGroup.from_z_generators(3, [1, 3, 7], signs=0b000)
     assert a == b and hash(a) == hash(b)
     # |000> written with a redundant-looking but independent basis
-    assert c == StabilizerState.zero_state(3)
+    assert c == StabilizerGroup.zero_state(3)
+
+
+def test_a_state_is_its_group():
+    assert StabilizerState is StabilizerGroup
+    bell = bell_group()
+    with pytest.raises(TypeError):
+        StabilizerState(bell)  # a group is not an iterable of generators
+    t = CliffordTableau.identity(2)
+    t.apply_gate(Gate("h", qubit=0))
+    ss, _ = reduce_sat_to_samples([[1, 2], [-1, 2]], random.Random(3))
+    reduced = [s.state for s in ss]
+    pinned = [s.state for s in _pin_samples(3, z_power(3, 0b001), 0b010, [0b100], None)]
+    loaded = [s.state for s in sample_set_from_json(sample_set_to_json(ss))]
+    made = [
+        StabilizerGroup.from_z_generators(2, [0b01, 0b11], signs=0b10),
+        StabilizerGroup.computational_basis(2, 0b01),
+        StabilizerGroup.zero_state(2),
+        apply_circuit_to_state(t, bell),
+    ]
+    for state in reduced + pinned + loaded + made:
+        assert type(state) is StabilizerGroup and state.group is state
+    assert len(pinned) == 3 and loaded == reduced
+
+
+def test_a_loaded_state_and_a_built_one_give_the_same_sample():
+    state = StabilizerGroup.from_z_generators(3, [0b011, 0b110, 0b100], signs=0b101)
+    probe = z_power(3, 0b011, sign=-1)
+    built = Sample(state, probe, state.expectation(probe))
+    text = sample_set_to_json(SampleSet(3, [built]))
+    (loaded,) = sample_set_from_json(text)
+    assert loaded.state is not state and loaded.state == state
+    assert loaded == built and hash(loaded) == hash(built)
+    # the same group from a rebased generator list
+    rebased = StabilizerGroup([state.element(m) for m in (0b011, 0b010, 0b100)])
+    rebuilt = Sample(rebased, probe, built.label)
+    assert rebuilt == loaded and hash(rebuilt) == hash(loaded)
+
+
+def test_from_z_generators_refuses_a_dependent_basis():
+    with pytest.raises(ValueError, match="^generators are dependent$"):
+        StabilizerGroup.from_z_generators(3, [0b011, 0b110, 0b101])
 
 
 @st.composite
@@ -159,7 +198,7 @@ def stabilizer_groups(draw, max_n=3):
     t = CliffordTableau.identity(n)
     for g in draw(st.lists(gate, max_size=4 * n * n)):
         t.apply_gate(g)
-    return apply_circuit_to_state(t, StabilizerState.zero_state(n)).group
+    return apply_circuit_to_state(t, StabilizerGroup.zero_state(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,10 +339,9 @@ def test_a_flip_and_a_load_match_the_group_of_negated_generators(group, data):
     flipped = group.flip(signs)
     assert flipped.keys is group.keys and flipped._table is group._table
     _assert_same_group(flipped, want)
-    state = StabilizerState(want)
     probe = want.generators[0]
-    text = sample_set_to_json(SampleSet(n, [Sample(state, probe, state.expectation(probe))]))
-    loaded = sample_set_from_json(text).samples[0].state.group
+    text = sample_set_to_json(SampleSet(n, [Sample(want, probe, want.expectation(probe))]))
+    loaded = sample_set_from_json(text).samples[0].state
     _assert_same_group(loaded, want)
 
 

@@ -11,7 +11,7 @@ from cnotpac.gf2 import BitMatrix, dot
 from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.samples import LABELS, Sample, SampleSet
 from cnotpac.search import check_consistent
-from cnotpac.stabilizer import StabilizerState
+from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import (
     CliffordTableau,
     Gate,
@@ -150,7 +150,7 @@ def test_apply_circuit_to_state_matches_dense():
         for g in gates:
             t.apply_gate(g)
         u = circuit_unitary(gates, n)
-        state = StabilizerState.zero_state(n)
+        state = StabilizerGroup.zero_state(n)
         out = apply_circuit_to_state(t, state)
         want = u @ state_dense(state) @ u.conj().T
         assert np.allclose(state_dense(out), want)
@@ -206,19 +206,19 @@ def test_sample_code_matches_dense_oracle(n, depth, seed, label):
 def test_scoring_keeps_the_conjugation_checks():
     # X_0 imaged to X twice is no Clifford: C†YC = i X X comes out non-Hermitian
     bad = CliffordTableau([x_power(1, 1), x_power(1, 1)])
-    y = Sample(StabilizerState.zero_state(1), PauliOperator(1, 1, 1), Fraction(1, 2))
+    y = Sample(StabilizerGroup.zero_state(1), PauliOperator(1, 1, 1), Fraction(1, 2))
     with pytest.raises(ValueError, match="not Hermitian"):
         evaluate_sample(bad, y)
     with pytest.raises(ValueError, match="not Hermitian"):
         check_consistent(bad, SampleSet(1, [y]))
     # X_0 and X_1 share an image, so C†(X_0 X_1)C is the identity
     t = CliffordTableau([x_power(2, 1), x_power(2, 1), z_power(2, 1), z_power(2, 2)])
-    xx = Sample(StabilizerState.zero_state(2), x_power(2, 0b11), Fraction(1, 2))
+    xx = Sample(StabilizerGroup.zero_state(2), x_power(2, 0b11), Fraction(1, 2))
     with pytest.raises(ValueError, match="identity is not a useful measurement"):
         evaluate_sample(t, xx)
     with pytest.raises(ValueError, match="identity is not a useful measurement"):
         check_consistent(t, SampleSet(2, [xx]))
-    other = Sample(StabilizerState.zero_state(3), z_power(3, 1), Fraction(1))
+    other = Sample(StabilizerGroup.zero_state(3), z_power(3, 1), Fraction(1))
     with pytest.raises(ValueError, match="qubit count mismatch"):
         evaluate_sample(CliffordTableau.identity(2), other)
     with pytest.raises(ValueError):
@@ -323,7 +323,7 @@ def _forward_transcript():
             state = random_stabilizer_state(rng, n)
             lines.append(repr(inv))
             lines.append(repr(inv.inverse_tableau()))
-            lines.append(repr(list(apply_circuit_to_state(t, state).group.generators)))
+            lines.append(repr(list(apply_circuit_to_state(t, state).generators)))
         for _ in range(100):
             t = CliffordTableau([random_pauli(rng, n) for _ in range(2 * n)])
             try:
@@ -363,7 +363,7 @@ def test_inverse_tableau_rejects_images_that_break_commutation():
     with pytest.raises(ValueError, match="tableau is not a valid Clifford image"):
         t.inverse_tableau()
     with pytest.raises(ValueError, match="tableau is not a valid Clifford image"):
-        apply_circuit_to_state(t, StabilizerState.zero_state(2))
+        apply_circuit_to_state(t, StabilizerGroup.zero_state(2))
 
 
 def test_inverse_tableau_accepts_exactly_the_symplectic_image_lists():
