@@ -152,12 +152,24 @@ def cmd_reduce(args):
     return 0, digest, "ok", counts, payload, text
 
 
+def _affine_input(obj):
+    """An instance, bare or of a reduce output, whose 'samples' must have its size as 'n'."""
+    if not (isinstance(obj, dict) and "instance" in obj):
+        return instance_from_json(obj)
+    inst = instance_from_json(obj["instance"])
+    samples = obj.get("samples", {"n": inst.size})
+    n = samples.get("n") if isinstance(samples, dict) else None
+    if type(n) is not int or n != inst.size:
+        raise ValueError("field 'samples' must have 'n' = %d, the instance size" % inst.size)
+    return inst
+
+
 def cmd_solve(args):
     data = _read(args.input)
     digest = _digest(data)
     counts = {}
     if args.strategy == "affine":
-        inst = _load(args.input, data, instance_from_json, "instance")
+        inst = _load(args.input, data, _affine_input)
         result = affine_family_search(inst)
         counts["assignments_examined"] = result.assignments_examined
         if not result.found:

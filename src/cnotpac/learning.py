@@ -126,11 +126,6 @@ class PacLearnResult:
     accepted: Optional[bool]
 
 
-def _sample_key(s: Sample) -> tuple:
-    group, m = s.state, s.measurement
-    return (group.keys, group.signs, m.x, m.z, m.sign_bit, s.code)
-
-
 def pac_learner(
     draw: Callable,
     s: int,
@@ -169,7 +164,7 @@ def pac_learner(
         sample = draw(rng)
         if n is None:
             n = sample.state.n
-        key = _sample_key(sample)
+        key = (sample.state.keys, sample.state.signs, sample.key, sample.sign, sample.code)
         if key not in seen:
             seen.add(key)
             observed.append(sample)
@@ -193,18 +188,18 @@ def _admissible_space(samples: SampleSet) -> Optional[AffineSubspace]:
     state's z_constraints, one linear system for all samples."""
     if not samples.samples:
         raise ValueError("sample set must contain at least one sample")
-    measurement = samples.samples[0].measurement
-    if measurement.x != 0 or measurement.z == 0:
-        raise ValueError("measurement must be a nonidentity Z-type Pauli")
     n = samples.n
+    first = samples.samples[0]
+    if first.key & ((1 << n) - 1):
+        raise ValueError("measurement must be a nonidentity Z-type Pauli")
     rows: List[int] = []
     rhs = 0
     for s in samples:
-        if s.measurement != measurement:
+        if s.key != first.key or s.sign != first.sign:
             raise ValueError("samples must share one measurement")
         if s.code == 1:
             raise ValueError("labels must be 0 or 1")
-        c = measurement.sign_bit ^ (1 if s.code == 0 else 0)
+        c = first.sign ^ (1 if s.code == 0 else 0)
         for w in s.state.z_constraints():
             rhs |= (w >> n & c) << len(rows)
             rows.append(w)
@@ -234,7 +229,7 @@ def learn_single_measurement(samples: SampleSet, rng) -> CnotCircuit:
         raise EmptyIntersectionError("only the identity image is admissible")
     u = witness & mask
     gamma = witness >> n
-    basis_x = complete_to_basis([samples.samples[0].measurement.z], n, rng)
+    basis_x = complete_to_basis([samples.samples[0].key >> n], n, rng)
     basis_u = complete_to_basis([u], n, rng)
     theta = BitMatrix(basis_u, n).transpose() @ BitMatrix(basis_x, n).transpose().inverse()
     q = BitMatrix(basis_x, n).solve(gamma)

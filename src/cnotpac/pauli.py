@@ -6,10 +6,10 @@ one factor of i (so every stored operator is Hermitian: each Y carries
 its own i).  Products of anticommuting Hermitian Paulis are
 anti-Hermitian and therefore cannot be represented.  Products are
 taken in the raw form (e, x, z), meaning i^e X^x Z^z.  Inside the
-package a list of signed Paulis (a group's generators, a tableau's
-images) is held as key ints x | z << n and a sign mask, not as objects;
-_fold, over such a list, is the only product loop.  The public mul
-refuses anticommuting pairs and multiplies through the two-factor
+package a signed Pauli is a key x | z << n and a sign bit (a sample's
+measurement), and a list of them (a group's generators, a tableau's
+images) key ints and a sign mask, not objects; _fold is the only
+product loop.  The public mul multiplies through the two-factor
 _raw_mul, so it stays an independent check of the fold.
 """
 

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence
 
 from .formula import Formula, WeightedDigraph, arithmetize_cnf, formula_to_graph, num_variables
 from .gf2 import BitMatrix, _insert, _reduce, complete_to_basis, deterministic_completion, dot
-from .pauli import PauliOperator, z_power
-from .samples import LABELS, Sample, SampleSet
+from .pauli import PauliOperator
+from .samples import Sample, SampleSet
 from .stabilizer import StabilizerGroup
 
 
@@ -108,15 +108,9 @@ def validate_simplified(inst: NonSingularityInstance) -> bool:
     return True
 
 
-def _pin_samples(
-    n: int,
-    measurement: PauliOperator,
-    offset: int,
-    span: Sequence[int],
-    rng,
-) -> List[Sample]:
-    """Samples forcing theta x into offset + span(span) and q.x = sigma,
-    where measurement is (-1)^sigma Z^x, shared by every sample.
+def _pin_samples(n: int, x: int, sigma: int, offset: int, span: Sequence[int], rng) -> List[Sample]:
+    """Samples forcing theta x into offset + span(span) and q.x = sigma:
+    every sample measures (-1)^sigma Z^x, x a nonzero n-bit vector.
 
     States are full-Z stabilizer states whose generator supports form a
     basis starting with the pin data; sign flips on individual
@@ -131,34 +125,23 @@ def _pin_samples(
         if not _insert(table, v):
             raise ValueError("span vectors are dependent")
     reduced = _reduce(table, offset)
-    if reduced == 0:
-        head = span
-        final = False
-    else:
-        head = [reduced] + span
-        final = True
-    if rng is None:
-        basis = deterministic_completion(head, n)
-    else:
-        basis = complete_to_basis(head, n, rng)
+    final = reduced != 0
+    head = [reduced] + span if final else span
+    basis = deterministic_completion(head, n) if rng is None else complete_to_basis(head, n, rng)
     # the states share the basis generators Z^{basis[k]}; each flipped
     # state negates one of them, sharing the base group's keys and table
     base = StabilizerGroup._from_keys(n, tuple(v << n for v in basis))
-
-    out = [Sample(base, measurement, LABELS[2])]
+    key = x << n
+    out = [Sample._unchecked(base, key, sigma, 2)]
     for j in range(len(head), n):
-        out.append(Sample(base.flip(1 << j), measurement, LABELS[2]))
+        out.append(Sample._unchecked(base.flip(1 << j), key, sigma, 2))
     if final:
-        out.append(Sample(base.flip(1), measurement, LABELS[0]))
+        out.append(Sample._unchecked(base.flip(1), key, sigma, 0))
     return out
 
 
 def constrain_pauli_samples(
-    n: int,
-    target: PauliOperator,
-    v: int,
-    w: Optional[int],
-    rng,
+    n: int, target: PauliOperator, v: int, w: Optional[int], rng
 ) -> List[Sample]:
     """Samples pinning C† target C.
 
@@ -168,6 +151,11 @@ def constrain_pauli_samples(
     """
     if target.x != 0 or target.z == 0:
         raise ValueError("target must be a nonidentity Z-type Pauli")
+    return _column_pin(n, target.z, target.sign_bit, v, w, rng)
+
+
+def _column_pin(n: int, x: int, sigma: int, v: int, w: Optional[int], rng) -> List[Sample]:
+    """constrain_pauli_samples for the target (-1)^sigma Z^x."""
     if v == 0 or v >> n:
         raise ValueError("v must be a nonzero vector in F_2^%d" % n)
     if w is not None:
@@ -175,16 +163,11 @@ def constrain_pauli_samples(
             raise ValueError("w must be a nonzero vector in F_2^%d" % n)
         if w == v:
             raise ValueError("v and w must be independent")
-    span = [] if w is None else [w]
-    return _pin_samples(n, target, v, span, rng)
+    return _pin_samples(n, x, sigma, v, [] if w is None else [w], rng)
 
 
 def constrain_submatrix_samples(
-    n: int,
-    columns: Sequence[int],
-    v_cols: BitMatrix,
-    w_cols: BitMatrix,
-    rng,
+    n: int, columns: Sequence[int], v_cols: BitMatrix, w_cols: BitMatrix, rng
 ) -> List[Sample]:
     """Samples forcing theta's selected columns to v_j + a w_j with one shared a.
 
@@ -209,18 +192,13 @@ def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]
     """constrain_submatrix_samples on checked input, v_j and w_j as ints."""
     out: List[Sample] = []
     for c, v, w in zip(columns, vs, ws):
-        out.extend(constrain_pauli_samples(n, z_power(n, 1 << c), v, w, rng))
+        out.extend(_column_pin(n, 1 << c, 0, v, w, rng))
     for j in range(1, len(columns)):
         sol = BitMatrix([ws[j - 1], ws[j]], n).solve_affine(0b11)
         t = sol.offset  # lex-minimal state with t.w_prev = t.w_cur = 1
-        parity = dot(t, vs[j - 1] ^ vs[j])
-        out.append(
-            Sample(
-                StabilizerGroup.computational_basis(n, t),
-                z_power(n, (1 << columns[j - 1]) | (1 << columns[j])),
-                LABELS[2] if parity == 0 else LABELS[0],
-            )
-        )
+        key = (1 << columns[j - 1] | 1 << columns[j]) << n
+        code = 2 - 2 * dot(t, vs[j - 1] ^ vs[j])  # label 1 on even parity, 0 on odd
+        out.append(Sample._unchecked(StabilizerGroup.computational_basis(n, t), key, 0, code))
     return out
 
 
@@ -260,14 +238,12 @@ def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
         if c in touched:
             continue
         if v != 0:
-            samples.extend(constrain_pauli_samples(n, z_power(n, 1 << c), v, None, rng))
+            samples.extend(_column_pin(n, 1 << c, 0, v, None, rng))
         else:
             # a column that is zero in every member: no invertible M(a) exists,
-            # so emit a directly contradictory pair
+            # so emit a directly contradictory pair, both measuring Z_0
             state = StabilizerGroup.zero_state(n)
-            probe = z_power(n, 1)
-            samples.append(Sample(state, probe, LABELS[2]))
-            samples.append(Sample(state, probe, LABELS[0]))
+            samples += [Sample._unchecked(state, 1 << n, 0, code) for code in (2, 0)]
     assert len(samples) <= n * (n + 1)
     return SampleSet(n, samples)
 

@@ -1,47 +1,70 @@
-"""Labeled measurement samples: (stabilizer state, signed Pauli, expectation)."""
+"""Labeled measurement samples: a state, a measurement key and sign bit, a label code."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable
 
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _operators
 from .stabilizer import LABELS, StabilizerGroup
 
 # label code by the label's (numerator, denominator): cheaper than hashing
 # or comparing Fractions, and Sample builds one code per sample
-_CODES = {(v.numerator, v.denominator): code for code, v in enumerate(LABELS)}
+_CODES = {v.as_integer_ratio(): code for code, v in enumerate(LABELS)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Sample:
     """One training example: the expectation of (I+P)/2 against a state.
 
-    label is the Fraction seen at the API and JSON boundary; code is its
-    index into LABELS (0 -> 0, 1 -> 1/2, 2 -> 1), which every internal
-    comparison uses.  code is derived, so it takes no part in equality,
-    hashing or repr.
+    key is P's key x | z << n, sign its sign bit and code the label's index
+    into LABELS (0 -> 0, 1 -> 1/2, 2 -> 1): the ints every internal path
+    reads.  measurement and label are derived on each access.
     """
 
     state: StabilizerGroup
-    measurement: PauliOperator
-    label: Fraction
-    code: int = field(init=False, compare=False, repr=False)
+    key: int
+    sign: int
+    code: int
 
-    def __post_init__(self):
-        label = self.label
-        if type(label) is not Fraction:
-            label = Fraction(label)
-            object.__setattr__(self, "label", label)
-        code = _CODES.get((label.numerator, label.denominator))
+    def __init__(self, state: StabilizerGroup, measurement: PauliOperator, label):
+        code = _CODES.get(Fraction(label).as_integer_ratio())
         if code is None:
             raise ValueError("label must be 0, 1/2, or 1")
-        object.__setattr__(self, "code", code)
-        if self.measurement.is_identity():
+        if measurement.is_identity():
             raise ValueError("measurement must not be the identity")
-        if self.measurement.n != self.state.n:
+        if measurement.n != state.n:
             raise ValueError("state and measurement qubit counts differ")
+        self._set(state, measurement.key(), measurement.sign_bit, code)
+
+    @classmethod
+    def _unchecked(cls, state: StabilizerGroup, key: int, sign: int, code: int) -> "Sample":
+        """The sample of checked parts, taken as they are: no checks."""
+        return cls.__new__(cls)._set(state, key, sign, code)
+
+    def _set(self, *fields) -> "Sample":
+        for name, value in zip(Sample.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def measurement(self) -> PauliOperator:
+        """The signed measurement, built from key and sign on each access."""
+        return _operators(self.state.n, (self.key,), self.sign)[0]
+
+    @property
+    def label(self) -> Fraction:
+        return LABELS[self.code]
+
+    @property
+    def phase(self) -> int:
+        """e in the measurement's raw form i^e X^x Z^z: 2 sign + |x & z| mod 4."""
+        return (2 * self.sign + (self.key & self.key >> self.state.n).bit_count()) % 4
+
+    def __repr__(self) -> str:
+        fields = (self.state, self.measurement, self.label)
+        return "Sample(state=%r, measurement=%r, label=%r)" % fields
 
 
 class SampleSet:

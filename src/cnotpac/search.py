@@ -4,6 +4,8 @@ The hypothesis space is the CNOT class: an invertible theta over F_2
 plus a sign vector q (no X-to-Z mixing, no X phases).  Searches walk
 (theta, q) in row-major lexicographic order, rows of theta as packed
 ints and q innermost, and return the first consistent hypothesis.
+Samples are read as ints, a measurement key and sign bit and a label
+code, so no search builds a Pauli object, the decision search's pins too.
 
 brute_force_search organizes that walk as a depth-first search over
 independent rows.  Samples whose state is a full Z-basis stabilizer
@@ -43,7 +45,7 @@ from typing import Callable, List, Optional
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix, _insert, _reduce
-from .pauli import _fold, _raw_sign_bit, z_power
+from .pauli import _fold, _raw_sign_bit
 from .reduction import NonSingularityInstance, _pin_samples
 from .samples import SampleSet
 from .tableau import sample_code
@@ -98,20 +100,19 @@ def _check_cnot_shape(t) -> None:
 
 
 class _GenericSample:
-    """Any sample outside the full-Z fast path: its group, raw measurement,
-    its label as two bits, half (label 1/2) and flip (label 0), and a
-    check row z | x << n per generator key x | z << n, whose AND with a
-    key has odd parity iff that Pauli anticommutes with the generator."""
+    """Any sample outside the full-Z fast path: its group, measurement
+    i^e X^px Z^pz, its label as two bits, half (label 1/2) and flip (label
+    0), and a check row z | x << n per generator key x | z << n, whose AND
+    with a key has odd parity iff that Pauli anticommutes with it."""
 
     __slots__ = ("group", "e", "px", "pz", "half", "flip", "checks")
 
     def __init__(self, sample):
         self.group = group = sample.state
-        self.e, self.px, self.pz = sample.measurement.raw()
-        self.half = sample.code == 1
-        self.flip = 1 if sample.code == 0 else 0
         n = group.n
         full = (1 << n) - 1
+        self.e, self.px, self.pz = sample.phase, sample.key & full, sample.key >> n
+        self.half, self.flip = sample.code == 1, 1 if sample.code == 0 else 0
         self.checks = [k >> n | (k & full) << n for k in group.keys]
 
 
@@ -132,12 +133,11 @@ def _add_samples(compiled, samples, n) -> bool:
     top = n * n + n
     full = (1 << n) - 1
     for s in samples:
-        m, group = s.measurement, s.state
-        if m.x == 0 and not any(k & full for k in group.keys):
+        if not s.key & full and not any(k & full for k in s.state.keys):
             if s.code == 1:
                 return False  # a full Z state gives every Z-type image 0 or 1
-            (t,) = group.z_constraints()
-            x, c = m.z, m.sign_bit ^ (s.code == 0)
+            (t,) = s.state.z_constraints()
+            x, c = s.key >> n, s.sign ^ (s.code == 0)
             row = sum(x << r * n for r in range(n) if t >> r & 1) | x << n * n | c << top
             if not _insert(table, row, top) and _reduce(table, row, top):
                 return False  # the equation reduces to 0 = 1
@@ -404,10 +404,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     every_q = (1 << (1 << n)) - 1
     # odd[m]: bit q set iff |q & m| is odd
     odd = [sum(1 << q for q in range(1 << n) if (q & m).bit_count() & 1) for m in range(1 << n)]
-    samples = [
-        (s.measurement.key(), s.measurement.raw()[0], s.state, s.code, odd[s.measurement.z])
-        for s in sample_set
-    ]
+    samples = [(s.key, s.phase, s.state, s.code, odd[s.key >> n]) for s in sample_set]
     out = []
 
     def score(theta):
@@ -534,8 +531,6 @@ def search_from_decision(
     queries = 1
     if not ask([]):
         return DecisionSearchResult(False, None, queries, False)
-    # the pins' measurements (-1)^b Z_c, built once per search
-    zs = [(z_power(n, 1 << c), z_power(n, 1 << c, sign=-1)) for c in range(n)]
     columns = []
     q = 0
     for c in range(n):
@@ -544,7 +539,7 @@ def search_from_decision(
             span = [1 << j for j in range(i + 1, n)]
             for b in (0, 1):
                 queries += 1
-                if ask(_pin_samples(n, zs[c][b], 1 << i, span, None)):
+                if ask(_pin_samples(n, 1 << c, b, 1 << i, span, None)):
                     stage_a = (i, b)
                     break
             if stage_a is not None:
@@ -556,11 +551,11 @@ def search_from_decision(
         for j in range(i + 1, n):
             span = [1 << m for m in range(j + 1, n)]
             queries += 1
-            if not ask(_pin_samples(n, zs[c][b], u, span, None)):
+            if not ask(_pin_samples(n, 1 << c, b, u, span, None)):
                 u |= 1 << j
         columns.append(u)
         q |= b << c
-        settle(_pin_samples(n, zs[c][b], u, [], None))
+        settle(_pin_samples(n, 1 << c, b, u, [], None))
     theta = BitMatrix(columns, n).transpose()
     if not theta.is_invertible():
         return DecisionSearchResult(False, None, queries, True)

@@ -32,7 +32,7 @@ from .cnot import CnotCircuit
 from .gf2 import BitMatrix
 from .pauli import PauliOperator
 from .reduction import NonSingularityInstance
-from .samples import LABELS, Sample, SampleSet
+from .samples import Sample, SampleSet
 from .stabilizer import StabilizerGroup
 from .tableau import CliffordTableau, Gate, is_symplectic
 
@@ -45,9 +45,9 @@ class DimacsError(ValueError):
         self.line = line
 
 
-# label text by label code (index into samples.LABELS)
+# label text by label code (index into samples.LABELS), and back
 _LABEL_TEXT = ("0", "1/2", "1")
-_LABELS_BACK = dict(zip(_LABEL_TEXT, LABELS))
+_CODES_BACK = {text: code for code, text in enumerate(_LABEL_TEXT)}
 
 
 # A gate list, unlike a bit string, does not grow with n, yet building
@@ -133,10 +133,10 @@ def _state_table_entry(entry, paulis: List[PauliOperator]) -> StabilizerGroup:
     return group
 
 
-def _sample_from_json(obj, paulis: List[PauliOperator], bases: List[StabilizerGroup]) -> Sample:
+def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGroup]) -> Sample:
     """One entry of a sample set's 'samples': its state is the 'states'
     group bases[obj['state']] with the generators obj['signs'] names
-    negated, and its measurement the 'paulis' entry it names."""
+    negated, and its measurement the (key, sign bit) of a 'paulis' entry."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     t = obj.get("state")
@@ -147,11 +147,13 @@ def _sample_from_json(obj, paulis: List[PauliOperator], bases: List[StabilizerGr
         mask = string_to_bits(obj.get("signs"), base.n)
     except ValueError as err:
         raise ValueError("sample field 'signs': %s" % err) from None
-    measurement = _table_entry(paulis, obj.get("measurement"))
+    key, sign = _table_entry(measurements, obj.get("measurement"))
     label = obj.get("label")
-    if not isinstance(label, str) or label not in _LABELS_BACK:
+    if not isinstance(label, str) or label not in _CODES_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
-    return Sample(base.flip(mask), measurement, _LABELS_BACK[label])
+    if not key:
+        raise ValueError("measurement must not be the identity")
+    return Sample._unchecked(base.flip(mask), key, sign, _CODES_BACK[label])
 
 
 def sample_set_dumps(ss: SampleSet) -> str:
@@ -190,9 +192,8 @@ def sample_set_dumps(ss: SampleSet) -> str:
 
     samples = []
     for s in ss.samples:
-        m, group = s.measurement, s.state
-        key = m.x | m.z << n
-        at = index[m.sign_bit].get(key) or add(key, m.sign_bit)
+        group = s.state
+        at = index[s.sign].get(s.key) or add(s.key, s.sign)
         t = tuples.get(group.keys) or add_state(group.keys)
         # character k is the sign bit of generator k
         samples.append(
@@ -210,11 +211,11 @@ def sample_set_to_json(ss: SampleSet) -> dict:
 
 
 def sample_set_from_json(obj) -> SampleSet:
-    """Load a sample set: each 'paulis' entry is parsed once, and every
-    index naming it as a measurement yields that one PauliOperator.  Each
+    """Load a sample set: each 'paulis' entry is parsed once, to one
+    PauliOperator, and a sample naming it takes its key and sign bit.  Each
     'states' entry is validated once, as a StabilizerGroup with every sign
     +; a sample's state is that group's sign flip (StabilizerGroup.flip)
-    by its 'signs', with no Pauli object and no group check per sample."""
+    by its 'signs', built with no Pauli object and no check per sample."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
@@ -236,7 +237,8 @@ def sample_set_from_json(obj) -> SampleSet:
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    return SampleSet(n, [_sample_from_json(s, paulis, bases) for s in samples])
+    measurements = [(p.key(), p.sign_bit) for p in paulis]
+    return SampleSet(n, [_sample_from_json(s, measurements, bases) for s in samples])
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,15 @@ class StabilizerGroup:
         self.signs = signs
 
     @classmethod
-    def _from_keys(cls, n: int, keys: tuple) -> "StabilizerGroup":
+    def _from_keys(cls, n: int, keys: tuple, signs: int = 0) -> "StabilizerGroup":
         """The group of n nonidentity generator keys, each below 1 << 2n,
-        with every sign +; the caller checks the count and the keys, and
-        _echelon_table the commutation and independence."""
+        and an n-bit sign mask; the caller checks the count, the keys and
+        the mask, and _echelon_table the commutation and independence."""
         group = cls.__new__(cls)
         group._table = _echelon_table(n, keys)
         group.n = n
         group.keys = keys
-        group.signs = 0
+        group.signs = signs
         return group
 
     @classmethod
@@ -148,8 +148,10 @@ class StabilizerGroup:
 
     @classmethod
     def computational_basis(cls, n: int, t: int) -> "StabilizerGroup":
-        """|t> as a stabilizer state: generators (-1)^{t_i} Z_i."""
-        return cls.from_z_generators(n, [1 << i for i in range(n)], signs=t)
+        """|t> as a stabilizer state: generators (-1)^{t_i} Z_i, i < n."""
+        if n < 1:
+            raise ValueError("need at least one generator")
+        return cls._from_keys(n, tuple(1 << n + i for i in range(n)), t & (1 << n) - 1)
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerGroup":
@@ -256,6 +258,9 @@ class StabilizerGroup:
 
     def __hash__(self):
         return hash((self.n, self.canonical_signature()))
+
+    def __repr__(self) -> str:
+        return "StabilizerGroup(%s)" % ", ".join(map(repr, self.generators))
 
 
 # a pure stabilizer state is its group; the name stays for callers that

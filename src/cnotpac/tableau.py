@@ -12,11 +12,11 @@ matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
-stays in raw form (sample_code): the measurement is folded over the
-images and the result looked up in the state's group, with no Pauli
-object made.  Forward conjugation C P C† goes through inverse_tableau,
-whose images are read off one echelon table of the stored image keys
-(gf2._inverse_table) on every call.
+stays in raw form (sample_code): the sample's measurement key is folded
+over the images and the result looked up in the state's group, with no
+Pauli object made.  Forward conjugation C P C† goes through
+inverse_tableau, whose images are read off one echelon table of the
+stored image keys (gf2._inverse_table) on every call.
 """
 
 from __future__ import annotations
@@ -137,16 +137,12 @@ class CliffordTableau:
         n, signs = self.n, self.signs
         return sum((signs >> j & 1) << 2 * j | (signs >> n + j & 1) << 2 * j + 1 for j in range(n))
 
-    def conjugate_raw(self, p: PauliOperator) -> tuple:
-        """Raw form (e, x, z) of C† P C, by expanding P over the stored
-        generator images; no Hermiticity check (see conjugate_inverse)."""
+    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
+        """C† P C, by expanding P over the stored generator images; raises
+        unless it is Hermitian (the tableau is invalid)."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return _fold(self.n, self.keys, self.signs, p.key(), p.raw()[0])
-
-    def conjugate_inverse(self, p: PauliOperator) -> PauliOperator:
-        """C† P C; raises unless it is Hermitian (the tableau is invalid)."""
-        return PauliOperator.from_raw(self.n, *self.conjugate_raw(p))
+        return PauliOperator.from_raw(p.n, *_fold(p.n, self.keys, self.signs, p.key(), p.raw()[0]))
 
     def apply_gate(self, g: Gate) -> None:
         """Append gate g to the circuit (it acts after everything so far)."""
@@ -229,7 +225,9 @@ def sample_code(t: CliffordTableau, sample) -> int:
     would, on a qubit-count mismatch, a non-Hermitian image of P (t is
     not a valid Clifford tableau) and an identity image of P.
     """
-    e, x, z = t.conjugate_raw(sample.measurement)
+    if sample.state.n != t.n:
+        raise ValueError("qubit count mismatch")
+    e, x, z = _fold(t.n, t.keys, t.signs, sample.key, sample.phase)
     _raw_sign_bit(e, x, z)
     if not x | z:
         raise ValueError("identity is not a useful measurement")

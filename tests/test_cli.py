@@ -262,6 +262,61 @@ def test_solve_affine(unit_reduction, tmp_path, capsys, monkeypatch):
     assert "assignment: 1" in stdout
 
 
+@pytest.fixture
+def golden_reduction(tmp_path, capsys):
+    out = tmp_path / "golden.json"
+    run(capsys, "reduce", "--formula", GOLDEN_FORMULA, "--seed", "7", "--out", str(out))
+    return out
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [{"n": 10}, {"bogus": 1}, [], {"n": True}, {"n": "9"}],
+    ids=["n-10", "bogus", "list", "n-true", "n-string"],
+)
+def test_solve_affine_refuses_samples_on_another_qubit_count(samples, golden_reduction, capsys):
+    # an affine witness must stand for the file's samples too, so their 'n'
+    # must be the instance size
+    doc = json.loads(golden_reduction.read_text())
+    if isinstance(samples, dict) and set(samples) == {"n"}:
+        samples = dict(doc["samples"], **samples)
+    bad = golden_reduction.with_name("bad.json")
+    bad.write_text(dumps(dict(doc, samples=samples)))
+    code, stdout, err = run(capsys, "solve", str(bad), "--strategy", "affine")
+    assert (code, stdout) == (2, "")
+    assert err == "error: %s: field 'samples' must have 'n' = 9, the instance size\n" % bad
+
+
+def test_solve_affine_reads_only_the_samples_qubit_count(golden_reduction, capsys):
+    # the samples are not parsed: a broken table with the right 'n' solves
+    code, stdout, _ = run(capsys, "solve", str(golden_reduction), "--strategy", "affine")
+    assert code == 0 and "assignment: 0011" in stdout.splitlines()
+    doc = json.loads(golden_reduction.read_text())
+    doc["samples"] = {"n": 9, "paulis": "not a table"}
+    golden_reduction.write_text(dumps(doc))
+    code, stdout, _ = run(capsys, "solve", str(golden_reduction), "--strategy", "affine")
+    assert code == 0 and "assignment: 0011" in stdout.splitlines()
+    del doc["samples"]  # the instance alone solves as before
+    golden_reduction.write_text(dumps(doc))
+    code, stdout, _ = run(capsys, "solve", str(golden_reduction), "--strategy", "affine")
+    assert code == 0 and "assignment: 0011" in stdout.splitlines()
+
+
+def test_a_sample_measuring_an_identity_table_entry_is_refused(unit_reduction, tmp_path, capsys):
+    doc = json.loads(unit_reduction.read_text())
+    n = doc["samples"]["n"]
+    table = doc["samples"]["paulis"]
+    table.append({"n": n, "sign": 1, "x": "0" * n, "z": "0" * n})
+    doc["samples"]["samples"][1]["measurement"] = len(table) - 1
+    bad = tmp_path / "identity.json"
+    bad.write_text(dumps(doc))
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps(circuit_to_json(CnotCircuit.identity(n))))
+    want = "error: %s: measurement must not be the identity\n" % bad
+    for argv in (["verify", str(circuit), str(bad)], ["solve", str(bad), "--strategy", "brute"]):
+        assert run(capsys, *argv) == (2, "", want)
+
+
 def test_solve_unsatisfiable(tmp_path, capsys):
     out = tmp_path / "zero.json"
     run(capsys, "reduce", "--formula", "x1+x1", "--seed", "1", "--out", str(out))

@@ -137,7 +137,7 @@ def test_subspace_pin_matches_brute_force():
     # offset inside the span: the pin is the span itself and the final
     # label-0 sample is dropped
     span = [0b011, 0b101]
-    samples = SampleSet(3, _pin_samples(3, z_power(3, 0b110), 0b110, span, random.Random(5)))
+    samples = SampleSet(3, _pin_samples(3, 0b110, 0, 0b110, span, random.Random(5)))
     assert len(samples) == 2
     allowed = {0, 0b011, 0b101, 0b110}
     for c in all_cnot_circuits(3):
@@ -251,11 +251,11 @@ def test_instance_size_above_the_limit_is_refused_before_any_sample():
 
 def test_states_of_one_pin_share_their_unflipped_generators():
     samples, _ = reduce_formula_to_samples(golden_formula(), random.Random(53))
-    # every pin builds one measurement for all its samples; a link sample or
-    # the dead-column pair is a group of its own
+    # the samples of a pin share one measurement key and sign, and no two
+    # pins of this reduction share one; a link sample is a group of its own
     pins = {}
     for s in samples:
-        pins.setdefault(id(s.measurement), []).append(s.state)
+        pins.setdefault((s.key, s.sign), []).append(s.state)
     assert max(len(groups) for groups in pins.values()) == samples.n + 1
     for groups in pins.values():
         base = groups[0]

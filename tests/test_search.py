@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cnotpac.reduction import (
     _pin_samples,
     constrain_pauli_samples,
     graph_to_instance,
+    instance_to_samples,
     reduce_formula_to_samples,
     reduce_sat_to_samples,
 )
@@ -34,6 +36,7 @@ from cnotpac.search import (
     enumerate_consistent_circuits,
     search_from_decision,
 )
+from cnotpac.serialization import sample_set_dumps, sample_set_from_json
 from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import Gate, sample_code
 
@@ -654,8 +657,7 @@ def test_leaf_parent_solve_keeps_the_last_rows_whose_image_is_in_the_group(n, ki
                 v ^= u
         lasts.add(v)
         t = CnotCircuit(BitMatrix(rows + [v], n), 0).to_tableau()
-        e, x, z = t.conjugate_raw(meas)
-        assert _image_key(solved, a, n) == x | z << n
+        assert _image_key(solved, a, n) == t.conjugate_inverse(meas).key()
         admitted = not any((row & (a | 1 << (n - 1))).bit_count() & 1 for row in member)
         assert admitted == (sample_code(t, sample) != 1)
     assert lasts == {v for v in range(1 << n) if BitMatrix(rows + [v], n).rank() == n}
@@ -711,7 +713,7 @@ def test_contradictory_pair_unsatisfiable():
         probe = z_power(n, v)
         pair = [Sample(state, probe, Fraction(1)), Sample(state, probe, Fraction(0))]
         # theta e_0 pinned to {0}: the forced theta x = 0 exit, with no leaf
-        zero_pin = _pin_samples(n, z_power(n, 1), 0, [], None)
+        zero_pin = _pin_samples(n, 1, 0, 0, [], None)
         for samples in (SampleSet(n, pair), SampleSet(n, zero_pin)):
             assert _compile(samples) is None
             r = brute_force_search(samples)
@@ -830,9 +832,10 @@ def test_search_from_decision_dishonest_oracles():
 
 
 def test_the_searches_build_no_pauli_objects(monkeypatch):
-    # brute search and the full scan fold image keys and sign masks; a
-    # decision search builds only its pins' 2n measurements (-1)^b Z_c,
-    # once, and every pin set shares them
+    # a sample's measurement is a key and a sign bit: brute search, the full
+    # scan, the decision search with its pins, the reduction, the writer and
+    # verify's scoring loop build no Pauli object, and the reader builds at
+    # most one per 'paulis' entry
     rng = random.Random(87)
     sets = [random_consistent_set(rng, n, 3 * n)[0] for n in (2, 3)]
     sets += [reduce_sat_to_samples(clauses, random.Random(88))[0] for clauses in ([[1]], [[-1]])]
@@ -844,23 +847,29 @@ def test_the_searches_build_no_pauli_objects(monkeypatch):
         made.append(self)
         init(self, *args, **kwargs)
 
-    pins = []
-
-    def pin_samples(*args):
-        pins.append(_pin_samples(*args))
-        return pins[-1]
-
     monkeypatch.setattr(PauliOperator, "__init__", counted)
-    monkeypatch.setattr(cnotpac.search, "_pin_samples", pin_samples)
     for samples in sets:
         assert brute_force_search(samples).found
         assert enumerate_consistent_circuits(samples)
-    assert made == []
-    for samples in sets:
-        del made[:], pins[:]
         assert search_from_decision(brute_force_decision, samples).found
-        assert len(made) <= 2 * samples.n
-        assert {id(pin[0].measurement) for pin in pins} <= set(map(id, made))
+    assert made == []
+    # the golden formula links columns through computational-basis samples,
+    # and a zero column of M0 that no variable touches gives the
+    # contradictory pair
+    dead = NonSingularityInstance(2, BitMatrix([0b01, 0b01], 2), [])
+    reduced = [
+        reduce_formula_to_samples(golden_formula(), random.Random(89))[0],
+        instance_to_samples(dead, random.Random(89)),
+    ]
+    for ss in reduced:
+        obj = json.loads(sample_set_dumps(ss))
+        assert made == []
+        loaded = sample_set_from_json(obj)
+        assert 0 < len(made) <= len(obj["paulis"])
+        del made[:]
+        t = CnotCircuit.identity(ss.n).to_tableau()
+        codes = [sample_code(t, s) for s in loaded]  # verify's loop
+        assert made == [] and len(codes) == len(ss)
 
 
 def _decision_cases():
@@ -883,7 +892,7 @@ def _decision_cases():
                     flipped = Sample(s.state, s.measurement, 1 - s.label)
                     yield SampleSet(n, samples[:k] + [flipped] + samples[k + 1 :])
                     break
-    yield SampleSet(3, _pin_samples(3, z_power(3, 1), 0, [], None))
+    yield SampleSet(3, _pin_samples(3, 1, 0, 0, [], None))
 
 
 # sha256 of the decision results (found, witness rows, q, queries, fault) on

@@ -423,11 +423,10 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     monkeypatch.setattr(PauliOperator, "__init__", counted)
     back = sample_set_from_json(obj)
     made_by_load = len(made)
-    # measurements: one object per table entry
-    loaded = {}  # table index -> the object its first use loaded to
+    # measurements: the key and sign bit of the table entry a sample names
     for entry, s in zip(obj["samples"], back.samples):
-        assert loaded.setdefault(entry["measurement"], s.measurement) is s.measurement
-    assert len({id(p) for p in loaded.values()}) == len(loaded)
+        p = pauli_from_json(table[entry["measurement"]])
+        assert (s.key, s.sign) == (p.key(), p.sign_bit)
     # states: the key tuple of a 'states' entry and the sample's sign
     # bits, with the key tuple and the table shared by every group with
     # those keys, so no Pauli object is made per state

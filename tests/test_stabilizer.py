@@ -150,7 +150,7 @@ def test_a_state_is_its_group():
     t.apply_gate(Gate("h", qubit=0))
     ss, _ = reduce_sat_to_samples([[1, 2], [-1, 2]], random.Random(3))
     reduced = [s.state for s in ss]
-    pinned = [s.state for s in _pin_samples(3, z_power(3, 0b001), 0b010, [0b100], None)]
+    pinned = [s.state for s in _pin_samples(3, 0b001, 0, 0b010, [0b100], None)]
     loaded = [s.state for s in sample_set_from_json(sample_set_to_json(ss))]
     made = [
         StabilizerGroup.from_z_generators(2, [0b01, 0b11], signs=0b10),

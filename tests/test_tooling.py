@@ -39,11 +39,23 @@ def test_a_failing_hypothesis_test_fails_without_crashing_pytest(tmp_path):
 SRC = PYPROJECT.parent / "src" / "cnotpac"
 
 
+def _calls(tree, names):
+    """Lines of the calls in tree to a function or attribute named in names."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names:
+                lines.append(node.lineno)
+    return lines
+
+
 def _state_wrapper_uses(source):
     """Lines that read .state.group or call StabilizerState(...): a state
     is its group, and StabilizerGroup.group is kept for the benchmark only."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    lines = _calls(tree, {"StabilizerState"})
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr == "group"
@@ -51,11 +63,6 @@ def _state_wrapper_uses(source):
             and node.value.attr == "state"
         ):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "StabilizerState":
-                lines.append(node.lineno)
     return sorted(lines)
 
 
@@ -71,3 +78,45 @@ def test_no_module_reaches_through_a_state_wrapper():
     assert paths
     found = {p.name: _state_wrapper_uses(p.read_text()) for p in paths}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _measurement_reads(source):
+    """Lines that read an attribute named measurement: a sample holds its
+    measurement as a key and a sign bit, and only samples.py builds the
+    PauliOperator from them."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "measurement"
+    )
+
+
+def _pauli_builds(source):
+    """Lines that call z_power(...) or PauliOperator(...)."""
+    return sorted(_calls(ast.parse(source), {"z_power", "PauliOperator"}))
+
+
+# the modules whose paths build no Pauli object: search, reduce and learn
+NO_PAULI_MODULES = ("search.py", "reduction.py", "learning.py")
+
+
+def test_the_guard_sees_both_pauli_uses():
+    bad = "a = s.measurement.z\nb = z_power(n, 1)\nc = pauli.PauliOperator(n, 0, 1)\n"
+    ok = "a = s.key >> n\nb = PauliOperator.from_raw(n, 0, 0, 1)\nc = measurement\n"
+    assert (_measurement_reads(bad), _pauli_builds(bad)) == ([1], [2, 3])
+    assert (_measurement_reads(ok), _pauli_builds(ok)) == ([], [])
+    # a mutant of a guarded module: one read and one build appended to it
+    source = (SRC / "search.py").read_text()
+    end = source.count("\n")
+    mutant = source + "m = sample.measurement\np = z_power(n, 1 << c)\n"
+    assert _measurement_reads(mutant) == _measurement_reads(source) + [end + 1]
+    assert _pauli_builds(mutant) == _pauli_builds(source) + [end + 2]
+
+
+def test_no_internal_path_reads_a_measurement_or_builds_a_pauli():
+    paths = sorted(SRC.glob("*.py"))
+    assert {p.name for p in paths} >= set(NO_PAULI_MODULES) | {"samples.py"}
+    reads = {p.name: _measurement_reads(p.read_text()) for p in paths if p.name != "samples.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    builds = {name: _pauli_builds((SRC / name).read_text()) for name in NO_PAULI_MODULES}
+    assert {name: lines for name, lines in builds.items() if lines} == {}
