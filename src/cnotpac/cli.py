@@ -80,18 +80,14 @@ def _read(path: str) -> bytes:
         raise CliError("cannot read %s: %s" % (path, err))
 
 
-def _load(path: str, data: bytes, from_json, field=None):
-    """from_json of the JSON in data, the bytes read from path.  Given a
-    field, a reduce output ({"samples", "instance"}) yields that member;
-    a bare sample set also has "samples" and is told apart by its "n".
-    A decode or schema error names the file: bytes that are not UTF-8
-    and nesting deeper than the recursion limit are decode errors too."""
+def _load(path: str, data: bytes, from_json):
+    """from_json of the JSON in data, the bytes read from path.  A decode
+    or schema error names the file: bytes that are not UTF-8 and nesting
+    deeper than the recursion limit are decode errors too."""
     try:
         obj = json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise CliError("%s is not valid JSON: %s" % (path, err))
-    if isinstance(obj, dict) and field in obj and not (field == "samples" and "n" in obj):
-        obj = obj[field]
     try:
         return from_json(obj)
     except ValueError as err:
@@ -164,6 +160,13 @@ def _affine_input(obj):
     return inst
 
 
+def _samples_input(obj):
+    """A sample set, bare (it has 'n') or a reduce output's 'samples' member."""
+    if isinstance(obj, dict) and "samples" in obj and "n" not in obj:
+        obj = obj["samples"]
+    return sample_set_from_json(obj)
+
+
 def cmd_solve(args):
     data = _read(args.input)
     digest = _digest(data)
@@ -179,7 +182,7 @@ def cmd_solve(args):
         assignment = bits_to_string(result.assignment, len(inst.ms))
         payload = dumps({"assignment": assignment})
         return 0, digest, "found", counts, payload, "assignment: %s" % assignment
-    samples = _load(args.input, data, sample_set_from_json, "samples")
+    samples = _load(args.input, data, _samples_input)
     counts["samples"] = len(samples.samples)
     if args.strategy == "brute":
         result = brute_force_search(samples)
@@ -202,7 +205,7 @@ def cmd_verify(args):
     samples_bytes = _read(args.samples)
     digest = _digest(circuit_bytes + samples_bytes)
     hypothesis = _load(args.circuit, circuit_bytes, circuit_from_json)
-    samples = _load(args.samples, samples_bytes, sample_set_from_json, "samples")
+    samples = _load(args.samples, samples_bytes, _samples_input)
     if hypothesis.n != samples.n:
         raise CliError(
             "qubit count mismatch: circuit has %d, samples have %d"

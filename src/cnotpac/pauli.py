@@ -5,8 +5,8 @@ and z are packed bit vectors and each overlapping coordinate contributes
 one factor of i (so every stored operator is Hermitian: each Y carries
 its own i).  Products of anticommuting Hermitian Paulis are
 anti-Hermitian and therefore cannot be represented.  Products are
-taken in the raw form (e, x, z), meaning i^e X^x Z^z.  Inside the
-package a signed Pauli is a key x | z << n and a sign bit (a sample's
+taken in the raw form (e, key), meaning i^e X^x Z^z with key x | z << n.
+Inside the package a signed Pauli is a key and a sign bit (a sample's
 measurement), and a list of them (a group's generators, a tableau's
 images) key ints and a sign mask, not objects; _fold is the only
 product loop.  The public mul multiplies through the two-factor
@@ -18,24 +18,23 @@ from __future__ import annotations
 from .gf2 import dot
 
 
-def _raw_mul(a: tuple, b: tuple) -> tuple:
-    """Multiply two operators in raw form (e, x, z) meaning i^e X^x Z^z."""
-    e1, x1, z1 = a
-    e2, x2, z2 = b
+def _raw_mul(n: int, a: tuple, b: tuple) -> tuple:
+    """Multiply two raw forms (e, key), meaning i^e X^x Z^z, key x | z << n."""
+    (e1, k1), (e2, k2) = a, b
     # moving Z^{z1} past X^{x2} costs (-1)^{z1 . x2}
-    return ((e1 + e2 + 2 * dot(z1, x2)) % 4, x1 ^ x2, z1 ^ z2)
+    return ((e1 + e2 + 2 * dot(k1 >> n, k2 & (1 << n) - 1)) % 4, k1 ^ k2)
 
 
-def _raw_sign_bit(e: int, x: int, z: int) -> int:
-    """Sign bit of the raw form i^e X^x Z^z; raises unless it is Hermitian."""
-    y = (x & z).bit_count()
+def _raw_sign_bit(n: int, e: int, key: int) -> int:
+    """Sign bit of the raw form (e, key); raises unless it is Hermitian."""
+    y = (key >> n & key).bit_count()
     if (e - y) % 2:
         raise ValueError("phase i^%d with %d overlaps is not Hermitian" % (e, y))
     return (e - y) % 4 // 2
 
 
 def _fold(n: int, keys, signs: int, mask: int, e: int = 0) -> tuple:
-    """Raw form (e, x, z) of i^e times the ordered product of the signed
+    """Raw form (e, key) of i^e times the ordered product of the signed
     Paulis whose indices are the set bits of mask: Pauli k has key keys[k]
     (x | z << n) and is negated when bit k of signs is set."""
     acc = 0
@@ -48,7 +47,7 @@ def _fold(n: int, keys, signs: int, mask: int, e: int = 0) -> tuple:
         e += 2 * (acc >> n & k).bit_count() + (k >> n & k).bit_count()
         acc ^= k
         mask ^= low
-    return e % 4, acc & ((1 << n) - 1), acc >> n
+    return e % 4, acc
 
 
 def _anticommutation_rows(keys, n: int) -> list:
@@ -82,12 +81,13 @@ class PauliOperator:
         return -1 if self.sign_bit else 1
 
     @classmethod
-    def from_raw(cls, n: int, e: int, x: int, z: int) -> "PauliOperator":
-        """Build from i^e X^x Z^z; e must make the operator Hermitian."""
-        return cls(n, x, z, sign=-1 if _raw_sign_bit(e, x, z) else 1)
+    def from_raw(cls, n: int, e: int, key: int) -> "PauliOperator":
+        """Build from the raw form (e, key); e must make it Hermitian."""
+        return cls(n, key & (1 << n) - 1, key >> n, sign=-1 if _raw_sign_bit(n, e, key) else 1)
 
     def raw(self) -> tuple:
-        return ((2 * self.sign_bit + (self.x & self.z).bit_count()) % 4, self.x, self.z)
+        """(e, key): this operator is i^e X^x Z^z with key x | z << n."""
+        return ((2 * self.sign_bit + (self.x & self.z).bit_count()) % 4, self.key())
 
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
@@ -101,7 +101,7 @@ class PauliOperator:
         self._check_n(other)
         if not self.commutes(other):
             raise ValueError("product of anticommuting Paulis is not Hermitian")
-        return PauliOperator.from_raw(self.n, *_raw_mul(self.raw(), other.raw()))
+        return PauliOperator.from_raw(self.n, *_raw_mul(self.n, self.raw(), other.raw()))
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return self.mul(other)

@@ -59,7 +59,7 @@ class Sample:
 
     @property
     def phase(self) -> int:
-        """e in the measurement's raw form i^e X^x Z^z: 2 sign + |x & z| mod 4."""
+        """e in the measurement's raw form (e, key): 2 sign + |x & z| mod 4."""
         return (2 * self.sign + (self.key & self.key >> self.state.n).bit_count()) % 4
 
     def __repr__(self) -> str:

@@ -388,7 +388,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     the factors' signs to the phase only as 2 |signs & mask|, and the only
     factors that depend on q are the Z images that the measurement's z
     bits select, Z image j with sign bit q_j: e(q) = e(0) + 2 |q & z|
-    mod 4, and the image's x and z do not depend on q.  So a theta folds
+    mod 4, and the image's key does not depend on q.  So a theta folds
     each sample once over its q = 0 tableau, with sample_code's checks,
     and looks the image up once.  An absent image has code 1 for every
     q; a member's phase, Hermitian like e(0) on the same key, is e(0) or
@@ -412,11 +412,11 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
         _check_cnot_shape(t)
         alive = every_q
         for key, e, group, code, flips in samples:
-            e, x, z = _fold(n, t.keys, t.signs, key, e)
-            _raw_sign_bit(e, x, z)
-            if not x | z:
+            e, image = _fold(n, t.keys, t.signs, key, e)
+            _raw_sign_bit(n, e, image)
+            if not image:
                 raise ValueError("identity is not a useful measurement")
-            member = group.member_phase(x | z << n)
+            member = group.member_phase(image)
             if (member is None) != (code == 1):
                 return  # an absent image has code 1 for every q, a member for none
             if member is not None:

@@ -13,7 +13,7 @@ entirely (Absent).  The expectation of a two-outcome measurement
 (I + P)/2 against the state is then 1, 0, or 1/2 respectively.
 StabilizerGroup.expectation_code is the one mapping from membership to
 that value: it returns the value's index into LABELS (0 -> 0, 1 -> 1/2,
-2 -> 1) from a raw phase and key, so scoring needs no Pauli object.
+2 -> 1) from a raw form (e, key), so scoring needs no Pauli object.
 """
 
 from __future__ import annotations
@@ -113,21 +113,15 @@ class StabilizerGroup:
         n = generators[0].n
         if len(generators) != n:
             raise ValueError("a pure state on %d qubits needs exactly %d generators" % (n, n))
-        keys = []
-        signs = 0
-        for i, g in enumerate(generators):
-            if g.n != n:
-                raise ValueError("generator qubit count mismatch")
-            key = g.x | g.z << n
-            if not key:
-                raise ValueError("identity cannot be a generator")
-            keys.append(key)
-            signs |= g.sign_bit << i
-        keys = tuple(keys)
+        if any(g.n != n for g in generators):
+            raise ValueError("generator qubit count mismatch")
+        keys = tuple(g.key() for g in generators)
+        if not all(keys):
+            raise ValueError("identity cannot be a generator")
         self._table = _echelon_table(n, keys)
         self.n = n
         self.keys = keys
-        self.signs = signs
+        self.signs = sum(g.sign_bit << i for i, g in enumerate(generators))
 
     @classmethod
     def _from_keys(cls, n: int, keys: tuple, signs: int = 0) -> "StabilizerGroup":
@@ -151,7 +145,9 @@ class StabilizerGroup:
         """|t> as a stabilizer state: generators (-1)^{t_i} Z_i, i < n."""
         if n < 1:
             raise ValueError("need at least one generator")
-        return cls._from_keys(n, tuple(1 << n + i for i in range(n)), t & (1 << n) - 1)
+        if not 0 <= t < 1 << n:
+            raise ValueError("basis index %d outside 0 .. 2^%d - 1" % (t, n))
+        return cls._from_keys(n, tuple(1 << n + i for i in range(n)), t)
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerGroup":
@@ -198,7 +194,7 @@ class StabilizerGroup:
             t ^= cols[low.bit_length() - 1]
             rest ^= low
         for p, mask in mixed:
-            t |= _raw_sign_bit(*_fold(n, self.keys, signs, mask)) << p
+            t |= _raw_sign_bit(n, *_fold(n, self.keys, signs, mask)) << p
         return [*x_rows, t | 1 << n]
 
     def member_phase(self, key: int) -> Optional[int]:
@@ -212,8 +208,8 @@ class StabilizerGroup:
 
     def expectation_code(self, e: int, key: int) -> int:
         """Label code of tr[(I + P)/2 rho] for the Hermitian, nonidentity
-        P = i^e X^x Z^z with key x | z << n: 2 when P is a member, 0 when
-        -P is, 1 when neither is."""
+        P of raw form (e, key), i^e X^x Z^z with key x | z << n: 2 when P
+        is a member, 0 when -P is, 1 when neither is."""
         member = self.member_phase(key)
         if member is None:
             return 1
@@ -225,7 +221,7 @@ class StabilizerGroup:
             raise ValueError("identity is not a useful measurement")
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return LABELS[self.expectation_code(p.raw()[0], p.key())]
+        return LABELS[self.expectation_code(*p.raw())]
 
     def group_contains(self, p: PauliOperator) -> Membership:
         """Trichotomy membership for a signed Pauli probe."""
@@ -233,7 +229,7 @@ class StabilizerGroup:
             raise ValueError("qubit count mismatch")
         if p.is_identity():
             return Membership.PLUS if p.sign == 1 else Membership.ABSENT
-        return _MEMBERSHIP[self.expectation_code(p.raw()[0], p.key())]
+        return _MEMBERSHIP[self.expectation_code(*p.raw())]
 
     def members(self):
         """Iterate all 2^n group elements (small n only)."""
@@ -245,7 +241,7 @@ class StabilizerGroup:
         n, width = self.n, 2 * self.n
         rows = _echelon(self._table.values(), width).values()
         return tuple(sorted(
-            (r & ((1 << width) - 1), _raw_sign_bit(*_fold(n, self.keys, self.signs, r >> width)))
+            (r & ((1 << width) - 1), _raw_sign_bit(n, *_fold(n, self.keys, self.signs, r >> width)))
             for r in rows
         ))
 

@@ -12,11 +12,11 @@ matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
-stays in raw form (sample_code): the sample's measurement key is folded
-over the images and the result looked up in the state's group, with no
-Pauli object made.  Forward conjugation C P C† goes through
-inverse_tableau, whose images are read off one echelon table of the
-stored image keys (gf2._inverse_table) on every call.
+stays in raw form (sample_code): the sample's measurement key folded
+over the images gives a raw form (e, key), which is looked up in the
+state's group with no Pauli object made.  Forward conjugation C P C†
+goes through inverse_tableau, whose images are read off one echelon
+table of the stored image keys (gf2._inverse_table) on every call.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ class CliffordTableau:
         unless it is Hermitian (the tableau is invalid)."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
-        return PauliOperator.from_raw(p.n, *_fold(p.n, self.keys, self.signs, p.key(), p.raw()[0]))
+        e, key = p.raw()
+        return PauliOperator.from_raw(p.n, *_fold(p.n, self.keys, self.signs, key, e))
 
     def apply_gate(self, g: Gate) -> None:
         """Append gate g to the circuit (it acts after everything so far)."""
@@ -168,7 +169,7 @@ class CliffordTableau:
             pair = 1 << a | 1 << b
             images = [(a, _fold(n, keys, signs, pair)), (n + b, _fold(n, keys, signs, pair << n))]
         # every image is checked Hermitian before any is stored
-        for r, key, bit in [(r, x | z << n, _raw_sign_bit(e, x, z)) for r, (e, x, z) in images]:
+        for r, key, bit in [(r, key, _raw_sign_bit(n, e, key)) for r, (e, key) in images]:
             keys[r] = key
             signs = signs & ~(1 << r) | bit << r
         self.signs = signs
@@ -188,7 +189,7 @@ class CliffordTableau:
         signs = 0
         for r, key in enumerate(inverse):
             e = (key >> n & key).bit_count()
-            signs |= _raw_sign_bit(*_fold(n, keys, self.signs, key, e)) << r
+            signs |= _raw_sign_bit(n, *_fold(n, keys, self.signs, key, e)) << r
         if _anticommutation_rows(keys, n) != [1 << (r + n) % width for r in range(width)]:
             raise ValueError("tableau is not a valid Clifford image")
         return CliffordTableau._unchecked(n, inverse, signs)
@@ -227,11 +228,11 @@ def sample_code(t: CliffordTableau, sample) -> int:
     """
     if sample.state.n != t.n:
         raise ValueError("qubit count mismatch")
-    e, x, z = _fold(t.n, t.keys, t.signs, sample.key, sample.phase)
-    _raw_sign_bit(e, x, z)
-    if not x | z:
+    e, key = _fold(t.n, t.keys, t.signs, sample.key, sample.phase)
+    _raw_sign_bit(t.n, e, key)
+    if not key:
         raise ValueError("identity is not a useful measurement")
-    return sample.state.expectation_code(e, x | z << t.n)
+    return sample.state.expectation_code(e, key)
 
 
 def evaluate_sample(h, sample) -> Fraction:

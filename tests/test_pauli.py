@@ -81,21 +81,33 @@ def test_commutes_matches_dense_commutator():
 
 
 def test_from_raw_phase_bookkeeping():
-    # i * X * Z = Y
-    y = PauliOperator.from_raw(1, 1, 1, 1)
+    # i * X * Z = Y; the key of X Z on one qubit is 1 | 1 << 1
+    y = PauliOperator.from_raw(1, 1, 0b11)
     assert y == PauliOperator(1, 1, 1, sign=1)
     # i^3 X Z = -Y
-    assert PauliOperator.from_raw(1, 3, 1, 1) == PauliOperator(1, 1, 1, sign=-1)
+    assert PauliOperator.from_raw(1, 3, 0b11) == PauliOperator(1, 1, 1, sign=-1)
     with pytest.raises(ValueError):
-        PauliOperator.from_raw(1, 0, 1, 1)  # X Z alone is anti-Hermitian
+        PauliOperator.from_raw(1, 0, 0b11)  # X Z alone is anti-Hermitian
 
 
 def test_raw_round_trip():
     rng = random.Random(204)
     for _ in range(100):
         p = random_pauli(rng, 3)
-        e, x, z = p.raw()
-        assert PauliOperator.from_raw(3, e, x, z) == p
+        e, key = p.raw()
+        assert key == p.key()
+        assert PauliOperator.from_raw(3, e, key) == p
+
+
+def test_raw_round_trip_covers_every_key_and_sign():
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for key in range(1 << 2 * n):
+            for sign in (1, -1):
+                p = PauliOperator(n, key & full, key >> n, sign=sign)
+                e, k = p.raw()
+                assert k == key
+                assert PauliOperator.from_raw(n, e, k) == p
 
 
 def test_power_constructors_and_key():
@@ -133,12 +145,12 @@ def test_fold_is_the_ordered_raw_product_of_its_signed_factors(data):
     mask = data.draw(st.integers(0, (1 << count) - 1))
     e = data.draw(st.integers(0, 3))
     full = (1 << n) - 1
-    expected = (e, 0, 0)
+    expected = (e, 0)
     for k, key in enumerate(keys):
         if mask >> k & 1:
             factor = PauliOperator(n, key & full, key >> n, sign=-1 if signs >> k & 1 else 1)
-            expected = _raw_mul(expected, factor.raw())
+            expected = _raw_mul(n, expected, factor.raw())
     assert _fold(n, keys, signs, mask, e) == expected
     if commuting:
         # a product of commuting Hermitian factors is Hermitian again
-        _raw_sign_bit(expected[0] - e, expected[1], expected[2])
+        _raw_sign_bit(n, expected[0] - e, expected[1])

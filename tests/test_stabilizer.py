@@ -91,6 +91,16 @@ def test_computational_basis_expectations():
                 assert state.expectation(x_power(n, 1 << i)) == Fraction(1, 2)
 
 
+def test_computational_basis_refuses_an_index_outside_its_qubits():
+    # 0b100 and -1 used to be masked to |00> and |11>
+    for t in (0b100, -1):
+        with pytest.raises(ValueError, match=r"^basis index %d outside 0 \.\. 2\^2 - 1$" % t):
+            StabilizerGroup.computational_basis(2, t)
+    assert StabilizerGroup.computational_basis(2, 0b11) == StabilizerGroup(
+        [z_power(2, 0b01, sign=-1), z_power(2, 0b10, sign=-1)]
+    )
+
+
 def test_expectation_rejects_identity():
     state = StabilizerGroup.zero_state(2)
     with pytest.raises(ValueError):

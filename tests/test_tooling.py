@@ -39,15 +39,17 @@ def test_a_failing_hypothesis_test_fails_without_crashing_pytest(tmp_path):
 SRC = PYPROJECT.parent / "src" / "cnotpac"
 
 
+def _callee(node):
+    """Name of the function or attribute that node calls; None unless a call."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
 def _calls(tree, names):
     """Lines of the calls in tree to a function or attribute named in names."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in names:
-                lines.append(node.lineno)
-    return lines
+    return [node.lineno for node in ast.walk(tree) if _callee(node) in names]
 
 
 def _state_wrapper_uses(source):
@@ -102,7 +104,7 @@ NO_PAULI_MODULES = ("search.py", "reduction.py", "learning.py")
 
 def test_the_guard_sees_both_pauli_uses():
     bad = "a = s.measurement.z\nb = z_power(n, 1)\nc = pauli.PauliOperator(n, 0, 1)\n"
-    ok = "a = s.key >> n\nb = PauliOperator.from_raw(n, 0, 0, 1)\nc = measurement\n"
+    ok = "a = s.key >> n\nb = PauliOperator.from_raw(n, 0, 1 << n)\nc = measurement\n"
     assert (_measurement_reads(bad), _pauli_builds(bad)) == ([1], [2, 3])
     assert (_measurement_reads(ok), _pauli_builds(ok)) == ([], [])
     # a mutant of a guarded module: one read and one build appended to it
@@ -120,3 +122,33 @@ def test_no_internal_path_reads_a_measurement_or_builds_a_pauli():
     assert {name: lines for name, lines in reads.items() if lines} == {}
     builds = {name: _pauli_builds((SRC / name).read_text()) for name in NO_PAULI_MODULES}
     assert {name: lines for name, lines in builds.items() if lines} == {}
+
+
+def _fold_triples(source):
+    """Lines that unpack a _fold(...) result into three names: a raw Pauli
+    is a phase and a key (e, key), not the old (e, x, z) triple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and _callee(node.value) == "_fold":
+            shapes = [len(t.elts) for t in node.targets if isinstance(t, (ast.Tuple, ast.List))]
+            if 3 in shapes:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_sees_a_fold_unpacked_into_three_names():
+    bad = "e, x, z = _fold(n, keys, signs, mask)\n[e, x, z] = pauli._fold(n, k, s, m, 3)\n"
+    ok = "e, key = _fold(n, keys, signs, mask)\ne, x, z = other(_fold(n, k, s, m))\n"
+    assert _fold_triples(bad) == [1, 2]
+    assert _fold_triples(ok) == []
+    # a mutant of a module that folds: one triple unpacking appended to it
+    source = (SRC / "tableau.py").read_text()
+    mutant = source + "e, x, z = _fold(t.n, t.keys, t.signs, key, e)\n"
+    assert _fold_triples(mutant) == _fold_triples(source) + [source.count("\n") + 1]
+
+
+def test_no_module_unpacks_a_fold_into_three_names():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"pauli.py", "tableau.py", "stabilizer.py", "search.py"} <= {p.name for p in paths}
+    found = {p.name: _fold_triples(p.read_text()) for p in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
