@@ -61,7 +61,7 @@ from .serialization import (
     sample_set_dumps,
     sample_set_from_json,
 )
-from .tableau import is_symplectic, sample_code
+from .tableau import is_symplectic, sample_codes
 
 
 class CliError(Exception):
@@ -213,8 +213,8 @@ def cmd_verify(args):
         )
     t = hypothesis.to_tableau()
     counts = {"samples": len(samples.samples)}
-    for index, sample in enumerate(samples.samples):
-        if sample_code(t, sample) != sample.code:
+    for index, (code, sample) in enumerate(zip(sample_codes(t, samples), samples)):
+        if code != sample.code:
             counts["first_violation"] = index
             return 1, digest, "inconsistent", counts, None, "inconsistent at sample %d" % index
     return 0, digest, "consistent", counts, None, "consistent"
@@ -263,7 +263,8 @@ def _learn_pac(args, rng):
     # the hypothesis's exact error under D: the weight it mislabels over the total
     t = result.circuit.to_tableau()
     mass = weights or [1] * len(pool_set.samples)
-    wrong = (w for sample, w in zip(pool_set, mass) if sample_code(t, sample) != sample.code)
+    codes = sample_codes(t, pool_set)
+    wrong = (w for code, sample, w in zip(codes, pool_set, mass) if code != sample.code)
     counts["error"] = math.fsum(wrong) / math.fsum(mass)
     outcome = "found" if result.accepted else "found-unaccepted"
     payload = dumps(circuit_to_json(result.circuit))

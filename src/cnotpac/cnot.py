@@ -8,7 +8,8 @@ matrix theta and a phase vector q through the contract
 while X supports map with the inverse transpose, C† X^w C = X^{theta^{-T} w},
 with no sign.  On computational basis states C|v> = |theta^T v xor q>.
 Appending CNOT(a->b) XORs theta column a into column b and q_a into q_b;
-appending X(a) flips q_a.
+appending X(a) flips q_a.  Gates are replayed on the rows of theta^T, so
+each CNOT is one XOR of n-bit ints.
 """
 
 from __future__ import annotations
@@ -53,21 +54,30 @@ class CnotCircuit:
     @classmethod
     def from_gates(cls, n: int, gates: Iterable[Gate]) -> "CnotCircuit":
         c = cls.identity(n)
-        for g in gates:
-            c.append(g)
+        c._replay(gates)
         return c
 
     def append(self, g: Gate) -> None:
-        if g.max_qubit() >= self.n:
-            raise ValueError("gate acts outside %d qubits" % self.n)
-        if g.name == "x":
-            self.q ^= 1 << g.qubit
-        elif g.name == "cnot":
-            a, b = g.control, g.target
-            self.theta.add_col(a, b)
-            self.q ^= ((self.q >> a) & 1) << b
-        else:
-            raise ValueError("CNOT circuits admit only x and cnot gates")
+        self._replay((g,))
+
+    def _replay(self, gates: Iterable[Gate]) -> None:
+        """Append the gates in order.  Row b of theta^T is column b of
+        theta, so a CNOT(a->b) is one XOR of row a into row b there."""
+        n, q = self.n, self.q
+        cols = _transpose(self.theta.rows, n)
+        for g in gates:
+            if g.max_qubit() >= n:
+                raise ValueError("gate acts outside %d qubits" % n)
+            if g.name == "x":
+                q ^= 1 << g.qubit
+            elif g.name == "cnot":
+                a, b = g.control, g.target
+                cols[b] ^= cols[a]
+                q ^= ((q >> a) & 1) << b
+            else:
+                raise ValueError("CNOT circuits admit only x and cnot gates")
+        self.theta.rows[:] = _transpose(cols, n)
+        self.q = q
 
     def gates(self) -> List[Gate]:
         return synthesize_cnot_from_theta(self.theta, self.q)

@@ -177,11 +177,6 @@ class BitMatrix:
             raise ValueError("shape mismatch")
         return BitMatrix([a ^ b for a, b in zip(self.rows, other.rows)], self.n_cols)
 
-    def add_col(self, src: int, dst: int) -> None:
-        """XOR column src into column dst, in place."""
-        for i, r in enumerate(self.rows):
-            self.rows[i] ^= ((r >> src) & 1) << dst
-
     def rank(self) -> int:
         table: dict = {}
         return sum(_insert(table, r) for r in self.rows)

@@ -96,16 +96,23 @@ def validate_simplified(inst: NonSingularityInstance) -> bool:
     distinct columns in M0 and that M_i, and no column may be touched by
     two different variables.
     """
+    return _simplified_columns(inst) is not None
+
+
+def _simplified_columns(inst: NonSingularityInstance) -> Optional[tuple]:
+    """(columns of M0, [columns of each M_i]) when the instance has the
+    simplified shape, else None: the one column read of the instance."""
     m0_cols = inst.m0.transpose().rows
+    ms_cols = [m.transpose().rows for m in inst.ms]
     seen = set()
-    for m in inst.ms:
-        for c, w in enumerate(m.transpose().rows):
+    for m_cols in ms_cols:
+        for c, w in enumerate(m_cols):
             if not w:
                 continue
             if c in seen or m0_cols[c] in (0, w):
-                return False
+                return None
             seen.add(c)
-    return True
+    return m0_cols, ms_cols
 
 
 def _pin_samples(n: int, x: int, sigma: int, offset: int, span: Sequence[int], rng) -> List[Sample]:
@@ -220,14 +227,14 @@ def instance_to_samples(inst: NonSingularityInstance, rng) -> SampleSet:
         raise ValueError(
             "instance size %d exceeds the limit of %d" % (inst.size, _MAX_INSTANCE_SIZE)
         )
-    if not validate_simplified(inst):
+    columns = _simplified_columns(inst)
+    if columns is None:
         raise ValueError("instance does not satisfy the simplified shape")
+    m0_cols, ms_cols = columns
     n = inst.size
-    m0_cols = inst.m0.transpose().rows
     samples: List[Sample] = []
     touched = set()
-    for m in inst.ms:
-        m_cols = m.transpose().rows
+    for m_cols in ms_cols:
         cols = [c for c in range(n) if m_cols[c]]
         if not cols:
             continue

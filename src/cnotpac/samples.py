@@ -43,9 +43,12 @@ class Sample:
         """The sample of checked parts, taken as they are: no checks."""
         return cls.__new__(cls)._set(state, key, sign, code)
 
-    def _set(self, *fields) -> "Sample":
-        for name, value in zip(Sample.__slots__, fields):
-            object.__setattr__(self, name, value)
+    def _set(self, state: StabilizerGroup, key: int, sign: int, code: int) -> "Sample":
+        put = object.__setattr__
+        put(self, "state", state)
+        put(self, "key", key)
+        put(self, "sign", sign)
+        put(self, "code", code)
         return self
 
     @property

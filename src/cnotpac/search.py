@@ -48,7 +48,7 @@ from .gf2 import BitMatrix, _insert, _reduce
 from .pauli import _fold, _raw_sign_bit
 from .reduction import NonSingularityInstance, _pin_samples
 from .samples import SampleSet
-from .tableau import sample_code
+from .tableau import sample_codes
 
 
 class EnumerationLimitError(ValueError):
@@ -90,7 +90,7 @@ def check_consistent(h, sample_set: SampleSet) -> bool:
         raise ValueError("hypothesis acts on %d qubits, samples on %d" % (t.n, sample_set.n))
     if isinstance(h, CnotCircuit):
         _check_cnot_shape(t)
-    return all(sample_code(t, s) == s.code for s in sample_set)
+    return all(code == s.code for code, s in zip(sample_codes(t, sample_set), sample_set))
 
 
 def _check_cnot_shape(t) -> None:

@@ -11,9 +11,11 @@ Membership queries answer with a trichotomy: the probe is in the group
 (Plus), its negation is (Minus), or its unsigned support is absent
 entirely (Absent).  The expectation of a two-outcome measurement
 (I + P)/2 against the state is then 1, 0, or 1/2 respectively.
-StabilizerGroup.expectation_code is the one mapping from membership to
-that value: it returns the value's index into LABELS (0 -> 0, 1 -> 1/2,
-2 -> 1) from a raw form (e, key), so scoring needs no Pauli object.
+StabilizerGroup.expectation_code maps membership to that value: it
+returns the value's index into LABELS (0 -> 0, 1 -> 1/2, 2 -> 1) from a
+raw form (e, key), so it needs no Pauli object.  tableau.sample_codes
+reads the same code off the member's generator mask, once per distinct
+probe of a sample set.
 """
 
 from __future__ import annotations
@@ -197,14 +199,23 @@ class StabilizerGroup:
             t |= _raw_sign_bit(n, *_fold(n, self.keys, signs, mask)) << p
         return [*x_rows, t | 1 << n]
 
-    def member_phase(self, key: int) -> Optional[int]:
-        """Exponent of i in the raw form of the member with this symplectic
-        key (x | z << n), or None when no member has that key."""
+    def member_mask(self, key: int) -> Optional[int]:
+        """Mask of the generators whose product is the member with this
+        symplectic key (x | z << n), or None when no member has that key.
+        It depends on the key tuple alone, not on the signs."""
         width = 2 * self.n
         r = _reduce(self._table, key, width)
         if r & ((1 << width) - 1):
             return None
-        return _fold(self.n, self.keys, self.signs, r >> width)[0]
+        return r >> width
+
+    def member_phase(self, key: int) -> Optional[int]:
+        """Exponent of i in the raw form of the member with this symplectic
+        key (x | z << n), or None when no member has that key."""
+        mask = self.member_mask(key)
+        if mask is None:
+            return None
+        return _fold(self.n, self.keys, self.signs, mask)[0]
 
     def expectation_code(self, e: int, key: int) -> int:
         """Label code of tr[(I + P)/2 rho] for the Hermitian, nonidentity

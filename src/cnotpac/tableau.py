@@ -12,18 +12,24 @@ matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
-stays in raw form (sample_code): the sample's measurement key folded
+stays in raw form (sample_codes): the sample's measurement key folded
 over the images gives a raw form (e, key), which is looked up in the
-state's group with no Pauli object made.  Forward conjugation C P C†
-goes through inverse_tableau, whose images are read off one echelon
-table of the stored image keys (gf2._inverse_table) on every call.
+state's group with no Pauli object made.  A set is scored by distinct
+(state key tuple, measurement): the states of a reduction pin share one
+key tuple and differ in signs, so each distinct probe is folded and
+looked up once, and each sample costs one parity of its sign mask.  The
+memo keys on the tuple's identity: a tuple's hash is not cached, and
+hashing n ints per sample costs most of what the fold saves.  Forward
+conjugation C P C† goes through inverse_tableau, whose images are read
+off one echelon table of the stored image keys (gf2._inverse_table) on
+every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .gf2 import BitMatrix, _inverse_table, _reduce, _transpose
 from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit
@@ -218,21 +224,50 @@ def apply_circuit_to_state(t: CliffordTableau, state: StabilizerGroup) -> Stabil
     return StabilizerGroup(inv.conjugate_inverse(g) for g in state.generators)
 
 
-def sample_code(t: CliffordTableau, sample) -> int:
-    """Label code (index into LABELS) that the tableau t assigns to one
-    sample: rho's expectation of t†Pt, computed in raw form.
+def sample_codes(t: CliffordTableau, samples) -> Iterator[int]:
+    """Label codes (indices into LABELS) that the tableau t assigns to the
+    samples, yielded lazily and in order: rho's expectation of t†Pt.
 
-    Raises ValueError, as conjugating and measuring through Pauli objects
-    would, on a qubit-count mismatch, a non-Hermitian image of P (t is
-    not a valid Clifford tableau) and an identity image of P.
+    Each distinct (state key tuple, measurement key, sign bit) is folded
+    over the images and looked up in the group once.  A sample's code is
+    then one parity: the member's phase is e0 + 2 |signs & mask| mod 4,
+    e0 the unsigned generators' fold, which is _fold's own sign rule.
+    The memo keys on the key tuple's id and holds the tuple, so no id is
+    reused while the walk lasts, even if the caller drops its samples.
+
+    Raises ValueError at the first sample that conjugating and measuring
+    through Pauli objects would raise on: a qubit-count mismatch, a
+    non-Hermitian image of P (t is not a valid Clifford tableau) and an
+    identity image of P.
     """
-    if sample.state.n != t.n:
-        raise ValueError("qubit count mismatch")
-    e, key = _fold(t.n, t.keys, t.signs, sample.key, sample.phase)
-    _raw_sign_bit(t.n, e, key)
-    if not key:
-        raise ValueError("identity is not a useful measurement")
-    return sample.state.expectation_code(e, key)
+    n, keys, signs = t.n, t.keys, t.signs
+    memo: dict = {}
+    for sample in samples:
+        state = sample.state
+        probe = (id(state.keys), sample.key, sample.sign)
+        entry = memo.get(probe)
+        if entry is None:
+            if state.n != n:
+                raise ValueError("qubit count mismatch")
+            e, key = _fold(n, keys, signs, sample.key, sample.phase)
+            _raw_sign_bit(n, e, key)
+            if not key:
+                raise ValueError("identity is not a useful measurement")
+            mask = state.member_mask(key)
+            # parity 1: the unsigned member's phase is e + 2, not e
+            parity = None if mask is None else (_fold(n, state.keys, 0, mask)[0] - e) % 4 // 2
+            entry = memo[probe] = (mask, parity, state.keys)
+        mask, parity, _ = entry
+        if mask is None:
+            yield 1
+        else:
+            yield 0 if parity ^ (state.signs & mask).bit_count() & 1 else 2
+
+
+def sample_code(t: CliffordTableau, sample) -> int:
+    """Label code that the tableau t assigns to one sample: sample_codes
+    on that sample alone, with its checks."""
+    return next(sample_codes(t, (sample,)))
 
 
 def evaluate_sample(h, sample) -> Fraction:

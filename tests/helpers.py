@@ -7,7 +7,7 @@ import numpy as np
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
-from cnotpac.pauli import PauliOperator
+from cnotpac.pauli import PauliOperator, _fold, _raw_sign_bit
 from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
@@ -112,6 +112,20 @@ def random_signed_pauli(n, rng):
 
 def random_stabilizer_state(rng, n):
     return apply_circuit_to_state(random_tableau(rng, n), StabilizerGroup.zero_state(n))
+
+
+def reference_sample_code(t, sample):
+    """Label code of one sample, folded on its own: the measurement over
+    the tableau's images, then the image looked up in the state's group.
+    This is the per-sample loop that tableau.sample_codes groups, with
+    the same checks in the same order."""
+    if sample.state.n != t.n:
+        raise ValueError("qubit count mismatch")
+    e, key = _fold(t.n, t.keys, t.signs, sample.key, sample.phase)
+    _raw_sign_bit(t.n, e, key)
+    if not key:
+        raise ValueError("identity is not a useful measurement")
+    return sample.state.expectation_code(e, key)
 
 
 def invertible_matrices(n):

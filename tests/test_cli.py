@@ -24,12 +24,15 @@ from cnotpac.serialization import (
     instance_from_json,
     instance_to_json,
     sample_set_dumps,
+    sample_set_from_json,
     sample_set_to_json,
     string_to_bits,
 )
 from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, is_symplectic
 
+from formula_corpus import CORPUS
+from helpers import reference_sample_code
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
 from test_serialization import (
@@ -416,6 +419,42 @@ def test_verify_inconsistent_reports_index(tmp_path, capsys):
     assert code == 1
     assert ("inconsistent at sample %d" % target) in stdout
     assert last_report(stdout)["counts"]["first_violation"] == target
+
+
+def test_verify_first_violation_matches_the_per_sample_loop(tmp_path, capsys):
+    # reduce outputs of the satisfiable corpus entries, verified against a
+    # witness after a few labels and sign bits of the file are changed
+    rng = random.Random(3321)
+    outcomes = set()
+    for _, f, k in CORPUS:
+        ss, inst = reduce_formula_to_samples(f, rng, num_vars=k)
+        sat = [a for a in range(1 << k) if inst.determinant_at(a)]
+        if not sat or ss.n > 12:
+            continue
+        witness = CnotCircuit(inst.matrix_at(sat[0]), 0)
+        cpath = tmp_path / "circuit.json"
+        cpath.write_text(dumps(circuit_to_json(witness)))
+        obj = json.loads(sample_set_dumps(ss))
+        for _ in range(rng.randrange(3)):
+            entry = rng.choice(obj["samples"])
+            if rng.random() < 0.5:
+                entry["label"] = rng.choice(["0", "1/2", "1"])
+            else:
+                j, signs = rng.randrange(ss.n), entry["signs"]
+                entry["signs"] = signs[:j] + "10"[int(signs[j])] + signs[j + 1 :]
+        spath = tmp_path / "samples.json"
+        spath.write_text(dumps(obj))
+        t = witness.to_tableau()
+        loaded = sample_set_from_json(obj)
+        wrong = [i for i, s in enumerate(loaded) if reference_sample_code(t, s) != s.code]
+        code, stdout, _ = run(capsys, "verify", str(cpath), str(spath))
+        counts = last_report(stdout)["counts"]
+        if wrong:
+            assert code == 1 and counts["first_violation"] == wrong[0]
+        else:
+            assert code == 0 and "first_violation" not in counts
+        outcomes.add(code)
+    assert outcomes == {0, 1}
 
 
 def test_verify_schema_errors(tmp_path, capsys):

@@ -62,6 +62,52 @@ def test_rejects_singular_theta_and_foreign_gates():
         c.append(Gate("p", qubit=0))
 
 
+def column_replay(n, gates):
+    """(theta, q) of an X/CNOT gate list, each CNOT(a->b) XORing column a
+    of theta into column b one entry at a time."""
+    entries = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = 0
+    for g in gates:
+        if g.name == "x":
+            q ^= 1 << g.qubit
+        else:
+            a, b = g.control, g.target
+            for row in entries:
+                row[b] ^= row[a]
+            q ^= ((q >> a) & 1) << b
+    return BitMatrix([sum(bit << j for j, bit in enumerate(row)) for row in entries], n), q
+
+
+def test_from_gates_matches_a_column_replay():
+    rng = random.Random(504)
+    for n in range(1, 13):
+        for count in (0, 1, n, n * n, 3 * n * n):
+            gates = random_cnot_gates(rng, n, count)
+            theta, q = column_replay(n, gates)
+            c = CnotCircuit.from_gates(n, gates)
+            assert (c.theta, c.q) == (theta, q)
+            one_by_one = CnotCircuit.identity(n)
+            for g in gates:
+                one_by_one.append(g)
+            assert one_by_one == c
+
+
+def test_from_gates_refuses_foreign_and_outside_gates():
+    with pytest.raises(ValueError, match="^gate acts outside 3 qubits$"):
+        CnotCircuit.from_gates(3, [Gate("x", qubit=0), Gate("cnot", control=1, target=3)])
+    with pytest.raises(ValueError, match="^gate acts outside 2 qubits$"):
+        CnotCircuit.from_gates(2, [Gate("x", qubit=2)])
+    with pytest.raises(ValueError, match="^CNOT circuits admit only x and cnot gates$"):
+        CnotCircuit.from_gates(2, [Gate("cnot", control=0, target=1), Gate("h", qubit=0)])
+    # a refused append leaves the circuit as it was
+    c = CnotCircuit.from_gates(2, [Gate("cnot", control=0, target=1), Gate("x", qubit=0)])
+    before = (list(c.theta.rows), c.q)
+    for g in (Gate("h", qubit=1), Gate("cnot", control=0, target=2)):
+        with pytest.raises(ValueError):
+            c.append(g)
+        assert (c.theta.rows, c.q) == before
+
+
 def test_conjugate_z_matches_tableau_and_dense():
     rng = random.Random(501)
     for _ in range(40):

@@ -170,17 +170,6 @@ def test_transpose_against_dense(m):
     assert t.transpose() == m
 
 
-def test_add_col_matches_entrywise_update():
-    m = BitMatrix([0b101, 0b011, 0b110], 3)
-    before = m.to_dense()
-    m.add_col(0, 2)
-    after = m.to_dense()
-    for i in range(3):
-        assert after[i][2] == before[i][2] ^ before[i][0]
-        assert after[i][0] == before[i][0]
-        assert after[i][1] == before[i][1]
-
-
 def test_solve_affine_matches_brute_enumeration():
     rng = random.Random(107)
     for _ in range(300):

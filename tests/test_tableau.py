@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix, dot
 from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.reduction import reduce_formula_to_samples
 from cnotpac.samples import LABELS, Sample, SampleSet
 from cnotpac.search import check_consistent
 from cnotpac.stabilizer import StabilizerGroup
@@ -19,14 +20,19 @@ from cnotpac.tableau import (
     evaluate_sample,
     is_symplectic,
     lambda_matrix,
+    sample_code,
+    sample_codes,
 )
 
+from formula_corpus import CORPUS
 from helpers import (
     circuit_unitary,
     pauli_dense,
     random_gates,
+    random_signed_pauli,
     random_stabilizer_state,
     random_tableau,
+    reference_sample_code,
     state_dense,
 )
 
@@ -223,6 +229,147 @@ def test_scoring_keeps_the_conjugation_checks():
         evaluate_sample(CliffordTableau.identity(2), other)
     with pytest.raises(ValueError):
         check_consistent(CliffordTableau.identity(2), SampleSet(3, [other]))
+
+
+def _scoring_tableaus(rng, n):
+    """The identity, a random X/CNOT circuit's tableau and a random Clifford."""
+    yield CliffordTableau.identity(n)
+    yield CnotCircuit.from_gates(n, random_gates(rng, n, 3 * n, names=("x", "cnot"))).to_tableau()
+    yield random_tableau(rng, n, 2 * n * n)
+
+
+def _reference_codes(t, samples):
+    return [reference_sample_code(t, s) for s in samples]
+
+
+def _shared_tuples(samples) -> int:
+    """How many samples name a state key tuple that an earlier one named."""
+    return len(samples) - len({id(s.state.keys) for s in samples})
+
+
+def test_sample_codes_match_the_per_sample_fold_on_reduce_outputs():
+    rng = random.Random(3301)
+    sets = [reduce_formula_to_samples(f, rng, num_vars=k)[0] for _, f, k in CORPUS]
+    sets = [ss for ss in sets if ss.n <= 12]
+    assert max(ss.n for ss in sets) == 11
+    seen = set()
+    for ss in sets:
+        # flipped states share their sample's key tuple; labels change at random
+        mutated = [
+            Sample(s.state.flip(rng.randrange(1 << ss.n)), s.measurement, rng.choice(LABELS))
+            if rng.random() < 0.3
+            else s
+            for s in ss
+        ]
+        assert _shared_tuples(mutated) == _shared_tuples(ss.samples) > 0
+        for samples in (ss.samples, mutated):
+            for t in _scoring_tableaus(rng, ss.n):
+                codes = list(sample_codes(t, samples))
+                assert codes == _reference_codes(t, samples)
+                seen.update(codes)
+    assert seen == {0, 1, 2}
+
+
+def _generic_set(rng, n, count):
+    """Samples on generic states, some flipped copies of earlier states,
+    labelled by a hidden Clifford tableau: (samples, hidden)."""
+    hidden = random_tableau(rng, n)
+    states, samples = [], []
+    for _ in range(count):
+        if states and rng.random() < 0.5:
+            state = rng.choice(states).flip(rng.randrange(1 << n))
+        else:
+            state = random_stabilizer_state(rng, n)
+        states.append(state)
+        p = random_signed_pauli(n, rng)
+        samples.append(Sample(state, p, state.expectation(hidden.conjugate_inverse(p))))
+    return samples, hidden
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 1 << 32))
+def test_sample_codes_match_the_per_sample_fold_on_generic_sets(n, seed):
+    rng = random.Random(seed)
+    samples, hidden = _generic_set(rng, n, 4 * n)
+    assert list(sample_codes(hidden, samples)) == [s.code for s in samples]
+    # the same sets rebuilt through the public constructors: equal states
+    # and measurements, but every state with its own key tuple
+    rebuilt = [Sample(StabilizerGroup(s.state.generators), s.measurement, s.label) for s in samples]
+    assert rebuilt == samples and _shared_tuples(rebuilt) == 0
+    for t in [hidden, *_scoring_tableaus(rng, n)]:
+        codes = _reference_codes(t, samples)
+        assert list(sample_codes(t, samples)) == codes
+        assert list(sample_codes(t, rebuilt)) == codes
+        assert [sample_code(t, s) for s in samples] == codes
+
+
+def test_sample_codes_hold_samples_an_iterator_drops():
+    # each sample is built on the fly and dropped once its code is out, so
+    # the id of its key tuple is free for the next sample's tuple: the memo
+    # must keep every tuple it keys on alive.  Z-type states give +Z_0 the
+    # codes 2 and 0, X-type states code 1, so a stale hit changes a code.
+    n = 4
+    z_keys, x_keys = [1 << n + i for i in range(n)], [1 << i for i in range(n)]
+    kinds = [(z_keys, 0, Fraction(1)), (x_keys, 0, Fraction(1, 2)), (z_keys, 1, Fraction(0))]
+    specs = [kinds[k % 3] for k in range(60)] + [kinds[k % 2] for k in range(60)]
+    z0 = z_power(n, 1)
+
+    def fresh():
+        # tuple(list) takes a freed tuple of the same size when there is one
+        for keys, signs, label in specs:
+            yield Sample(StabilizerGroup._from_keys(n, tuple(keys), signs), z0, label)
+
+    ids = [id(s.state.keys) for s in fresh()]
+    assert len(set(ids)) < len(ids) / 4
+    t = CliffordTableau.identity(n)
+    assert list(sample_codes(t, fresh())) == [LABELS.index(label) for *_, label in specs]
+
+
+def _walk(codes):
+    """(codes up to the first error, that error's message or None)."""
+    out = []
+    try:
+        for code in codes:
+            out.append(code)
+    except ValueError as err:
+        return out, str(err)
+    return out, None
+
+
+def test_sample_codes_raise_where_the_per_sample_fold_raises():
+    rng = random.Random(3304)
+    messages = set()
+    late = 0
+    for trial in range(120):
+        n = rng.randrange(2, 5)
+        t = random_tableau(rng, n, 2 * n * n)
+        # a duplicated image makes the tableau invalid: the pair folds to
+        # the identity, and the images it no longer anticommutes with to a
+        # non-Hermitian product
+        a, b = rng.sample(range(2 * n), 2)
+        t.keys[a] = t.keys[b]
+        state = random_stabilizer_state(rng, n)
+        samples = [
+            Sample(state.flip(rng.randrange(1 << n)), random_signed_pauli(n, rng), Fraction(1, 2))
+            for _ in range(6)
+        ]
+        k = rng.randrange(len(samples) + 1)
+        if trial % 3 == 0:
+            pair = PauliOperator(n, (1 << a | 1 << b) & (1 << n) - 1, (1 << a | 1 << b) >> n)
+            samples.insert(k, Sample(state, pair, Fraction(1)))
+        elif trial % 3 == 1:
+            other = StabilizerGroup.zero_state(n + 1)
+            samples.insert(k, Sample(other, z_power(n + 1, 1), Fraction(1)))
+        want = _walk(reference_sample_code(t, s) for s in samples)
+        assert _walk(sample_codes(t, samples)) == want
+        if want[1] is not None:
+            messages.add(want[1].split(" with ")[0])
+            late += len(want[0]) > 0
+    assert messages >= {
+        "qubit count mismatch",
+        "identity is not a useful measurement",
+    } and any(m.startswith("phase i^") for m in messages)
+    assert late >= 20
 
 
 def symplectic_oracle(s, n):

@@ -152,3 +152,29 @@ def test_no_module_unpacks_a_fold_into_three_names():
     assert {"pauli.py", "tableau.py", "stabilizer.py", "search.py"} <= {p.name for p in paths}
     found = {p.name: _fold_triples(p.read_text()) for p in paths}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _single_scores(source):
+    """Lines that call sample_code(...): outside tableau.py every scorer
+    walks a whole set through sample_codes, which folds each distinct
+    (state key tuple, measurement) once."""
+    return _calls(ast.parse(source), {"sample_code"})
+
+
+def test_the_guard_sees_a_single_sample_score():
+    bad = "c = sample_code(t, s)\nd = tableau.sample_code(t, s)\n"
+    ok = "c = sample_codes(t, ss)\nf = sample_code\n"
+    assert _single_scores(bad) == [1, 2]
+    assert _single_scores(ok) == []
+    # a mutant of a scoring module: verify's old per-sample loop appended
+    source = (SRC / "cli.py").read_text()
+    mutant = source + "if sample_code(t, sample) != sample.code:\n    pass\n"
+    assert _single_scores(source) == []
+    assert _single_scores(mutant) == [source.count("\n") + 1]
+
+
+def test_no_module_scores_one_sample_at_a_time():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"cli.py", "search.py", "tableau.py"} <= {p.name for p in paths}
+    found = {p.name: _single_scores(p.read_text()) for p in paths if p.name != "tableau.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
