@@ -15,7 +15,7 @@ _raw_mul, so it stays an independent check of the fold.
 
 from __future__ import annotations
 
-from .gf2 import dot
+from .gf2 import _transpose, dot
 
 
 def _raw_mul(n: int, a: tuple, b: tuple) -> tuple:
@@ -53,10 +53,20 @@ def _fold(n: int, keys, signs: int, mask: int, e: int = 0) -> tuple:
 def _anticommutation_rows(keys, n: int) -> list:
     """Row i has bit j set when the Paulis keyed x | z << n by keys[i] and
     keys[j] anticommute, i.e. when x_i.z_j + z_i.x_j = 1."""
-    mask = (1 << n) - 1
-    # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped
-    swapped = [k >> n | (k & mask) << n for k in keys]
-    return [sum(dot(a, b) << j for j, b in enumerate(swapped)) for a in keys]
+    # x_i.z_j + z_i.x_j is one dot of key_i with key_j's halves swapped:
+    # the XOR, over the set bits b of key_i, of the column that holds bit
+    # b + n (mod 2n) of every key, so a sparse set of keys costs its ones
+    cols = _transpose(keys, 2 * n)
+    swapped = cols[n:] + cols[:n]
+    rows = []
+    for k in keys:
+        row = 0
+        while k:
+            low = k & -k
+            row ^= swapped[low.bit_length() - 1]
+            k ^= low
+        rows.append(row)
+    return rows
 
 
 class PauliOperator:

@@ -6,9 +6,9 @@ generators: image r is that of the generator whose symplectic key is
 1 << r, so X_0 .. X_{n-1} come first, then Z_0 .. Z_{n-1}, and
 conjugation folds the stored keys and signs as they are (pauli._fold).
 Pauli objects are built only for the public cols and conjugate_inverse.
-Only s_matrix, phase_bits and from_s_matrix convert to and from the
-external interleaved layout (X_0, Z_0, X_1, Z_1, ...) of the symplectic
-matrix and the JSON block.
+Only s_matrix, phase_bits and _image_keys (from_s_matrix, is_symplectic)
+convert to and from the external interleaved layout (X_0, Z_0, X_1, Z_1,
+...) of the symplectic matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
@@ -116,13 +116,10 @@ class CliffordTableau:
         n = s.n_rows // 2
         if n < 1 or s.n_rows != 2 * n or s.n_cols != 2 * n:
             raise ValueError("symplectic part must be 2n x 2n")
-        xs = _transpose(s.rows[0::2], 2 * n)
-        zs = _transpose(s.rows[1::2], 2 * n)
-        keys = [x | z << n for x, z in zip(xs, zs)]
         signs = sum(
             (phases >> 2 * j & 1) << j | (phases >> 2 * j + 1 & 1) << (n + j) for j in range(n)
         )
-        return cls._unchecked(n, keys[0::2] + keys[1::2], signs)
+        return cls._unchecked(n, _image_keys(s, n), signs)
 
     @property
     def cols(self) -> tuple:
@@ -196,7 +193,7 @@ class CliffordTableau:
         for r, key in enumerate(inverse):
             e = (key >> n & key).bit_count()
             signs |= _raw_sign_bit(n, *_fold(n, keys, self.signs, key, e)) << r
-        if _anticommutation_rows(keys, n) != [1 << (r + n) % width for r in range(width)]:
+        if not _is_symplectic_basis(keys, n):
             raise ValueError("tableau is not a valid Clifford image")
         return CliffordTableau._unchecked(n, inverse, signs)
 
@@ -288,9 +285,26 @@ def lambda_matrix(n: int) -> BitMatrix:
     return BitMatrix(rows, 2 * n)
 
 
+def _image_keys(s: BitMatrix, n: int) -> list:
+    """The image keys, in key order, that the columns of the 2n x 2n
+    symplectic part s hold in the interleaved layout."""
+    xs = _transpose(s.rows[0::2], 2 * n)
+    zs = _transpose(s.rows[1::2], 2 * n)
+    keys = [x | z << n for x, z in zip(xs, zs)]
+    return keys[0::2] + keys[1::2]
+
+
+def _is_symplectic_basis(keys, n: int) -> bool:
+    """Whether image r anticommutes with image r + n (mod 2n) alone, as
+    X_j does with Z_j: the 2n keys are the images of a Clifford."""
+    width = 2 * n
+    return _anticommutation_rows(keys, n) == [1 << (r + n) % width for r in range(width)]
+
+
 def is_symplectic(s: BitMatrix, n: int) -> bool:
-    """Whether S^T Lambda S = Lambda over F_2."""
+    """Whether S^T Lambda S = Lambda over F_2: entry (i, j) of S^T Lambda S
+    is 1 iff the images in columns i and j anticommute, so this is the
+    check inverse_tableau makes, on s's image keys."""
     if s.n_rows != 2 * n or s.n_cols != 2 * n:
         return False
-    lam = lambda_matrix(n)
-    return s.transpose().matmul(lam).matmul(s) == lam
+    return _is_symplectic_basis(_image_keys(s, n), n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotpac.pauli import (
     PauliOperator,
+    _anticommutation_rows,
     _fold,
     _raw_mul,
     _raw_sign_bit,
@@ -154,3 +155,15 @@ def test_fold_is_the_ordered_raw_product_of_its_signed_factors(data):
     if commuting:
         # a product of commuting Hermitian factors is Hermitian again
         _raw_sign_bit(n, expected[0] - e, expected[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_anticommutation_rows_match_pairwise_commutes(data):
+    # any number of keys, dense or sparse: row i bit j is not commutes(i, j)
+    n = data.draw(st.integers(1, 8))
+    keys = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), max_size=2 * n + 2))
+    full = (1 << n) - 1
+    paulis = [PauliOperator(n, k & full, k >> n) for k in keys]
+    want = [sum((not a.commutes(b)) << j for j, b in enumerate(paulis)) for a in paulis]
+    assert _anticommutation_rows(keys, n) == want

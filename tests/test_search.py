@@ -1,6 +1,10 @@
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +30,7 @@ from cnotpac.search import (
     EnumerationLimitError,
     _GenericSample,
     _compile,
+    _gl_tableaus,
     _image,
     _image_key,
     _member_rows,
@@ -754,6 +759,65 @@ def test_enumeration_limits():
     )
     with pytest.raises(EnumerationLimitError):
         affine_family_search(inst)
+
+
+def test_the_scan_table_is_gl_n_2_in_row_lex_order():
+    for n, size in ((1, 1), (2, 6), (3, 168), (4, 20160)):
+        table = _gl_tableaus(n)
+        assert len(table) == size == math.prod((1 << n) - (1 << i) for i in range(n))
+        assert all(a[0] < b[0] for a, b in zip(table, table[1:]))
+        for rows, keys in table:
+            assert type(rows) is tuple and type(keys) is tuple
+            assert list(keys) == CnotCircuit(BitMatrix(list(rows), n)).to_tableau().keys
+
+
+def test_mutating_hits_leaves_the_next_scan_unchanged():
+    rng = random.Random(91)
+    for n in (2, 3, 4):
+        # a hidden circuit's columns 0..n-2 and their q bits pinned exactly
+        hidden = random_cnot_circuit(rng, n)
+        samples = SampleSet(n, [])
+        for c in range(n - 1):
+            u, b = hidden.theta.mul_vec(1 << c), hidden.q >> c & 1
+            samples = samples.extended(_pin_samples(n, 1 << c, b, u, [], None))
+        hits = enumerate_consistent_circuits(samples)
+        assert len(hits) == 1 << n and hidden in hits
+        before = [(list(h.theta.rows), h.q) for h in hits]
+        for h in hits[::2]:
+            h.append(Gate("cnot", control=0, target=1))
+        for h in hits[1::2]:
+            h.theta.rows[0] ^= 1 << (n - 1)
+        assert [(list(h.theta.rows), h.q) for h in hits] != before
+        again = enumerate_consistent_circuits(samples)
+        assert [(list(h.theta.rows), h.q) for h in again] == before
+
+
+def test_the_scan_builds_each_q_zero_tableau_once_per_process(monkeypatch):
+    # nothing is built at import: a fresh interpreter has an empty table
+    probe = (
+        "import cnotpac, cnotpac.cli, cnotpac.search as s; "
+        "i = s._gl_tableaus.cache_info(); print(i.hits + i.misses, i.currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["0", "0"], out.stderr
+    samples = random_consistent_set(random.Random(92), 3, 4)[0]
+    calls = []
+    to_tableau = CnotCircuit.to_tableau
+
+    def counted(self):
+        calls.append(self.n)
+        return to_tableau(self)
+
+    monkeypatch.setattr(CnotCircuit, "to_tableau", counted)
+    _gl_tableaus.cache_clear()
+    first = enumerate_consistent_circuits(samples)
+    assert calls == [3] * 168
+    assert enumerate_consistent_circuits(samples) == first
+    assert len(calls) == 168
+    with pytest.raises(EnumerationLimitError):
+        enumerate_consistent_circuits(SampleSet(5))
+    assert len(calls) == 168 and _gl_tableaus.cache_info().currsize == 1
 
 
 def test_affine_family_golden_witness():
