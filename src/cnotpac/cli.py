@@ -61,7 +61,7 @@ from .serialization import (
     sample_set_dumps,
     sample_set_from_json,
 )
-from .tableau import is_symplectic, sample_codes
+from .tableau import _is_symplectic_basis, sample_codes
 
 
 class CliError(Exception):
@@ -293,7 +293,7 @@ def _learn_trivial(args, rng):
     if args.n > _MAX_CIRCUIT_QUBITS:  # verify would refuse to load the circuit
         raise CliError("--n exceeds %d qubits" % _MAX_CIRCUIT_QUBITS)
     tableau = trivial_uniform_learner(args.n, rng)
-    if not is_symplectic(tableau.s_matrix(), tableau.n):
+    if not _is_symplectic_basis(tableau.keys, tableau.n):
         raise CliError("internal check failed: tableau is not symplectic")
     digest = _digest(("trivial n=%d" % args.n).encode())
     counts = {"gates": 4 * args.n * args.n}

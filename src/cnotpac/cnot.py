@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from .gf2 import BitMatrix, SingularMatrixError, _inverse_table, _reduce, _transpose
+from .gf2 import BitMatrix, SingularMatrixError, _inverse_rows, _transpose
 from .tableau import CliffordTableau, Gate
 
 
@@ -87,11 +87,9 @@ class CnotCircuit:
         made here in key order, so the tableau takes them without re-checking them.
         Raises SingularMatrixError when theta is singular."""
         n, rows, q = self.n, self.theta.rows, self.q
-        # theta^{-T} e_j is row j of theta^{-1}, read off the one table of
-        # theta's rows; theta e_j is column j of theta
-        table = _inverse_table(rows, n)
-        keys = [_reduce(table, 1 << j, n) >> n for j in range(n)]
-        return CliffordTableau._unchecked(n, keys + [z << n for z in _transpose(rows, n)], q << n)
+        # theta^{-T} e_j is row j of theta^{-1}; theta e_j is column j of theta
+        keys = _inverse_rows(rows, n) + [z << n for z in _transpose(rows, n)]
+        return CliffordTableau._unchecked(n, keys, q << n)
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,12 +7,13 @@ plain XOR on ints, which keeps the hot paths allocation-free.
 This module holds the one elimination kernel the rest of the package
 reduces through: _reduce/_insert reduce a vector against, or add it
 to, an echelon table (a dict from pivot position to row), pivoting on
-leading bits, highest column first.  _echelon back-substitutes such a
-table to fully reduced form, the canonical rows that solutions,
-kernels, affine subspaces and group signatures are read from.  Bits at
-or above n_cols are a payload: never pivoted on but XORed along with
-every row operation, it records how a row was combined (an identity
-block, a right-hand side, or the generators of a group element).
+leading bits, highest column first.  _fully_reduced back-substitutes
+such a table, and _echelon one built of rows, to the canonical rows
+that solutions, kernels, affine subspaces and group signatures are read
+from.  Bits at or above n_cols are a payload: never pivoted on but
+XORed along with every row operation, it records how a row was combined
+(an identity block, a right-hand side, or the generators of a group
+element).
 """
 
 from __future__ import annotations
@@ -64,14 +65,17 @@ def _insert(table: dict, vec: int, n_cols: Optional[int] = None) -> bool:
 
 
 def _echelon(rows: Iterable[int], n_cols: Optional[int] = None) -> dict:
-    """Fully reduced echelon table of ``rows``: the span's reduced row
-    echelon form, keyed by pivot ascending.  The rows go in with
-    _insert; then each row, lowest pivot first, is cleared of every
-    lower pivot q by adding q's row, whose only pivot bit is q.
-    """
+    """The reduced row echelon form of the span of rows, keyed by pivot
+    ascending: the rows go in with _insert, then _fully_reduced."""
     table: dict = {}
     for row in rows:
         _insert(table, row, n_cols)
+    return _fully_reduced(table)
+
+
+def _fully_reduced(table: dict) -> dict:
+    """An echelon table fully reduced, keyed by pivot ascending: each row,
+    lowest pivot first, is cleared of every lower pivot q by q's row."""
     reduced: dict = {}
     for p in sorted(table):
         row = table[p]
@@ -85,7 +89,7 @@ def _echelon(rows: Iterable[int], n_cols: Optional[int] = None) -> dict:
 def _transpose(rows: Iterable[int], n_cols: int) -> list:
     """Columns of the matrix with these rows (bit i of column j is bit j of
     row i), in one pass over the set bits: a sparse matrix costs its ones.
-    Other modules read columns only through here, bar stabilizer._z_form."""
+    Other modules read columns only through here."""
     cols = [0] * n_cols
     for i, r in enumerate(rows):
         bit = 1 << i
@@ -96,18 +100,16 @@ def _transpose(rows: Iterable[int], n_cols: int) -> list:
     return cols
 
 
-def _inverse_table(rows: list, n: int) -> dict:
-    """Echelon table of the n x n matrix ``rows``, row i inserted with
-    payload bit n + i.  Reducing e_j through it leaves payload bits that
-    name the rows summing to e_j, so ``_reduce(table, 1 << j, n) >> n``
-    is row j of the inverse.  Raises SingularMatrixError when a row
-    falls in the span of the rows before it.
-    """
+def _inverse_rows(rows: list, n: int) -> list:
+    """Rows of the inverse of the n x n matrix ``rows``: reducing e_j
+    through one table of row i with payload bit n + i leaves the rows
+    summing to e_j, row j of the inverse, as the payload.  Raises
+    SingularMatrixError when a row is in the span of those before it."""
     table: dict = {}
     for i, r in enumerate(rows):
         if not _insert(table, r | 1 << (n + i), n):
             raise SingularMatrixError("matrix is singular")
-    return table
+    return [_reduce(table, 1 << j, n) >> n for j in range(n)]
 
 
 class BitMatrix:
@@ -192,9 +194,7 @@ class BitMatrix:
     def inverse(self) -> "BitMatrix":
         if self.n_rows != self.n_cols:
             raise SingularMatrixError("non-square matrix")
-        n = self.n_cols
-        table = _inverse_table(self.rows, n)
-        return BitMatrix([_reduce(table, 1 << j, n) >> n for j in range(n)], n)
+        return BitMatrix(_inverse_rows(self.rows, self.n_cols), self.n_cols)
 
     def solve(self, b: int) -> int:
         """Unique solution of M x = b; raises SingularMatrixError otherwise."""
@@ -216,7 +216,7 @@ class BitMatrix:
                 table[(r & mask).bit_length() - 1] = r
             elif r:
                 return None  # 0 = 1
-        table = _echelon(table.values(), n)
+        table = _fully_reduced(table)
         x0 = 0
         for p, row in table.items():
             x0 |= (row >> n) << p

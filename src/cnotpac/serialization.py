@@ -34,7 +34,7 @@ from .pauli import PauliOperator
 from .reduction import NonSingularityInstance
 from .samples import Sample, SampleSet
 from .stabilizer import StabilizerGroup
-from .tableau import CliffordTableau, Gate, is_symplectic
+from .tableau import CliffordTableau, Gate, _is_symplectic_basis
 
 
 class DimacsError(ValueError):
@@ -102,33 +102,39 @@ def pauli_to_json(p: PauliOperator) -> dict:
     }
 
 
-def pauli_from_json(obj) -> PauliOperator:
+def _pauli_fields(obj) -> tuple:
+    """(n, key x | z << n, sign bit) of a serialized Pauli, validated."""
     if not isinstance(obj, dict):
         raise ValueError("Pauli must be an object")
     n = _positive_int(obj, "n", "Pauli")
     sign = obj.get("sign")
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError("Pauli field 'sign' must be 1 or -1")
-    x = string_to_bits(obj.get("x"), n)
-    z = string_to_bits(obj.get("z"), n)
-    return PauliOperator(n, x, z, sign=sign)
+    key = string_to_bits(obj.get("x"), n) | string_to_bits(obj.get("z"), n) << n
+    return n, key, (1 - sign) // 2
 
 
-def _table_entry(paulis: List[PauliOperator], i) -> PauliOperator:
-    # a bare paulis[i] would take True and wrap a negative i to the end
-    if type(i) is not int or not 0 <= i < len(paulis):
-        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(paulis)))
-    return paulis[i]
+def pauli_from_json(obj) -> PauliOperator:
+    n, key, sign_bit = _pauli_fields(obj)
+    return PauliOperator(n, key & (1 << n) - 1, key >> n, sign=-1 if sign_bit else 1)
 
 
-def _state_table_entry(entry, paulis: List[PauliOperator]) -> StabilizerGroup:
-    """The group of one 'states' entry, every sign +.  The entry goes
-    through the StabilizerGroup constructor, so a count, identity,
-    commutation or independence fault raises the constructor's message."""
+def _table_entry(table: list, i):
+    # a bare table[i] would take True and wrap a negative i to the end
+    if type(i) is not int or not 0 <= i < len(table):
+        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(table)))
+    return table[i]
+
+
+def _state_table_entry(entry, n: int, measurements: List[tuple]) -> StabilizerGroup:
+    """The group, every sign +, of the 'paulis' entries (n, key, sign bit)
+    that one 'states' entry names.  A count, identity, commutation or
+    independence fault raises the StabilizerGroup constructor's message."""
     if not isinstance(entry, list):
         raise ValueError("must list Pauli indices")
-    group = StabilizerGroup([_table_entry(paulis, i) for i in entry])
-    if group.signs:
+    named = [_table_entry(measurements, i) for i in entry]
+    group = StabilizerGroup._from_keys(n, tuple(key for _, key, _ in named))
+    if any(sign for _, _, sign in named):
         raise ValueError("names a negated Pauli; a sample's 'signs' carry the signs")
     return group
 
@@ -136,7 +142,7 @@ def _state_table_entry(entry, paulis: List[PauliOperator]) -> StabilizerGroup:
 def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGroup]) -> Sample:
     """One entry of a sample set's 'samples': its state is the 'states'
     group bases[obj['state']] with the generators obj['signs'] names
-    negated, and its measurement the (key, sign bit) of a 'paulis' entry."""
+    negated, and its measurement a 'paulis' entry's key and sign bit."""
     if not isinstance(obj, dict):
         raise ValueError("sample must be an object")
     t = obj.get("state")
@@ -147,7 +153,7 @@ def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGrou
         mask = string_to_bits(obj.get("signs"), base.n)
     except ValueError as err:
         raise ValueError("sample field 'signs': %s" % err) from None
-    key, sign = _table_entry(measurements, obj.get("measurement"))
+    _, key, sign = _table_entry(measurements, obj.get("measurement"))
     label = obj.get("label")
     if not isinstance(label, str) or label not in _CODES_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
@@ -211,19 +217,19 @@ def sample_set_to_json(ss: SampleSet) -> dict:
 
 
 def sample_set_from_json(obj) -> SampleSet:
-    """Load a sample set: each 'paulis' entry is parsed once, to one
-    PauliOperator, and a sample naming it takes its key and sign bit.  Each
-    'states' entry is validated once, as a StabilizerGroup with every sign
-    +; a sample's state is that group's sign flip (StabilizerGroup.flip)
-    by its 'signs', built with no Pauli object and no check per sample."""
+    """Load a sample set: each 'paulis' entry is parsed once, to its key
+    and sign bit, which a sample naming it takes.  Each 'states' entry's
+    key tuple is validated once, as a StabilizerGroup with every sign +; a
+    sample's state is that group's sign flip (StabilizerGroup.flip) by its
+    'signs'.  No Pauli object is built, and no check is made per sample."""
     if not isinstance(obj, dict):
         raise ValueError("sample set must be an object")
     n = _positive_int(obj, "n", "sample set")
     table = obj.get("paulis")
     if not isinstance(table, list):
         raise ValueError("sample set field 'paulis' must be a list")
-    paulis = [pauli_from_json(entry) for entry in table]
-    if any(p.n != n for p in paulis):
+    measurements = [_pauli_fields(entry) for entry in table]
+    if any(m != n for m, _, _ in measurements):
         raise ValueError("sample set field 'paulis' must hold %d-qubit Paulis" % n)
     states = obj.get("states")
     if not isinstance(states, list):
@@ -231,13 +237,12 @@ def sample_set_from_json(obj) -> SampleSet:
     bases = []
     for t, entry in enumerate(states):
         try:
-            bases.append(_state_table_entry(entry, paulis))
+            bases.append(_state_table_entry(entry, n, measurements))
         except ValueError as err:
             raise ValueError("sample set field 'states' entry %d: %s" % (t, err)) from None
     samples = obj.get("samples")
     if not isinstance(samples, list):
         raise ValueError("sample set field 'samples' must be a list")
-    measurements = [(p.key(), p.sign_bit) for p in paulis]
     return SampleSet(n, [_sample_from_json(s, measurements, bases) for s in samples])
 
 
@@ -285,9 +290,10 @@ def tableau_from_block(obj, n: int) -> CliffordTableau:
     if not isinstance(rows, list) or len(rows) != 2 * n:
         raise ValueError("tableau field 's' must list 2n rows")
     s = BitMatrix([string_to_bits(r, 2 * n) for r in rows], 2 * n)
-    if not is_symplectic(s, n):
+    t = CliffordTableau.from_s_matrix(s, string_to_bits(obj.get("phases"), 2 * n))
+    if not _is_symplectic_basis(t.keys, n):
         raise ValueError("tableau is not symplectic (S^T Lambda S != Lambda)")
-    return CliffordTableau.from_s_matrix(s, string_to_bits(obj.get("phases"), 2 * n))
+    return t
 
 
 def circuit_to_json(c: Union[CnotCircuit, CliffordTableau]) -> dict:

@@ -25,8 +25,8 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .gf2 import _echelon, _insert, _reduce
-from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit, z_power
+from .gf2 import _echelon, _fully_reduced, _insert, _reduce, _transpose
+from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit
 
 
 # expectation values of (I + P)/2, indexed by label code
@@ -45,49 +45,44 @@ _MEMBERSHIP = (Membership.MINUS, Membership.ABSENT, Membership.PLUS)
 
 @functools.lru_cache(maxsize=1024)
 def _echelon_table(n: int, keys: tuple) -> dict:
-    """Validated echelon table of n generator keys (x | z << n).
-
-    Commutation and independence depend on the keys alone, not on the
-    signs, so groups that differ only in signs share one table.  The
-    table is cached and shared: callers must only read it.  A failed
-    validation raises, and lru_cache caches no exception, so a bad key
-    tuple raises on every call.
-    """
+    """Validated echelon table of n generator keys (x | z << n), the one
+    check of a key tuple: count, identity, commutation, independence.
+    Key i goes in with its halves swapped (x above z) and payload bit
+    2n + i, so the rows led at or above n span the x parts and the rows
+    led below n are the Z-type members.  Groups that differ only in signs
+    share the cached table, read-only; a bad key tuple raises every time."""
+    if not keys:
+        raise ValueError("need at least one generator")
+    if len(keys) != n:
+        raise ValueError("a pure state on %d qubits needs exactly %d generators" % (n, n))
+    if not all(keys):
+        raise ValueError("identity cannot be a generator")
     for i, row in enumerate(_anticommutation_rows(keys, n)):
         if row:  # the first nonzero row; by symmetry its lowest bit j is past i
             j = (row & -row).bit_length() - 1
             raise ValueError("generators %d and %d anticommute" % (i, j))
+    full = (1 << n) - 1
     table: dict = {}
     for i, key in enumerate(keys):
-        if not _insert(table, key | (1 << (2 * n + i)), 2 * n):
+        if not _insert(table, key >> n | (key & full) << n | 1 << (2 * n + i), 2 * n):
             raise ValueError("generators are dependent")
     return table
 
 
 @functools.lru_cache(maxsize=1024)
 def _z_form(n: int, keys: tuple) -> tuple:
-    """(x_rows, cols, mixed), the sign-free part of z_constraints for these
-    generator keys, cached and shared read-only like _echelon_table.
-    x_rows is a basis of the x parts.  For the Z-type member with pivot p
-    in a fully reduced basis, bit p of cols[k] says whether generator k is
-    a factor, unless a factor has an x part: then (p, mask) is in mixed."""
+    """(x_rows, cols, mixed), the sign-free part of z_constraints, read off
+    _echelon_table and cached like it.  x_rows spans the x parts.  For the
+    Z-type member with pivot p in a fully reduced basis, (p, mask) is in
+    mixed if a factor has an x part, else bit p of cols[k] marks factor k."""
     full = (1 << n) - 1
-    table: dict = {}
-    # x above z, so elimination pivots on x first and the rows left with
-    # x = 0 span the Z-type members, their generator masks as payload
-    for i, key in enumerate(keys):
-        _insert(table, key >> n | (key & full) << n | 1 << (2 * n + i), 2 * n)
+    table = _echelon_table(n, keys)
     x_rows = tuple(row >> n & full for lead, row in table.items() if lead >= n)
     x_gens = sum(1 << i for i, key in enumerate(keys) if key & full)
-    reduced = _echelon((row for lead, row in table.items() if lead < n), n)
+    reduced = _fully_reduced({lead: row for lead, row in table.items() if lead < n})
     masks = [reduced.get(p, 0) >> 2 * n for p in range(n)]
     mixed = tuple((p, mask) for p, mask in enumerate(masks) if mask & x_gens)
-    # cols is the other masks transposed, through bit strings with bit k at
-    # character k, not gf2._transpose: these masks are dense, and on a 2-vCPU
-    # host a walk over their set bits took 28-39 ms for the 53 key tuples of
-    # an n = 52 reduction, where the strings take 21-30 ms
-    strings = [format((0 if m & x_gens else m) | 1 << n, "b")[:0:-1] for m in masks]
-    return x_rows, tuple(int("".join(bits)[::-1], 2) for bits in zip(*strings)), mixed
+    return x_rows, tuple(_transpose([0 if m & x_gens else m for m in masks], n)), mixed
 
 
 class StabilizerGroup:
@@ -110,16 +105,10 @@ class StabilizerGroup:
 
     def __init__(self, generators: Iterable[PauliOperator]):
         generators = tuple(generators)
-        if not generators:
-            raise ValueError("need at least one generator")
-        n = generators[0].n
-        if len(generators) != n:
-            raise ValueError("a pure state on %d qubits needs exactly %d generators" % (n, n))
+        n = generators[0].n if generators else 0
         if any(g.n != n for g in generators):
             raise ValueError("generator qubit count mismatch")
         keys = tuple(g.key() for g in generators)
-        if not all(keys):
-            raise ValueError("identity cannot be a generator")
         self._table = _echelon_table(n, keys)
         self.n = n
         self.keys = keys
@@ -127,9 +116,8 @@ class StabilizerGroup:
 
     @classmethod
     def _from_keys(cls, n: int, keys: tuple, signs: int = 0) -> "StabilizerGroup":
-        """The group of n nonidentity generator keys, each below 1 << 2n,
-        and an n-bit sign mask; the caller checks the count, the keys and
-        the mask, and _echelon_table the commutation and independence."""
+        """The group of keys below 1 << 2n and an n-bit sign mask, which the
+        caller checks; _echelon_table checks the keys."""
         group = cls.__new__(cls)
         group._table = _echelon_table(n, keys)
         group.n = n
@@ -140,16 +128,18 @@ class StabilizerGroup:
     @classmethod
     def from_z_generators(cls, n: int, zs: Iterable[int], signs: int = 0) -> "StabilizerGroup":
         """State with generators (-1)^{signs_k} Z^{zs[k]} (zs must be a basis)."""
-        return cls(z_power(n, v, sign=-1 if signs >> k & 1 else 1) for k, v in enumerate(zs))
+        keys = tuple(v << n for v in zs)
+        if any(key < 0 or key >> 2 * n for key in keys):
+            raise ValueError("x/z supports outside %d qubits" % n)
+        return cls._from_keys(n, keys).flip(signs)
 
     @classmethod
     def computational_basis(cls, n: int, t: int) -> "StabilizerGroup":
         """|t> as a stabilizer state: generators (-1)^{t_i} Z_i, i < n."""
-        if n < 1:
-            raise ValueError("need at least one generator")
+        group = cls._from_keys(n, tuple(1 << n + i for i in range(n)), t)
         if not 0 <= t < 1 << n:
             raise ValueError("basis index %d outside 0 .. 2^%d - 1" % (t, n))
-        return cls._from_keys(n, tuple(1 << n + i for i in range(n)), t)
+        return group
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerGroup":
@@ -203,8 +193,9 @@ class StabilizerGroup:
         """Mask of the generators whose product is the member with this
         symplectic key (x | z << n), or None when no member has that key.
         It depends on the key tuple alone, not on the signs."""
-        width = 2 * self.n
-        r = _reduce(self._table, key, width)
+        n, width = self.n, 2 * self.n
+        # the probe's halves swapped, as the table's rows went in
+        r = _reduce(self._table, key >> n | (key & (1 << n) - 1) << n, width)
         if r & ((1 << width) - 1):
             return None
         return r >> width
@@ -250,7 +241,7 @@ class StabilizerGroup:
     def canonical_signature(self) -> tuple:
         """Hashable canonical form: fully reduced echelon keys with signs."""
         n, width = self.n, 2 * self.n
-        rows = _echelon(self._table.values(), width).values()
+        rows = _echelon((key | 1 << (width + i) for i, key in enumerate(self.keys)), width).values()
         return tuple(sorted(
             (r & ((1 << width) - 1), _raw_sign_bit(n, *_fold(n, self.keys, self.signs, r >> width)))
             for r in rows

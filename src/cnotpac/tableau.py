@@ -21,7 +21,7 @@ looked up once, and each sample costs one parity of its sign mask.  The
 memo keys on the tuple's identity: a tuple's hash is not cached, and
 hashing n ints per sample costs most of what the fold saves.  Forward
 conjugation C P C† goes through inverse_tableau, whose images are read
-off one echelon table of the stored image keys (gf2._inverse_table) on
+off one echelon table of the stored image keys (gf2._inverse_rows) on
 every call.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .gf2 import BitMatrix, _inverse_table, _reduce, _transpose
+from .gf2 import BitMatrix, _inverse_rows, _transpose
 from .pauli import PauliOperator, _anticommutation_rows, _fold, _operators, _raw_sign_bit
 from .stabilizer import LABELS, StabilizerGroup
 
@@ -116,6 +116,8 @@ class CliffordTableau:
         n = s.n_rows // 2
         if n < 1 or s.n_rows != 2 * n or s.n_cols != 2 * n:
             raise ValueError("symplectic part must be 2n x 2n")
+        if phases < 0 or phases >> 2 * n:
+            raise ValueError("phase mask outside %d generator images" % (2 * n))
         signs = sum(
             (phases >> 2 * j & 1) << j | (phases >> 2 * j + 1 & 1) << (n + j) for j in range(n)
         )
@@ -186,9 +188,8 @@ class CliffordTableau:
         Raises unless image r anticommutes with image r + n (mod 2n) alone,
         as X_j does with Z_j.
         """
-        n, width, keys = self.n, 2 * self.n, self.keys
-        table = _inverse_table(keys, width)
-        inverse = [_reduce(table, 1 << r, width) >> width for r in range(width)]
+        n, keys = self.n, self.keys
+        inverse = _inverse_rows(keys, 2 * n)
         signs = 0
         for r, key in enumerate(inverse):
             e = (key >> n & key).bit_count()

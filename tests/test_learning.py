@@ -253,6 +253,34 @@ def test_z_constraints_are_exact():
                 assert all(dot(w, point) == 0 for w in rows) == member, (n, point)
 
 
+def test_z_constraints_and_member_queries_match_the_members():
+    # an oracle that reads no echelon table: the 2^n members, member mask
+    # by member, each the fold of the generators its mask selects
+    rng = random.Random(97)
+    for n in (1, 2, 3, 4):
+        states = [plus_state(n, rng.randrange(1 << n))]
+        for _ in range(4):
+            states += [random_stabilizer_state(rng, n), full_z_state(rng, n)]
+        if n == 2:
+            states += [
+                StabilizerGroup([x_power(2, 3), PauliOperator(2, 3, 3, sign)])
+                for sign in (1, -1)
+            ]
+        for state in states:
+            members = list(state.members())
+            member_set = set(members)
+            by_key = {p.key(): (mask, p.raw()[0]) for mask, p in enumerate(members)}
+            assert len(by_key) == 1 << n
+            for key in range(1 << 2 * n):
+                mask, phase = by_key.get(key, (None, None))
+                assert (state.member_mask(key), state.member_phase(key)) == (mask, phase)
+            rows = state.z_constraints()
+            for point in range(1 << (n + 1)):
+                u, b = point & ((1 << n) - 1), point >> n
+                image = PauliOperator(n, 0, u, sign=-1 if b else 1)
+                assert all(dot(w, point) == 0 for w in rows) == (image in member_set)
+
+
 def _admits(state, measurement, label, point):
     """Whether the image (-1)^(sigma + gamma) Z^u of the measurement
     (-1)^sigma Z^x, point = u | gamma << n, gets the label on the state."""

@@ -898,8 +898,7 @@ def test_search_from_decision_dishonest_oracles():
 def test_the_searches_build_no_pauli_objects(monkeypatch):
     # a sample's measurement is a key and a sign bit: brute search, the full
     # scan, the decision search with its pins, the reduction, the writer and
-    # verify's scoring loop build no Pauli object, and the reader builds at
-    # most one per 'paulis' entry
+    # verify's scoring loop build no Pauli object, nor does the reader
     rng = random.Random(87)
     sets = [random_consistent_set(rng, n, 3 * n)[0] for n in (2, 3)]
     sets += [reduce_sat_to_samples(clauses, random.Random(88))[0] for clauses in ([[1]], [[-1]])]
@@ -929,8 +928,7 @@ def test_the_searches_build_no_pauli_objects(monkeypatch):
         obj = json.loads(sample_set_dumps(ss))
         assert made == []
         loaded = sample_set_from_json(obj)
-        assert 0 < len(made) <= len(obj["paulis"])
-        del made[:]
+        assert made == []
         t = CnotCircuit.identity(ss.n).to_tableau()
         codes = [sample_code(t, s) for s in loaded]  # verify's loop
         assert made == [] and len(codes) == len(ss)

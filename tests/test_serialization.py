@@ -439,8 +439,8 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
         assert group.signs == string_to_bits(entry["signs"])
         first = shared.setdefault(group.keys, (group.keys, group._table))
         assert first[0] is group.keys and first[1] is group._table
-    # one Pauli per table entry, and none per state
-    assert made_by_load == len(table)
+    # no Pauli object, per table entry or per state
+    assert made_by_load == 0
 
 
 def twin_sample_set(field, value, where):

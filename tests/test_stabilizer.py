@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cnotpac import gf2, stabilizer
 from cnotpac.pauli import PauliOperator, x_power, z_power
 from cnotpac.reduction import _pin_samples, reduce_sat_to_samples
 from cnotpac.samples import Sample, SampleSet
@@ -14,6 +16,7 @@ from cnotpac.stabilizer import (
     StabilizerGroup,
     StabilizerState,
     _echelon_table,
+    _z_form,
 )
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
@@ -190,6 +193,64 @@ def test_a_loaded_state_and_a_built_one_give_the_same_sample():
 def test_from_z_generators_refuses_a_dependent_basis():
     with pytest.raises(ValueError, match="^generators are dependent$"):
         StabilizerGroup.from_z_generators(3, [0b011, 0b110, 0b101])
+
+
+def test_from_z_generators_refuses_masks_outside_their_width():
+    for zs in ([1, 4], [1, -2]):
+        with pytest.raises(ValueError, match="^x/z supports outside 2 qubits$"):
+            StabilizerGroup.from_z_generators(2, zs)
+    for signs in (0b100, -1):
+        with pytest.raises(ValueError, match="^sign mask outside 2 generators$"):
+            StabilizerGroup.from_z_generators(2, [1, 2], signs=signs)
+    with pytest.raises(ValueError, match="^need at least one generator$"):
+        StabilizerGroup.from_z_generators(2, [])
+    with pytest.raises(ValueError, match="^a pure state on 2 qubits needs exactly 2 generators$"):
+        StabilizerGroup.from_z_generators(2, [3])
+    with pytest.raises(ValueError, match="^identity cannot be a generator$"):
+        StabilizerGroup.from_z_generators(2, [0, 3])
+
+
+def test_a_cold_group_and_its_z_constraints_insert_each_key_once(monkeypatch):
+    # the group's echelon table inserts its n keys, and _z_form reads that
+    # table instead of eliminating them again
+    inserted = []
+
+    def counting(insert):
+        def counted(*args):
+            inserted.append(args)
+            return insert(*args)
+        return counted
+
+    monkeypatch.setattr(stabilizer, "_insert", counting(stabilizer._insert))
+    monkeypatch.setattr(gf2, "_insert", counting(gf2._insert))
+    builds = [
+        # full-Z states
+        (3, functools.partial(StabilizerGroup.from_z_generators, 3, [0b011, 0b110, 0b100], 0b101)),
+        (4, functools.partial(StabilizerGroup.computational_basis, 4, 0b1001)),
+        # states with x parts, one a Z-type member whose factors have x parts
+        (2, functools.partial(StabilizerGroup, [x_power(2, 0b11), z_power(2, 0b11)])),
+        (2, functools.partial(StabilizerGroup, [x_power(2, 0b11), PauliOperator(2, 3, 3, -1)])),
+        (3, functools.partial(StabilizerGroup, [x_power(3, 1 << j) for j in range(3)])),
+    ]
+    for n, build in builds:
+        _echelon_table.cache_clear()
+        _z_form.cache_clear()
+        del inserted[:]
+        build().z_constraints()
+        assert len(inserted) == n
+
+
+def test_from_z_generators_builds_no_pauli(monkeypatch):
+    made = []
+    init = PauliOperator.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliOperator, "__init__", counted)
+    state = StabilizerGroup.from_z_generators(3, [0b011, 0b110, 0b100], signs=0b101)
+    assert made == [] and state.keys == (0b011 << 3, 0b110 << 3, 0b100 << 3)
 
 
 @st.composite

@@ -455,6 +455,9 @@ def test_from_s_matrix_inverts_s_matrix_and_phase_bits():
         CliffordTableau.from_s_matrix(BitMatrix.identity(3))
     with pytest.raises(ValueError):
         CliffordTableau.from_s_matrix(BitMatrix([], 0))
+    for phases in (0b100, -1):
+        with pytest.raises(ValueError, match="^phase mask outside 2 generator images$"):
+            CliffordTableau.from_s_matrix(BitMatrix.identity(2), phases)
 
 
 def _forward_transcript():

@@ -98,8 +98,9 @@ def _pauli_builds(source):
     return sorted(_calls(ast.parse(source), {"z_power", "PauliOperator"}))
 
 
-# the modules whose paths build no Pauli object: search, reduce and learn
-NO_PAULI_MODULES = ("search.py", "reduction.py", "learning.py")
+# the modules whose paths build no Pauli object: search, reduce, learn and
+# the stabilizer group
+NO_PAULI_MODULES = ("search.py", "reduction.py", "learning.py", "stabilizer.py")
 
 
 def test_the_guard_sees_both_pauli_uses():
@@ -122,6 +123,43 @@ def test_no_internal_path_reads_a_measurement_or_builds_a_pauli():
     assert {name: lines for name, lines in reads.items() if lines} == {}
     builds = {name: _pauli_builds((SRC / name).read_text()) for name in NO_PAULI_MODULES}
     assert {name: lines for name, lines in builds.items() if lines} == {}
+
+
+# the sample-set reader's functions: they parse each 'paulis' entry to its
+# key and sign bit, and build no Pauli object
+READER_FUNCTIONS = ("sample_set_from_json", "_state_table_entry", "_sample_from_json")
+
+
+def _reader_pauli_builds(source):
+    """Lines in the reader's functions that call pauli_from_json(...) or
+    PauliOperator(...), and the names of the reader functions found."""
+    defs = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in READER_FUNCTIONS
+    ]
+    lines = [line for node in defs for line in _calls(node, {"pauli_from_json", "PauliOperator"})]
+    return sorted(lines), {node.name for node in defs}
+
+
+def test_the_guard_sees_a_pauli_built_by_the_reader():
+    source = (SRC / "serialization.py").read_text()
+    # mutants: the table parsed to objects, and a state's Paulis rebuilt
+    line = "    measurements = [_pauli_fields(entry) for entry in table]\n"
+    mutant = source.replace(line, "    measurements = [pauli_from_json(entry) for entry in table]\n")
+    assert source.count(line) == 1
+    assert _reader_pauli_builds(mutant)[0] == [source[:source.index(line)].count("\n") + 1]
+    line = "    named = [_table_entry(measurements, i) for i in entry]\n"
+    extra = "    PauliOperator(n, 0, 1)\n"
+    assert source.count(line) == 1
+    mutant = source.replace(line, line + extra)
+    assert _reader_pauli_builds(mutant)[0] == [source[:source.index(line)].count("\n") + 2]
+    # a build outside the reader's functions is not the reader's
+    assert _reader_pauli_builds(source + "p = PauliOperator(1, 0, 1)\n")[0] == []
+
+
+def test_the_sample_set_reader_builds_no_pauli():
+    source = (SRC / "serialization.py").read_text()
+    assert _reader_pauli_builds(source) == ([], set(READER_FUNCTIONS))
 
 
 def _fold_triples(source):
