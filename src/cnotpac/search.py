@@ -14,17 +14,11 @@ of (theta, q), signed by the state's z_constraints; they compile into
 one echelon table, whose rows led by theta row r prune every row prefix
 at depth r exactly, and whose rows led by a q bit join the generic
 samples in an exact solve for q at each leaf instead of an enumeration.
-A node above the parent of the leaves tests a candidate row against
-those equations before it reduces the row, once, against the rows
-chosen so far.  The parent of the leaves scans no rows: rows 0..n-2
-span a hyperplane, so the last rows are e_c + sum a_i R_i over a in
-F_2^(n-1), and the full-Z equations on the last row, like each generic
-sample's image key, are linear in a.  A group of n independent
-commuting generators is maximal isotropic, so a sample labelled 0 or 1
-puts its image in the group through n more equations, one per
-generator.  One solve per node leaves the last rows that all of them
-admit; only those check the samples labelled 1/2 and solve for q.  The
-result is identical to the naive scan, enumerate_consistent_circuits,
+The search has two stages over one state (_Search): _node, a node above
+the parent of the leaves, scans its rows, and _leaf_parent solves for
+the last row instead.  _hits yields every hit in row-lex order, and
+brute_force_search and the brute decision oracle both take the first.
+The result is identical to the naive scan, enumerate_consistent_circuits,
 the reference for cross-checking at small n: it walks every invertible
 theta with its q = 0 tableau and scores all 2^n sign vectors q at once
 as a bitmask, since q moves only the phase of a measurement's image, by
@@ -234,124 +228,130 @@ def _solution_masks(n):
     )
 
 
-def _dfs_first(n, blocks, generic):
-    """First consistent (theta, q) in row-lex order, as (circuit or None,
-    leaves examined).  packed holds the rows chosen so far in the table's
-    layout with the payload bit set, so an equation holds iff its AND with
-    packed has even parity.  table is the echelon table of those rows, row
-    r inserted with payload 1 << (n + r), so a vector that reduces through
-    a full table leaves theta^{-T} of it as the payload.
+class _Search:
+    """The brute DFS's state, shared by its stages: n, the blocks of
+    _finish, the generic samples split into labelled (0 or 1) and halves
+    (1/2), the rows chosen so far and their echelon table, row r with
+    payload 1 << (n + r) so that a full table reduces a vector to
+    theta^{-T} of it as the payload, and the leaves examined so far."""
 
-    A node at depth r < n - 1 first checks row v against the equations of
-    blocks[r], with bit operations on packed: the pivots being distinct,
-    they all hold exactly when rows 0..r extend to a solution of every
-    full-Z equation.  Then row = v | 1 << (n + r) reduced against the
-    table is the span test, which drops a v dependent on rows 0..r-1; the
-    row goes into the one table under its lead for the recursion and
-    comes out after it.
+    __slots__ = ("n", "blocks", "labelled", "halves", "rows", "table", "leaves")
 
-    Depth n - 1, the parent of the leaves, scans no rows.  Its rows R span
-    a hyperplane, so its leaves are the last rows e_c + sum a_i R_i over
-    a in F_2^(n-1), c the table's one non-pivot column, and it solves
-    for a.  The equations of blocks[n - 1] are linear in a, and so is a
-    generic sample's image key (_image); a sample labelled 0 or 1 needs
-    the key in its group, n more equations (_member_rows).  alive keeps
-    the solutions as a mask over a, bit a set while a satisfies every
-    equation so far (_solution_masks), and a node whose mask empties
-    ends there.  The survivors, in ascending last row, check the samples
-    labelled 1/2 and solve for q: each sample labelled 0 or 1 gives one
-    equation on q from its member's phase, and each table row led by a
-    q bit gives one, its right side the parity of the row AND packed.
-    The solve is fully reduced, so the order of the equations does not
-    change the least q.  A node's leaves are the last rows its block
-    rows admit, or at the witness those up to it.  Only the witness
-    becomes a circuit."""
+    def __init__(self, n, blocks, generic):
+        self.n, self.blocks, self.rows, self.table, self.leaves = n, blocks, [], {}, 0
+        self.labelled = [gs for gs in generic if not gs.half]
+        self.halves = [gs for gs in generic if gs.half]
+
+
+def _hits(search):
+    """Each consistent theta in row-lex order, as (theta's rows, its
+    q-space, the leaves up to it); once they run out, search.leaves counts
+    every leaf.  The stages pass down packed, the rows chosen so far in
+    the table's layout with the payload bit set, so an equation holds iff
+    its AND with packed has even parity."""
+    n = search.n
+    packed = 1 << (n * n + n)
+    yield from _node(search, 0, packed) if n > 1 else _leaf_parent(search, packed)
+
+
+def _node(search, r, packed):
+    """The hits below a node at depth r < n - 1.  A row v first meets the
+    equations of blocks[r], with bit operations on packed: the pivots
+    being distinct, they all hold exactly when rows 0..r extend to a
+    solution of every full-Z equation.  Then row = v | 1 << (n + r)
+    reduced against the table is the span test, which drops a v dependent
+    on rows 0..r-1; the row goes into the table under its lead for the
+    depth below and comes out after it."""
+    n, rows, table = search.n, search.rows, search.table
+    block = search.blocks[r]
+    full = (1 << n) - 1
+    shift = r * n
+    bit = 1 << (n + r)
+    deeper = r < n - 2
+    for v in range(1, 1 << n):
+        p = packed | v << shift
+        for eq in block:
+            if (eq & p).bit_count() & 1:
+                break
+        else:
+            row = _reduce(table, v | bit, n)
+            if not row & full:
+                continue  # v is in the span of rows 0..r-1
+            lead = (row & full).bit_length() - 1
+            table[lead] = row
+            rows.append(v)
+            yield from _node(search, r + 1, p) if deeper else _leaf_parent(search, p)
+            rows.pop()
+            del table[lead]
+
+
+def _leaf_parent(search, packed):
+    """The hits of the parent of the leaves, at depth n - 1, which scans
+    no rows.  Its rows R span a hyperplane, so its leaves are the last
+    rows e_c + sum a_i R_i over a in F_2^(n-1), c the table's one
+    non-pivot column, and it solves for a.  The equations of blocks[n - 1]
+    are linear in a, and so is a generic sample's image key (_image); a
+    sample labelled 0 or 1 needs the key in its group, n more equations
+    (_member_rows).  alive keeps the solutions as a mask over a, bit a
+    set while a satisfies every equation so far (_solution_masks), and a
+    node whose mask empties ends there.  The survivors, in ascending last
+    row, check the samples labelled 1/2 and solve for q: each sample
+    labelled 0 or 1 gives one equation on q from its member's phase, and
+    each table row led by a q bit gives one, its right side the parity
+    of the row AND packed.  The solve is fully reduced, so the order of
+    the equations does not change the least q.  A hit's leaves are those
+    before the node plus the last rows up to its own that the block rows
+    admit; the node adds all it admits."""
+    n, rows, table = search.n, search.rows, search.table
     full = (1 << n) - 1
     last = n - 1
     shift = last * n
     sat = _solution_masks(n)
-    labelled = [gs for gs in generic if not gs.half]
-    halves = [gs for gs in generic if gs.half]
-    equations = blocks[n]
-    table = {}
-    examined = 0
-
-    def leaves(packed):
-        nonlocal examined
-        rows = [packed >> i * n & full for i in range(last)]
-        c = last
-        while c in table:
-            c -= 1
-        alive = (1 << (1 << last)) - 1
-        for eq in blocks[last]:
-            w = eq >> shift & full
-            row = (((eq & packed).bit_count() ^ w >> c) & 1) << last
-            for i, u in enumerate(rows):
-                row |= ((w & u).bit_count() & 1) << i
+    c = last
+    while c in table:
+        c -= 1
+    alive = (1 << (1 << last)) - 1
+    for eq in search.blocks[last]:
+        w = eq >> shift & full
+        row = (((eq & packed).bit_count() ^ w >> c) & 1) << last
+        for i, u in enumerate(rows):
+            row |= ((w & u).bit_count() & 1) << i
+        alive &= sat[row]
+    admitted = alive
+    node = []
+    for gs in search.labelled:
+        if not alive:
+            break
+        image = _image(gs, n, table, rows, c)
+        node.append((gs, image))
+        for row in _member_rows(gs, image, n):
             alive &= sat[row]
-        admitted = alive
-        node = []
-        for gs in labelled:
-            if not alive:
-                break
-            image = _image(gs, n, table, rows, c)
-            node.append((gs, image))
-            for row in _member_rows(gs, image, n):
-                alive &= sat[row]
-        if alive:
-            spans = [1 << c]
-            for u in rows:
-                spans += [v ^ u for v in spans]
-            halved = [(gs, _image(gs, n, table, rows, c)) for gs in halves]
-            up_to = 0  # the leaves up to v
-            for v, a in sorted(zip(spans, range(1 << last))):
-                up_to += admitted >> a & 1
-                if not alive >> a & 1:
-                    continue
-                if any(gs.group.member_phase(_image_key(im, a, n)) is not None for gs, im in halved):
-                    continue  # a sample labelled 1/2 has its image in the group
-                # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in
-                # the group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
-                pairs = []
-                for gs, image in node:
-                    e_member = gs.group.member_phase(_image_key(image, a, n))
-                    pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
-                p = packed | v << shift
-                for eq in equations:
-                    pairs.append((eq >> n * n & full, (eq & p).bit_count() & 1))
-                rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
-                q_space = BitMatrix([m for m, _ in pairs], n).solve_affine(rhs)
-                if q_space is not None:
-                    examined += up_to
-                    return CnotCircuit(BitMatrix(rows + [v], n), q_space.offset)
-        examined += admitted.bit_count()
-        return None
-
-    def rec(r, packed):
-        if r == last:
-            return leaves(packed)
-        block = blocks[r]
-        shift = r * n
-        bit = 1 << (n + r)
-        for v in range(1, 1 << n):
+    if alive:
+        spans = [1 << c]
+        for u in rows:
+            spans += [v ^ u for v in spans]
+        halved = [(gs, _image(gs, n, table, rows, c)) for gs in search.halves]
+        up_to = search.leaves  # the leaves up to v
+        for v, a in sorted(zip(spans, range(1 << last))):
+            up_to += admitted >> a & 1
+            if not alive >> a & 1:
+                continue
+            if any(gs.group.member_phase(_image_key(im, a, n)) is not None for gs, im in halved):
+                continue  # a sample labelled 1/2 has its image in the group
+            # C†PC = (-1)^{q.pz} i^e X^{theta^{-T} px} Z^{theta pz}: it is in
+            # the group iff q.pz = (e_member - e) / 2, its negation iff q.pz flips
+            pairs = []
+            for gs, image in node:
+                e_member = gs.group.member_phase(_image_key(image, a, n))
+                pairs.append((gs.pz, ((e_member - gs.e) % 4) // 2 ^ gs.flip))
             p = packed | v << shift
-            for eq in block:
-                if (eq & p).bit_count() & 1:
-                    break
-            else:
-                row = _reduce(table, v | bit, n)
-                if not row & full:
-                    continue  # v is in the span of rows 0..r-1
-                lead = (row & full).bit_length() - 1
-                table[lead] = row
-                hit = rec(r + 1, p)
-                del table[lead]
-                if hit is not None:
-                    return hit
-        return None
-
-    circuit = rec(0, 1 << (n * n + n))
-    return circuit, examined
+            for eq in search.blocks[n]:
+                pairs.append((eq >> n * n & full, (eq & p).bit_count() & 1))
+            rhs = sum(bit << i for i, (_, bit) in enumerate(pairs))
+            q_space = BitMatrix([m for m, _ in pairs], n).solve_affine(rhs)
+            if q_space is not None:
+                yield rows + [v], q_space, up_to
+    search.leaves += admitted.bit_count()
 
 
 def brute_force_search(sample_set: SampleSet) -> SearchResult:
@@ -368,10 +368,13 @@ def brute_force_search(sample_set: SampleSet) -> SearchResult:
     compiled = _compile(sample_set)
     if compiled is None:
         return SearchResult(False, None, 0, time.perf_counter() - start)
-    blocks, generic = compiled
-    circuit, examined = _dfs_first(n, blocks, generic)
-    elapsed = time.perf_counter() - start
-    return SearchResult(circuit is not None, circuit, examined, elapsed)
+    search = _Search(n, *compiled)
+    hit = next(_hits(search), None)
+    if hit is None:
+        return SearchResult(False, None, search.leaves, time.perf_counter() - start)
+    rows, q_space, leaves = hit
+    circuit = CnotCircuit(BitMatrix(rows, n), q_space.offset)
+    return SearchResult(True, circuit, leaves, time.perf_counter() - start)
 
 
 def brute_force_decision(sample_set: SampleSet) -> bool:
@@ -506,7 +509,7 @@ def _brute_oracle(sample_set: SampleSet):
             return False
         compiled = (dict(base[0]), set(base[1]), list(base[2]))
         finished = _add_samples(compiled, pins, n) and _finish(compiled, n)
-        return bool(finished) and _dfs_first(n, *finished)[0] is not None
+        return bool(finished) and next(_hits(_Search(n, *finished)), None) is not None
 
     def settle(pins) -> None:
         nonlocal base

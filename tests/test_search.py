@@ -29,8 +29,11 @@ from cnotpac.search import (
     DecisionSearchResult,
     EnumerationLimitError,
     _GenericSample,
+    _Search,
+    _brute_oracle,
     _compile,
     _gl_tableaus,
+    _hits,
     _image,
     _image_key,
     _member_rows,
@@ -241,9 +244,10 @@ def linked_sets(draw):
     return SampleSet(n, samples), flipped
 
 
-def _leaves_up_to(samples, witness):
-    """The invertible thetas, in lex order up to the witness theta (all
-    of them for None), for which some q satisfies every full-Z sample."""
+def _leaf_counts(samples):
+    """(theta, the leaves up to it) for each invertible theta in lex
+    order: a leaf is a theta for which some q satisfies every full-Z
+    sample."""
     n = samples.n
     full_z = [
         s
@@ -263,6 +267,14 @@ def _leaves_up_to(samples, witness):
     for theta in _GL[n]:
         bits = [(x, per_image[theta.mul_vec(x)]) for x, per_image in allowed.items()]
         count += any(all(dot(q, x) in b for x, b in bits) for q in range(1 << n))
+        yield theta, count
+
+
+def _leaves_up_to(samples, witness):
+    """The invertible thetas, in lex order up to the witness theta (all
+    of them for None), for which some q satisfies every full-Z sample."""
+    count = 0
+    for theta, count in _leaf_counts(samples):
         if theta == witness:
             break
     return count
@@ -368,6 +380,60 @@ def test_brute_witness_and_leaves_match_the_full_scan(case):
 @given(leaf_parent_sets((4,)))
 def test_brute_witness_and_leaves_match_the_full_scan_at_n_4(case):
     _check_against_the_full_scan(*case)
+
+
+def _check_every_hit(samples):
+    """Every hit of the DFS, expanded over its q-space in ascending q, is
+    the full scan's list of hits, and each carries the leaves up to it."""
+    compiled = _compile(samples)
+    hits = list(_hits(_Search(samples.n, *compiled))) if compiled else []
+    expanded = [(rows, q) for rows, q_space, _ in hits for q in sorted(q_space.points())]
+    assert expanded == [(c.theta.rows, c.q) for c in enumerate_consistent_circuits(samples)]
+    counts = {tuple(theta.rows): count for theta, count in _leaf_counts(samples)}
+    assert [leaves for *_, leaves in hits] == [counts[tuple(rows)] for rows, *_ in hits]
+
+
+_HIT_CASES = (labeled_sets(), grouped_sets(), linked_sets())
+
+
+# n = 1 makes the root the parent of the leaves
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(*_HIT_CASES, leaf_parent_sets((1, 2, 3))).filter(lambda case: case[0].n < 4))
+def test_every_hit_expands_to_the_full_scan_with_its_leaves(case):
+    _check_every_hit(case[0])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.one_of(*_HIT_CASES[1:], leaf_parent_sets((4,))).filter(lambda case: case[0].n == 4))
+def test_every_hit_expands_to_the_full_scan_with_its_leaves_at_n_4(case):
+    _check_every_hit(case[0])
+
+
+def test_the_first_hit_walks_no_further(monkeypatch):
+    # brute and the brute oracle take the first hit of _hits, which must
+    # not walk past the parent of the leaves that holds it
+    calls = []
+    stage = cnotpac.search._leaf_parent
+
+    def spy(search, packed):
+        calls.append(packed)
+        return stage(search, packed)
+
+    monkeypatch.setattr(cnotpac.search, "_leaf_parent", spy)
+    r = brute_force_search(SampleSet(4))
+    assert (len(calls), r.circuits_examined) == (1, 1)
+    samples = next(s for s in _learn_shaped_sets() if brute_force_search(s).found)
+    calls.clear()
+    r = brute_force_search(samples)
+    first = len(calls)
+    ask, _ = _brute_oracle(samples)
+    calls.clear()
+    assert ask([])
+    assert len(calls) == first
+    calls.clear()
+    hits = list(_hits(_Search(4, *_compile(samples))))
+    assert hits[0][2] == r.circuits_examined
+    assert 1 < first < len(calls)
 
 
 @st.composite

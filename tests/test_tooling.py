@@ -216,3 +216,41 @@ def test_no_module_scores_one_sample_at_a_time():
     assert {"cli.py", "search.py", "tableau.py"} <= {p.name for p in paths}
     found = {p.name: _single_scores(p.read_text()) for p in paths if p.name != "tableau.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the brute DFS's stages: their counters live on the search state, so no
+# stage defines a nested function or declares a nonlocal
+DFS_STAGES = ("_hits", "_node", "_leaf_parent")
+
+
+def _stage_closures(source):
+    """Lines in the DFS stages that define a function or lambda or declare
+    a nonlocal, and the names of the stages found."""
+    stages = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in DFS_STAGES
+    ]
+    inner = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Nonlocal)
+    lines = [
+        node.lineno
+        for stage in stages
+        for node in ast.walk(stage)
+        if node is not stage and isinstance(node, inner)
+    ]
+    return sorted(lines), {stage.name for stage in stages}
+
+
+def test_the_guard_sees_a_nonlocal_counter_in_a_stage():
+    source = (SRC / "search.py").read_text()
+    # a mutant: the old closure counter appended to the parent of the leaves
+    line = "    search.leaves += admitted.bit_count()\n"
+    extra = "\n    def count(k):\n        nonlocal examined\n        examined += k\n"
+    assert source.count(line) == 1
+    at = source[: source.index(line)].count("\n") + 3
+    assert _stage_closures(source.replace(line, line + extra))[0] == [at, at + 1]
+    # a closure outside the stages is not theirs
+    assert _stage_closures(source + "def f():\n    g = lambda: 0\n")[0] == []
+
+
+def test_the_dfs_stages_define_no_closure():
+    assert _stage_closures((SRC / "search.py").read_text()) == ([], set(DFS_STAGES))
