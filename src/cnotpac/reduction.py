@@ -210,14 +210,14 @@ def _linked_pins(n: int, columns: list, vs: list, ws: list, rng) -> List[Sample]
 
 
 # instance_to_samples emits up to n(n + 1) samples, each written with its
-# n sign bits, and about n^2 distinct Paulis of 2n bits, so work and output
-# grow as n^3.  Medians of 5 processes on a 2-vCPU host (wall time from
-# start-up, peak RSS): the 12-clause 3-CNF over 8 variables of acceptance
-# check 13 (n = 103) reduces in 0.42 s to 4.4 MB at 40 MB, and solve affine
-# and verify of that file peak at 39 and 44 MB; 125 summed x1s plus x2
-# (n = 128, the limit) reduce in 0.80 s to 7.9 MB at 55 MB, and verify
-# peaks at 60 MB.  A short formula (300 summed x1s, size 302) is refused
-# before any sample.
+# n-bit sign mask, and about n + 1 key tuples of n keys of 2n bits, so work
+# and output grow as n^3.  Medians of 5 processes on a 2-vCPU host (wall
+# time from start-up, peak RSS): the 12-clause 3-CNF over 8 variables of
+# acceptance check 13 (n = 103) reduces in 0.45 s to 1.5 MB at 29 MB, and
+# solve affine and verify (0.41 s) of that file peak at 28 and 30 MB; 125
+# summed x1s plus x2 (n = 128, the limit) reduce in 0.82 s to 2.6 MB at
+# 35 MB, and verify (0.65 s) peaks at 37 MB.  A short formula (300 summed
+# x1s, size 302) is refused before any sample.
 _MAX_INSTANCE_SIZE = 128
 
 

@@ -3,21 +3,28 @@
 Conventions shared by every schema:
 
 * Bit vectors are strings of '0'/'1' whose character k is coordinate k
-  (so qubit 0 / matrix column 0 comes first in the string).
+  (so qubit 0 / matrix column 0 comes first in the string): instance
+  matrices, the 'assignment' string, and tableau blocks.
+* A sample set writes its w-bit values as words, W(w): exactly
+  ceil(w / 4) lowercase hex digits, most significant first, with a value
+  below 2^w (so qubit 0 is the low bit of the last digit).  The reader
+  takes nothing else: no '0x', '_', blanks, '+', uppercase or non-ASCII
+  digits, no other width, no bit at or above w.
 * Labels serialize as the strings "0", "1/2", "1"; floats would not
   round-trip one half exactly.
 * Serialization is canonical: sorted keys, compact separators (no
   whitespace), trailing newline.  Equal objects produce byte-identical
   files.  The loaders take any JSON layout, so files written indented
   still load.
-* A sample set is {"n", "paulis", "samples", "states"}: each distinct
-  Pauli is one entry of the 'paulis' table, and each distinct generator-key
-  tuple is one entry of the 'states' table, n indices of +1-signed
-  'paulis' entries.  A sample names its measurement by 'paulis' index,
-  its state by 'states' index plus a bit string 'signs' (character k is 1
-  when generator k is negated), and carries a label.  The states of a
-  reduction pin share one key tuple and differ in signs, so a file of
-  O(n^2) samples names about n + 1 tuples.
+* A sample set is {"n", "paulis", "samples", "states"}.  'paulis' is the
+  table of distinct measurements, {"n", "sign", "x": W(n), "z": W(n)}
+  each; 'states' the table of distinct generator-key tuples, each a list
+  of its n keys x | z << n as W(2n) words.  A sample names its
+  measurement by 'paulis' index and its state by 'states' index plus its
+  sign mask 'signs', a W(n) word whose bit k is set when generator k is
+  negated, and carries a label.  The states of a reduction pin share one
+  key tuple and differ in signs, so a file of O(n^2) samples names about
+  n + 1 tuples.
 
 Schema violations, wrong-typed values included (JSON true is not an
 integer), raise ValueError with a message naming the offending field;
@@ -81,6 +88,41 @@ def string_to_bits(s: str, n: Optional[int] = None) -> int:
     return int(s[::-1], 2)
 
 
+def _word_format(w: int) -> str:
+    """The %-format of a W(w) word: ceil(w / 4) lowercase hex digits, zero-padded."""
+    return "%%0%dx" % -(-w // 4)
+
+
+def word_to_hex(v: int, w: int) -> str:
+    """W(w): v as exactly ceil(w / 4) lowercase hex digits, most significant first."""
+    if v < 0 or v >> w:
+        raise ValueError("value does not fit in %d bits" % w)
+    return _word_format(w) % v
+
+
+def hex_to_word(s: str, w: int) -> int:
+    """The value of the W(w) word s."""
+    # int(s, 16) alone would also take "0x1", " 1", "+1", "1_0", "A" and
+    # non-ASCII digits
+    if not isinstance(s, str) or not s or s.strip("0123456789abcdef"):
+        raise ValueError("expected a nonempty string of lowercase hex digits, got %r" % (s,))
+    digits = -(-w // 4)
+    if len(s) != digits:
+        raise ValueError("expected %d hex digits, got %d" % (digits, len(s)))
+    v = int(s, 16)
+    if v >> w:
+        raise ValueError("%r does not fit in %d bits" % (s, w))
+    return v
+
+
+def _word_field(obj: dict, field: str, w: int, what: str) -> int:
+    """obj[field] as a W(w) word; the message names the field."""
+    try:
+        return hex_to_word(obj.get(field), w)
+    except ValueError as err:
+        raise ValueError("%s field %r: %s" % (what, field, err)) from None
+
+
 def _positive_int(obj: dict, field: str, what: str) -> int:
     """obj[field] as a positive int; JSON true is not an integer."""
     value = obj.get(field)
@@ -94,12 +136,7 @@ def _positive_int(obj: dict, field: str, what: str) -> int:
 
 
 def pauli_to_json(p: PauliOperator) -> dict:
-    return {
-        "n": p.n,
-        "sign": p.sign,
-        "x": bits_to_string(p.x, p.n),
-        "z": bits_to_string(p.z, p.n),
-    }
+    return {"n": p.n, "sign": p.sign, "x": word_to_hex(p.x, p.n), "z": word_to_hex(p.z, p.n)}
 
 
 def _pauli_fields(obj) -> tuple:
@@ -110,7 +147,7 @@ def _pauli_fields(obj) -> tuple:
     sign = obj.get("sign")
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError("Pauli field 'sign' must be 1 or -1")
-    key = string_to_bits(obj.get("x"), n) | string_to_bits(obj.get("z"), n) << n
+    key = _word_field(obj, "x", n, "Pauli") | _word_field(obj, "z", n, "Pauli") << n
     return n, key, (1 - sign) // 2
 
 
@@ -119,24 +156,19 @@ def pauli_from_json(obj) -> PauliOperator:
     return PauliOperator(n, key & (1 << n) - 1, key >> n, sign=-1 if sign_bit else 1)
 
 
-def _table_entry(table: list, i):
-    # a bare table[i] would take True and wrap a negative i to the end
-    if type(i) is not int or not 0 <= i < len(table):
-        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(table)))
-    return table[i]
-
-
-def _state_table_entry(entry, n: int, measurements: List[tuple]) -> StabilizerGroup:
-    """The group, every sign +, of the 'paulis' entries (n, key, sign bit)
-    that one 'states' entry names.  A count, identity, commutation or
-    independence fault raises the StabilizerGroup constructor's message."""
+def _state_entry(entry, n: int) -> StabilizerGroup:
+    """The group, every sign +, of one 'states' entry: its n generator
+    keys as W(2n) words.  A count, identity, commutation or independence
+    fault raises the StabilizerGroup constructor's message."""
     if not isinstance(entry, list):
-        raise ValueError("must list Pauli indices")
-    named = [_table_entry(measurements, i) for i in entry]
-    group = StabilizerGroup._from_keys(n, tuple(key for _, key, _ in named))
-    if any(sign for _, _, sign in named):
-        raise ValueError("names a negated Pauli; a sample's 'signs' carry the signs")
-    return group
+        raise ValueError("must list generator keys")
+    keys = []
+    for i, word in enumerate(entry):
+        try:
+            keys.append(hex_to_word(word, 2 * n))
+        except ValueError as err:
+            raise ValueError("key %d: %s" % (i, err)) from None
+    return StabilizerGroup._from_keys(n, tuple(keys))
 
 
 def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGroup]) -> Sample:
@@ -149,11 +181,12 @@ def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGrou
     if type(t) is not int or not 0 <= t < len(bases):
         raise ValueError("sample field 'state' must be an index in [0, %d) of 'states'" % len(bases))
     base = bases[t]
-    try:
-        mask = string_to_bits(obj.get("signs"), base.n)
-    except ValueError as err:
-        raise ValueError("sample field 'signs': %s" % err) from None
-    _, key, sign = _table_entry(measurements, obj.get("measurement"))
+    mask = _word_field(obj, "signs", base.n, "sample")
+    i = obj.get("measurement")
+    # a bare measurements[i] would take True and wrap a negative i to the end
+    if type(i) is not int or not 0 <= i < len(measurements):
+        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(measurements)))
+    _, key, sign = measurements[i]
     label = obj.get("label")
     if not isinstance(label, str) or label not in _CODES_BACK:
         raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
@@ -165,47 +198,36 @@ def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGrou
 def sample_set_dumps(ss: SampleSet) -> str:
     """The canonical text of sample_set_to_json(ss), without the newline.
 
-    Each distinct Pauli is written once, as an entry of 'paulis' in order
-    of first use (each sample's measurement, then, when its state's key
-    tuple is new, that tuple's generators with sign +), and each distinct
-    key tuple once, as an entry of 'states' in order of first use.  A
-    sample then costs a measurement lookup, a key-tuple lookup and one
-    format of its sign mask.  Keys are in sorted order, as _canonical
-    writes them; each entry's format string renders exactly
-    _canonical(pauli_to_json(p)), without a json.dumps per entry.
+    Each distinct measurement is written once, as an entry of 'paulis' in
+    order of first use, and each distinct key tuple once, as an entry of
+    'states' in order of first use.  A sample then costs a measurement
+    lookup, a key-tuple lookup and one format of its sign mask.  Keys are
+    in sorted order, as _canonical writes them; each entry's format
+    string renders exactly _canonical(pauli_to_json(p)), without a
+    json.dumps per entry.
     """
     n = ss.n
-    top = 1 << n
-    full = top - 1
+    full = (1 << n) - 1
+    line = '{"label":"%%s","measurement":%%s,"signs":"%s","state":%%s}' % _word_format(n)
+    key_word = '"%s"' % _word_format(2 * n)
     # sign bit -> {key x | z << n: the entry's index as text}
     index: tuple = ({}, {})
     entries: List[str] = []
     tuples: dict = {}  # key tuple -> its 'states' index as text
     states: List[str] = []
-
-    def add(key: int, sign: int) -> str:
-        i = index[sign][key] = str(len(entries))
-        # x and z as bits_to_string writes them; the key holds their range
-        x, z = format(key & full | top, "b")[:0:-1], format(key >> n | top, "b")[:0:-1]
-        entries.append('{"n":%d,"sign":%s,"x":"%s","z":"%s"}' % (n, "-1" if sign else "1", x, z))
-        return i
-
-    def add_state(keys: tuple) -> str:
-        plus = index[0]
-        t = tuples[keys] = str(len(states))
-        states.append("[%s]" % ",".join([plus.get(key) or add(key, 0) for key in keys]))
-        return t
-
     samples = []
     for s in ss.samples:
         group = s.state
-        at = index[s.sign].get(s.key) or add(s.key, s.sign)
-        t = tuples.get(group.keys) or add_state(group.keys)
-        # character k is the sign bit of generator k
-        samples.append(
-            '{"label":"%s","measurement":%s,"signs":"%s","state":%s}'
-            % (_LABEL_TEXT[s.code], at, format(group.signs | top, "b")[:0:-1], t)
-        )
+        at = index[s.sign].get(s.key)
+        if at is None:
+            at = index[s.sign][s.key] = str(len(entries))
+            x, z = word_to_hex(s.key & full, n), word_to_hex(s.key >> n, n)
+            entries.append('{"n":%d,"sign":%d,"x":"%s","z":"%s"}' % (n, 1 - 2 * s.sign, x, z))
+        t = tuples.get(group.keys)
+        if t is None:
+            t = tuples[group.keys] = str(len(states))
+            states.append("[%s]" % ",".join([key_word % key for key in group.keys]))
+        samples.append(line % (_LABEL_TEXT[s.code], at, group.signs, t))
     return '{"n":%d,"paulis":[%s],"samples":[%s],"states":[%s]}' % (
         n, ",".join(entries), ",".join(samples), ",".join(states)
     )
@@ -237,7 +259,7 @@ def sample_set_from_json(obj) -> SampleSet:
     bases = []
     for t, entry in enumerate(states):
         try:
-            bases.append(_state_table_entry(entry, n, measurements))
+            bases.append(_state_entry(entry, n))
         except ValueError as err:
             raise ValueError("sample set field 'states' entry %d: %s" % (t, err)) from None
     samples = obj.get("samples")

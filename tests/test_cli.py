@@ -21,12 +21,14 @@ from cnotpac.serialization import (
     circuit_from_json,
     circuit_to_json,
     dumps,
+    hex_to_word,
     instance_from_json,
     instance_to_json,
     sample_set_dumps,
     sample_set_from_json,
     sample_set_to_json,
     string_to_bits,
+    word_to_hex,
 )
 from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, is_symplectic
@@ -42,9 +44,12 @@ from test_serialization import (
     BAD_GROUP_IDS,
     BAD_STATE_DOCS,
     BAD_STATE_IDS,
+    BAD_WORD_DOCS,
+    BAD_WORD_IDS,
     SECOND_ENTRY,
     TWIN_IDS,
     TWINS,
+    to_bit_string_layout,
     twin_sample_set,
 )
 
@@ -309,7 +314,8 @@ def test_a_sample_measuring_an_identity_table_entry_is_refused(unit_reduction, t
     doc = json.loads(unit_reduction.read_text())
     n = doc["samples"]["n"]
     table = doc["samples"]["paulis"]
-    table.append({"n": n, "sign": 1, "x": "0" * n, "z": "0" * n})
+    zero = "0" * -(-n // 4)  # the W(n) word of 0
+    table.append({"n": n, "sign": 1, "x": zero, "z": zero})
     doc["samples"]["samples"][1]["measurement"] = len(table) - 1
     bad = tmp_path / "identity.json"
     bad.write_text(dumps(doc))
@@ -440,8 +446,8 @@ def test_verify_first_violation_matches_the_per_sample_loop(tmp_path, capsys):
             if rng.random() < 0.5:
                 entry["label"] = rng.choice(["0", "1/2", "1"])
             else:
-                j, signs = rng.randrange(ss.n), entry["signs"]
-                entry["signs"] = signs[:j] + "10"[int(signs[j])] + signs[j + 1 :]
+                j = rng.randrange(ss.n)
+                entry["signs"] = word_to_hex(hex_to_word(entry["signs"], ss.n) ^ 1 << j, ss.n)
         spath = tmp_path / "samples.json"
         spath.write_text(dumps(obj))
         t = witness.to_tableau()
@@ -482,6 +488,14 @@ def test_verify_names_a_bad_state_index_after_good_ones(doc, message, tmp_path, 
     spath = tmp_path / "samples.json"
     spath.write_text(dumps(doc))
     code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
+    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (spath, message))
+
+
+@pytest.mark.parametrize("doc, message", BAD_WORD_DOCS, ids=BAD_WORD_IDS)
+def test_a_bad_word_exits_2_naming_its_field(doc, message, tmp_path, capsys):
+    spath = tmp_path / "samples.json"
+    spath.write_text(dumps(doc))
+    code, stdout, err = run(capsys, "solve", str(spath), "--strategy", "brute")
     assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (spath, message))
 
 
@@ -945,7 +959,7 @@ def test_bad_numbers_exit_2_naming_the_field(make_argv, field, tmp_path, capsys)
 
 # sha256 of `reduce --formula GOLDEN_FORMULA --seed 7` as written with the
 # earlier two-space-indent layout, json.dumps(obj, sort_keys=True, indent=2)
-GOLDEN_INDENTED_SHA256 = "cce85c08d047b5a73784039122267ffb00e04c14789f3c5172418a11987f396b"
+GOLDEN_INDENTED_SHA256 = "9f26b8118dfefb6b879afba8a8bfd9284ae7c9f37d455530819bdcd6cafbd28a"
 
 
 def test_compact_output_matches_the_indented_layout(tmp_path, capsys):
@@ -989,10 +1003,11 @@ def test_indented_sample_set_solves_like_the_compact_one(unit_reduction, tmp_pat
     assert outs[0] == outs[1]
 
 
-# sha256 of two reduce outputs in the sample-set schema with 'paulis' and
-# 'states' tables: the golden formula at seed 7 and UNIT_CNF at seed 3
-GOLDEN_SHA256 = "f0b92822ebb67d252ca2096a61ba58ef319e4c7a8490a517785ebe1a07bce8f3"
-UNIT_SHA256 = "ae58507a0081693879e6fa4b1dc327e2a9a5f7fb007101d997856618b5354c37"
+# sha256 of two reduce outputs in the sample-set schema of hex words, with
+# a 'paulis' table of measurements and a 'states' table of generator keys:
+# the golden formula at seed 7 and UNIT_CNF at seed 3
+GOLDEN_SHA256 = "d2da884955e1d1ea8a2b7da450e53ebfc5915582fadb4a1a9b639a21df02af5d"
+UNIT_SHA256 = "210b1d5aac31ae4fe52922d414382d856ee381ec68adf1be02fa6018519dedbc"
 
 
 def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
@@ -1006,7 +1021,7 @@ def test_reduce_output_bytes_are_pinned(unit_reduction, tmp_path, capsys):
 # code, stdout line, stderr text and output file of reduce, solve affine/
 # brute/decision and verify on two CNFs and the golden formula, each reduced
 # with a fixed seed, with each report's wall_time_s removed
-CLI_TRANSCRIPT_SHA256 = "08ca658ad86e54c9558f0c73c7e78bd013632c076d36882557558583b832453b"
+CLI_TRANSCRIPT_SHA256 = "079ecc4b23e1c63fa07cee3eef11d8f77ff56b0c2e91fba6aee422f685a740bb"
 
 
 def test_cli_transcript_is_pinned(tmp_path, capsys):
@@ -1138,8 +1153,9 @@ def _measure_with(index):
 
 
 def _to_index_lists(obj):
-    """The layout before the 'states' table: every sample lists the table
-    indices of its signed generators."""
+    """The layout before the 'states' table: bit strings, and every sample
+    lists the table indices of its signed generators."""
+    to_bit_string_layout(obj)
     paulis, states = obj["paulis"], obj.pop("states")
     for s in obj["samples"]:
         gens = []
@@ -1174,11 +1190,13 @@ def _to_nested_schema(obj):
         (lambda obj: obj.update(n=2), "sample set field 'paulis' must hold 2-qubit Paulis"),
         (lambda obj: obj.pop("paulis"), "sample set field 'paulis' must be a list"),
         (_to_nested_schema, "sample set field 'paulis' must be a list"),
-        (_to_index_lists, "sample set field 'states' must be a list"),
+        (_to_index_lists, "Pauli field 'x': expected 1 hex digits, got 3"),
+        (to_bit_string_layout, "Pauli field 'x': expected 1 hex digits, got 3"),
     ],
     ids=[
         "index-true", "index-float", "index-negative", "index-past-the-table", "index-string",
         "entry-with-another-n", "no-table", "old-nested-schema", "old-index-list-schema",
+        "old-bit-string-schema",
     ],
 )
 def test_bad_table_or_index_exits_2_naming_the_file(edit, message, tmp_path, capsys):
@@ -1210,9 +1228,10 @@ def test_single_measurement_hypothesis_verifies_against_its_input(tmp_path, caps
 
 
 def test_reduce_output_of_a_six_clause_cnf_stays_small(tmp_path, capsys):
-    # each Pauli and each generator-key tuple is written once (0.73 MB);
-    # a generator-index list per sample makes this file 1.65 MB, and
-    # spelling out every sample's n generators as strings 21.4 MB
+    # each measurement and each generator-key tuple is written once, in hex
+    # words (0.30 MB); bit strings with a table of every generator make this
+    # file 0.73 MB, a generator-index list per sample 1.65 MB, and spelling
+    # out every sample's n generators as strings 21.4 MB
     rng = random.Random(2)
     clauses = [
         [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 6), 3)] for _ in range(6)

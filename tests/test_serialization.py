@@ -24,6 +24,7 @@ from cnotpac.serialization import (
     dumps,
     gate_from_json,
     gate_to_json,
+    hex_to_word,
     instance_from_json,
     instance_to_json,
     parse_dimacs,
@@ -34,9 +35,10 @@ from cnotpac.serialization import (
     sample_set_to_json,
     string_to_bits,
     tableau_block,
+    word_to_hex,
 )
 from cnotpac.stabilizer import StabilizerGroup
-from cnotpac.tableau import CliffordTableau, Gate
+from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
 from formula_corpus import CORPUS, golden_formula
 from helpers import random_stabilizer_state, random_tableau
@@ -84,6 +86,32 @@ def test_bit_codec_round_trips_and_rejects_what_int_would_take():
             bits_to_string(v, n)
 
 
+def test_hex_codec_round_trips_and_rejects_what_int_would_take():
+    rng = random.Random(125)
+    for w in range(1, 261):
+        digits = -(-w // 4)
+        for v in (0, 1, 1 << (w - 1), (1 << w) - 1, rng.randrange(1 << w)):
+            word = word_to_hex(v, w)
+            assert word == format(v, "x").zfill(digits) and len(word) == digits
+            assert hex_to_word(word, w) == v
+    # int(..., 16) would take the prefix, signs, blanks, underscore,
+    # uppercase and non-ASCII digit
+    for text in ("", "0x1", "+1", "-1", " 1", "1 ", "1_0", "A", "\u0661", "\uff11", None, 1, ["1"]):
+        with pytest.raises(ValueError, match="nonempty string of lowercase hex digits"):
+            hex_to_word(text, 8)
+    for text, w in (("1", 5), ("001", 5), ("01", 4), ("0", 9)):
+        with pytest.raises(ValueError, match="expected %d hex digits, got %d" % (-(-w // 4), len(text))):
+            hex_to_word(text, w)
+    # the top digit holds w mod 4 bits, or 4 when w is a multiple of 4
+    for text, w in (("2", 1), ("4", 2), ("8", 3), ("20", 5), ("400", 10), ("8000", 15)):
+        with pytest.raises(ValueError, match="does not fit in %d bits" % w):
+            hex_to_word(text, w)
+        assert hex_to_word("%x" % (int(text, 16) - 1), w) == int(text, 16) - 1
+    for v, w in ((-1, 3), (8, 3), (16, 4), (1, 0)):
+        with pytest.raises(ValueError, match="does not fit"):
+            word_to_hex(v, w)
+
+
 def test_pauli_round_trip():
     rng = random.Random(111)
     for _ in range(40):
@@ -95,17 +123,23 @@ def test_pauli_round_trip():
             sign=rng.choice((1, -1)),
         )
         assert pauli_from_json(pauli_to_json(p)) == p
+    # x and z are W(n) words: Z on qubits 0 and 2 is z = 0b101
     assert pauli_to_json(z_power(3, 0b101, sign=-1)) == {
         "n": 3,
         "sign": -1,
-        "x": "000",
-        "z": "101",
+        "x": "0",
+        "z": "5",
+    }
+    assert pauli_to_json(PauliOperator(9, 0b100000001, 0b11)) == {
+        "n": 9, "sign": 1, "x": "101", "z": "003"
     }
     for bad in (
-        {"n": 2, "sign": 2, "x": "01", "z": "00"},
+        {"n": 2, "sign": 2, "x": "2", "z": "0"},
         {"n": 0, "sign": 1, "x": "", "z": ""},
-        {"n": 2, "sign": 1, "x": "011", "z": "00"},
-        {"sign": 1, "x": "01", "z": "00"},
+        {"n": 2, "sign": 1, "x": "01", "z": "0"},
+        {"n": 2, "sign": 1, "x": "4", "z": "0"},
+        {"n": 2, "sign": 1, "x": "2", "z": "00"},
+        {"sign": 1, "x": "2", "z": "0"},
         "not an object",
     ):
         with pytest.raises(ValueError):
@@ -117,8 +151,8 @@ def one_sample_doc(s):
     return sample_set_to_json(SampleSet(s.state.n, [s]))
 
 
-# |10> (qubit 0 set) measured on -Z_0 with label 1: a table of -ZI, +ZI,
-# +IZ, whose last two entries are the state's key tuple
+# |10> (qubit 0 set) measured on -Z_0 with label 1: a table of -ZI and
+# one 'states' entry, the key tuple (Z_0, Z_1)
 _DOC = one_sample_doc(
     Sample(StabilizerGroup.computational_basis(2, 1), z_power(2, 1, sign=-1), Fraction(1))
 )
@@ -249,34 +283,27 @@ def test_reduction_output_serializes():
 
 def _reference_json(ss):
     """sample_set_to_json built the plain way, from Pauli objects told apart
-    by ==: 'paulis' lists the distinct Paulis in order of first use (each
-    sample's measurement, then, when its generators' unsigned tuple is new,
-    that tuple), and 'states' the distinct unsigned tuples."""
-    paulis, tuples, states, samples = [], [], [], []
-
-    def at(p):
-        if p not in paulis:
-            paulis.append(p)
-        return paulis.index(p)
-
+    by ==: 'paulis' lists the distinct measurements in order of first use,
+    and 'states' the distinct unsigned generator tuples, each as its keys."""
+    paulis, tuples, samples = [], [], []
     for s in ss.samples:
-        measurement = at(s.measurement)
+        if s.measurement not in paulis:
+            paulis.append(s.measurement)
         gens = s.state.generators
         unsigned = tuple(PauliOperator(g.n, g.x, g.z) for g in gens)
         if unsigned not in tuples:
             tuples.append(unsigned)
-            states.append([at(g) for g in unsigned])
         samples.append({
             "label": str(s.label),
-            "measurement": measurement,
-            "signs": "".join(str(g.sign_bit) for g in gens),
+            "measurement": paulis.index(s.measurement),
+            "signs": word_to_hex(sum(g.sign_bit << k for k, g in enumerate(gens)), ss.n),
             "state": tuples.index(unsigned),
         })
     return {
         "n": ss.n,
         "paulis": [pauli_to_json(p) for p in paulis],
         "samples": samples,
-        "states": states,
+        "states": [[word_to_hex(g.key(), 2 * ss.n) for g in t] for t in tuples],
     }
 
 
@@ -410,7 +437,8 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
     obj = sample_set_to_json(ss)
     table, states = obj["paulis"], obj["states"]
     assert len({json.dumps(e, sort_keys=True) for e in table}) == len(table)
-    assert len(table) < sum(1 + len(states[s["state"]]) for s in obj["samples"])
+    # the table holds the distinct measurements only
+    assert len(table) == len({(s.key, s.sign) for s in ss}) < len(obj["samples"])
     # one 'states' entry per distinct key tuple, far fewer than samples
     assert len({tuple(e) for e in states}) == len(states) < len(obj["samples"])
     made = []
@@ -428,15 +456,13 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
         p = pauli_from_json(table[entry["measurement"]])
         assert (s.key, s.sign) == (p.key(), p.sign_bit)
     # states: the key tuple of a 'states' entry and the sample's sign
-    # bits, with the key tuple and the table shared by every group with
+    # mask, with the key tuple and the table shared by every group with
     # those keys, so no Pauli object is made per state
     shared = {}  # key tuple -> (keys, table) of its first group
     for entry, s in zip(obj["samples"], back.samples):
         group = s.state
-        paulis = [pauli_from_json(table[i]) for i in states[entry["state"]]]
-        assert group.keys == tuple(p.key() for p in paulis)
-        assert {p.sign for p in paulis} == {1}
-        assert group.signs == string_to_bits(entry["signs"])
+        assert group.keys == tuple(int(word, 16) for word in states[entry["state"]])
+        assert group.signs == int(entry["signs"], 16)
         first = shared.setdefault(group.keys, (group.keys, group._table))
         assert first[0] is group.keys and first[1] is group._table
     # no Pauli object, per table entry or per state
@@ -444,17 +470,19 @@ def test_one_load_shares_one_pauli_per_distinct_value(monkeypatch):
 
 
 def twin_sample_set(field, value, where):
-    """A two-sample set whose second sample uses, in its state's 'states'
-    entry or as its measurement (where), a table entry that repeats one of
-    the first sample's Paulis with field set to value: a twin that hashes
-    like the valid entry."""
+    """A two-sample set whose 'paulis' table repeats the first sample's
+    measurement with field set to value: a twin that hashes like the valid
+    entry.  The second sample measures the twin (where 'measurement'), or
+    measures what the first does and names a second 'states' entry that
+    repeats the first's keys (where 'state'), so that no sample names the
+    twin: a state names keys, not table entries."""
     n = 3 if value == 3.0 else 1
     doc = one_sample_doc(Sample(StabilizerGroup.zero_state(n), z_power(n, 1), Fraction(1)))
     twin = dict(doc["paulis"][0], **{field: value})
     second = copy.deepcopy(doc["samples"][0])
     states = copy.deepcopy(doc["states"])
     if where == "state":
-        states.append([len(doc["paulis"])] + states[0][1:])
+        states.append(list(states[0]))
         second["state"] = 1
     else:
         second["measurement"] = len(doc["paulis"])
@@ -632,15 +660,14 @@ def _with_entry(entry):
 
 
 def test_indices_name_table_entries():
-    assert _DOC["paulis"] == [
-        pauli_to_json(p) for p in (z_power(2, 1, sign=-1), z_power(2, 1), z_power(2, 2))
-    ]
-    assert _DOC["states"] == [[1, 2]]
-    assert _DOC["samples"] == [{"label": "1", "measurement": 0, "signs": "10", "state": 0}]
-    s = sample_set_from_json(dict(_with_entry([2, 1]), samples=[_sample(measurement=2)])).samples[0]
-    assert s.measurement == z_power(2, 2)
-    # the state is read off entries 2 (+Z on qubit 1) and 1 (+Z on qubit 0)
-    # and the sign bits "10": generator 0 is negated
+    assert _DOC["paulis"] == [pauli_to_json(z_power(2, 1, sign=-1))]
+    # the keys of Z_0 and Z_1 are 1 << 2 and 1 << 3, as W(4) words
+    assert _DOC["states"] == [["4", "8"]]
+    assert _DOC["samples"] == [{"label": "1", "measurement": 0, "signs": "1", "state": 0}]
+    s = sample_set_from_json(_with_entry(["8", "4"])).samples[0]
+    assert s.measurement == z_power(2, 1, sign=-1)
+    # the state is read off the keys of +Z on qubit 1 and +Z on qubit 0
+    # and the sign mask 1: generator 0 is negated
     assert s.state.keys == (z_power(2, 2).key(), z_power(2, 1).key())
     assert s.state.signs == 0b01
     assert s.state == StabilizerGroup.computational_basis(2, 0b10)
@@ -671,16 +698,18 @@ def _gate_on_3(obj):
         (circuit_from_json, {"n": 2, "gates": [{"name": "h", "qubit": "0"}]}, "'qubit'"),
         (circuit_from_json, {"n": 10 ** 18, "gates": []}, "'n'"),
         (instance_from_json, {"size": True, "m0": ["1"], "ms": []}, "'size'"),
-        (sample_set_from_json, _with(measurement=True), r"index True is not an integer in \[0, 3\)"),
-        (sample_set_from_json, _with_entry([1.0, 2]), r"Pauli index 1\.0 is not"),
+        (sample_set_from_json, _with(measurement=True), r"index True is not an integer in \[0, 1\)"),
+        (sample_set_from_json, _with(measurement=1.0), r"Pauli index 1\.0 is not"),
         (sample_set_from_json, _with(measurement=-1), "Pauli index -1 is not"),
-        (sample_set_from_json, _with_entry([1, 3]), "Pauli index 3 is not"),
+        (sample_set_from_json, _with(measurement=1), "Pauli index 1 is not"),
         (sample_set_from_json, _with(measurement="0"), "Pauli index '0' is not"),
         (sample_set_from_json, dict(_DOC, n=3), "'paulis' must hold 3-qubit Paulis"),
         (sample_set_from_json, {"n": 2, "samples": []}, "'paulis' must be a list"),
         (sample_set_from_json, dict(_DOC, paulis={}), "'paulis' must be a list"),
         (sample_set_from_json, dict(_DOC, paulis=[{}]), "Pauli field 'n'"),
         (sample_from_json, _sample(label=1.0), "label"),
+        (pauli_from_json, _pauli(x="02"), "Pauli field 'x'"),
+        (pauli_from_json, _pauli(z=1), "Pauli field 'z'"),
     ],
 )
 def test_loaders_reject_wrong_typed_fields(loader, obj, field):
@@ -688,62 +717,64 @@ def test_loaders_reject_wrong_typed_fields(loader, obj, field):
         loader(obj)
 
 
-# 'states' entries whose good index comes before a bad one, each with the
-# error it must raise: the message names the entry and its first bad index.
+_NOT_HEX = "expected a nonempty string of lowercase hex digits, got %r"
+_ENTRY_0 = "sample set field 'states' entry 0: "
+
+# 'states' entries whose good key comes before a bad one, each with the
+# error it must raise: the message names the entry and its first bad key.
 BAD_STATE_DOCS = [
-    (
-        _with_entry(entry),
-        "sample set field 'states' entry 0: Pauli index %s is not an integer in [0, 3)" % shown,
-    )
-    for entry, shown in [
-        ([1, True], "True"),
-        ([1, 1.0], "1.0"),
-        ([1, -1], "-1"),
-        ([1, 3], "3"),
-        ([1, "0"], "'0'"),
-        ([1, None], "None"),
-        ([1, "a"], "'a'"),
+    (_with_entry(["4", word]), _ENTRY_0 + "key 1: " + message)
+    for word, message in [
+        (True, _NOT_HEX % True),
+        (1.0, _NOT_HEX % 1.0),
+        ("-8", _NOT_HEX % "-8"),
+        ("08", "expected 1 hex digits, got 2"),
+        ("\u0668", _NOT_HEX % "\u0668"),
+        (None, _NOT_HEX % None),
+        ("A", _NOT_HEX % "A"),
     ]
 ]
 BAD_STATE_IDS = ["true", "float", "negative", "past-end", "digit-string", "null", "string"]
 
 
-# 'states' entries of valid indices whose Paulis make no group, after a good
+# 'states' entries of valid words whose keys make no group, after a good
 # entry: the loader must raise, word for word after the entry's name, what
-# StabilizerGroup raises for those Paulis.
-_GROUP_TABLE = [z_power(2, 1), z_power(2, 1, sign=-1), z_power(2, 2), PauliOperator(2, 0, 0), x_power(2, 1)]
+# StabilizerGroup raises for the generators of those keys.
 SECOND_ENTRY = "sample set field 'states' entry 1: "
+_NO_GROUPS = [
+    ([PauliOperator(2, 0, 0), z_power(2, 2)], "identity cannot be a generator"),
+    ([z_power(2, 2)], "a pure state on 2 qubits needs exactly 2 generators"),
+    ([z_power(2, 1), z_power(2, 1)], "generators are dependent"),
+    ([z_power(2, 1), x_power(2, 1)], "generators 0 and 1 anticommute"),
+]
 BAD_GROUP_DOCS = [
     (
         {
             "n": 2,
-            "paulis": [pauli_to_json(p) for p in _GROUP_TABLE],
+            "paulis": [pauli_to_json(z_power(2, 2))],
             "samples": [
-                {"label": "1", "measurement": 2, "signs": "00", "state": 0},
-                {"label": "1", "measurement": 2, "signs": "00", "state": 1},
+                {"label": "1", "measurement": 0, "signs": "0", "state": 0},
+                {"label": "1", "measurement": 0, "signs": "0", "state": 1},
             ],
-            "states": [[0, 2], state],
+            "states": [["4", "8"], [word_to_hex(p.key(), 4) for p in gens]],
         },
         message,
     )
-    for state, message in [
-        ([3, 2], "identity cannot be a generator"),
-        ([2], "a pure state on 2 qubits needs exactly 2 generators"),
-        ([0, 1], "generators are dependent"),
-        ([0, 4], "generators 0 and 1 anticommute"),
-    ]
+    for gens, message in _NO_GROUPS
 ]
 BAD_GROUP_IDS = ["identity", "one-short", "dependent", "anticommuting"]
 
 
-@pytest.mark.parametrize("doc, message", BAD_GROUP_DOCS, ids=BAD_GROUP_IDS)
-def test_a_state_that_is_no_group_is_refused_with_the_constructor_message(doc, message):
+@pytest.mark.parametrize(
+    "doc, message, gens", [d + (g,) for d, (g, _) in zip(BAD_GROUP_DOCS, _NO_GROUPS)],
+    ids=BAD_GROUP_IDS,
+)
+def test_a_state_that_is_no_group_is_refused_with_the_constructor_message(doc, message, gens):
     with pytest.raises(ValueError) as err:
         sample_set_from_json(json.loads(dumps(doc)))
     assert str(err.value) == SECOND_ENTRY + message
-    table = [pauli_from_json(e) for e in doc["paulis"]]
     with pytest.raises(ValueError) as err:
-        StabilizerGroup([table[i] for i in doc["states"][1]])
+        StabilizerGroup(gens)
     assert str(err.value) == message
 
 
@@ -754,33 +785,42 @@ def _without(field):
     return dict(_DOC, samples=[sample])
 
 
-_ENTRY_0 = "sample set field 'states' entry 0: "
+# a 5-qubit sample set, whose W(5) words have two digits and W(10) three
+_DOC5 = one_sample_doc(
+    Sample(
+        StabilizerGroup.computational_basis(5, 0b10110),
+        PauliOperator(5, 0b00011, 0b10100, sign=-1),
+        Fraction(1, 2),
+    )
+)
 _STATE = "sample field 'state' must be an index in [0, 1) of 'states'"
 _SIGNS = "sample field 'signs': "
-_NOT_BITS = _SIGNS + "expected a nonempty string of 0s and 1s, got "
-# Malformed 'states', 'state' and 'signs' fields beyond the bad indices and
+# Malformed 'states', 'state' and 'signs' fields beyond the bad keys and
 # non-groups above, each with the message, naming the field, that it raises.
 BAD_FIELD_CASES = [
-    ("states-not-a-list", dict(_DOC, states={"0": [1, 2]}), "sample set field 'states' must be a list"),
+    ("states-not-a-list", dict(_DOC, states={"0": ["4", "8"]}), "sample set field 'states' must be a list"),
     ("no-states", {k: v for k, v in _DOC.items() if k != "states"}, "sample set field 'states' must be a list"),
-    ("entry-not-a-list", _with_entry(5), _ENTRY_0 + "must list Pauli indices"),
+    ("entry-not-a-list", _with_entry(5), _ENTRY_0 + "must list generator keys"),
     ("entry-empty", _with_entry([]), _ENTRY_0 + "need at least one generator"),
-    ("entry-one-long", _with_entry([1, 2, 1]), _ENTRY_0 + "a pure state on 2 qubits needs exactly 2 generators"),
-    ("entry-negated", _with_entry([0, 2]), _ENTRY_0 + "names a negated Pauli; a sample's 'signs' carry the signs"),
+    ("entry-one-long", _with_entry(["4", "8", "4"]), _ENTRY_0 + "a pure state on 2 qubits needs exactly 2 generators"),
     ("state-missing", _without("state"), _STATE),
-    ("state-old-list", _with(state=[1, 2]), _STATE),
+    ("state-old-list", _with(state=["4", "8"]), _STATE),
     ("state-true", _with(state=True), _STATE),
     ("state-float", _with(state=0.0), _STATE),
     ("state-negative", _with(state=-1), _STATE),
     ("state-past-end", _with(state=1), _STATE),
-    ("signs-missing", _without("signs"), _NOT_BITS + "None"),
-    ("signs-int", _with(signs=10), _NOT_BITS + "10"),
-    ("signs-list", _with(signs=["1", "0"]), _NOT_BITS + "['1', '0']"),
-    ("signs-empty", _with(signs=""), _NOT_BITS + "''"),
-    ("signs-short", _with(signs="1"), _SIGNS + "expected 2 bits, got 1"),
-    ("signs-long", _with(signs="100"), _SIGNS + "expected 2 bits, got 3"),
-    ("signs-letter", _with(signs="1x"), _NOT_BITS + "'1x'"),
-    ("signs-plus", _with(signs="+1"), _NOT_BITS + "'+1'"),
+    ("signs-missing", _without("signs"), _SIGNS + _NOT_HEX % None),
+    ("signs-int", _with(signs=1), _SIGNS + _NOT_HEX % 1),
+    ("signs-list", _with(signs=["1"]), _SIGNS + _NOT_HEX % ["1"]),
+    ("signs-empty", _with(signs=""), _SIGNS + _NOT_HEX % ""),
+    (
+        "signs-short",
+        dict(_DOC5, samples=[dict(_DOC5["samples"][0], signs="6")]),
+        _SIGNS + "expected 2 hex digits, got 1",
+    ),
+    ("signs-long", _with(signs="01"), _SIGNS + "expected 1 hex digits, got 2"),
+    ("signs-letter", _with(signs="x"), _SIGNS + _NOT_HEX % "x"),
+    ("signs-plus", _with(signs="+1"), _SIGNS + _NOT_HEX % "+1"),
 ]
 BAD_FIELD_IDS = [case[0] for case in BAD_FIELD_CASES]
 BAD_FIELD_DOCS = [case[1:] for case in BAD_FIELD_CASES]
@@ -790,6 +830,120 @@ BAD_FIELD_DOCS = [case[1:] for case in BAD_FIELD_CASES]
     "doc, message", BAD_STATE_DOCS + BAD_FIELD_DOCS, ids=BAD_STATE_IDS + BAD_FIELD_IDS
 )
 def test_a_bad_state_index_after_good_ones_is_named(doc, message):
+    with pytest.raises(ValueError) as err:
+        sample_set_from_json(json.loads(dumps(doc)))
+    assert str(err.value) == message
+
+
+def _put_word(field, word):
+    """A copy of _DOC5 with word as its field: a 'paulis' entry's x or z,
+    a sample's signs, or key 2 of its 'states' entry."""
+    doc = copy.deepcopy(_DOC5)
+    if field in ("x", "z"):
+        doc["paulis"][0][field] = word
+    elif field == "signs":
+        doc["samples"][0]["signs"] = word
+    else:
+        doc["states"][0][2] = word
+    return doc
+
+
+def to_bit_string_layout(obj):
+    """obj in the layout before hex words, in place: 'paulis' entries carry
+    x and z as bit strings and list each state's generators with sign 1,
+    a 'states' entry lists their indices, and 'signs' is a bit string."""
+    n = obj["n"]
+    paulis = obj["paulis"]
+    for entry in paulis:
+        entry["x"], entry["z"] = (bits_to_string(int(entry[f], 16), n) for f in "xz")
+
+    def at(word):
+        key = int(word, 16)
+        x, z = bits_to_string(key & (1 << n) - 1, n), bits_to_string(key >> n, n)
+        entry = {"n": n, "sign": 1, "x": x, "z": z}
+        if entry not in paulis:
+            paulis.append(entry)
+        return paulis.index(entry)
+
+    obj["states"] = [[at(word) for word in entry] for entry in obj["states"]]
+    for s in obj["samples"]:
+        s["signs"] = bits_to_string(int(s["signs"], 16), n)
+    return obj
+
+
+def _old_states(doc):
+    """doc with only its 'states' in the bit-string layout."""
+    old = to_bit_string_layout(copy.deepcopy(doc))
+    return dict(doc, states=old["states"])
+
+
+def _old_signs(doc):
+    """doc with only its 'signs' in the bit-string layout."""
+    old = to_bit_string_layout(copy.deepcopy(doc))
+    return dict(doc, samples=old["samples"])
+
+
+# (id, W(5) word, W(10) word, what refuses it): words that int(word, 16)
+# reads, and words that break the width rule
+_BAD_WORDS = [
+    ("uppercase", "1A", "01A", "digits"),
+    ("narrow", "1", "01", "width"),
+    ("wide", "003", "0003", "width"),
+    ("long", "0" * 10 ** 5, "0" * 10 ** 5, "width"),  # the message does not echo it
+    ("overflow", "20", "400", "value"),
+    ("hex-prefix", "0x1", "0x1", "digits"),
+    ("blank", " 1", " 01", "digits"),
+    ("plus", "+1", "+01", "digits"),
+    ("underscore", "1_0", "1_0", "digits"),
+    ("non-ascii-digit", "1\u0663", "01\u0663", "digits"),
+    ("not-a-string", 17, 17, "digits"),
+    ("empty", "", "", "digits"),
+]
+_FIELD_PREFIX = {
+    "x": "Pauli field 'x': ",
+    "z": "Pauli field 'z': ",
+    "signs": _SIGNS,
+    "key": _ENTRY_0 + "key 2: ",
+}
+
+
+def _word_message(word, digits, w, refused_by):
+    if refused_by == "digits":
+        return _NOT_HEX % (word,)
+    if refused_by == "width":
+        return "expected %d hex digits, got %d" % (digits, len(word))
+    return "%r does not fit in %d bits" % (word, w)
+
+
+# (field, digits, bits): x, z and signs of _DOC5 are W(5) words, a state key W(10)
+_WORD_FIELDS = [("x", 2, 5), ("z", 2, 5), ("signs", 2, 5), ("key", 3, 10)]
+# Each word field of _DOC5 with each bad word, and files in the layout
+# before hex words, whole or in part; each with the message, naming the
+# field, that it raises.
+BAD_WORD_CASES = [
+    (
+        "%s-%s" % (field, name),
+        _put_word(field, word),
+        _FIELD_PREFIX[field] + _word_message(word, digits, w, refused_by),
+    )
+    for field, digits, w in _WORD_FIELDS
+    for name, short, long, refused_by in _BAD_WORDS
+    for word in [long if digits == 3 else short]
+] + [
+    ("old-index-list-states", _old_states(_DOC5), _ENTRY_0 + "key 0: " + _NOT_HEX % 1),
+    ("old-bit-string-signs", _old_signs(_DOC5), _SIGNS + "expected 2 hex digits, got 5"),
+    (
+        "old-bit-string-layout",
+        to_bit_string_layout(copy.deepcopy(_DOC5)),
+        "Pauli field 'x': expected 2 hex digits, got 5",
+    ),
+]
+BAD_WORD_IDS = [case[0] for case in BAD_WORD_CASES]
+BAD_WORD_DOCS = [case[1:] for case in BAD_WORD_CASES]
+
+
+@pytest.mark.parametrize("doc, message", BAD_WORD_DOCS, ids=BAD_WORD_IDS)
+def test_a_bad_word_is_refused_naming_its_field(doc, message):
     with pytest.raises(ValueError) as err:
         sample_set_from_json(json.loads(dumps(doc)))
     assert str(err.value) == message
@@ -831,7 +985,57 @@ def test_states_that_share_a_key_tuple_round_trip(ss):
     assert sample_set_dumps(back) == sample_set_dumps(ss)
 
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+@st.composite
+def wide_sample_sets(draw):
+    """Sample sets at n = 1..130 over one or two generic states and
+    measurements whose x, z and sign masks are often 0 or full, so every
+    digit of a word, the top one included, is exercised."""
+    n = draw(st.integers(1, 130))
+    full = (1 << n) - 1
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    bases = [
+        apply_circuit_to_state(random_tableau(rng, n, 3 * n), StabilizerGroup.zero_state(n))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    bits = st.integers(0, full) | st.sampled_from((0, full))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, z = draw(bits), draw(bits)
+        assume(x or z)
+        measurement = PauliOperator(n, x, z, sign=draw(st.sampled_from((1, -1))))
+        state = draw(st.sampled_from(bases)).flip(draw(bits))
+        label = draw(st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1))))
+        samples.append(Sample(state, measurement, label))
+    return SampleSet(n, samples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_sample_sets())
+@example(SampleSet(130, [
+    Sample(
+        StabilizerGroup.computational_basis(130, (1 << 130) - 1),
+        PauliOperator(130, (1 << 130) - 1, (1 << 130) - 1, sign=-1),
+        Fraction(1, 2),
+    )
+]))
+@example(SampleSet(1, [Sample(StabilizerGroup.computational_basis(1, 1), x_power(1, 1), Fraction(1, 2))]))
+@example(SampleSet(6, [Sample(StabilizerGroup.computational_basis(6, 32), z_power(6, 33), Fraction(0))]))
+def test_sample_sets_round_trip_at_every_width(ss):
+    n = ss.n
+    obj = json.loads(dumps(sample_set_to_json(ss)))
+    # every word has its width exactly: W(n) for x, z and signs, W(2n) for keys
+    words = [e[f] for e in obj["paulis"] for f in "xz"] + [s["signs"] for s in obj["samples"]]
+    assert {len(word) for word in words} == {-(-n // 4)}
+    assert {len(word) for entry in obj["states"] for word in entry} == {-(-n // 2)}
+    back = sample_set_from_json(obj)
+    assert back.n == n and back.samples == ss.samples
+    for s, t in zip(ss.samples, back.samples):
+        assert (t.state.keys, t.state.signs) == (s.state.keys, s.state.signs)
+        assert (t.key, t.sign, t.code) == (s.key, s.sign, s.code)
+    assert sample_set_dumps(back) == sample_set_dumps(ss)
+
+
+README =pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_the_readme_sample_set_example_is_the_canonical_dump():
@@ -931,15 +1135,19 @@ def _slots(node):
         yield from _slots(child)
 
 
-def _in_new_field(doc, node, key):
-    """Whether slot (node, key) is the 'states' table, inside it, or a
-    sample's 'state' or 'signs'."""
+def _in_word_field(doc, node, key):
+    """Whether slot (node, key) is a word: a 'paulis' entry's x or z, a
+    sample's 'signs', or a key of a 'states' entry."""
     states = doc.get("states") if isinstance(doc, dict) else None
-    if node is doc:
-        return key == "states"
-    if isinstance(states, list) and (node is states or any(node is e for e in states)):
+    if isinstance(states, list) and any(node is e for e in states):
         return True
-    return isinstance(node, dict) and key in ("state", "signs") and "label" in node
+    if isinstance(node, dict) and "label" in node:
+        return key == "signs"
+    return isinstance(node, dict) and "sign" in node and key in ("x", "z")
+
+
+# near-words: hex digits with the characters int(s, 16) also takes
+words = st.text("0123456789abcdefABx_ +-\u0663", max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -958,13 +1166,14 @@ def test_loaders_raise_only_value_error_on_mutated_documents(which, data):
         slots = list(_slots(doc))
         if not slots:
             break
-        # half the time the edit lands in 'states' or a sample's 'state' or 'signs'
-        new_fields = [(node, key) for node, key in slots if _in_new_field(doc, node, key)]
-        if new_fields and data.draw(st.booleans()):
-            slots = new_fields
+        # half the time the edit lands in a word field, often as a near-word
+        in_words = [(node, key) for node, key in slots if _in_word_field(doc, node, key)]
+        values = json_trees
+        if in_words and data.draw(st.booleans()):
+            slots, values = in_words, words | json_trees
         node, key = data.draw(st.sampled_from(slots))
         if data.draw(st.booleans()):
-            node[key] = data.draw(json_trees)
+            node[key] = data.draw(values)
         elif isinstance(node, dict):
             del node[key]
         else:

@@ -126,19 +126,39 @@ def test_no_internal_path_reads_a_measurement_or_builds_a_pauli():
 
 
 # the sample-set reader's functions: they parse each 'paulis' entry to its
-# key and sign bit, and build no Pauli object
-READER_FUNCTIONS = ("sample_set_from_json", "_state_table_entry", "_sample_from_json")
+# key and sign bit and each word with hex_to_word, and build no Pauli object
+READER_FUNCTIONS = (
+    "sample_set_from_json", "_state_entry", "_sample_from_json", "_pauli_fields", "_word_field",
+)
+
+
+def _reader_calls(source, names):
+    """Lines in the reader's functions that call a function named in names,
+    and the names of the reader functions found."""
+    defs = [
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in READER_FUNCTIONS
+    ]
+    lines = [line for node in defs for line in _calls(node, names)]
+    return sorted(lines), {node.name for node in defs}
 
 
 def _reader_pauli_builds(source):
     """Lines in the reader's functions that call pauli_from_json(...) or
     PauliOperator(...), and the names of the reader functions found."""
-    defs = [
-        node for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef) and node.name in READER_FUNCTIONS
-    ]
-    lines = [line for node in defs for line in _calls(node, {"pauli_from_json", "PauliOperator"})]
-    return sorted(lines), {node.name for node in defs}
+    return _reader_calls(source, {"pauli_from_json", "PauliOperator"})
+
+
+def _reader_bit_strings(source):
+    """Lines in the reader's functions that call string_to_bits(...): a
+    sample set's values are hex words, read by hex_to_word."""
+    return _reader_calls(source, {"string_to_bits"})
+
+
+def _line_of(source, line):
+    """The 1-based number of the one line of source equal to line."""
+    assert source.count(line) == 1, line
+    return source[:source.index(line)].count("\n") + 1
 
 
 def test_the_guard_sees_a_pauli_built_by_the_reader():
@@ -146,20 +166,30 @@ def test_the_guard_sees_a_pauli_built_by_the_reader():
     # mutants: the table parsed to objects, and a state's Paulis rebuilt
     line = "    measurements = [_pauli_fields(entry) for entry in table]\n"
     mutant = source.replace(line, "    measurements = [pauli_from_json(entry) for entry in table]\n")
-    assert source.count(line) == 1
-    assert _reader_pauli_builds(mutant)[0] == [source[:source.index(line)].count("\n") + 1]
-    line = "    named = [_table_entry(measurements, i) for i in entry]\n"
+    assert _reader_pauli_builds(mutant)[0] == [_line_of(source, line)]
+    line = "    return StabilizerGroup._from_keys(n, tuple(keys))\n"
     extra = "    PauliOperator(n, 0, 1)\n"
-    assert source.count(line) == 1
-    mutant = source.replace(line, line + extra)
-    assert _reader_pauli_builds(mutant)[0] == [source[:source.index(line)].count("\n") + 2]
+    mutant = source.replace(line, extra + line)
+    assert _reader_pauli_builds(mutant)[0] == [_line_of(source, line)]
     # a build outside the reader's functions is not the reader's
     assert _reader_pauli_builds(source + "p = PauliOperator(1, 0, 1)\n")[0] == []
+
+
+def test_the_guard_sees_a_bit_string_read_by_the_reader():
+    source = (SRC / "serialization.py").read_text()
+    # a mutant: a sample's sign mask read as the old bit string
+    line = '    mask = _word_field(obj, "signs", base.n, "sample")\n'
+    mutant = source.replace(line, '    mask = string_to_bits(obj.get("signs"), base.n)\n')
+    assert _reader_bit_strings(mutant)[0] == [_line_of(source, line)]
+    # the instance and tableau readers are not the reader's
+    assert _calls(ast.parse(source), {"string_to_bits"})
+    assert _reader_bit_strings(source + "v = string_to_bits('01')\n")[0] == []
 
 
 def test_the_sample_set_reader_builds_no_pauli():
     source = (SRC / "serialization.py").read_text()
     assert _reader_pauli_builds(source) == ([], set(READER_FUNCTIONS))
+    assert _reader_bit_strings(source) == ([], set(READER_FUNCTIONS))
 
 
 def _fold_triples(source):
