@@ -17,15 +17,13 @@ from .gf2 import (
     deterministic_completion,
     dot,
 )
-from .pauli import PauliOperator, x_power, z_power
+from .pauli import PauliOperator, z_power
 from .stabilizer import Membership, StabilizerGroup, StabilizerState
 from .tableau import (
     CliffordTableau,
     Gate,
     apply_circuit_to_state,
     evaluate_sample,
-    is_symplectic,
-    lambda_matrix,
 )
 from .cnot import CnotCircuit, synthesize_cnot_from_theta
 from .samples import Sample, SampleSet
@@ -52,7 +50,6 @@ from .reduction import (
     instance_to_samples,
     reduce_formula_to_samples,
     reduce_sat_to_samples,
-    validate_simplified,
 )
 from .search import (
     DecisionSearchResult,
@@ -83,8 +80,6 @@ from .serialization import (
     instance_from_json,
     instance_to_json,
     parse_dimacs,
-    pauli_from_json,
-    pauli_to_json,
     sample_set_from_json,
     sample_set_to_json,
 )

@@ -137,12 +137,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls([1 << i for i in range(n)], n)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(list(self.rows), self.n_cols)
-
-    def to_dense(self) -> list:
-        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
-
     def transpose(self) -> "BitMatrix":
         """M^T; its rows are M's columns, so a matrix built from packed
         columns is BitMatrix(cols, n_rows).transpose()."""
@@ -224,10 +218,6 @@ class BitMatrix:
         # clears those, making the offset the least solution (the search's q)
         return AffineSubspace(n, x0, self._null_basis(table))
 
-    def null_space(self) -> list:
-        """Basis (list of packed vectors) of the kernel {x : M x = 0}."""
-        return self._null_basis(_echelon(self.rows, self.n_cols))
-
     def _null_basis(self, table: dict) -> list:
         """Per free column f, highest first: e_f + the pivots whose row has bit f."""
         basis = []
@@ -286,12 +276,6 @@ class AffineSubspace:
         span = BitMatrix(self.basis, self.n)
         for mask in range(1 << len(self.basis)):
             yield self.offset ^ span.premul_vec(mask)
-
-    def constraints(self) -> tuple:
-        """A linear system (C, d) with self == {x : C x = d}."""
-        span = BitMatrix(list(self.basis), self.n)
-        c = BitMatrix(span.null_space(), self.n)
-        return c, c.mul_vec(self.offset)
 
     def __eq__(self, other) -> bool:
         return (

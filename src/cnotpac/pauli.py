@@ -147,15 +147,9 @@ class PauliOperator:
             raise ValueError("qubit count mismatch")
 
 
-def x_power(n: int, v: int, sign: int = 1) -> PauliOperator:
-    """X^v = product of X_i over the set bits of v."""
-    return PauliOperator(n, v, 0, sign=sign)
-
-
 def z_power(n: int, v: int, sign: int = 1) -> PauliOperator:
     """Z^v = product of Z_i over the set bits of v."""
     return PauliOperator(n, 0, v, sign=sign)
-
 
 
 def _operators(n: int, keys, signs: int) -> tuple:

@@ -89,19 +89,10 @@ def graph_to_instance(
     return NonSingularityInstance(size, m0, ms)
 
 
-def validate_simplified(inst: NonSingularityInstance) -> bool:
-    """Shape check for the sample encoding.
-
-    Every column touched by a variable matrix must have nonzero and
-    distinct columns in M0 and that M_i, and no column may be touched by
-    two different variables.
-    """
-    return _simplified_columns(inst) is not None
-
-
 def _simplified_columns(inst: NonSingularityInstance) -> Optional[tuple]:
-    """(columns of M0, [columns of each M_i]) when the instance has the
-    simplified shape, else None: the one column read of the instance."""
+    """(columns of M0, [columns of each M_i]) when every column that an M_i
+    touches is nonzero in M0, differs from M_i's and is touched by no other
+    M_j (the simplified shape), else None: the one column read of the instance."""
     m0_cols = inst.m0.transpose().rows
     ms_cols = [m.transpose().rows for m in inst.ms]
     seen = set()

@@ -24,8 +24,7 @@ theta with its q = 0 tableau and scores all 2^n sign vectors q at once
 as a bitmask, since q moves only the phase of a measurement's image, by
 2 |q & z|.  Those tableaus do not depend on the samples, so they are
 built through to_tableau once per process and n, on first use
-(_gl_tableaus): at n = 4 that is about 0.28 s once, and about 5 MB
-held.
+(_gl_tableaus).
 
 search_from_decision asks its oracle about the input set extended by
 pin samples.  The compile is a fold over the samples in order, so for
@@ -419,7 +418,7 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     through the tableau evaluation path, so this is the reference the
     fast search is checked against.  The q = 0 tableaus do not depend on
     the samples: they are built once per process through to_tableau
-    (_gl_tableaus), at n = 4 in about 0.28 s and held as about 5 MB.
+    (_gl_tableaus).
     Each (theta, q) gets the label code sample_code gives its tableau,
     but all 2^n q of a theta are scored at once, as a bitmask alive
     whose bit q stays set while (theta, q) matches every sample so far.

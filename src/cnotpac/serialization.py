@@ -37,7 +37,6 @@ from typing import List, Optional, Union
 
 from .cnot import CnotCircuit
 from .gf2 import BitMatrix
-from .pauli import PauliOperator
 from .reduction import NonSingularityInstance
 from .samples import Sample, SampleSet
 from .stabilizer import StabilizerGroup
@@ -72,6 +71,14 @@ def dumps(obj) -> str:
     return _canonical(obj) + "\n"
 
 
+def _echo(value) -> str:
+    """repr(value) for an error message: past 40 characters, its first 40
+    and the length of the string (or of the repr, for another value)."""
+    text = repr(value)
+    size = len(value) if isinstance(value, str) else len(text)
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:40], size)
+
+
 def bits_to_string(v: int, n: int) -> str:
     if v < 0 or v >> n:
         raise ValueError("value does not fit in %d bits" % n)
@@ -82,7 +89,7 @@ def bits_to_string(v: int, n: int) -> str:
 def string_to_bits(s: str, n: Optional[int] = None) -> int:
     # int() alone would also take "+1", " 1", "1_0" and non-ASCII digits
     if not isinstance(s, str) or not s or s.strip("01"):
-        raise ValueError("expected a nonempty string of 0s and 1s, got %r" % (s,))
+        raise ValueError("expected a nonempty string of 0s and 1s, got %s" % _echo(s))
     if n is not None and len(s) != n:
         raise ValueError("expected %d bits, got %d" % (n, len(s)))
     return int(s[::-1], 2)
@@ -105,13 +112,13 @@ def hex_to_word(s: str, w: int) -> int:
     # int(s, 16) alone would also take "0x1", " 1", "+1", "1_0", "A" and
     # non-ASCII digits
     if not isinstance(s, str) or not s or s.strip("0123456789abcdef"):
-        raise ValueError("expected a nonempty string of lowercase hex digits, got %r" % (s,))
+        raise ValueError("expected a nonempty string of lowercase hex digits, got %s" % _echo(s))
     digits = -(-w // 4)
     if len(s) != digits:
         raise ValueError("expected %d hex digits, got %d" % (digits, len(s)))
     v = int(s, 16)
     if v >> w:
-        raise ValueError("%r does not fit in %d bits" % (s, w))
+        raise ValueError("%s does not fit in %d bits" % (_echo(s), w))
     return v
 
 
@@ -135,10 +142,6 @@ def _positive_int(obj: dict, field: str, what: str) -> int:
 # Paulis, samples, sample sets
 
 
-def pauli_to_json(p: PauliOperator) -> dict:
-    return {"n": p.n, "sign": p.sign, "x": word_to_hex(p.x, p.n), "z": word_to_hex(p.z, p.n)}
-
-
 def _pauli_fields(obj) -> tuple:
     """(n, key x | z << n, sign bit) of a serialized Pauli, validated."""
     if not isinstance(obj, dict):
@@ -149,11 +152,6 @@ def _pauli_fields(obj) -> tuple:
         raise ValueError("Pauli field 'sign' must be 1 or -1")
     key = _word_field(obj, "x", n, "Pauli") | _word_field(obj, "z", n, "Pauli") << n
     return n, key, (1 - sign) // 2
-
-
-def pauli_from_json(obj) -> PauliOperator:
-    n, key, sign_bit = _pauli_fields(obj)
-    return PauliOperator(n, key & (1 << n) - 1, key >> n, sign=-1 if sign_bit else 1)
 
 
 def _state_entry(entry, n: int) -> StabilizerGroup:
@@ -185,11 +183,11 @@ def _sample_from_json(obj, measurements: List[tuple], bases: List[StabilizerGrou
     i = obj.get("measurement")
     # a bare measurements[i] would take True and wrap a negative i to the end
     if type(i) is not int or not 0 <= i < len(measurements):
-        raise ValueError("Pauli index %r is not an integer in [0, %d)" % (i, len(measurements)))
+        raise ValueError("Pauli index %s is not an integer in [0, %d)" % (_echo(i), len(measurements)))
     _, key, sign = measurements[i]
     label = obj.get("label")
     if not isinstance(label, str) or label not in _CODES_BACK:
-        raise ValueError("label must be one of '0', '1/2', '1'; got %r" % (label,))
+        raise ValueError("label must be one of '0', '1/2', '1'; got %s" % _echo(label))
     if not key:
         raise ValueError("measurement must not be the identity")
     return Sample._unchecked(base.flip(mask), key, sign, _CODES_BACK[label])
@@ -203,8 +201,8 @@ def sample_set_dumps(ss: SampleSet) -> str:
     'states' in order of first use.  A sample then costs a measurement
     lookup, a key-tuple lookup and one format of its sign mask.  Keys are
     in sorted order, as _canonical writes them; each entry's format
-    string renders exactly _canonical(pauli_to_json(p)), without a
-    json.dumps per entry.
+    string renders exactly _canonical of its {"n", "sign", "x", "z"}
+    dict, without a json.dumps per entry.
     """
     n = ss.n
     full = (1 << n) - 1
@@ -453,7 +451,7 @@ def parse_dimacs(text: str) -> List[List[int]]:
             raise DimacsError("clause before 'p cnf' header", lineno)
         for token in tokens:
             if not _is_digits(token[1:] if token.startswith("-") else token):
-                raise DimacsError("bad literal %r" % token, lineno)
+                raise DimacsError("bad literal %s" % _echo(token), lineno)
             lit = int(token)
             if lit == 0:
                 clauses.append(current)

@@ -233,11 +233,6 @@ class StabilizerGroup:
             return Membership.PLUS if p.sign == 1 else Membership.ABSENT
         return _MEMBERSHIP[self.expectation_code(*p.raw())]
 
-    def members(self):
-        """Iterate all 2^n group elements (small n only)."""
-        for mask in range(1 << self.n):
-            yield self.element(mask)
-
     def canonical_signature(self) -> tuple:
         """Hashable canonical form: fully reduced echelon keys with signs."""
         n, width = self.n, 2 * self.n

@@ -6,9 +6,9 @@ generators: image r is that of the generator whose symplectic key is
 1 << r, so X_0 .. X_{n-1} come first, then Z_0 .. Z_{n-1}, and
 conjugation folds the stored keys and signs as they are (pauli._fold).
 Pauli objects are built only for the public cols and conjugate_inverse.
-Only s_matrix, phase_bits and _image_keys (from_s_matrix, is_symplectic)
-convert to and from the external interleaved layout (X_0, Z_0, X_1, Z_1,
-...) of the symplectic matrix and the JSON block.
+Only s_matrix, phase_bits and _image_keys (from_s_matrix) convert to
+and from the external interleaved layout (X_0, Z_0, X_1, Z_1, ...) of
+the symplectic matrix and the JSON block.
 Storing inverse images makes sample evaluation a single substitution:
 tr[(I + P)/2 C rho C†] = tr[(I + C†PC)/2 rho], so a hypothesis circuit
 is scored against a sample without ever inverting anything.  Scoring
@@ -49,7 +49,7 @@ class Gate:
 
     def __post_init__(self):
         if self.name in _SINGLE_QUBIT_GATES:
-            if self.qubit is None or self.qubit < 0:
+            if self.qubit is None:
                 raise ValueError("%s gate needs a qubit" % self.name)
             if self.control is not None or self.target is not None:
                 raise ValueError("%s gate takes no control/target" % self.name)
@@ -58,12 +58,13 @@ class Gate:
                 raise ValueError("cnot needs control and target")
             if self.control == self.target:
                 raise ValueError("cnot control equals target")
-            if self.control < 0 or self.target < 0:
-                raise ValueError("negative qubit index")
             if self.qubit is not None:
                 raise ValueError("cnot takes no single qubit")
         else:
             raise ValueError("unknown gate %r" % self.name)
+        # an absent index (None) counts as 0
+        if min(self.qubit or 0, self.control or 0, self.target or 0) < 0:
+            raise ValueError("negative qubit index")
 
     def max_qubit(self) -> int:
         if self.name == "cnot":
@@ -277,15 +278,6 @@ def evaluate_sample(h, sample) -> Fraction:
     return LABELS[sample_code(h.to_tableau(), sample)]
 
 
-def lambda_matrix(n: int) -> BitMatrix:
-    """The symplectic form: interleaved 2x2 off-diagonal blocks."""
-    rows = []
-    for i in range(n):
-        rows.append(1 << (2 * i + 1))
-        rows.append(1 << (2 * i))
-    return BitMatrix(rows, 2 * n)
-
-
 def _image_keys(s: BitMatrix, n: int) -> list:
     """The image keys, in key order, that the columns of the 2n x 2n
     symplectic part s hold in the interleaved layout."""
@@ -301,11 +293,3 @@ def _is_symplectic_basis(keys, n: int) -> bool:
     width = 2 * n
     return _anticommutation_rows(keys, n) == [1 << (r + n) % width for r in range(width)]
 
-
-def is_symplectic(s: BitMatrix, n: int) -> bool:
-    """Whether S^T Lambda S = Lambda over F_2: entry (i, j) of S^T Lambda S
-    is 1 iff the images in columns i and j anticommute, so this is the
-    check inverse_tableau makes, on s's image keys."""
-    if s.n_rows != 2 * n or s.n_cols != 2 * n:
-        return False
-    return _is_symplectic_basis(_image_keys(s, n), n)

@@ -1,4 +1,4 @@
-"""Dense numpy oracles shared by the test modules."""
+"""Dense numpy oracles and small builders shared by the test modules."""
 
 import math
 import random
@@ -6,8 +6,9 @@ import random
 import numpy as np
 
 from cnotpac.cnot import CnotCircuit
-from cnotpac.gf2 import BitMatrix
+from cnotpac.gf2 import BitMatrix, _echelon
 from cnotpac.pauli import PauliOperator, _fold, _raw_sign_bit
+from cnotpac.serialization import _pauli_fields, word_to_hex
 from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
@@ -45,7 +46,7 @@ def state_dense(state):
     if n > 10:
         raise ValueError("dense form limited to 10 qubits")
     acc = np.zeros((1 << n, 1 << n), dtype=complex)
-    for g in state.members():
+    for g in members(state):
         acc += pauli_dense(g)
     return acc / (1 << n)
 
@@ -151,4 +152,60 @@ def invertible_matrices(n):
 def all_cnot_circuits(n):
     for theta in invertible_matrices(n):
         for q in range(1 << n):
-            yield CnotCircuit(theta.copy(), q)
+            yield CnotCircuit(BitMatrix(theta.rows, theta.n_cols), q)
+
+
+def x_power(n, v, sign=1):
+    """X^v = product of X_i over the set bits of v."""
+    return PauliOperator(n, v, 0, sign=sign)
+
+
+def members(group):
+    """All 2^n elements of a stabilizer group (small n only)."""
+    return [group.element(mask) for mask in range(1 << group.n)]
+
+
+def pauli_to_json(p):
+    """A Pauli as a sample set's 'paulis' entry."""
+    return {"n": p.n, "sign": p.sign, "x": word_to_hex(p.x, p.n), "z": word_to_hex(p.z, p.n)}
+
+
+def pauli_from_json(obj):
+    """The Pauli of a 'paulis' entry, validated as the sample-set reader does."""
+    n, key, sign_bit = _pauli_fields(obj)
+    return PauliOperator(n, key & (1 << n) - 1, key >> n, sign=-1 if sign_bit else 1)
+
+
+def dense_rows(m):
+    """A BitMatrix as a list of rows of 0/1 entries."""
+    return [[(r >> j) & 1 for j in range(m.n_cols)] for r in m.rows]
+
+
+def lambda_matrix(n):
+    """The symplectic form: interleaved 2x2 off-diagonal blocks."""
+    rows = []
+    for i in range(n):
+        rows.append(1 << (2 * i + 1))
+        rows.append(1 << (2 * i))
+    return BitMatrix(rows, 2 * n)
+
+
+def is_symplectic(s, n):
+    """Whether S^T Lambda S = Lambda over F_2, by two matrix products; a
+    matrix that is not 2n x 2n is not symplectic."""
+    if s.n_rows != 2 * n or s.n_cols != 2 * n:
+        return False
+    lam = lambda_matrix(n)
+    return s.transpose() @ lam @ s == lam
+
+
+def null_space(m):
+    """Basis of the kernel {x : M x = 0}, one vector per free column,
+    highest first, as solve_affine finds it."""
+    return m._null_basis(_echelon(m.rows, m.n_cols))
+
+
+def affine_constraints(a):
+    """A linear system (C, d) with the AffineSubspace a == {x : C x = d}."""
+    c = BitMatrix(null_space(BitMatrix(a.basis, a.n)), a.n)
+    return c, c.mul_vec(a.offset)

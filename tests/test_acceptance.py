@@ -44,13 +44,14 @@ from cnotpac.search import (
     search_from_decision,
 )
 from cnotpac.stabilizer import StabilizerGroup
-from cnotpac.tableau import CliffordTableau, is_symplectic
+from cnotpac.tableau import CliffordTableau
 
 from formula_corpus import CORPUS, golden_formula
 from helpers import (
     all_cnot_circuits,
     dense_expectation,
     invertible_matrices,
+    is_symplectic,
     random_gates,
     random_signed_pauli,
     random_stabilizer_state,

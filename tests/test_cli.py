@@ -14,7 +14,7 @@ from cnotpac import cli
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import parse_formula
-from cnotpac.pauli import x_power, z_power
+from cnotpac.pauli import z_power
 from cnotpac.reduction import reduce_formula_to_samples
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
@@ -31,10 +31,10 @@ from cnotpac.serialization import (
     word_to_hex,
 )
 from cnotpac.stabilizer import StabilizerGroup
-from cnotpac.tableau import CliffordTableau, is_symplectic
+from cnotpac.tableau import CliffordTableau
 
 from formula_corpus import CORPUS
-from helpers import reference_sample_code
+from helpers import is_symplectic, reference_sample_code, x_power
 from test_reduction import GOLDEN_M0
 from test_search import random_consistent_set
 from test_serialization import (
@@ -1213,6 +1213,76 @@ def test_bad_table_or_index_exits_2_naming_the_file(edit, message, tmp_path, cap
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "", argv
         assert err == "error: %s: %s\n" % (path, message.format(size=size)), argv
+
+
+@pytest.mark.parametrize("name", ["x", "h"])
+def test_verify_names_a_negative_qubit_of_a_single_qubit_gate(name, tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps({"n": 2, "gates": [{"name": name, "qubit": -1}]}))
+    samples, _ = random_consistent_set(random.Random(122), 2, 3)
+    spath = tmp_path / "samples.json"
+    spath.write_text(dumps(sample_set_to_json(samples)))
+    code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
+    assert (code, stdout, err) == (2, "", "error: %s: negative qubit index\n" % circuit)
+
+
+_LONG = "x" * 1_000_000
+
+
+def _long_in_reduction(edit, *argv):
+    """argv on the unit reduction with one field set to _LONG by edit."""
+    def make(path):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(dumps(obj))
+        return [argv[0], str(path), *argv[1:]]
+    return make
+
+
+def _long_literal(path):
+    cnf = path.parent / "in.cnf"
+    cnf.write_text("p cnf 1 1\n%s 0\n" % _LONG)
+    return ["reduce", "--cnf", str(cnf), "--seed", "0"]
+
+
+def _first_sample(obj):
+    return obj["samples"]["samples"][0]
+
+
+# a message repeats a short prefix of a bad value and its length, not all of it
+@pytest.mark.parametrize(
+    "make_argv, fragment",
+    [
+        (
+            _long_in_reduction(lambda obj: _first_sample(obj).update(signs=_LONG), "solve"),
+            "sample field 'signs': expected a nonempty string of lowercase hex digits, got 'xxx",
+        ),
+        (
+            _long_in_reduction(lambda obj: _first_sample(obj).update(measurement=_LONG), "solve"),
+            "Pauli index 'xxx",
+        ),
+        (
+            _long_in_reduction(lambda obj: _first_sample(obj).update(label=_LONG), "solve"),
+            "label must be one of '0', '1/2', '1'; got 'xxx",
+        ),
+        (
+            _long_in_reduction(
+                lambda obj: obj["instance"]["m0"].__setitem__(0, _LONG),
+                "solve", "--strategy", "affine",
+            ),
+            "expected a nonempty string of 0s and 1s, got 'xxx",
+        ),
+        (_long_literal, "line 2: bad literal 'xxx"),
+    ],
+    ids=["signs", "measurement", "label", "bit-string", "dimacs-literal"],
+)
+def test_a_long_bad_value_gives_a_short_message(make_argv, fragment, unit_reduction, capsys):
+    code, stdout, err = run(capsys, *make_argv(unit_reduction))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and fragment in err, err[:300]
+    # the first 40 characters of the value's repr, then its length
+    assert "'%s... (1000000 characters)" % ("x" * 39) in err, err[:300]
+    assert len(err.encode()) < 300
 
 
 def test_single_measurement_hypothesis_verifies_against_its_input(tmp_path, capsys):

@@ -16,14 +16,13 @@ from cnotpac.learning import (
     sample_complexity,
     trivial_uniform_learner,
 )
-from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.search import SearchResult, brute_force_search, check_consistent
 from cnotpac.serialization import circuit_to_json, dumps
 from cnotpac.stabilizer import Membership, StabilizerGroup
-from cnotpac.tableau import is_symplectic
 
-from helpers import random_signed_pauli, random_stabilizer_state
+from helpers import is_symplectic, members, random_signed_pauli, random_stabilizer_state, x_power
 from test_search import random_cnot_circuit, random_consistent_set
 
 
@@ -267,9 +266,9 @@ def test_z_constraints_and_member_queries_match_the_members():
                 for sign in (1, -1)
             ]
         for state in states:
-            members = list(state.members())
-            member_set = set(members)
-            by_key = {p.key(): (mask, p.raw()[0]) for mask, p in enumerate(members)}
+            elements = members(state)
+            member_set = set(elements)
+            by_key = {p.key(): (mask, p.raw()[0]) for mask, p in enumerate(elements)}
             assert len(by_key) == 1 << n
             for key in range(1 << 2 * n):
                 mask, phase = by_key.get(key, (None, None))

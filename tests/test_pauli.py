@@ -10,11 +10,10 @@ from cnotpac.pauli import (
     _fold,
     _raw_mul,
     _raw_sign_bit,
-    x_power,
     z_power,
 )
 
-from helpers import pauli_dense, random_stabilizer_state
+from helpers import members, pauli_dense, random_stabilizer_state, x_power
 
 
 def random_pauli(rng, n):
@@ -138,8 +137,8 @@ def test_fold_is_the_ordered_raw_product_of_its_signed_factors(data):
     if commuting:
         # members of one stabilizer group: every pair commutes
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        members = [p.key() for p in random_stabilizer_state(rng, n).members()]
-        keys = data.draw(st.lists(st.sampled_from(members), min_size=count, max_size=count))
+        member_keys = [p.key() for p in members(random_stabilizer_state(rng, n))]
+        keys = data.draw(st.lists(st.sampled_from(member_keys), min_size=count, max_size=count))
     else:
         keys = data.draw(st.lists(st.integers(0, (1 << 2 * n) - 1), min_size=count, max_size=count))
     signs = data.draw(st.integers(0, (1 << count) - 1))

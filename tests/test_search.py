@@ -121,6 +121,13 @@ def test_brute_finds_consistent_on_random_sets():
 
 
 _GL = {n: list(invertible_matrices(n)) for n in (1, 2, 3, 4)}
+
+
+def _copy(m):
+    """m with its own row list, so no circuit shares a row list of _GL."""
+    return BitMatrix(m.rows, m.n_cols)
+
+
 _LABELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
@@ -130,7 +137,7 @@ def labeled_sets(draw):
     circuit, mixing full-Z samples (the compiled image groups) with
     generic ones, and sometimes with one label changed afterwards."""
     n = draw(st.integers(1, 3))
-    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, (1 << n) - 1)))
+    hidden = CnotCircuit(_copy(draw(st.sampled_from(_GL[n]))), draw(st.integers(0, (1 << n) - 1)))
     t = hidden.to_tableau()
     samples = []
     for _ in range(draw(st.integers(1, 3 * n))):
@@ -172,7 +179,7 @@ def grouped_sets(draw):
     full-Z samples on one or two measurement supports, so that image
     groups repeat, plus generic samples; sometimes one label is flipped."""
     n = draw(st.integers(2, 4))
-    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, (1 << n) - 1)))
+    hidden = CnotCircuit(_copy(draw(st.sampled_from(_GL[n]))), draw(st.integers(0, (1 << n) - 1)))
     t = hidden.to_tableau()
     supports = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=2, unique=True))
     pairs = []
@@ -217,7 +224,7 @@ def linked_sets(draw):
     sometimes one label is flipped (n < 4 only)."""
     n = draw(st.integers(2, 4))
     full = (1 << n) - 1
-    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    hidden = CnotCircuit(_copy(draw(st.sampled_from(_GL[n]))), draw(st.integers(0, full)))
     t = hidden.to_tableau()
     x1 = draw(st.integers(1, full))
     x2 = draw(st.integers(1, full).filter(lambda v: v != x1))
@@ -314,7 +321,7 @@ def leaf_parent_sets(draw, ns):
     label flipped."""
     n = draw(st.sampled_from(ns))
     full = (1 << n) - 1
-    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    hidden = CnotCircuit(_copy(draw(st.sampled_from(_GL[n]))), draw(st.integers(0, full)))
     t = hidden.to_tableau()
     rows = hidden.theta.rows
     rng = random.Random(draw(st.integers(0, 1 << 16)))
@@ -445,7 +452,7 @@ def z_type_sets(draw):
     sometimes one label flipped."""
     n = draw(st.integers(2, 3))
     full = (1 << n) - 1
-    hidden = CnotCircuit(draw(st.sampled_from(_GL[n])).copy(), draw(st.integers(0, full)))
+    hidden = CnotCircuit(_copy(draw(st.sampled_from(_GL[n]))), draw(st.integers(0, full)))
     t = hidden.to_tableau()
     rng = random.Random(draw(st.integers(0, 1 << 16)))
     pairs = []
@@ -710,7 +717,7 @@ def test_leaf_parent_solve_keeps_the_last_rows_whose_image_is_in_the_group(n, ki
         if kind == "outside":
             px ^= theta.rows[n - 1]
     meas = PauliOperator(n, px, rng.randrange(0 if px else 1, full + 1), sign=rng.choice((1, -1)))
-    image = CnotCircuit(theta.copy(), 0).to_tableau().conjugate_inverse(meas)
+    image = CnotCircuit(_copy(theta), 0).to_tableau().conjugate_inverse(meas)
     while True:
         state = _state_holding(rng, n, image) if held else random_stabilizer_state(rng, n)
         if kind != "z-type" or any(g.x for g in state.generators):

@@ -12,12 +12,13 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix
-from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import graph_to_instance, reduce_formula_to_samples, reduce_sat_to_samples
 from cnotpac.formula import formula_to_graph, parse_formula
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import (
     DimacsError,
+    _echo,
     bits_to_string,
     circuit_from_json,
     circuit_to_json,
@@ -28,8 +29,6 @@ from cnotpac.serialization import (
     instance_from_json,
     instance_to_json,
     parse_dimacs,
-    pauli_from_json,
-    pauli_to_json,
     sample_set_dumps,
     sample_set_from_json,
     sample_set_to_json,
@@ -41,7 +40,7 @@ from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
 from formula_corpus import CORPUS, golden_formula
-from helpers import random_stabilizer_state, random_tableau
+from helpers import pauli_from_json, pauli_to_json, random_stabilizer_state, random_tableau, x_power
 from test_search import random_cnot_circuit, random_consistent_set
 
 
@@ -84,6 +83,16 @@ def test_bit_codec_round_trips_and_rejects_what_int_would_take():
     for v, n in ((-1, 3), (8, 3), (1, 0)):
         with pytest.raises(ValueError, match="does not fit"):
             bits_to_string(v, n)
+
+
+def test_echo_keeps_a_short_value_and_cuts_a_long_one():
+    # up to 40 characters of repr stay whole, byte for byte
+    for value in ("x" * 38, ["1"], None, 1.0, "\u0668"):
+        assert _echo(value) == repr(value)
+    # a longer one keeps 40 and gives a string's length, else the repr's
+    assert _echo("x" * 39) == "'%s... (39 characters)" % ("x" * 39)
+    long_list = [0] * 100
+    assert _echo(long_list) == repr(long_list)[:40] + "... (300 characters)"
 
 
 def test_hex_codec_round_trips_and_rejects_what_int_would_take():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnotpac import gf2, stabilizer
-from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import _pin_samples, reduce_sat_to_samples
 from cnotpac.samples import Sample, SampleSet
 from cnotpac.serialization import sample_set_from_json, sample_set_to_json
@@ -20,7 +20,7 @@ from cnotpac.stabilizer import (
 )
 from cnotpac.tableau import CliffordTableau, Gate, apply_circuit_to_state
 
-from helpers import dense_expectation, state_dense
+from helpers import dense_expectation, members, state_dense, x_power
 
 
 def bell_group():
@@ -50,8 +50,8 @@ def test_element_products():
     assert g.element(0b00) == PauliOperator(2, 0, 0)
     assert g.element(0b01) == x_power(2, 0b11)
     assert g.element(0b11) == PauliOperator(2, 0b11, 0b11, sign=-1)
-    members = {repr(p) for p in g.members()}
-    assert members == {"+II", "+XX", "+ZZ", "-YY"}
+    elements = {repr(p) for p in members(g)}
+    assert elements == {"+II", "+XX", "+ZZ", "-YY"}
 
 
 def test_generator_validation():
@@ -277,23 +277,23 @@ def stabilizer_groups(draw, max_n=3):
 def test_group_contains_agrees_with_a_member_scan(group):
     n = group.n
     # the members by PauliOperator.mul chains, not through the group's own
-    # product (members() and element() share the fold under test)
-    members = set()
+    # product (element() shares the fold under test)
+    scan = set()
     for mask in range(1 << n):
         acc = PauliOperator(n, 0, 0)
         for i, g in enumerate(group.generators):
             if (mask >> i) & 1:
                 acc = acc.mul(g)
-        members.add(acc)
-    assert len(members) == 1 << n
-    phase = {m.key(): m.raw()[0] for m in members}
+        scan.add(acc)
+    assert len(scan) == 1 << n
+    phase = {m.key(): m.raw()[0] for m in scan}
     for xz in range(1, 1 << (2 * n)):
         assert group.member_phase(xz) == phase.get(xz)
         for sign in (1, -1):
             p = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=sign)
-            if p in members:
+            if p in scan:
                 want = Membership.PLUS
-            elif -p in members:
+            elif -p in scan:
                 want = Membership.MINUS
             else:
                 want = Membership.ABSENT
@@ -344,7 +344,7 @@ def test_sign_variants_share_one_table_and_stay_distinct(group, data):
     assert flipped.canonical_signature() != group.canonical_signature()
     assert group != flipped
     for g in (group, flipped):
-        list(g.members())
+        members(g)
         g.element(signs)
         hash(g)
     probes = [

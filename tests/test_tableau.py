@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotpac.cnot import CnotCircuit
 from cnotpac.gf2 import BitMatrix, dot
-from cnotpac.pauli import PauliOperator, x_power, z_power
+from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import reduce_formula_to_samples
 from cnotpac.samples import LABELS, Sample, SampleSet
 from cnotpac.search import check_consistent
@@ -16,10 +16,10 @@ from cnotpac.stabilizer import StabilizerGroup
 from cnotpac.tableau import (
     CliffordTableau,
     Gate,
+    _image_keys,
+    _is_symplectic_basis,
     apply_circuit_to_state,
     evaluate_sample,
-    is_symplectic,
-    lambda_matrix,
     sample_code,
     sample_codes,
 )
@@ -27,6 +27,9 @@ from cnotpac.tableau import (
 from formula_corpus import CORPUS
 from helpers import (
     circuit_unitary,
+    dense_rows,
+    is_symplectic,
+    lambda_matrix,
     pauli_dense,
     random_gates,
     random_signed_pauli,
@@ -34,6 +37,7 @@ from helpers import (
     random_tableau,
     reference_sample_code,
     state_dense,
+    x_power,
 )
 
 N_TRIALS = 40
@@ -54,6 +58,16 @@ def test_gate_constructor_validation():
         Gate("hadamard", qubit=0)
     with pytest.raises(ValueError):
         Gate("x", qubit=0, control=1, target=2)
+
+
+@pytest.mark.parametrize("name", ["x", "z", "h", "p"])
+def test_a_single_qubit_gate_names_a_negative_qubit(name):
+    with pytest.raises(ValueError, match="^negative qubit index$"):
+        Gate(name, qubit=-1)
+    with pytest.raises(ValueError, match="^%s gate needs a qubit$" % name):
+        Gate(name)
+    with pytest.raises(ValueError, match="^negative qubit index$"):
+        Gate("cnot", control=-1, target=0)
 
 
 def test_identity_tableau_columns():
@@ -389,11 +403,17 @@ def symplectic_oracle(s, n):
 
 
 def test_is_symplectic_matches_pairwise_oracle():
+    # the image-key check, the pairwise oracle and S^T Lambda S = Lambda agree
     rng = random.Random(307)
+    seen = set()
     for _ in range(60):
         n = rng.randrange(1, 4)
         m = BitMatrix([rng.randrange(1 << (2 * n)) for _ in range(2 * n)], 2 * n)
-        assert is_symplectic(m, n) == symplectic_oracle(m, n)
+        want = is_symplectic(m, n)
+        assert symplectic_oracle(m, n) == want
+        assert _is_symplectic_basis(_image_keys(m, n), n) == want
+        seen.add(want)
+    assert seen == {False, True}
     # every valid tableau's s-matrix is symplectic
     for seed in range(10):
         rng = random.Random(400 + seed)
@@ -408,7 +428,7 @@ def test_is_symplectic_matches_pairwise_oracle():
 
 def test_lambda_matrix_frozen():
     lam = lambda_matrix(2)
-    assert lam.to_dense() == [
+    assert dense_rows(lam) == [
         [0, 1, 0, 0],
         [1, 0, 0, 0],
         [0, 0, 0, 1],

@@ -284,3 +284,147 @@ def test_the_guard_sees_a_nonlocal_counter_in_a_stage():
 
 def test_the_dfs_stages_define_no_closure():
     assert _stage_closures((SRC / "search.py").read_text()) == ([], set(DFS_STAGES))
+
+
+# ---------------------------------------------------------------------------
+# The public surface: every name the package exports, and every public
+# method or property of an exported class, has a caller in the package or
+# is reached by the benchmark, or is a documented entry point.  Reads are
+# matched by identifier alone, so a method counts as called when any module
+# reads an attribute of its name: search's own .group attribute keeps
+# StabilizerGroup.group off the list, for one.
+
+BENCH = PYPROJECT.parent / "bench"
+
+# exported names that nothing in the package or the benchmark calls, kept
+# for callers of the library, each with its reason
+ENTRY_POINTS = (
+    # the reduction's k-column gadget in matrix form: it pins k columns of
+    # theta to v_j + a w_j with one shared branch bit a; instance_to_samples
+    # runs the same gadget (reduction._linked_pins) on its own int columns
+    "constrain_submatrix_samples",
+)
+
+
+def _exports(init_source):
+    """{exported name: defining module} from the package's __init__."""
+    return {
+        alias.asname or alias.name: node.module
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _public_names(sources):
+    """{(module, qualified name)} of every exported name and every public
+    non-dunder method or property of an exported class; sources maps a
+    module name to its source, "__init__" included."""
+    names = set()
+    for name, module in _exports(sources["__init__"]).items():
+        names.add((module, name))
+        for node in ast.parse(sources[module]).body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                names.update(
+                    (module, "%s.%s" % (name, item.name))
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return names
+
+
+def _references(tree):
+    """{identifier: [(enclosing definitions, ...)]} of every name and
+    attribute that tree reads.  The enclosing definitions of a read inside
+    BitMatrix.rank are ("BitMatrix", "rank")."""
+    refs = {}
+
+    def visit(node, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = path + (node.name,)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            ident = node.id if isinstance(node, ast.Name) else node.attr
+            refs.setdefault(ident, []).append(path)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path)
+
+    visit(tree, ())
+    return refs
+
+
+def _bench_reach(bench_sources):
+    """What the benchmark reaches: the identifiers that bench/*.py imports
+    from cnotpac or reads as an attribute, and the (module, path) of each
+    tracing.TARGETS entry."""
+    idents, targets = set(), set()
+    for source in bench_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cnotpac"):
+                idents.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                idents.add(node.attr)
+            elif isinstance(node, ast.Assign) and [
+                t.id for t in node.targets if isinstance(t, ast.Name)
+            ] == ["TARGETS"]:
+                targets.update((e.elts[0].value, e.elts[1].value) for e in node.value.elts)
+    return idents, targets
+
+
+def _unreached(sources, bench_sources):
+    """Qualified names of the public names (see _public_names) that no
+    module but __init__ reads outside the name's own definition, and that
+    the benchmark does not reach."""
+    refs = {
+        module: _references(ast.parse(source))
+        for module, source in sources.items()
+        if module != "__init__"
+    }
+    idents, targets = _bench_reach(bench_sources)
+    out = set()
+    for module, qual in _public_names(sources):
+        parts = tuple(qual.split("."))
+        leaf = parts[-1]
+        named = any(
+            other != module or path[: len(parts)] != parts
+            for other, found in refs.items()
+            for path in found.get(leaf, ())
+        )
+        if not (named or leaf in idents or (module, qual) in targets):
+            out.add(qual)
+    return out
+
+
+def _tree_sources():
+    """({module name: source} of src/cnotpac, [source of each bench/*.py])."""
+    src = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    bench = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    return src, bench
+
+
+def test_the_guard_sees_an_uncalled_export_and_a_restored_method():
+    src, bench = _tree_sources()
+    base = _unreached(src, bench)
+    # an exported function whose one caller is itself
+    mutant = dict(src)
+    mutant["reduction"] += "\n\ndef orphan(k):\n    return orphan(k - 1) if k else 0\n"
+    mutant["__init__"] += "from .reduction import orphan\n"
+    assert _unreached(mutant, bench) == base | {"orphan"}
+    # BitMatrix.to_dense restored: only tests called it
+    line = "    def transpose(self) -> \"BitMatrix\":\n"
+    method = (
+        "    def to_dense(self) -> list:\n"
+        "        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]\n\n"
+    )
+    assert src["gf2"].count(line) == 1
+    mutant = dict(src, gf2=src["gf2"].replace(line, method + line))
+    assert _unreached(mutant, bench) == base | {"BitMatrix.to_dense"}
+    # a name the benchmark alone reaches is unreached once it stops
+    assert "apply_circuit_to_state" not in base
+    without = [source.replace("apply_circuit_to_state", "apply_circuit") for source in bench]
+    assert _unreached(src, without) == base | {"apply_circuit_to_state"}
+
+
+def test_every_public_name_has_a_caller_or_is_an_entry_point():
+    src, bench = _tree_sources()
+    assert len(src) > 10 and len(bench) >= 4
+    assert _unreached(src, bench) == set(ENTRY_POINTS)
