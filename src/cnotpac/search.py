@@ -24,7 +24,8 @@ theta with its q = 0 tableau and scores all 2^n sign vectors q at once
 as a bitmask, since q moves only the phase of a measurement's image, by
 2 |q & z|.  Those tableaus do not depend on the samples, so they are
 built through to_tableau once per process and n, on first use
-(_gl_tableaus).
+(_gl_tableaus).  Each theta still folds each sample it reaches, but a
+sample judges each distinct (image, phase) of its fold once per scan.
 
 search_from_decision asks its oracle about the input set extended by
 pin samples.  The compile is a fold over the samples in order, so for
@@ -427,36 +428,48 @@ def enumerate_consistent_circuits(sample_set: SampleSet) -> List[CnotCircuit]:
     q are the Z images that the measurement's z bits select, Z image j
     with sign bit q_j: e(q) = e(0) + 2 |q & z| mod 4, and the image's
     key does not depend on q.  So a theta folds each sample once over
-    its q = 0 tableau, with sample_code's checks, and looks the image up
-    once.  An absent image has code 1 for every q; a member's phase,
-    Hermitian like e(0) on the same key, is e(0) or e(0) + 2, so code 2
-    goes to the q of one parity of |q & z| and code 0 to the rest.  A
-    theta stops at the first sample that leaves no q, so a check raises
-    when sample_code's would for some q.  Hits come in ascending q, each
-    with its own new theta.
+    its q = 0 tableau.  An absent image has code 1 for every q; a
+    member's phase, Hermitian like e(0) on the same key, is e(0) or
+    e(0) + 2, so code 2 goes to the q of one parity of |q & z| and
+    code 0 to the rest.  That step, the mask alive is cut to, depends
+    only on the sample and its (image, e(0)), so each sample keeps a memo
+    from that raw form to its step: sample_code's checks and the group
+    lookup run once per distinct raw form of a sample in the scan, on the
+    first theta that meets it.  A theta stops at the first sample that
+    leaves no q, so a check raises when sample_code's would for some q,
+    at the (theta, sample) where a scan without the memo raises.  Hits
+    come in ascending q, each with its own new theta.
     """
     n = sample_set.n
     table = _gl_tableaus(n)
     every_q = (1 << (1 << n)) - 1
     # odd[m]: bit q set iff |q & m| is odd
     odd = [sum(1 << q for q in range(1 << n) if (q & m).bit_count() & 1) for m in range(1 << n)]
-    samples = [(s.key, s.phase, s.state, s.code, odd[s.key >> n]) for s in sample_set]
+    # steps: the sample's memo, from a raw form image << 2 | e to the mask
+    # of the q that raw form leaves alive
+    samples = [(s.key, s.phase, s.state, s.code, odd[s.key >> n], {}) for s in sample_set]
     out = []
     for rows, keys in table:
         alive = every_q
-        for key, e, group, code, flips in samples:
+        for key, e, group, code, flips, steps in samples:
             e, image = _fold(n, keys, 0, key, e)
-            _raw_sign_bit(n, e, image)
-            if not image:
-                raise ValueError("identity is not a useful measurement")
-            member = group.member_phase(image)
-            if (member is None) != (code == 1):
-                break  # an absent image has code 1 for every q, a member for none
-            if member is not None:
-                # code 2 iff e(q) == member, which holds for the even q iff e(0) does
-                alive &= flips if (member == e) != (code == 2) else every_q ^ flips
-                if not alive:
-                    break
+            step = steps.get(image << 2 | e)
+            if step is None:
+                _raw_sign_bit(n, e, image)
+                if not image:
+                    raise ValueError("identity is not a useful measurement")
+                member = group.member_phase(image)
+                if (member is None) != (code == 1):
+                    step = 0  # an absent image has code 1 for every q, a member for none
+                elif member is None:
+                    step = every_q
+                else:
+                    # code 2 iff e(q) == member, which holds for the even q iff e(0) does
+                    step = flips if (member == e) != (code == 2) else every_q ^ flips
+                steps[image << 2 | e] = step
+            alive &= step
+            if not alive:
+                break
         else:
             for q in range(1 << n):
                 if (alive >> q) & 1:

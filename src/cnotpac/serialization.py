@@ -95,6 +95,17 @@ def string_to_bits(s: str, n: Optional[int] = None) -> int:
     return int(s[::-1], 2)
 
 
+def _bit_rows(rows, n: int, what: str) -> list:
+    """The n-bit strings rows as ints; the message names what and the row."""
+    out = []
+    for i, r in enumerate(rows):
+        try:
+            out.append(string_to_bits(r, n))
+        except ValueError as err:
+            raise ValueError("%s row %d: %s" % (what, i, err)) from None
+    return out
+
+
 def _word_format(w: int) -> str:
     """The %-format of a W(w) word: ceil(w / 4) lowercase hex digits, zero-padded."""
     return "%%0%dx" % -(-w // 4)
@@ -309,8 +320,12 @@ def tableau_from_block(obj, n: int) -> CliffordTableau:
     rows = obj.get("s")
     if not isinstance(rows, list) or len(rows) != 2 * n:
         raise ValueError("tableau field 's' must list 2n rows")
-    s = BitMatrix([string_to_bits(r, 2 * n) for r in rows], 2 * n)
-    t = CliffordTableau.from_s_matrix(s, string_to_bits(obj.get("phases"), 2 * n))
+    s = BitMatrix(_bit_rows(rows, 2 * n, "tableau field 's'"), 2 * n)
+    try:
+        phases = string_to_bits(obj.get("phases"), 2 * n)
+    except ValueError as err:
+        raise ValueError("tableau field 'phases': %s" % err) from None
+    t = CliffordTableau.from_s_matrix(s, phases)
     if not _is_symplectic_basis(t.keys, n):
         raise ValueError("tableau is not symplectic (S^T Lambda S != Lambda)")
     return t
@@ -376,10 +391,12 @@ def matrix_to_json(m: BitMatrix) -> list:
     return [bits_to_string(row, m.n_cols) for row in m.rows]
 
 
-def matrix_from_json(obj, size: int) -> BitMatrix:
+def matrix_from_json(obj, size: int, what: str) -> BitMatrix:
+    """A size x size matrix from its row strings; the message names what
+    the matrix is, and the row."""
     if not isinstance(obj, list) or len(obj) != size:
-        raise ValueError("matrix must list %d rows" % size)
-    return BitMatrix([string_to_bits(r, size) for r in obj], size)
+        raise ValueError("%s must list %d rows" % (what, size))
+    return BitMatrix(_bit_rows(obj, size, what), size)
 
 
 def instance_to_json(inst: NonSingularityInstance) -> dict:
@@ -394,11 +411,12 @@ def instance_from_json(obj) -> NonSingularityInstance:
     if not isinstance(obj, dict):
         raise ValueError("instance must be an object")
     size = _positive_int(obj, "size", "instance")
-    m0 = matrix_from_json(obj.get("m0"), size)
+    m0 = matrix_from_json(obj.get("m0"), size, "instance field 'm0'")
     ms = obj.get("ms")
     if not isinstance(ms, list):
         raise ValueError("instance field 'ms' must be a list")
-    return NonSingularityInstance(size, m0, [matrix_from_json(m, size) for m in ms])
+    mats = [matrix_from_json(m, size, "instance field 'ms' matrix %d" % j) for j, m in enumerate(ms)]
+    return NonSingularityInstance(size, m0, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Dense numpy oracles and small builders shared by the test modules."""
 
 import math
-import random
 
 import numpy as np
 

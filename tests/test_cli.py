@@ -1285,6 +1285,65 @@ def test_a_long_bad_value_gives_a_short_message(make_argv, fragment, unit_reduct
     assert len(err.encode()) < 300
 
 
+# a bad bit string names its field and row; the unit reduction's instance
+# has size 3 and one matrix in ms
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda obj: obj["instance"]["m0"].__setitem__(0, "102"),
+            "instance field 'm0' row 0: expected a nonempty string of 0s and 1s, got '102'",
+        ),
+        (
+            lambda obj: obj["instance"]["ms"][0].__setitem__(2, "10"),
+            "instance field 'ms' matrix 0 row 2: expected 3 bits, got 2",
+        ),
+        (
+            lambda obj: obj["instance"]["ms"][0].pop(),
+            "instance field 'ms' matrix 0 must list 3 rows",
+        ),
+    ],
+    ids=["m0-digit", "ms-width", "ms-rows"],
+)
+def test_solve_affine_names_the_bad_instance_field(edit, message, unit_reduction, capsys):
+    obj = json.loads(unit_reduction.read_text())
+    edit(obj)
+    unit_reduction.write_text(dumps(obj))
+    code, stdout, err = run(capsys, "solve", str(unit_reduction), "--strategy", "affine")
+    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (unit_reduction, message))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda block: block.update(phases="0101x0"),
+            "tableau field 'phases': expected a nonempty string of 0s and 1s, got '0101x0'",
+        ),
+        (
+            lambda block: block.update(phases="0000"),
+            "tableau field 'phases': expected 6 bits, got 4",
+        ),
+        (
+            lambda block: block["s"].__setitem__(4, "1" * 7),
+            "tableau field 's' row 4: expected 6 bits, got 7",
+        ),
+    ],
+    ids=["phases-digit", "phases-width", "s-width"],
+)
+def test_verify_names_the_bad_tableau_field(edit, message, tmp_path, capsys):
+    samples, hidden = random_consistent_set(random.Random(123), 3, 3)
+    obj = circuit_to_json(hidden)
+    del obj["gates"]
+    edit(obj["tableau"])
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(dumps(obj))
+    spath = tmp_path / "samples.json"
+    spath.write_text(dumps(sample_set_to_json(samples)))
+    code, stdout, err = run(capsys, "verify", str(circuit), str(spath))
+    assert (code, stdout, err) == (2, "", "error: %s: %s\n" % (circuit, message))
+
+
 def test_single_measurement_hypothesis_verifies_against_its_input(tmp_path, capsys):
     batch = batch_fixture(tmp_path)
     hyp = tmp_path / "hyp.json"

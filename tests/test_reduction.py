@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cnotpac.cnot import CnotCircuit
-from cnotpac.formula import Constant, Variable, WeightedDigraph, eval_formula, formula_to_graph
+from cnotpac.formula import Constant, WeightedDigraph, eval_formula, formula_to_graph
 from cnotpac.gf2 import BitMatrix, dot
 from cnotpac.pauli import z_power
 from cnotpac.reduction import (

@@ -14,7 +14,7 @@ import cnotpac.search
 from cnotpac.cnot import CnotCircuit
 from cnotpac.formula import Constant, arithmetize_cnf, eval_formula, formula_to_graph
 from cnotpac.gf2 import BitMatrix, _insert, _reduce, complete_to_basis, dot
-from cnotpac.pauli import PauliOperator, z_power
+from cnotpac.pauli import PauliOperator, _fold, z_power
 from cnotpac.reduction import (
     NonSingularityInstance,
     _pin_samples,
@@ -891,6 +891,86 @@ def test_the_scan_builds_each_q_zero_tableau_once_per_process(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         enumerate_consistent_circuits(SampleSet(5))
     assert len(calls) == 168 and _gl_tableaus.cache_info().currsize == 1
+
+
+def _sweep_shaped_sets():
+    """Seeded sets shaped like the sweep workload's at n = 1..3: generic
+    samples labelled 0 or 1 (a generic state measured on the hidden
+    circuit's image of one of its group elements), random measurements of
+    generic states (mostly labelled 1/2), then exact and two-point pins
+    of theta's columns.  Every third set has its first label flipped."""
+    shapes = {1: [(1, 0, 1, 1), (0, 0, 3, 1)], 2: [(1, 0, 1, 1), (0, 1, 2, 1), (1, 1, 1, 0)]}
+    shapes[3] = shapes[2] + [(0, 0, 3, 1), (0, 2, 1, 2)]
+    k = 0
+    for n, rounds in ((1, 2), (2, 3), (3, 4)):
+        for seed in range(rounds):
+            for exact, two_point, informative, half in shapes[n]:
+                rng = random.Random("scan-pin/%d/%d/%d" % (n, seed, k))
+                hidden = random_cnot_circuit(rng, n)
+                t = hidden.to_tableau()
+                inv = t.inverse_tableau()
+                pairs = []
+                for _ in range(informative):
+                    state = random_stabilizer_state(rng, n)
+                    g = state.element(rng.randrange(1, 1 << n))
+                    pairs.append((state, inv.conjugate_inverse(-g if rng.randrange(2) else g)))
+                for _ in range(half):
+                    xz = rng.randrange(1, 1 << (2 * n))
+                    meas = PauliOperator(n, xz & ((1 << n) - 1), xz >> n, sign=rng.choice((1, -1)))
+                    pairs.append((random_stabilizer_state(rng, n), meas))
+                samples = [Sample(s, p, s.expectation(t.conjugate_inverse(p))) for s, p in pairs]
+                for w_count in [0] * exact + [1] * two_point:
+                    x = rng.randrange(1, 1 << n)
+                    v = hidden.theta.mul_vec(x)
+                    w = rng.choice([u for u in range(1, 1 << n) if u != v]) if w_count else None
+                    target = z_power(n, x, sign=-1 if (hidden.q & x).bit_count() & 1 else 1)
+                    samples += constrain_pauli_samples(n, target, v, w, rng)
+                if k % 3 == 2:
+                    s = samples[0]
+                    samples[0] = Sample(s.state, s.measurement, 1 - s.label)
+                k += 1
+                yield SampleSet(n, samples)
+
+
+# sha256 of the reference scan's hits (theta rows and q, per set) on
+# _sweep_shaped_sets, recorded from the scan that looked each (theta,
+# sample) image up in the state's group: judging a sample once per
+# distinct image must not change a hit
+SCAN_PIN_SHA256 = "0ccd3fb2b6c52b5194b5065d6d6ecfada2efb24629ed9633e1bff4bf38172ce1"
+
+
+def test_scan_hits_are_pinned_on_sweep_shaped_sets():
+    hits = [
+        [(tuple(c.theta.rows), c.q) for c in enumerate_consistent_circuits(samples)]
+        for samples in _sweep_shaped_sets()
+    ]
+    assert len(hits) == 2 * 2 + 3 * 3 + 4 * 5
+    assert [] in hits and len({len(h) for h in hits}) > 4
+    digest = hashlib.sha256(repr(hits).encode()).hexdigest()
+    assert digest == SCAN_PIN_SHA256, hits
+
+
+def test_the_scan_asks_the_group_once_per_distinct_image(monkeypatch):
+    # one sample, so no theta stops before it: one member_phase call per
+    # distinct (e, image) its fold takes over GL(3, 2), not one per theta
+    rng = random.Random(93)
+    table = _gl_tableaus(3)
+    member_phase = StabilizerGroup.member_phase
+    calls = []
+
+    def counted(self, key):
+        calls.append(key)
+        return member_phase(self, key)
+
+    monkeypatch.setattr(StabilizerGroup, "member_phase", counted)
+    for _ in range(12):
+        samples = random_consistent_set(rng, 3, 1)[0]
+        (s,) = samples
+        distinct = len({_fold(3, keys, 0, s.key, s.phase) for _, keys in table})
+        calls.clear()
+        hits = enumerate_consistent_circuits(samples)
+        assert len(calls) == distinct < len(table)
+        assert hits == [c for c in all_cnot_circuits(3) if check_consistent(c, samples)]
 
 
 def test_affine_family_golden_witness():

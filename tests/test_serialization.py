@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from cnotpac.cli import main
 from cnotpac.cnot import CnotCircuit
-from cnotpac.gf2 import BitMatrix
 from cnotpac.pauli import PauliOperator, z_power
 from cnotpac.reduction import graph_to_instance, reduce_formula_to_samples, reduce_sat_to_samples
 from cnotpac.formula import formula_to_graph, parse_formula

@@ -428,3 +428,59 @@ def test_every_public_name_has_a_caller_or_is_an_entry_point():
     src, bench = _tree_sources()
     assert len(src) > 10 and len(bench) >= 4
     assert _unreached(src, bench) == set(ENTRY_POINTS)
+
+
+# ---------------------------------------------------------------------------
+# Unused imports: a module-level import binds names that its module reads.
+# __init__.py is skipped, since its imports are the public surface.
+
+TESTS = PYPROJECT.parent / "tests"
+
+
+def _unused_imports(source):
+    """(line, name) of each name a module-level import binds that nothing
+    in the module reads; `import a.b` binds a."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_the_guard_sees_an_unused_import():
+    bad = (
+        "from __future__ import annotations\n"
+        "import itertools\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from cnotpac.gf2 import BitMatrix, dot\n"
+        "def f():\n"
+        "    import math\n"
+        "    BitMatrix = None\n"
+        "    return dot(math.pi, os)\n"
+    )
+    assert _unused_imports(bad) == [(2, "itertools"), (4, "np"), (5, "BitMatrix")]
+    # a mutant of a test module: an import nothing in it reads, at its top
+    source = (TESTS / "test_formula.py").read_text()
+    assert _unused_imports(source) == []
+    assert _unused_imports("import itertools\n" + source) == [(1, "itertools")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    assert len(paths) > 25
+    found = {p.name: _unused_imports(p.read_text()) for p in paths}
+    assert {name: unused for name, unused in found.items() if unused} == {}
